@@ -14,9 +14,14 @@ weight-symmetrized matrix W_b M W_{-a}.
 
 from __future__ import annotations
 
+import contextlib
 import hashlib
 import json
+import logging
+import os
 import struct
+import tempfile
+import threading
 import weakref
 from dataclasses import dataclass
 from functools import lru_cache
@@ -52,6 +57,7 @@ __all__ = [
     "meanfree_form_gap",
     "save_operator",
     "load_operator",
+    "OperatorCache",
 ]
 
 HMINUS = "H-1/2"
@@ -329,16 +335,20 @@ def invert_S(k, s_op: BoundaryOperator) -> BoundaryOperator:
 
 
 # ---------------------------------------------------------------------------
-# Binary export of assembled operators
+# Binary export of assembled operators and the operator store
 
 _MAGIC = b"FEPO"
+
+log = logging.getLogger("faddeev_ep")
 
 
 def save_operator(path, matrix: np.ndarray, header: dict) -> None:
     """Write a matrix as raw row-major doubles behind a JSON header.
 
     The header is augmented with dtype, shape and a sha256 checksum of the
-    payload bytes.
+    payload bytes.  The file is written under a temporary name in the same
+    directory and renamed onto ``path``, so a failed write never leaves a
+    truncated file there.
     """
     matrix = np.ascontiguousarray(matrix)
     payload = matrix.tobytes()
@@ -349,11 +359,15 @@ def save_operator(path, matrix: np.ndarray, header: dict) -> None:
         "checksum": hashlib.sha256(payload).hexdigest(),
     })
     head = json.dumps(doc, sort_keys=True).encode()
-    with open(path, "wb") as fh:
-        fh.write(_MAGIC)
-        fh.write(struct.pack("<Q", len(head)))
-        fh.write(head)
-        fh.write(payload)
+    fd, tmp = tempfile.mkstemp(dir=os.path.dirname(os.path.abspath(path)), suffix=".tmp")
+    try:
+        with open(fd, "wb") as fh:
+            fh.write(_MAGIC + struct.pack("<Q", len(head)) + head)
+            fh.write(payload)
+        os.replace(tmp, path)
+    except BaseException:
+        os.unlink(tmp)
+        raise
 
 
 def load_operator(path) -> tuple[np.ndarray, dict]:
@@ -368,3 +382,49 @@ def load_operator(path) -> tuple[np.ndarray, dict]:
         raise ValueError(f"checksum mismatch in {path}")
     mat = np.frombuffer(payload, dtype=np.dtype(header["dtype"])).reshape(header["shape"]).copy()
     return mat, header
+
+
+class OperatorCache:
+    """Content-keyed store of operator matrices: a memory tier, then an
+    optional disk tier of :func:`save_operator` files in ``directory``.
+
+    Keys are hex digests of everything a matrix depends on (``fn_key``), so
+    the thread-safe memory tier is shared by every store in the process.
+    Disk checksums are verified on read; a corrupted entry is rebuilt.
+    """
+
+    _memory: dict[str, np.ndarray] = {}
+    _lock = threading.Lock()
+
+    def __init__(self, directory=None):
+        self.dir = None if directory is None else str(directory)
+        if self.dir is not None:
+            os.makedirs(self.dir, exist_ok=True)
+
+    def clear(self) -> None:
+        """Empty the memory tier; disk entries stay."""
+        with self._lock:
+            self._memory.clear()
+
+    def get_or_build(self, key: str, builder) -> np.ndarray:
+        """The read-only matrix under ``key``: from memory, from disk, or
+        built by ``builder()`` and stored in both tiers."""
+        with self._lock:
+            mat = self._memory.get(key)
+        if mat is not None:
+            return mat
+        path = None if self.dir is None else os.path.join(self.dir, key + ".op")
+        if path is not None and os.path.exists(path):
+            try:
+                mat, _ = load_operator(path)
+            except (ValueError, OSError, KeyError, struct.error) as exc:
+                log.warning("cache entry %s invalid (%s); rebuilding", path, exc)
+                with contextlib.suppress(OSError):
+                    os.remove(path)
+        if mat is None:
+            mat = builder()
+            if path is not None:
+                save_operator(path, mat, {"key": key})
+        mat.flags.writeable = False
+        with self._lock:
+            return self._memory.setdefault(key, mat)

@@ -15,11 +15,13 @@ detected bandwidth.
 
 from __future__ import annotations
 
+from functools import cached_property
+
 import numpy as np
 from scipy import sparse
 from scipy.sparse.linalg import LinearOperator, onenormest, splu
 
-__all__ = ["DiskDtnSolver", "InteriorResonanceError", "cheb"]
+__all__ = ["DiskDtnSolver", "InteriorResonanceError", "cheb", "radial_size"]
 
 #: condition estimate above which the interior Dirichlet solve is refused
 CONDITION_LIMIT = 1e8
@@ -43,6 +45,12 @@ def cheb(n: int) -> tuple[np.ndarray, np.ndarray]:
     return d, x
 
 
+def radial_size(n_boundary: int) -> int:
+    """Positive radial collocation points (including r = 1) for N boundary
+    nodes: resolves the boundary Nyquist mode r^{N/2} with margin."""
+    return max(24, n_boundary // 4 + 13)
+
+
 class DiskDtnSolver:
     """Factory for Dirichlet-to-Neumann matrices of -Lap - n on the unit disk.
 
@@ -50,17 +58,15 @@ class DiskDtnSolver:
     ----------
     n_boundary : int
         Number of (even) boundary nodes; boundary data lives on the uniform
-        grid theta_l = 2 pi l / n_boundary.
-    n_radial : int, optional
-        Number of positive radial collocation points (including r = 1).
-        The default resolves the boundary Nyquist mode r^{N/2} with margin.
+        grid theta_l = 2 pi l / n_boundary.  The radial grid has
+        :func:`radial_size` points.
     """
 
-    def __init__(self, n_boundary: int, n_radial: int | None = None):
+    def __init__(self, n_boundary: int):
         if n_boundary % 2:
             raise ValueError("n_boundary must be even")
         self.n_boundary = n_boundary
-        self.nh = int(n_radial) if n_radial else max(24, n_boundary // 4 + 13)
+        self.nh = radial_size(n_boundary)
         p_full = 2 * self.nh
         d, x = cheb(p_full - 1)
         self.r = x[: self.nh]                       # positive radii, r[0] = 1
@@ -81,14 +87,21 @@ class DiskDtnSolver:
         s = 1 if m % 2 == 0 else -1
         return self._dr2[s] - (m * m) * np.diag(self._inv_r2)
 
-    def _potential_modes(self, potential, m_int: int) -> dict[int, np.ndarray]:
-        """FFT of n over theta at each radius; returns {d: n_hat_d(r)} above noise."""
+    def samples(self, potential) -> np.ndarray:
+        """Every value of n the solve reads: the radial profile at the radii
+        for a radial n, else n at the radii times 2N equispaced angles."""
         if getattr(potential, "radial", False):
-            vals = np.asarray(potential.eval_radial(self.r), dtype=complex)
-            return {0: vals} if np.any(vals != 0) else {}
+            return np.asarray(potential.eval_radial(self.r), dtype=complex)
+        m_int = 2 * self.n_boundary
         theta = 2 * np.pi * np.arange(m_int) / m_int
-        zgrid = self.r[:, None] * np.exp(1j * theta[None, :])
-        nvals = np.asarray(potential.eval(zgrid), dtype=complex)
+        return np.asarray(potential.eval(self.r[:, None] * np.exp(1j * theta[None, :])), dtype=complex)
+
+    def _potential_modes(self, potential) -> dict[int, np.ndarray]:
+        """FFT of n over theta at each radius; returns {d: n_hat_d(r)} above noise."""
+        nvals = self.samples(potential)
+        if nvals.ndim == 1:   # a radial profile couples no angular modes
+            return {0: nvals} if np.any(nvals != 0) else {}
+        m_int = nvals.shape[1]
         nhat = np.fft.fft(nvals, axis=1) / m_int
         scale = max(float(np.max(np.abs(nhat))), 1e-300)
         d_vals = (np.fft.fftfreq(m_int) * m_int).astype(int)
@@ -98,10 +111,11 @@ class DiskDtnSolver:
                 out[int(d)] = nhat[:, i]
         return out
 
-    def dtn_matrix(self, potential, check_condition: bool = True) -> np.ndarray:
-        """Assemble the N x N Dirichlet-to-Neumann matrix in the node basis."""
+    def dtn_matrix(self, potential) -> np.ndarray:
+        """Assemble the N x N Dirichlet-to-Neumann matrix in the node basis;
+        refuses a near-resonant interior solve (InteriorResonanceError)."""
         nb = self.n_boundary
-        nhat = self._potential_modes(potential, 2 * nb)
+        nhat = self._potential_modes(potential)
         bandwidth = max((abs(d) for d in nhat), default=0)
         m_int = nb if bandwidth == 0 else 2 * nb
         m_vals = (np.fft.fftfreq(m_int) * m_int).astype(int)
@@ -141,8 +155,7 @@ class DiskDtnSolver:
             shape=(size, size),
         )
         lu = splu(mat)
-        if check_condition:
-            self._check_condition(mat, lu, dtype)
+        self._check_condition(mat, lu, dtype)
 
         # boundary-mode right-hand sides: f_hat = e_{m0} for the nb boundary modes
         bmodes = (np.fft.fftfreq(nb) * nb).astype(int)
@@ -176,26 +189,18 @@ class DiskDtnSolver:
             dtype=dtype,
         )
         cond = onenormest(mat) * onenormest(inv_op)
-        if cond > CONDITION_LIMIT * self._baseline_condition():
+        if cond > CONDITION_LIMIT * self._baseline_condition:
             raise InteriorResonanceError(
                 f"interior Dirichlet solve is near-resonant (condition estimate {cond:.2e}); "
                 "zero is close to an interior Dirichlet eigenvalue of -Lap - n. "
                 "Dilating the domain slightly (rescaling the potential) moves the eigenvalue away."
             )
 
+    @cached_property
     def _baseline_condition(self) -> float:
-        """Condition estimate of the n = 0 system, caching per solver instance.
+        """Condition estimate of the n = 0 system, per solver instance.
 
         Collocation matrices are intrinsically stiff (condition ~ nh^4), so
         resonance is flagged relative to the potential-free baseline.
         """
-        cached = getattr(self, "_base_cond", None)
-        if cached is not None:
-            return cached
-        n_int = self.nh - 1
-        conds = []
-        for m in (0, 1):
-            lm = -self._mode_laplacian(m)[1:, 1:]
-            conds.append(np.linalg.cond(lm, p=1))
-        self._base_cond = float(max(conds))
-        return self._base_cond
+        return float(max(np.linalg.cond(-self._mode_laplacian(m)[1:, 1:], p=1) for m in (0, 1)))

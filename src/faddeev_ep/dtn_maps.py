@@ -21,25 +21,26 @@ from __future__ import annotations
 
 import hashlib
 import json
-import threading
 import weakref
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from typing import Callable
 
 import numpy as np
 
+from . import __version__
 from .boundary_ops import (
     HMINUS,
     HPLUS,
     BoundaryOperator,
     NearSingularError,
+    OperatorCache,
     assemble_B,
     assemble_S,
     invert_S,
     invert_on_meanfree,
     mean_projectors,
 )
-from .disk_solver import DiskDtnSolver
+from .disk_solver import DiskDtnSolver, radial_size
 from .geometry import NodeSet
 from .green import KPoint
 
@@ -57,11 +58,11 @@ __all__ = [
     "DtnMap",
     "assemble_F0",
     "assemble_Fn",
+    "fn_key",
     "assemble_Fout",
     "assemble_Fout_zero",
     "assemble_Fout_bounded",
     "adjoint_double_layer",
-    "clear_fn_cache",
 ]
 
 
@@ -71,8 +72,9 @@ class Potential:
 
     ``kind`` is one of generic / conductive / perturbed_conductive /
     absorbing / raster.  ``descriptor`` is a JSON-serializable dict that
-    identifies the potential for caching; ``radial`` marks potentials that
-    depend on |z| only (enabling decoupled interior solves).
+    names the potential in records; cached operators are keyed on its
+    sampled values as well (:func:`fn_key`).  ``radial`` marks potentials
+    that depend on |z| only (enabling decoupled interior solves).
     """
 
     kind: str
@@ -82,6 +84,8 @@ class Potential:
     radial_fn: Callable[[np.ndarray], np.ndarray] | None = None
     q_fn: Callable[[np.ndarray], np.ndarray] | None = None
     is_real: bool = True
+    # N -> sha256 of the values the interior solver reads, filled by fn_key
+    _sample_digests: dict = field(default_factory=dict, init=False, repr=False, compare=False)
 
     def eval(self, z) -> np.ndarray:
         """n(z) for complex z (vectorized); zero outside the closed disk."""
@@ -94,11 +98,6 @@ class Potential:
             raise ValueError(f"{self.kind} potential has no radial profile")
         r = np.asarray(r, dtype=float)
         return np.where(r <= 1.0, np.asarray(self.radial_fn(r), dtype=complex), 0.0)
-
-    @property
-    def key(self) -> str:
-        blob = json.dumps(self.descriptor, sort_keys=True)
-        return f"{self.kind}:{hashlib.sha256(blob.encode()).hexdigest()[:16]}"
 
 
 def zero_potential() -> Potential:
@@ -294,11 +293,16 @@ class PerturbedFamily:
     omega_fn: Callable
     omega_descriptor: dict
     omega_radial: bool = False
+    _members: dict = field(default_factory=dict, init=False, repr=False, compare=False)
 
     def at(self, lam: float) -> Potential:
+        """n_lambda; one Potential object per lambda, so its F_n key is sampled once."""
         lam = float(lam)
         if lam == 0.0:
             return self.base
+        return self._members.get(lam) or self._members.setdefault(lam, self._perturbed(lam))
+
+    def _perturbed(self, lam: float) -> Potential:
         base = self.base
 
         def fn(z):
@@ -332,7 +336,6 @@ class DtnMap:
     op: BoundaryOperator
     provenance: str
     k: KPoint | None = None
-    potential_key: str | None = None
 
     @property
     def matrix(self) -> np.ndarray:
@@ -431,17 +434,6 @@ def _fout_ray_limit(kp: KPoint, nodes: NodeSet, rel_step: float) -> DtnMap:
     return DtnMap(BoundaryOperator(mat, HPLUS, HMINUS, nodes), "exterior_faddeev_ray_limit", k=kp)
 
 
-# F_n assemblies are cached in memory: they are k-independent and reused
-# across entire k-scans.
-_FN_CACHE: dict[tuple, np.ndarray] = {}
-_FN_LOCK = threading.Lock()
-
-
-def clear_fn_cache() -> None:
-    with _FN_LOCK:
-        _FN_CACHE.clear()
-
-
 def _require_unit_disk(nodes: NodeSet) -> None:
     c = nodes.curve
     if not (c.name == "circle" and abs(c.params.get("radius", 0.0) - 1.0) < 1e-14):
@@ -451,21 +443,31 @@ def _require_unit_disk(nodes: NodeSet) -> None:
         )
 
 
-def assemble_Fn(nodes: NodeSet, potential: Potential, n_radial: int | None = None,
-                cache: bool = True) -> DtnMap:
-    """Interior Schrodinger Dirichlet-to-Neumann map for -Lap - n on the disk."""
+def fn_key(nodes: NodeSet, potential: Potential) -> str:
+    """Content key of F_n, stable across processes.
+
+    sha256 over the potential's kind and descriptor, its values on the
+    interior solver's collocation grid (sampled once per Potential and N),
+    N, the radial grid size and the package version.
+    """
+    n = nodes.n_nodes
+    digest = potential._sample_digests.get(n)
+    if digest is None:
+        samples = DiskDtnSolver(n).samples(potential)
+        digest = potential._sample_digests.setdefault(n, hashlib.sha256(samples.tobytes()).hexdigest())
+    doc = {"operator": "F_n", "kind": potential.kind, "descriptor": potential.descriptor,
+           "samples": digest, "n": n, "nh": radial_size(n), "version": __version__}
+    return hashlib.sha256(json.dumps(doc, sort_keys=True).encode()).hexdigest()
+
+
+def assemble_Fn(nodes: NodeSet, potential: Potential, store: OperatorCache | None = None) -> DtnMap:
+    """Interior Schrodinger Dirichlet-to-Neumann map for -Lap - n on the disk.
+
+    F_n is k-independent and reused across whole k-scans; it is kept under
+    :func:`fn_key` in ``store`` (default: the in-memory tier only).
+    """
     _require_unit_disk(nodes)
-    key = (potential.key, nodes.n_nodes, n_radial)
-    with _FN_LOCK:
-        mat = _FN_CACHE.get(key)
-    if mat is None:
-        solver = DiskDtnSolver(nodes.n_nodes, n_radial)
-        mat = solver.dtn_matrix(potential)
-        if cache:
-            with _FN_LOCK:
-                _FN_CACHE[key] = mat
-    return DtnMap(
-        BoundaryOperator(mat, HPLUS, HMINUS, nodes),
-        "interior_schrodinger",
-        potential_key=potential.key,
-    )
+    store = store or OperatorCache()
+    mat = store.get_or_build(fn_key(nodes, potential),
+                             lambda: DiskDtnSolver(nodes.n_nodes).dtn_matrix(potential))
+    return DtnMap(BoundaryOperator(mat, HPLUS, HMINUS, nodes), "interior_schrodinger")

@@ -33,9 +33,9 @@ from .boundary_ops import (
     assemble_S,
     weighted_matrix,
 )
-from .dtn_maps import PerturbedFamily, Potential, assemble_F0, assemble_Fn, assemble_Fout
+from .dtn_maps import PerturbedFamily, Potential, assemble_F0, assemble_Fn, assemble_Fout, assemble_Fout_zero
 from .geometry import NodeSet
-from .green import KPoint, epsilon_from_log
+from .green import KPoint, epsilon_from_log, log_abs_k_from_eps
 
 __all__ = [
     "TOL_KER_REL",
@@ -117,8 +117,7 @@ class CriterionOperator:
     lam: float
 
 
-def criterion(lam: float, k, n, nodes: NodeSet, tol_ker_rel: float = TOL_KER_REL,
-              fout=None) -> CriterionOperator:
+def criterion(lam: float, k, n, nodes: NodeSet) -> CriterionOperator:
     """Kernel-criterion diagnostics of A(lambda,k) = F_{n_lambda} - F^out(k).
 
     ``n`` is a Potential (lam must then be 0) or a PerturbedFamily.
@@ -130,12 +129,12 @@ def criterion(lam: float, k, n, nodes: NodeSet, tol_ker_rel: float = TOL_KER_REL
     kp = k if isinstance(k, KPoint) else KPoint.from_k(k)
     pot = _potential_at(n, lam)
     fn = assemble_Fn(nodes, pot)
-    fo = fout if fout is not None else assemble_Fout(kp, nodes)
+    fo = assemble_Fout(kp, nodes)
     a_op = BoundaryOperator(fn.matrix - fo.matrix, HPLUS, HMINUS, nodes)
     aw = weighted_matrix(a_op)
     sv = np.linalg.svd(aw, compute_uv=False)
     norm, smin = float(sv[0]), float(sv[-1])
-    tol_ker = tol_ker_rel * norm
+    tol_ker = TOL_KER_REL * norm
     kdim = int(np.sum(sv < tol_ker))
     herm = 0.5 * (aw + aw.conj().T)
     eigs = np.linalg.eigvalsh(herm)
@@ -177,12 +176,12 @@ class ParityRecord:
     pairing_error: float
 
 
-def n_minus(k, n, nodes: NodeSet, lam: float = 0.0, tol_neg: float = TOL_NEG) -> ParityRecord:
+def n_minus(k, n, nodes: NodeSet, lam: float = 0.0) -> ParityRecord:
     """Count negative real eigenvalues of P(k) with algebraic multiplicity.
 
     A real matrix has an exactly conjugation-closed spectrum, so complex
     pairs contribute evenly and cannot flip the parity.  Any eigenvalue
-    within tol_neg of zero marks the count as unreliable
+    within TOL_NEG of zero marks the count as unreliable
     (``near_exceptional``).  Only meaningful for real potentials.
     """
     pot = _potential_at(n, lam)
@@ -191,8 +190,8 @@ def n_minus(k, n, nodes: NodeSet, lam: float = 0.0, tol_neg: float = TOL_NEG) ->
     p = assemble_P(k, n, nodes, lam=lam)
     eigs = dense_eig(p.matrix, right=False)
     real_mask = eigs.imag == 0.0 if not np.iscomplexobj(p.matrix) else np.abs(eigs.imag) < 1e-12
-    count = int(np.sum(real_mask & (eigs.real < -tol_neg)))
-    near = bool(np.min(np.abs(eigs)) < tol_neg)
+    count = int(np.sum(real_mask & (eigs.real < -TOL_NEG)))
+    near = bool(np.min(np.abs(eigs)) < TOL_NEG)
     # conjugation closure of the spectrum (real integral kernel)
     pairing_error = 0.0
     complex_eigs = eigs[~real_mask]
@@ -216,7 +215,6 @@ class ScanResult:
     eig_near_zero: float | None
     sigma_min_P: float | None
     n_minus: int | None
-    t: complex | None
     flags: tuple[str, ...]
 
 
@@ -229,19 +227,14 @@ def _safe_eps(kp: KPoint, nu: float) -> float | None:
         return None
 
 
-def scan(points, lam: float, n, nodes: NodeSet, with_parity: bool = True,
-         with_transform: bool = False) -> list[ScanResult]:
-    """Evaluate the detectors on a k-grid; individual failures are recorded
-    and the scan continues."""
-    from .transform import scatter_t, trace_u  # local import to avoid a cycle
-
+def scan(points, lam: float, n, nodes: NodeSet) -> list[ScanResult]:
+    """Evaluate the kernel criterion and the parity count on a k-grid;
+    individual failures are recorded and the scan continues."""
     out = []
     for kp in points:
         kp = kp if isinstance(kp, KPoint) else KPoint.from_k(kp)
         flags: list[str] = []
-        sigma_a = near = sigma_p = None
-        nminus = None
-        tval = None
+        sigma_a = near = sigma_p = nminus = None
         try:
             crit = criterion(lam, kp, n, nodes)
             sigma_a, near = crit.sigma_min, crit.eig_near_zero
@@ -251,25 +244,18 @@ def scan(points, lam: float, n, nodes: NodeSet, with_parity: bool = True,
             flags.append("ed_refused")
         except Exception as exc:  # pragma: no cover - diagnostic path
             flags.append(f"criterion_failed:{type(exc).__name__}")
-        if with_parity:
-            try:
-                rec = n_minus(kp, n, nodes, lam=lam)
-                p = assemble_P(kp, n, nodes, lam=lam)
-                sigma_p = float(np.linalg.svd(p.matrix, compute_uv=False)[-1])
-                nminus = rec.n_minus
-                if rec.near_exceptional:
-                    flags.append("near_exceptional")
-                if not rec.pairing_ok:
-                    flags.append("pairing_violation")
-            except Exception as exc:
-                flags.append(f"parity_failed:{type(exc).__name__}")
-        if with_transform:
-            try:
-                tr = trace_u(kp, _potential_at(n, lam), nodes)
-                tval = scatter_t(kp, _potential_at(n, lam), nodes, trace=tr).t
-            except Exception as exc:
-                flags.append(f"transform_failed:{type(exc).__name__}")
-        out.append(ScanResult(kp, _safe_eps(kp, nodes.length), sigma_a, near, sigma_p, nminus, tval, tuple(flags)))
+        try:
+            rec = n_minus(kp, n, nodes, lam=lam)
+            p = assemble_P(kp, n, nodes, lam=lam)
+            sigma_p = float(np.linalg.svd(p.matrix, compute_uv=False)[-1])
+            nminus = rec.n_minus
+            if rec.near_exceptional:
+                flags.append("near_exceptional")
+            if not rec.pairing_ok:
+                flags.append("pairing_violation")
+        except Exception as exc:
+            flags.append(f"parity_failed:{type(exc).__name__}")
+        out.append(ScanResult(kp, _safe_eps(kp, nodes.length), sigma_a, near, sigma_p, nminus, tuple(flags)))
     return out
 
 
@@ -335,13 +321,11 @@ class LocusResult:
 
     def log_abs_k(self) -> np.ndarray:
         """ln|k*| along the locus (|k*| itself may underflow)."""
-        from .green import log_abs_k_from_eps
-
         return np.array([log_abs_k_from_eps(e, self.nu) for e in self.eps_star])
 
 
 def trace_locus(lam: float, family: PerturbedFamily, nodes: NodeSet, angles,
-                eps_bracket=None, xtol_rel: float = 1e-6) -> LocusResult:
+                xtol_rel: float = 1e-6) -> LocusResult:
     """Root-find eps*(phi) with eig_near_zero(A(lambda, k(eps, phi))) = 0.
 
     Requires small lambda > 0 and mu > 0.  Rays without a sign change are
@@ -355,7 +339,7 @@ def trace_locus(lam: float, family: PerturbedFamily, nodes: NodeSet, angles,
         raise ValueError(f"mu = {muval:.3e} <= 0: no locus is predicted")
     nu = nodes.length
     target = muval * lam / nu
-    lo0, hi0 = eps_bracket if eps_bracket is not None else (0.2 * target, 3.0 * target)
+    lo0, hi0 = 0.2 * target, 3.0 * target
 
     angles = np.asarray(angles, dtype=float)
     eps_star = np.full(angles.shape, np.nan)
@@ -396,8 +380,6 @@ class XiCurve:
 
 def _herm_eigensystem(lam, kp_or_zero, family, nodes):
     if kp_or_zero is None:
-        from .dtn_maps import assemble_Fout_zero
-
         fo = assemble_Fout_zero(nodes)
     else:
         fo = assemble_Fout(kp_or_zero, nodes)

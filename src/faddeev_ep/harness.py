@@ -22,6 +22,8 @@ from dataclasses import asdict, dataclass, field
 import numpy as np
 
 from . import __version__
+from .boundary_ops import SINGULARITY_THRESHOLD, OperatorCache
+from .disk_solver import CONDITION_LIMIT
 from .dtn_maps import (
     PerturbedFamily,
     Potential,
@@ -32,23 +34,21 @@ from .dtn_maps import (
     raster_potential,
     standard_conductive,
     zero_potential,
-    _FN_CACHE,
-    _FN_LOCK,
 )
 from .exceptional import (
+    TOL_KER_REL,
+    TOL_NEG,
     ScanResult,
     mu_for_family,
     fit_xi,
-    n_minus,
     parity_path,
     scan,
     scan_to_csv,
     trace_locus,
 )
-from .boundary_ops import load_operator, save_operator
 from .geometry import curve_by_name, sample
-from .green import KPoint
-from .transform import bound_check, scatter_t, trace_u
+from .green import TOL_G, KPoint
+from .transform import CONDITION_CAP, bound_check, scatter_t
 from .validate import run_validation
 
 __all__ = ["RunConfig", "RunManifest", "OperatorCache", "run", "build_potential", "kgrid_points"]
@@ -90,6 +90,10 @@ class RunConfig:
             raise ValueError(f"unknown detectors {unknown}; valid: {_DETECTORS}")
         if self.n_nodes < 16 or self.n_nodes % 2:
             raise ValueError(f"n_nodes must be even and >= 16, got {self.n_nodes}")
+        if self.tolerances:
+            raise ValueError(f"tolerances {sorted(self.tolerances)} cannot be set per run: the detectors "
+                             "read the module constants TOL_G, TOL_KER_REL, TOL_NEG, SINGULARITY_THRESHOLD, "
+                             "CONDITION_LIMIT and CONDITION_CAP; leave the field empty")
 
     def to_dict(self) -> dict:
         return asdict(self)
@@ -161,59 +165,6 @@ def kgrid_points(spec: dict) -> list[KPoint]:
     raise ValueError(f"unknown kgrid type {spec.get('type')!r}")
 
 
-class OperatorCache:
-    """Content-addressed on-disk store for assembled operator matrices.
-
-    Entries are keyed by a JSON descriptor (curve, N, operator kind,
-    potential hash, solver parameters); payload checksums are verified on
-    read, and corrupted entries are evicted and rebuilt.
-    """
-
-    def __init__(self, directory):
-        self.dir = str(directory)
-        os.makedirs(self.dir, exist_ok=True)
-
-    def _path(self, key: dict) -> str:
-        blob = json.dumps(key, sort_keys=True)
-        return os.path.join(self.dir, hashlib.sha256(blob.encode()).hexdigest()[:32] + ".op")
-
-    def get_or_build(self, key: dict, builder) -> np.ndarray:
-        path = self._path(key)
-        if os.path.exists(path):
-            try:
-                mat, _ = load_operator(path)
-                return mat
-            except (ValueError, OSError) as exc:
-                log.warning("cache entry %s invalid (%s); rebuilding", path, exc)
-                try:
-                    os.remove(path)
-                except OSError:
-                    pass
-        mat = builder()
-        save_operator(path, mat, {"key": key})
-        return mat
-
-
-def _fn_through_cache(cache: OperatorCache | None, nodes, potential: Potential):
-    """Route F_n assembly through the disk cache (it dominates assembly time)."""
-    if cache is None:
-        return assemble_Fn(nodes, potential)
-    key = {
-        "kind": "F_n",
-        "curve": nodes.curve.key(),
-        "n": nodes.n_nodes,
-        "potential": potential.key,
-    }
-    memo_key = (potential.key, nodes.n_nodes, None)
-    with _FN_LOCK:
-        hit = memo_key in _FN_CACHE
-    if not hit:
-        mat = cache.get_or_build(key, lambda: assemble_Fn(nodes, potential).matrix)
-        with _FN_LOCK:
-            _FN_CACHE[memo_key] = mat
-    return assemble_Fn(nodes, potential)
-
-
 def _write_locus_csv(path, locus) -> None:
     with open(path, "w", newline="") as fh:
         w = csv.writer(fh)
@@ -245,8 +196,8 @@ def run(config: RunConfig) -> RunManifest:
 
     cache = None
     if config.use_cache:
-        cache_dir = config.cache_dir or os.environ.get(CACHE_ENV_VAR) or os.path.join(config.outdir, "cache")
-        cache = OperatorCache(cache_dir)
+        cache = OperatorCache(config.cache_dir or os.environ.get(CACHE_ENV_VAR)
+                              or os.path.join(config.outdir, "cache"))
 
     curve_params = dict(config.curve)
     curve_name = curve_params.pop("name")
@@ -255,20 +206,21 @@ def run(config: RunConfig) -> RunManifest:
     target = family if (family is not None and config.lam != 0.0) else base
 
     timings: dict[str, float] = {}
-    # assembly phase: the interior solve dominates; route it through the
-    # disk cache up front so detector timings measure detector work
+    # assembly phase: the interior solve dominates; run it through the
+    # operator store up front so detector timings measure detector work
     needs_fn = any(d != "validate" for d in config.detectors)
     if needs_fn and nodes.curve.name == "circle":
         t0 = time.perf_counter()
         pot0 = target if isinstance(target, Potential) else target.at(config.lam)
-        _fn_through_cache(cache, nodes, pot0)
+        assemble_Fn(nodes, pot0, store=cache)
         timings["fn_assembly"] = round(time.perf_counter() - t0, 3)
     errors: dict[str, str] = {}
     summary: dict = {
         "config": config.to_dict(),
         "config_hash": chash,
-        "tolerances": {"tol_G": 1e-8, "tol_ker_rel": 1e-5, "tol_neg": 1e-6,
-                       "singularity_threshold": 1e-6, **config.tolerances},
+        "tolerances": {"tol_G": TOL_G, "tol_ker_rel": TOL_KER_REL, "tol_neg": TOL_NEG,
+                       "singularity_threshold": SINGULARITY_THRESHOLD,
+                       "condition_limit": CONDITION_LIMIT, "condition_cap": CONDITION_CAP},
         "n_nodes": config.n_nodes,
         "curve": nodes.curve.key(),
         "boundary_length": nodes.length,
@@ -351,10 +303,8 @@ def run(config: RunConfig) -> RunManifest:
                 pot = target if isinstance(target, Potential) else target.at(config.lam)
                 pts = [KPoint.from_polar_log(np.log(r), tk.get("phi", 0.0))
                        for r in np.geomspace(tk["rmin"], tk["rmax"], tk["n"])]
-                rows = []
                 with ThreadPoolExecutor(max_workers=config.workers) as pool:
-                    for kp, tv in zip(pts, pool.map(lambda p: scatter_t(p, pot, nodes), pts)):
-                        rows.append((kp, tv))
+                    rows = list(zip(pts, pool.map(lambda p: scatter_t(p, pot, nodes), pts)))
                 _write_transform_csv(os.path.join(outdir, "transform.csv"), rows)
                 rep = bound_check(pot, pts, nodes, lam=config.lam)
                 summary["transform"] = {

@@ -117,10 +117,10 @@ def trace_u(k, n: Potential, nodes: NodeSet) -> BoundaryTrace:
     return BoundaryTrace(kp, u_ls, u_alt, residual)
 
 
-def scatter_t(k, n: Potential, nodes: NodeSet, trace: BoundaryTrace | None = None) -> TransformValue:
+def scatter_t(k, n: Potential, nodes: NodeSet) -> TransformValue:
     """t(k) by node quadrature of e^{i conj(kz)} (F_n - F_0) u over the boundary."""
     kp = k if isinstance(k, KPoint) else KPoint.from_k(k)
-    tr = trace if trace is not None else trace_u(kp, n, nodes)
+    tr = trace_u(kp, n, nodes)
     fn = assemble_Fn(nodes, n)
     f0 = assemble_F0(nodes)
     dens = (fn.matrix - f0.matrix) @ tr.u_nodes

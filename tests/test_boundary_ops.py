@@ -235,6 +235,48 @@ def test_operator_container_roundtrip(tmp_path, nodes128):
         load_operator(path)
 
 
+def test_failed_operator_write_leaves_nothing_behind(tmp_path, monkeypatch):
+    """A write that fails after the header leaves neither a truncated entry
+    under the final name nor a temporary file."""
+    from faddeev_ep import boundary_ops
+
+    mat = np.arange(256.0).reshape(16, 16)
+    real_open = open
+
+    class PayloadFails:
+        def __init__(self, fh):
+            self.fh = fh
+
+        def write(self, data):
+            if len(data) >= mat.nbytes:   # magic, length and header pass; the payload fails
+                raise OSError("no space left on device")
+            return self.fh.write(data)
+
+        def __enter__(self):
+            return self
+
+        def __exit__(self, *exc):
+            self.fh.close()
+
+    monkeypatch.setattr(boundary_ops, "open", lambda *a, **kw: PayloadFails(real_open(*a, **kw)),
+                        raising=False)
+    path = tmp_path / "entry.op"
+    with pytest.raises(OSError, match="no space"):
+        save_operator(path, mat, {"n": 16})
+    assert list(tmp_path.iterdir()) == []
+
+
+def test_operator_store_rebuilds_a_truncated_entry(tmp_path):
+    from faddeev_ep.boundary_ops import OperatorCache
+
+    store = OperatorCache(tmp_path)
+    (tmp_path / "ab12.op").write_bytes(b"FEPO\x00\x00")   # shorter than the length field
+    built = store.get_or_build("ab12", lambda: np.eye(3))
+    np.testing.assert_array_equal(built, np.eye(3))
+    np.testing.assert_array_equal(load_operator(tmp_path / "ab12.op")[0], np.eye(3))
+    store.clear()
+
+
 def test_compose_space_check(nodes128):
     s = assemble_S(KPoint.from_k(0.5), nodes128)
     with pytest.raises(ValueError):

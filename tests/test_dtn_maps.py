@@ -9,6 +9,7 @@ from faddeev_ep.boundary_ops import (
     HMINUS,
     HPLUS,
     BoundaryOperator,
+    OperatorCache,
     adjoint_arclength,
     block_form,
     mean_projectors,
@@ -24,6 +25,8 @@ from faddeev_ep.dtn_maps import (
     assemble_Fout_bounded,
     assemble_Fout_zero,
     conductive_radial,
+    fn_key,
+    generic_potential,
     raster_potential,
     standard_conductive,
     zero_potential,
@@ -282,6 +285,57 @@ def test_Fn_requires_unit_disk(conductive):
     nodes = sample(make_ellipse(2.0, 1.0), 64)
     with pytest.raises(NotImplementedError):
         assemble_Fn(nodes, conductive)
+
+
+def _three():
+    """n = 3 under the zero potential's descriptor: only its values tell it apart."""
+    return generic_potential(lambda z: 3.0 * np.ones(np.shape(z)), {"family": "zero"},
+                             radial_fn=lambda r: 3.0 * np.ones(np.shape(r)))
+
+
+def test_Fn_store_keys_on_sampled_values(tmp_path):
+    """Two potentials with one descriptor get their own F_n from memory and from disk."""
+    nodes = sample(make_circle(1.0), 64)
+    zero, three = zero_potential(), _three()
+    solved = {"zero": DiskDtnSolver(64).dtn_matrix(zero), "three": DiskDtnSolver(64).dtn_matrix(three)}
+    assert np.max(np.abs(solved["zero"] - solved["three"])) > 0.1
+    assert fn_key(nodes, zero) != fn_key(nodes, three)
+
+    store = OperatorCache(tmp_path)
+    store.clear()
+    for name, pot in (("zero", zero), ("three", three)):   # memory tier, disk written
+        np.testing.assert_array_equal(assemble_Fn(nodes, pot, store=store).matrix, solved[name])
+    assert len(list(tmp_path.iterdir())) == 2
+    store.clear()
+    for name, pot in (("three", three), ("zero", zero)):   # read back from disk
+        np.testing.assert_array_equal(assemble_Fn(nodes, pot, store=store).matrix, solved[name])
+
+
+def test_Fn_store_misses_on_a_new_version(tmp_path, monkeypatch):
+    from faddeev_ep import dtn_maps
+
+    nodes = sample(make_circle(1.0), 64)
+    pot = _three()
+    store = OperatorCache(tmp_path)
+    store.clear()
+    assemble_Fn(nodes, pot, store=store)
+    old_key = fn_key(nodes, pot)
+    assert [p.name for p in tmp_path.iterdir()] == [old_key + ".op"]
+
+    monkeypatch.setattr(dtn_maps, "__version__", "0.0.0+other")
+    store.clear()
+    solves = []
+    monkeypatch.setattr(DiskDtnSolver, "dtn_matrix", lambda self, p: solves.append(p) or np.eye(64))
+    assemble_Fn(nodes, pot, store=store)
+    assert solves == [pot]
+    assert fn_key(nodes, pot) != old_key and len(list(tmp_path.iterdir())) == 2
+    store.clear()
+
+
+def test_perturbed_family_returns_one_potential_per_lambda(radial_family):
+    assert radial_family.at(0.05) is radial_family.at(0.05)
+    assert radial_family.at(0.0) is radial_family.base
+    assert radial_family.at(0.05) is not radial_family.at(0.04)
 
 
 def test_interior_resonance_detected(nodes128):

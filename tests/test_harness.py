@@ -6,9 +6,9 @@ import numpy as np
 import pytest
 
 from faddeev_ep.cli import main as cli_main
-from faddeev_ep.dtn_maps import clear_fn_cache, standard_conductive
+from faddeev_ep.dtn_maps import assemble_Fn, standard_conductive
 from faddeev_ep.geometry import make_circle, sample
-from faddeev_ep.harness import OperatorCache, RunConfig, build_potential, kgrid_points, run, _fn_through_cache
+from faddeev_ep.harness import OperatorCache, RunConfig, build_potential, kgrid_points, run
 
 
 def test_config_roundtrip_lossless():
@@ -27,6 +27,28 @@ def test_config_rejects_unknown_fields_and_detectors():
         RunConfig.from_dict({"detectors": ["warp_drive"]})
     with pytest.raises(ValueError):
         RunConfig.from_dict({"n_nodes": 17})
+
+
+def test_config_rejects_per_run_tolerances():
+    with pytest.raises(ValueError, match="TOL_KER_REL.*CONDITION_CAP"):
+        RunConfig.from_dict({"tolerances": {"tol_neg": 1e-3}})
+    assert RunConfig.from_dict({"tolerances": {}}).config_hash() == RunConfig().config_hash()
+
+
+def test_summary_reports_the_tolerances_in_force(tmp_path):
+    from faddeev_ep.boundary_ops import SINGULARITY_THRESHOLD
+    from faddeev_ep.disk_solver import CONDITION_LIMIT
+    from faddeev_ep.exceptional import TOL_KER_REL, TOL_NEG
+    from faddeev_ep.green import TOL_G
+    from faddeev_ep.transform import CONDITION_CAP
+
+    manifest = run(RunConfig(detectors=[], outdir=str(tmp_path)))
+    summary = json.loads((tmp_path / manifest.config_hash / "summary.json").read_text())
+    assert summary["tolerances"] == {
+        "tol_G": TOL_G, "tol_ker_rel": TOL_KER_REL, "tol_neg": TOL_NEG,
+        "singularity_threshold": SINGULARITY_THRESHOLD,
+        "condition_limit": CONDITION_LIMIT, "condition_cap": CONDITION_CAP,
+    }
 
 
 def test_build_potential_kinds():
@@ -91,14 +113,14 @@ def test_cache_speedup_and_eviction(tmp_path):
     nodes = sample(make_circle(1.0), 128)
     pot = standard_conductive(amplitude=1.5, power=4)  # not shared with other tests
 
-    clear_fn_cache()
+    cache.clear()
     t0 = time.perf_counter()
-    _fn_through_cache(cache, nodes, pot)
+    assemble_Fn(nodes, pot, store=cache)
     cold = time.perf_counter() - t0
 
-    clear_fn_cache()
+    cache.clear()
     t0 = time.perf_counter()
-    _fn_through_cache(cache, nodes, pot)
+    assemble_Fn(nodes, pot, store=cache)
     warm = time.perf_counter() - t0
     assert cold >= 10 * warm
 
@@ -108,10 +130,10 @@ def test_cache_speedup_and_eviction(tmp_path):
     blob = bytearray(files[0].read_bytes())
     blob[-3] ^= 0xFF
     files[0].write_bytes(bytes(blob))
-    clear_fn_cache()
-    mat = _fn_through_cache(cache, nodes, pot).matrix
-    clear_fn_cache()
-    fresh = _fn_through_cache(None, nodes, pot).matrix
+    cache.clear()
+    mat = assemble_Fn(nodes, pot, store=cache).matrix
+    cache.clear()
+    fresh = assemble_Fn(nodes, pot).matrix
     np.testing.assert_array_equal(mat, fresh)
 
 

@@ -1,0 +1,33 @@
+"""Structure of the package: no module imports another's private names.
+
+A private name (leading underscore) is a module's own business; a module
+that imports one from a sibling couples itself to that sibling's internals,
+such as the layout of a private cache.  ``__version__`` is the one shared
+dunder.
+"""
+
+import ast
+from pathlib import Path
+
+PACKAGE = Path(__file__).resolve().parents[1] / "src" / "faddeev_ep"
+
+
+def _private_imports(path: Path) -> list[str]:
+    found = []
+    for node in ast.walk(ast.parse(path.read_text(), filename=str(path))):
+        if not isinstance(node, ast.ImportFrom):
+            continue
+        if node.level == 0 and (node.module or "").split(".")[0] != "faddeev_ep":
+            continue
+        for alias in node.names:
+            if alias.name.startswith("_") and alias.name != "__version__":
+                source = "." * node.level + (node.module or "")
+                found.append(f"{path.name}:{node.lineno} imports {alias.name} from {source}")
+    return found
+
+
+def test_no_module_imports_private_names_of_another():
+    modules = sorted(PACKAGE.glob("*.py"))
+    assert len(modules) > 5
+    offenders = [line for path in modules for line in _private_imports(path)]
+    assert not offenders, offenders
