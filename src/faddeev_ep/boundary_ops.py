@@ -47,6 +47,7 @@ __all__ = [
     "mean_projectors",
     "block_form",
     "invert_S",
+    "KWorkspace",
     "invert_on_meanfree",
     "sobolev_apply",
     "sobolev_matrix",
@@ -332,6 +333,34 @@ def invert_S(k, s_op: BoundaryOperator) -> BoundaryOperator:
             sigma_min=smin, norm=smax, k=kp, suspected="E_D",
         )
     return BoundaryOperator(np.linalg.inv(s_op.matrix), s_op.range_space, s_op.domain_space, s_op.nodes)
+
+
+class KWorkspace:
+    """S_k at one k on one NodeSet, assembled once, and S_k^{-1} on first use.
+
+    criterion, n_minus, assemble_P, assemble_Fout and trace_u take one in
+    place of k, so the quantities at k share one S_k.  Where invert_S
+    refuses (k near E_D), every access of ``inverse`` raises its refusal.
+    """
+
+    def __init__(self, k, nodes: NodeSet):
+        self.k = k if isinstance(k, KPoint) else KPoint.from_k(k)
+        self.nodes = nodes
+        self.s = assemble_S(self.k, nodes)
+        self._inverse: BoundaryOperator | None = None
+
+    @classmethod
+    def at(cls, k, nodes: NodeSet) -> "KWorkspace":
+        """``k`` itself if it is a workspace on ``nodes``, else a new workspace at ``k``."""
+        if isinstance(k, cls) and k.nodes is nodes:
+            return k
+        return cls(k.k if isinstance(k, cls) else k, nodes)
+
+    @property
+    def inverse(self) -> BoundaryOperator:
+        if self._inverse is None:
+            self._inverse = invert_S(self.k, self.s)
+        return self._inverse
 
 
 # ---------------------------------------------------------------------------

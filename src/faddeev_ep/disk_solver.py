@@ -97,17 +97,19 @@ class DiskDtnSolver:
         return np.asarray(potential.eval(self.r[:, None] * np.exp(1j * theta[None, :])), dtype=complex)
 
     def _potential_modes(self, potential) -> dict[int, np.ndarray]:
-        """FFT of n over theta at each radius; returns {d: n_hat_d(r)} above noise."""
+        """FFT of n over theta at each radius; returns {d: n_hat_d(r)} above noise,
+        judged on the interior radii the coupling reads (masking on r = 1 is ragged)."""
         nvals = self.samples(potential)
         if nvals.ndim == 1:   # a radial profile couples no angular modes
             return {0: nvals} if np.any(nvals != 0) else {}
         m_int = nvals.shape[1]
         nhat = np.fft.fft(nvals, axis=1) / m_int
-        scale = max(float(np.max(np.abs(nhat))), 1e-300)
+        interior = np.abs(nhat[1:])
+        scale = max(float(np.max(interior)), 1e-300)
         d_vals = (np.fft.fftfreq(m_int) * m_int).astype(int)
         out = {}
         for i, d in enumerate(d_vals):
-            if np.max(np.abs(nhat[:, i])) > 1e-13 * scale:
+            if np.max(interior[:, i]) > 1e-13 * scale:
                 out[int(d)] = nhat[:, i]
         return out
 

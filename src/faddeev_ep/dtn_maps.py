@@ -32,11 +32,9 @@ from .boundary_ops import (
     HMINUS,
     HPLUS,
     BoundaryOperator,
-    NearSingularError,
+    KWorkspace,
     OperatorCache,
     assemble_B,
-    assemble_S,
-    invert_S,
     invert_on_meanfree,
     mean_projectors,
 )
@@ -58,6 +56,7 @@ __all__ = [
     "DtnMap",
     "assemble_F0",
     "assemble_Fn",
+    "fn_supported",
     "fn_key",
     "assemble_Fout",
     "assemble_Fout_zero",
@@ -399,48 +398,21 @@ def assemble_Fout_zero(nodes: NodeSet) -> DtnMap:
     return DtnMap(BoundaryOperator(mat, HPLUS, HMINUS, nodes), "exterior_faddeev_zero")
 
 
-def assemble_Fout(k, nodes: NodeSet, on_near_singular: str = "raise",
-                  ray_step: float = 1e-3) -> DtnMap:
+def assemble_Fout(k, nodes: NodeSet) -> DtnMap:
     """Exterior Faddeev map F^out(k) = F_0 - (S_k)^{-1}.
 
-    ``on_near_singular`` chooses the behaviour when k sits on/near the
-    exterior-Dirichlet singular set: "raise" propagates the refusal (the
-    refusal itself is the E_D detector); "ray_limit" approximates the
-    limiting kernel by linear extrapolation along a short inward ray,
-    which cancels the singular part to first order at an isolated
-    puncture.  The ray evaluations must themselves be invertible, so the
-    fallback only helps at isolated dips, not on the exponential
-    large-|k| conditioning cliff.
+    Near the exterior-Dirichlet singular set the inversion of S_k refuses
+    with NearSingularError; the refusal itself is the E_D detector.
     """
-    kp = k if isinstance(k, KPoint) else KPoint.from_k(k)
-    try:
-        sinv = invert_S(kp, assemble_S(kp, nodes))
-    except NearSingularError:
-        if on_near_singular != "ray_limit":
-            raise
-        return _fout_ray_limit(kp, nodes, ray_step)
-    mat = _f0_matrix(nodes) - sinv.matrix
-    return DtnMap(BoundaryOperator(mat, HPLUS, HMINUS, nodes), "exterior_faddeev", k=kp)
+    ws = KWorkspace.at(k, nodes)
+    mat = _f0_matrix(nodes) - ws.inverse.matrix
+    return DtnMap(BoundaryOperator(mat, HPLUS, HMINUS, nodes), "exterior_faddeev", k=ws.k)
 
 
-def _fout_ray_limit(kp: KPoint, nodes: NodeSet, rel_step: float) -> DtnMap:
-    """Limiting F^out at a near-singular k from two punctured evaluations
-    along k(1-d), d in {h, 2h}, extrapolated linearly to d = 0."""
-    mats = []
-    for d in (2 * rel_step, rel_step):
-        k_off = KPoint.from_polar_log(kp.log_abs + np.log1p(-d), kp.phi)
-        mats.append(assemble_Fout(k_off, nodes).matrix)
-    mat = 2 * mats[1] - mats[0]
-    return DtnMap(BoundaryOperator(mat, HPLUS, HMINUS, nodes), "exterior_faddeev_ray_limit", k=kp)
-
-
-def _require_unit_disk(nodes: NodeSet) -> None:
+def fn_supported(nodes: NodeSet) -> bool:
+    """Whether :func:`assemble_Fn` can assemble F_n on ``nodes``: the unit circle only."""
     c = nodes.curve
-    if not (c.name == "circle" and abs(c.params.get("radius", 0.0) - 1.0) < 1e-14):
-        raise NotImplementedError(
-            "F_n assembly requires the unit disk in this version; "
-            f"got curve {c.name} {c.params} (Laplace-only maps support general curves)"
-        )
+    return c.name == "circle" and abs(c.params.get("radius", 0.0) - 1.0) < 1e-14
 
 
 def fn_key(nodes: NodeSet, potential: Potential) -> str:
@@ -466,7 +438,12 @@ def assemble_Fn(nodes: NodeSet, potential: Potential, store: OperatorCache | Non
     F_n is k-independent and reused across whole k-scans; it is kept under
     :func:`fn_key` in ``store`` (default: the in-memory tier only).
     """
-    _require_unit_disk(nodes)
+    if not fn_supported(nodes):
+        c = nodes.curve
+        raise NotImplementedError(
+            "F_n assembly requires the unit disk in this version; "
+            f"got curve {c.name} {c.params} (Laplace-only maps support general curves)"
+        )
     store = store or OperatorCache()
     mat = store.get_or_build(fn_key(nodes, potential),
                              lambda: DiskDtnSolver(nodes.n_nodes).dtn_matrix(potential))

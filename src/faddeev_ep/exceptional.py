@@ -29,8 +29,8 @@ from .boundary_ops import (
     HPLUS,
     L2,
     BoundaryOperator,
+    KWorkspace,
     NearSingularError,
-    assemble_S,
     weighted_matrix,
 )
 from .dtn_maps import PerturbedFamily, Potential, assemble_F0, assemble_Fn, assemble_Fout, assemble_Fout_zero
@@ -117,6 +117,15 @@ class CriterionOperator:
     lam: float
 
 
+def _weighted_a(lam, k, n, nodes: NodeSet) -> tuple[np.ndarray, np.ndarray]:
+    """Weight-symmetrized A(lambda, k) = F_{n_lambda} - F^out(k) and its
+    Hermitian part; k = None takes the continuous limit F^out(0)."""
+    fn = assemble_Fn(nodes, _potential_at(n, lam))
+    fo = assemble_Fout_zero(nodes) if k is None else assemble_Fout(k, nodes)
+    aw = weighted_matrix(BoundaryOperator(fn.matrix - fo.matrix, HPLUS, HMINUS, nodes))
+    return aw, 0.5 * (aw + aw.conj().T)
+
+
 def criterion(lam: float, k, n, nodes: NodeSet) -> CriterionOperator:
     """Kernel-criterion diagnostics of A(lambda,k) = F_{n_lambda} - F^out(k).
 
@@ -126,20 +135,15 @@ def criterion(lam: float, k, n, nodes: NodeSet) -> CriterionOperator:
     O(|k|)-small, which makes sign changes of this eigenvalue a well-posed
     root-finding target.  E_D proximity propagates from the F^out assembly.
     """
-    kp = k if isinstance(k, KPoint) else KPoint.from_k(k)
-    pot = _potential_at(n, lam)
-    fn = assemble_Fn(nodes, pot)
-    fo = assemble_Fout(kp, nodes)
-    a_op = BoundaryOperator(fn.matrix - fo.matrix, HPLUS, HMINUS, nodes)
-    aw = weighted_matrix(a_op)
+    ws = KWorkspace.at(k, nodes)
+    aw, herm = _weighted_a(lam, ws, n, nodes)
     sv = np.linalg.svd(aw, compute_uv=False)
     norm, smin = float(sv[0]), float(sv[-1])
     tol_ker = TOL_KER_REL * norm
     kdim = int(np.sum(sv < tol_ker))
-    herm = 0.5 * (aw + aw.conj().T)
     eigs = np.linalg.eigvalsh(herm)
     near = float(eigs[np.argmin(np.abs(eigs))])
-    return CriterionOperator(aw, smin, norm, near, kdim, tol_ker, kp, float(lam))
+    return CriterionOperator(aw, smin, norm, near, kdim, tol_ker, ws.k, float(lam))
 
 
 def assemble_P(k, n, nodes: NodeSet, lam: float = 0.0) -> BoundaryOperator:
@@ -150,11 +154,10 @@ def assemble_P(k, n, nodes: NodeSet, lam: float = 0.0) -> BoundaryOperator:
     the eigenvalues, which the parity detector consumes, remain accurate
     and N-stable across the desk annulus (checked to |k| = 10).
     """
-    kp = k if isinstance(k, KPoint) else KPoint.from_k(k)
     pot = _potential_at(n, lam)
     fn = assemble_Fn(nodes, pot)
     f0 = assemble_F0(nodes)
-    s = assemble_S(kp, nodes)
+    s = KWorkspace.at(k, nodes).s
     mat = np.eye(nodes.n_nodes) + s.matrix @ (fn.matrix - f0.matrix)
     if pot.is_real and np.iscomplexobj(mat):
         scale = max(1.0, float(np.max(np.abs(mat.real))))
@@ -166,7 +169,7 @@ def assemble_P(k, n, nodes: NodeSet, lam: float = 0.0) -> BoundaryOperator:
 
 @dataclass(frozen=True)
 class ParityRecord:
-    """Eigenvalue census of P(k) used by the parity detector."""
+    """Eigenvalue census of P(k) used by the parity detector, with the P counted."""
 
     k: KPoint
     eigs: np.ndarray
@@ -174,6 +177,7 @@ class ParityRecord:
     near_exceptional: bool
     pairing_ok: bool
     pairing_error: float
+    p: BoundaryOperator
 
 
 def n_minus(k, n, nodes: NodeSet, lam: float = 0.0) -> ParityRecord:
@@ -187,7 +191,8 @@ def n_minus(k, n, nodes: NodeSet, lam: float = 0.0) -> ParityRecord:
     pot = _potential_at(n, lam)
     if not pot.is_real:
         warnings.warn("n^- is defined for real potentials; counts for complex n are not meaningful", stacklevel=2)
-    p = assemble_P(k, n, nodes, lam=lam)
+    ws = KWorkspace.at(k, nodes)
+    p = assemble_P(ws, n, nodes, lam=lam)
     eigs = dense_eig(p.matrix, right=False)
     real_mask = eigs.imag == 0.0 if not np.iscomplexobj(p.matrix) else np.abs(eigs.imag) < 1e-12
     count = int(np.sum(real_mask & (eigs.real < -TOL_NEG)))
@@ -198,8 +203,7 @@ def n_minus(k, n, nodes: NodeSet, lam: float = 0.0) -> ParityRecord:
     if complex_eigs.size:
         d = np.abs(complex_eigs[:, None] - np.conj(complex_eigs)[None, :])
         pairing_error = float(np.max(np.min(d, axis=1)))
-    kp = k if isinstance(k, KPoint) else KPoint.from_k(k)
-    return ParityRecord(kp, eigs, count, near, pairing_error <= 1e-8, pairing_error)
+    return ParityRecord(ws.k, eigs, count, near, pairing_error <= 1e-8, pairing_error, p)
 
 
 # ---------------------------------------------------------------------------
@@ -229,14 +233,15 @@ def _safe_eps(kp: KPoint, nu: float) -> float | None:
 
 def scan(points, lam: float, n, nodes: NodeSet) -> list[ScanResult]:
     """Evaluate the kernel criterion and the parity count on a k-grid;
-    individual failures are recorded and the scan continues."""
+    individual failures are recorded and the scan continues.  Both detectors
+    read one S_k per point."""
     out = []
     for kp in points:
-        kp = kp if isinstance(kp, KPoint) else KPoint.from_k(kp)
+        ws = KWorkspace.at(kp, nodes)
         flags: list[str] = []
         sigma_a = near = sigma_p = nminus = None
         try:
-            crit = criterion(lam, kp, n, nodes)
+            crit = criterion(lam, ws, n, nodes)
             sigma_a, near = crit.sigma_min, crit.eig_near_zero
             if crit.kernel_dim_estimate > 0:
                 flags.append("kernel")
@@ -245,9 +250,8 @@ def scan(points, lam: float, n, nodes: NodeSet) -> list[ScanResult]:
         except Exception as exc:  # pragma: no cover - diagnostic path
             flags.append(f"criterion_failed:{type(exc).__name__}")
         try:
-            rec = n_minus(kp, n, nodes, lam=lam)
-            p = assemble_P(kp, n, nodes, lam=lam)
-            sigma_p = float(np.linalg.svd(p.matrix, compute_uv=False)[-1])
+            rec = n_minus(ws, n, nodes, lam=lam)
+            sigma_p = float(np.linalg.svd(rec.p.matrix, compute_uv=False)[-1])
             nminus = rec.n_minus
             if rec.near_exceptional:
                 flags.append("near_exceptional")
@@ -255,7 +259,7 @@ def scan(points, lam: float, n, nodes: NodeSet) -> list[ScanResult]:
                 flags.append("pairing_violation")
         except Exception as exc:
             flags.append(f"parity_failed:{type(exc).__name__}")
-        out.append(ScanResult(kp, _safe_eps(kp, nodes.length), sigma_a, near, sigma_p, nminus, tuple(flags)))
+        out.append(ScanResult(ws.k, _safe_eps(ws.k, nodes.length), sigma_a, near, sigma_p, nminus, tuple(flags)))
     return out
 
 
@@ -378,19 +382,6 @@ class XiCurve:
     xi00: float = np.nan
 
 
-def _herm_eigensystem(lam, kp_or_zero, family, nodes):
-    if kp_or_zero is None:
-        fo = assemble_Fout_zero(nodes)
-    else:
-        fo = assemble_Fout(kp_or_zero, nodes)
-    pot = _potential_at(family, lam)
-    fn = assemble_Fn(nodes, pot)
-    aw = weighted_matrix(BoundaryOperator(fn.matrix - fo.matrix, HPLUS, HMINUS, nodes))
-    herm = 0.5 * (aw + aw.conj().T)
-    vals, vecs = np.linalg.eigh(herm)
-    return vals, vecs
-
-
 def _tracked_xi(vals, vecs, v_ref):
     overlap = np.abs(v_ref.conj() @ vecs)
     j = int(np.argmax(overlap))
@@ -411,7 +402,7 @@ def fit_xi(family: PerturbedFamily, nodes: NodeSet, lambda_grid, eps_grid,
         raise ValueError("fit_xi grids must sit in |lambda| <= 0.1, 0 <= eps <= 0.1")
     nu = nodes.length
 
-    vals0, vecs0 = _herm_eigensystem(0.0, None, family, nodes)
+    vals0, vecs0 = np.linalg.eigh(_weighted_a(0.0, None, family, nodes)[1])
     j0 = int(np.argmin(np.abs(vals0)))
     xi00, v00 = float(vals0[j0]), vecs0[:, j0]
 
@@ -421,7 +412,7 @@ def fit_xi(family: PerturbedFamily, nodes: NodeSet, lambda_grid, eps_grid,
     v_at_lam = {}
     for i in order:
         lam = lambda_grid[i]
-        vals, vecs = _herm_eigensystem(lam, None, family, nodes)
+        vals, vecs = np.linalg.eigh(_weighted_a(lam, None, family, nodes)[1])
         # chain from the nearest previously tracked lambda (same sign path)
         prev = v00
         done = [l for l in v_at_lam if (l == 0 or np.sign(l) == np.sign(lam)) and abs(l) < abs(lam)]
@@ -435,7 +426,7 @@ def fit_xi(family: PerturbedFamily, nodes: NodeSet, lambda_grid, eps_grid,
             if eps == 0.0:
                 continue
             kp = KPoint.from_eps(eps, phi, nu)
-            vals, vecs = _herm_eigensystem(lam, kp, family, nodes)
+            vals, vecs = np.linalg.eigh(_weighted_a(lam, kp, family, nodes)[1])
             xi, v_prev = _tracked_xi(vals, vecs, v_prev)
             samples.append((float(lam), float(eps), float(phi), xi))
 

@@ -22,13 +22,14 @@ from dataclasses import asdict, dataclass, field
 import numpy as np
 
 from . import __version__
-from .boundary_ops import SINGULARITY_THRESHOLD, OperatorCache
+from .boundary_ops import SINGULARITY_THRESHOLD, NearSingularError, OperatorCache
 from .disk_solver import CONDITION_LIMIT
 from .dtn_maps import (
     PerturbedFamily,
     Potential,
     absorbing_potential,
     assemble_Fn,
+    fn_supported,
     omega_poly_cos,
     omega_radial_poly,
     raster_potential,
@@ -48,7 +49,7 @@ from .exceptional import (
 )
 from .geometry import curve_by_name, sample
 from .green import TOL_G, KPoint
-from .transform import CONDITION_CAP, bound_check, scatter_t
+from .transform import CONDITION_CAP, bound_check
 from .validate import run_validation
 
 __all__ = ["RunConfig", "RunManifest", "OperatorCache", "run", "build_potential", "kgrid_points"]
@@ -207,12 +208,13 @@ def run(config: RunConfig) -> RunManifest:
 
     timings: dict[str, float] = {}
     # assembly phase: the interior solve dominates; run it through the
-    # operator store up front so detector timings measure detector work
+    # operator store up front so detector timings measure detector work.
+    # Where F_n is unsupported the detectors meet and record the refusal.
     needs_fn = any(d != "validate" for d in config.detectors)
-    if needs_fn and nodes.curve.name == "circle":
+    pot = target if isinstance(target, Potential) else target.at(config.lam)
+    if needs_fn and fn_supported(nodes):
         t0 = time.perf_counter()
-        pot0 = target if isinstance(target, Potential) else target.at(config.lam)
-        assemble_Fn(nodes, pot0, store=cache)
+        assemble_Fn(nodes, pot, store=cache)
         timings["fn_assembly"] = round(time.perf_counter() - t0, 3)
     errors: dict[str, str] = {}
     summary: dict = {
@@ -300,13 +302,13 @@ def run(config: RunConfig) -> RunManifest:
                 }
             elif detector == "transform":
                 tk = config.transform_krange
-                pot = target if isinstance(target, Potential) else target.at(config.lam)
                 pts = [KPoint.from_polar_log(np.log(r), tk.get("phi", 0.0))
                        for r in np.geomspace(tk["rmin"], tk["rmax"], tk["n"])]
-                with ThreadPoolExecutor(max_workers=config.workers) as pool:
-                    rows = list(zip(pts, pool.map(lambda p: scatter_t(p, pot, nodes), pts)))
-                _write_transform_csv(os.path.join(outdir, "transform.csv"), rows)
                 rep = bound_check(pot, pts, nodes, lam=config.lam)
+                if rep.failures:
+                    raise NearSingularError("; ".join(rep.failures))
+                t_at = {tv.k: tv for tv in rep.values}
+                _write_transform_csv(os.path.join(outdir, "transform.csv"), [(p, t_at[p]) for p in pts])
                 summary["transform"] = {
                     "sup_bound_product": rep.sup,
                     "increments_non_increasing": rep.increments_non_increasing,

@@ -19,7 +19,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .boundary_ops import NearSingularError, assemble_S, invert_S
+from .boundary_ops import KWorkspace, NearSingularError
 from .dtn_maps import Potential, assemble_F0, assemble_Fn
 from .geometry import NodeSet
 from .green import KPoint
@@ -64,7 +64,8 @@ class BoundReport:
     ``increments_non_increasing`` records saturation: the growth of the
     bound product per unit of ln(1/|k|) does not increase toward k = 0,
     the numerical signature of a finite sup constant (the product climbs
-    concavely onto a plateau rather than diverging).
+    concavely onto a plateau rather than diverging).  ``values`` holds t(k),
+    None where the trace was refused.
     """
 
     lam: float
@@ -74,6 +75,7 @@ class BoundReport:
     increments_non_increasing: bool
     valid: bool
     failures: tuple[str, ...] = ()
+    values: tuple[TransformValue | None, ...] = ()
 
 
 def _weighted_norm(v: np.ndarray, nodes: NodeSet) -> float:
@@ -97,9 +99,9 @@ def trace_u(k, n: Potential, nodes: NodeSet) -> BoundaryTrace:
     set: E_D when S_k itself is singular, E when the scattering systems
     lose invertibility.
     """
-    kp = k if isinstance(k, KPoint) else KPoint.from_k(k)
-    s = assemble_S(kp, nodes)
-    sinv = invert_S(kp, s)  # raises with suspected="E_D" near the Dirichlet set
+    ws = KWorkspace.at(k, nodes)
+    kp, s = ws.k, ws.s
+    sinv = ws.inverse  # raises with suspected="E_D" near the Dirichlet set
     fn = assemble_Fn(nodes, n)
     f0 = assemble_F0(nodes)
     rhs = np.exp(1j * kp.kz(nodes.z))
@@ -143,11 +145,12 @@ def bound_check(n, k_sequence, nodes: NodeSet, lam: float | None = None) -> Boun
         pts.append(kk if isinstance(kk, KPoint) else KPoint.from_k(kk))
     pts = sorted(pts, key=lambda p: -p.log_abs)  # outer -> inner
     prods = np.full(len(pts), np.nan)
+    values: list[TransformValue | None] = [None] * len(pts)
     failures = []
     for i, kp in enumerate(pts):
         try:
-            tv = scatter_t(kp, n, nodes)
-            prods[i] = tv.bound_product
+            values[i] = scatter_t(kp, n, nodes)
+            prods[i] = values[i].bound_product
         except NearSingularError as exc:
             failures.append(f"{kp}: {exc}")
     valid = not failures
@@ -165,4 +168,5 @@ def bound_check(n, k_sequence, nodes: NodeSet, lam: float | None = None) -> Boun
         increments_non_increasing=increments_ok,
         valid=valid,
         failures=tuple(failures),
+        values=tuple(values),
     )

@@ -16,12 +16,11 @@ from .boundary_ops import (
     HPLUS,
     HMINUS,
     BoundaryOperator,
+    KWorkspace,
     adjoint_arclength,
     assemble_B,
-    assemble_S,
     assemble_S0,
     block_form,
-    invert_S,
     mean_projectors,
     meanfree_form_gap,
     operator_norm,
@@ -68,9 +67,9 @@ def run_validation(curve_name: str = "circle", n_nodes: int = 128, **curve_param
 
     for i, r in enumerate(np.geomspace(1e-3, 1.0, 10)):
         kp = KPoint.from_polar_log(np.log(r), (i % 4) * np.pi / 3)
-        s = assemble_S(kp, nodes)
-        fo = assemble_Fout(kp, nodes)
-        resid = (f0.matrix - fo.matrix) @ s.matrix - np.eye(n_nodes)
+        ws = KWorkspace(kp, nodes)
+        fo = assemble_Fout(ws, nodes)
+        resid = (f0.matrix - fo.matrix) @ ws.s.matrix - np.eye(n_nodes)
         worst_identity = max(worst_identity, float(np.linalg.norm(resid, 2)))
         cc = block_form(assemble_S0(kp, nodes)).cc
         with _warnings.catch_warnings():
@@ -102,8 +101,7 @@ def run_validation(curve_name: str = "circle", n_nodes: int = 128, **curve_param
 
     # inverse block structure of S_k at small k
     kp_small = KPoint.from_eps(0.05, 0.0, nodes.length)
-    sinv = invert_S(kp_small, assemble_S(kp_small, nodes))
-    bf = block_form(sinv)
+    bf = block_form(KWorkspace(kp_small, nodes).inverse)
     add("cc of S_k^{-1} = eps + O(eps^2)", abs(bf.cc - 0.05), 0.01 * 0.05)
     binv_block = BoundaryOperator(
         bf.perp_perp - (pp @ np.linalg.inv(b.matrix + np.outer(np.ones(n_nodes), nodes.weights) / nodes.length)),

@@ -6,6 +6,7 @@ from faddeev_ep.boundary_ops import (
     HMINUS,
     HPLUS,
     BoundaryOperator,
+    KWorkspace,
     NearSingularError,
     SobolevWeight,
     adjoint_arclength,
@@ -144,6 +145,24 @@ def test_invert_S_refuses_near_singular(nodes128):
         invert_S(kp, assemble_S(kp, nodes128))
     assert exc.value.suspected == "E_D"
     assert exc.value.sigma_min < 1e-6 * exc.value.norm
+
+
+def test_workspace_assembles_once_and_refuses_on_every_access(nodes128, monkeypatch):
+    """A workspace holds one S_k; a refused k raises on every access of the inverse."""
+    from faddeev_ep import boundary_ops
+    from faddeev_ep.dtn_maps import assemble_Fout
+
+    calls = []
+    monkeypatch.setattr(boundary_ops, "assemble_S", lambda k, nodes: calls.append(k) or assemble_S(k, nodes))
+    ws = KWorkspace.at(4.437, nodes128)
+    for access in (lambda: ws.inverse, lambda: ws.inverse, lambda: assemble_Fout(ws, nodes128)):
+        with pytest.raises(NearSingularError) as exc:
+            access()
+        assert exc.value.suspected == "E_D"
+    assert calls == [ws.k]
+    assert KWorkspace.at(ws, nodes128) is ws
+    other = sample(make_circle(1.0), 64)
+    assert KWorkspace.at(ws, other).nodes is other
 
 
 def test_potential_theory_identity(nodes128):

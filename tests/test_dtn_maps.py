@@ -139,38 +139,6 @@ def test_Fout_cc_slope_minus_one(nodes128):
     assert abs(slope - (-1.0)) < 0.02
 
 
-def test_Fout_ray_limit(nodes128, monkeypatch):
-    """Ray extrapolation across a simulated isolated singular point.
-
-    The disk has no isolated dip of sigma_min(S_k) at desk scale (only the
-    exponential large-|k| conditioning decay), so an isolated puncture is
-    simulated: inversion is refused at exactly one target k while the two
-    inward ray points evaluate normally.  The extrapolated operator must
-    be finite and first-order consistent with the smooth continuation.
-    """
-    import faddeev_ep.dtn_maps as dm
-    from faddeev_ep.boundary_ops import NearSingularError as NSE
-    from faddeev_ep.boundary_ops import invert_S as real_invert
-
-    target = KPoint.from_k(0.37)
-
-    def punctured_invert(k, s_op):
-        if abs(k.log_abs - target.log_abs) < 1e-12 and abs(k.phi - target.phi) < 1e-12:
-            raise NSE("simulated isolated singular point", sigma_min=0.0, norm=1.0, k=k, suspected="E_D")
-        return real_invert(k, s_op)
-
-    monkeypatch.setattr(dm, "invert_S", punctured_invert)
-    with pytest.raises(NSE):
-        assemble_Fout(target, nodes128)
-    fo = dm.assemble_Fout(target, nodes128, on_near_singular="ray_limit")
-    assert np.all(np.isfinite(fo.matrix))
-    assert fo.provenance == "exterior_faddeev_ray_limit"
-    reference = real_invert(target, __import__("faddeev_ep.boundary_ops", fromlist=["assemble_S"]).assemble_S(target, nodes128))
-    true_fout = dm._f0_matrix(nodes128) - reference.matrix
-    rel = np.max(np.abs(fo.matrix - true_fout)) / np.max(np.abs(true_fout))
-    assert rel < 1e-4  # second-order extrapolation error at step 1e-3
-
-
 # ---------------------------------------------------------------------------
 # Potentials
 
@@ -330,6 +298,16 @@ def test_Fn_store_misses_on_a_new_version(tmp_path, monkeypatch):
     assert solves == [pot]
     assert fn_key(nodes, pot) != old_key and len(list(tmp_path.iterdir())) == 2
     store.clear()
+
+
+def test_Fn_boundary_nonzero_potential_keeps_its_modes():
+    """n = 3 given without a radial profile couples no angular modes, although
+    r = 1 samples whose |z| rounds above 1 are masked to zero."""
+    solver = DiskDtnSolver(64)
+    three = generic_potential(lambda z: 3.0 * np.ones(np.shape(z)), {"family": "three"})
+    assert list(solver._potential_modes(three)) == [0]
+    radial = solver.dtn_matrix(_three())
+    assert np.max(np.abs(solver.dtn_matrix(three) - radial)) <= 1e-10 * np.max(np.abs(radial))
 
 
 def test_perturbed_family_returns_one_potential_per_lambda(radial_family):

@@ -1,7 +1,7 @@
 import numpy as np
 import pytest
 
-from faddeev_ep.boundary_ops import NearSingularError
+from faddeev_ep.boundary_ops import KWorkspace, NearSingularError
 from faddeev_ep.exceptional import (
     LocusResult,
     assemble_P,
@@ -108,6 +108,28 @@ def test_scan_records_and_serializes(tmp_path, nodes128, conductive):
     lines = path.read_text().strip().splitlines()
     assert lines[0].startswith("k_re,k_im,eps,sigma_min_A")
     assert len(lines) == 4
+
+
+def test_scan_rows_equal_separate_detector_calls(nodes128, radial_family):
+    """One S_k per point gives, bit for bit, what separate detector calls give,
+    at a regular k and at a k on the refused |k| = 4 ring."""
+    lam = 0.05
+    regular, refused = KPoint.from_k(0.3 + 0.2j), KPoint.from_k(4.0)
+    row_ok, row_ed = scan([regular, refused], lam, radial_family, nodes128)
+
+    crit = criterion(lam, regular, radial_family, nodes128)
+    assert (row_ok.sigma_min_A, row_ok.eig_near_zero) == (crit.sigma_min, crit.eig_near_zero)
+    shared = criterion(lam, KWorkspace.at(regular, nodes128), radial_family, nodes128)
+    np.testing.assert_array_equal(shared.a_weighted, crit.a_weighted)
+    with pytest.raises(NearSingularError):
+        criterion(lam, refused, radial_family, nodes128)
+    assert row_ed.sigma_min_A is None and "ed_refused" in row_ed.flags
+    for row, kp in ((row_ok, regular), (row_ed, refused)):
+        rec = n_minus(kp, radial_family, nodes128, lam=lam)
+        p = assemble_P(kp, radial_family, nodes128, lam=lam).matrix
+        np.testing.assert_array_equal(rec.p.matrix, p)
+        assert row.n_minus == rec.n_minus
+        assert row.sigma_min_P == float(np.linalg.svd(p, compute_uv=False)[-1])
 
 
 def test_perturbed_sign_change_encircles_origin(nodes128, radial_family):

@@ -1,5 +1,7 @@
+import importlib
 import json
 import os
+import sys
 import time
 
 import numpy as np
@@ -186,3 +188,57 @@ def test_cache_env_var(tmp_path, monkeypatch):
     cfg = _scan_config(tmp_path / "runs")
     run(cfg)
     assert (tmp_path / "envcache").exists()
+
+
+def _count_calls(monkeypatch, module, name):
+    """Record the first argument of every call of a package function, through
+    every module binding that holds it."""
+    fn = getattr(importlib.import_module(f"faddeev_ep.{module}"), name)
+    calls = []
+
+    def counted(*args, **kwargs):
+        calls.append(args[0])
+        return fn(*args, **kwargs)
+
+    for modname, mod in list(sys.modules.items()):
+        if modname.split(".")[0] == "faddeev_ep" and getattr(mod, name, None) is fn:
+            monkeypatch.setattr(mod, name, counted)
+    return calls
+
+
+def test_one_assembly_per_scan_point_and_one_trace_per_transform_point(tmp_path, monkeypatch):
+    s_calls = _count_calls(monkeypatch, "boundary_ops", "assemble_S")
+    inv_calls = _count_calls(monkeypatch, "boundary_ops", "invert_S")
+    p_calls = _count_calls(monkeypatch, "exceptional", "assemble_P")
+    u_calls = _count_calls(monkeypatch, "transform", "trace_u")
+    cfg = RunConfig(n_nodes=64, detectors=["sigma_scan", "transform"], outdir=str(tmp_path), workers=2,
+                    kgrid={"type": "list", "values": [[0.3, 0.2], [0.0, 0.7], [4.0, 0.0]]},
+                    transform_krange={"rmin": 1e-4, "rmax": 1e-2, "n": 3, "phi": 0.9})
+    manifest = run(cfg)
+    assert not manifest.detector_errors
+    assert len({(k.log_abs, k.phi) for k in s_calls}) == len(s_calls) == 3 + 3
+    assert len(inv_calls) == 3 + 3 and len(p_calls) == 3
+    assert len({(k.log_abs, k.phi) for k in u_calls}) == len(u_calls) == 3
+    rows = (tmp_path / manifest.config_hash / "transform.csv").read_text().splitlines()[1:]
+    log_abs = [float(r.split(",")[2]) for r in rows]
+    assert log_abs == sorted(log_abs) and len(log_abs) == 3   # config order, inner to outer
+
+
+def test_refused_transform_point_is_a_detector_error(tmp_path):
+    cfg = RunConfig(n_nodes=64, detectors=["transform"], outdir=str(tmp_path),
+                    transform_krange={"rmin": 1e-2, "rmax": 4.0, "n": 3, "phi": 0.0})
+    manifest = run(cfg)
+    assert manifest.detector_errors["transform"].startswith("NearSingularError")
+    assert not (tmp_path / manifest.config_hash / "transform.csv").exists()
+
+
+def test_unsupported_curve_is_recorded_not_raised(tmp_path):
+    """F_n exists only on the unit disk: on a radius-2 circle the detectors record
+    the refusal (per row for the scan) instead of run raising before them."""
+    cfg = RunConfig(curve={"name": "circle", "radius": 2.0}, n_nodes=32, outdir=str(tmp_path),
+                    detectors=["sigma_scan", "parity"], kgrid={"type": "list", "values": [[0.3, 0.0]]})
+    manifest = run(cfg)
+    assert "fn_assembly" not in manifest.timings
+    assert manifest.detector_errors["parity"].startswith("NotImplementedError")
+    rows = (tmp_path / manifest.config_hash / "scan.csv").read_text().splitlines()
+    assert rows[1].endswith("criterion_failed:NotImplementedError;parity_failed:NotImplementedError")

@@ -1,4 +1,5 @@
-"""Structure of the package: no module imports another's private names.
+"""Structure of the package: no module imports another's private names, and
+the parameters the benchmark reads by position stay where they are.
 
 A private name (leading underscore) is a module's own business; a module
 that imports one from a sibling couples itself to that sibling's internals,
@@ -7,6 +8,8 @@ dunder.
 """
 
 import ast
+import importlib
+import inspect
 from pathlib import Path
 
 PACKAGE = Path(__file__).resolve().parents[1] / "src" / "faddeev_ep"
@@ -31,3 +34,24 @@ def test_no_module_imports_private_names_of_another():
     assert len(modules) > 5
     offenders = [line for path in modules for line in _private_imports(path)]
     assert not offenders, offenders
+
+
+#: leading parameters that perfbench/tracing.py reads as ``args[0]`` or ``args[3]``
+POSITIONAL = {
+    "boundary_ops.assemble_S": ["k", "nodes"],
+    "transform.trace_u": ["k", "n", "nodes"],
+    "exceptional.trace_locus": ["lam", "family", "nodes", "angles"],
+    "boundary_ops.load_operator": ["path"],
+    "boundary_ops.save_operator": ["path"],
+}
+
+
+def test_traced_functions_keep_their_leading_parameters():
+    changed = []
+    for qualname, lead in POSITIONAL.items():
+        module, name = qualname.split(".")
+        fn = getattr(importlib.import_module(f"faddeev_ep.{module}"), name)
+        params = list(inspect.signature(fn).parameters)
+        if params[: len(lead)] != lead:
+            changed.append(f"{qualname}{tuple(params)} should start with {tuple(lead)}")
+    assert not changed, changed
