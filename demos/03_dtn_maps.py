@@ -62,7 +62,7 @@ for m in (1, 6):
 print("\n== continuity of F^out at k = 0 ==")
 for eps in (0.2, 0.1, 0.05):
     kp = KPoint.from_eps(eps, 0.0, nodes.length)
-    d = weighted_matrix(assemble_Fout(kp, nodes).op) - weighted_matrix(fz.op)
+    d = weighted_matrix(assemble_Fout(kp, nodes)) - weighted_matrix(fz)
     print(f"eps = {eps:<5} ||F^out(k) - F^out(0)|| = {np.linalg.norm(d, 2):.6f}")
 
 print("\n== mean-free spectral gap of F^out(0) per geometry ==")
@@ -70,5 +70,5 @@ from faddeev_ep.boundary_ops import meanfree_form_gap
 
 for curve in (make_circle(1.0), make_ellipse(2.0, 1.0)):
     nd = sample(curve, 128)
-    gap = meanfree_form_gap(assemble_Fout_zero(nd).op)
+    gap = meanfree_form_gap(assemble_Fout_zero(nd))
     print(f"{curve.key():<26} gap delta = {gap:.6f} (F^out(0) <= -delta on mean-free data)")

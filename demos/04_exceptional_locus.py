@@ -29,6 +29,7 @@ nodes = sample(make_circle(1.0), 128)
 NU = nodes.length
 family = PerturbedFamily(standard_conductive(), *omega_radial_poly())
 LAM = 0.05
+N_LAM = family.at(LAM)   # the detectors take this one potential, n + LAM omega
 
 muval = mu_for_family(family)
 print(f"mu = int omega q dS = {muval:.6f}; first-order locus eps* = (mu/nu) lambda "
@@ -36,7 +37,7 @@ print(f"mu = int omega q dS = {muval:.6f}; first-order locus eps* = (mu/nu) lamb
 
 print("\n== detector (i): kernel criterion along a ray ==")
 for eps in (0.005, 0.012, 0.0135, 0.016, 0.04):
-    c = criterion(LAM, KPoint.from_eps(eps, 0.0, NU), family, nodes)
+    c = criterion(KPoint.from_eps(eps, 0.0, NU), N_LAM, nodes)
     print(f"eps = {eps:<7} sigma_min(A) = {c.sigma_min:.2e}  eig_near_zero = {c.eig_near_zero:+.5f}  "
           f"kernel dim = {c.kernel_dim_estimate}")
 
@@ -50,9 +51,9 @@ print(f"the circle radius: ln|k*| = {locus.log_abs_k()[0]:.2f} (|k*| ~ e^{locus.
 print("\n== detector (iii): parity counter across the circle ==")
 k_in = KPoint.from_eps(0.5 * locus.mean_eps, 0.0, NU)
 k_out = KPoint.from_eps(2.0 * locus.mean_eps, 0.0, NU)
-rec_in, rec_out = n_minus(k_in, family, nodes, lam=LAM), n_minus(k_out, family, nodes, lam=LAM)
+rec_in, rec_out = n_minus(k_in, N_LAM, nodes), n_minus(k_out, N_LAM, nodes)
 print(f"n^-(inside) = {rec_in.n_minus}, n^-(outside) = {rec_out.n_minus} (parity jump)")
-verdict = parity_path(k_in, k_out, family, nodes, lam=LAM)
+verdict = parity_path(k_in, k_out, N_LAM, nodes)
 lo, hi = verdict.bracket
 print(f"bisection brackets the crossing at eps in [{lo.eps(NU):.6f}, {hi.eps(NU):.6f}]")
 
@@ -65,7 +66,7 @@ print("\n== serialize a scan around the locus ==")
 points = [KPoint.from_eps(e, p, NU)
           for e in np.linspace(0.006, 0.03, 9)
           for p in np.linspace(0, 2 * np.pi, 4, endpoint=False)]
-results = scan(points, LAM, family, nodes)
+results = scan(points, N_LAM, nodes)
 scan_to_csv(results, "locus_scan.csv")
 flagged = [r for r in results if r.flags]
 print(f"wrote locus_scan.csv ({len(results)} rows, {len(flagged)} flagged near-exceptional)")

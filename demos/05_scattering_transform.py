@@ -63,7 +63,7 @@ for frac in (0.6, 0.9, 0.99, 1.05, 1.6):
 print("\n== the logarithmic bound for lambda = -0.05 ==")
 pot_minus = family.at(-0.05)
 pts = [KPoint.from_polar_log(np.log(r), 0.9) for r in np.geomspace(1e-8, 1e-2, 13)]
-rep = bound_check(pot_minus, pts, nodes, lam=-0.05)
+rep = bound_check(pot_minus, pts, nodes)
 for la, bp in zip(rep.log_abs_k, rep.bound_products):
     print(f"ln|k| = {la:8.2f}   |t| |ln k| = {bp:.4f}")
 print(f"sup = {rep.sup:.4f}; increments toward k = 0 non-increasing: {rep.increments_non_increasing}")

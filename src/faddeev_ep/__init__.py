@@ -47,7 +47,6 @@ from .boundary_ops import (  # noqa: F401
     sobolev_apply,
 )
 from .dtn_maps import (  # noqa: F401
-    DtnMap,
     PerturbedFamily,
     Potential,
     absorbing_potential,

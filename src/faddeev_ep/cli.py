@@ -135,6 +135,7 @@ def main(argv=None) -> int:
                 cfg.locus_angles = args.angles
             if args.command == "transform":
                 cfg.transform_krange = {"rmin": args.rmin, "rmax": args.rmax, "n": args.nk, "phi": args.phi}
+            cfg.validate_fields()
     except (ValueError, OSError, json.JSONDecodeError) as exc:
         print(f"config error: {exc}", file=sys.stderr)
         return 1

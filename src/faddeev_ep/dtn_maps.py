@@ -40,7 +40,6 @@ from .boundary_ops import (
 )
 from .disk_solver import DiskDtnSolver, radial_size
 from .geometry import NodeSet
-from .green import KPoint
 
 __all__ = [
     "Potential",
@@ -53,7 +52,6 @@ __all__ = [
     "raster_potential",
     "omega_radial_poly",
     "omega_poly_cos",
-    "DtnMap",
     "assemble_F0",
     "assemble_Fn",
     "fn_supported",
@@ -328,19 +326,6 @@ class PerturbedFamily:
 # ---------------------------------------------------------------------------
 # DtN maps
 
-@dataclass(frozen=True)
-class DtnMap:
-    """A Dirichlet-to-Neumann operator with its provenance."""
-
-    op: BoundaryOperator
-    provenance: str
-    k: KPoint | None = None
-
-    @property
-    def matrix(self) -> np.ndarray:
-        return self.op.matrix
-
-
 def adjoint_double_layer(nodes: NodeSet) -> np.ndarray:
     """Nystrom matrix of K': density -> normal derivative of its single layer.
 
@@ -380,25 +365,25 @@ def _f0_matrix(nodes: NodeSet) -> np.ndarray:
     return _laplace_pieces(nodes)["f0"]
 
 
-def assemble_F0(nodes: NodeSet) -> DtnMap:
+def assemble_F0(nodes: NodeSet) -> BoundaryOperator:
     """Interior Laplace Dirichlet-to-Neumann map (annihilates constants)."""
-    return DtnMap(BoundaryOperator(_f0_matrix(nodes), HPLUS, HMINUS, nodes), "interior_laplace")
+    return BoundaryOperator(_f0_matrix(nodes), HPLUS, HMINUS, nodes)
 
 
-def assemble_Fout_bounded(nodes: NodeSet) -> DtnMap:
+def assemble_Fout_bounded(nodes: NodeSet) -> BoundaryOperator:
     """Exterior Laplace map built from bounded solutions."""
-    return DtnMap(BoundaryOperator(_laplace_pieces(nodes)["fb"], HPLUS, HMINUS, nodes), "exterior_bounded")
+    return BoundaryOperator(_laplace_pieces(nodes)["fb"], HPLUS, HMINUS, nodes)
 
 
-def assemble_Fout_zero(nodes: NodeSet) -> DtnMap:
+def assemble_Fout_zero(nodes: NodeSet) -> BoundaryOperator:
     """Continuous k -> 0 limit of F^out: 0 on constants, F_0 - B^{-1} on mean-free."""
     pieces = _laplace_pieces(nodes)
     _, pp = mean_projectors(nodes)
     mat = pp @ (pieces["f0"] - pieces["binv"]) @ pp
-    return DtnMap(BoundaryOperator(mat, HPLUS, HMINUS, nodes), "exterior_faddeev_zero")
+    return BoundaryOperator(mat, HPLUS, HMINUS, nodes)
 
 
-def assemble_Fout(k, nodes: NodeSet) -> DtnMap:
+def assemble_Fout(k, nodes: NodeSet) -> BoundaryOperator:
     """Exterior Faddeev map F^out(k) = F_0 - (S_k)^{-1}.
 
     Near the exterior-Dirichlet singular set the inversion of S_k refuses
@@ -406,7 +391,7 @@ def assemble_Fout(k, nodes: NodeSet) -> DtnMap:
     """
     ws = KWorkspace.at(k, nodes)
     mat = _f0_matrix(nodes) - ws.inverse.matrix
-    return DtnMap(BoundaryOperator(mat, HPLUS, HMINUS, nodes), "exterior_faddeev", k=ws.k)
+    return BoundaryOperator(mat, HPLUS, HMINUS, nodes)
 
 
 def fn_supported(nodes: NodeSet) -> bool:
@@ -432,7 +417,7 @@ def fn_key(nodes: NodeSet, potential: Potential) -> str:
     return hashlib.sha256(json.dumps(doc, sort_keys=True).encode()).hexdigest()
 
 
-def assemble_Fn(nodes: NodeSet, potential: Potential, store: OperatorCache | None = None) -> DtnMap:
+def assemble_Fn(nodes: NodeSet, potential: Potential, store: OperatorCache | None = None) -> BoundaryOperator:
     """Interior Schrodinger Dirichlet-to-Neumann map for -Lap - n on the disk.
 
     F_n is k-independent and reused across whole k-scans; it is kept under
@@ -447,4 +432,4 @@ def assemble_Fn(nodes: NodeSet, potential: Potential, store: OperatorCache | Non
     store = store or OperatorCache()
     mat = store.get_or_build(fn_key(nodes, potential),
                              lambda: DiskDtnSolver(nodes.n_nodes).dtn_matrix(potential))
-    return DtnMap(BoundaryOperator(mat, HPLUS, HMINUS, nodes), "interior_schrodinger")
+    return BoundaryOperator(mat, HPLUS, HMINUS, nodes)

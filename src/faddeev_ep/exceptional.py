@@ -1,9 +1,9 @@
 """The three exceptional-point detectors.
 
 (i)   Kernel criterion: sigma_min and near-zero eigenvalue of the
-      weight-symmetrized A(lambda, k) = F_{n_lambda} - F^out(k); a point k
-      is exceptional iff A has a nontrivial kernel, with multiplicity equal
-      to the kernel dimension.
+      weight-symmetrized A(k) = F_n - F^out(k); a point k is exceptional
+      iff A has a nontrivial kernel, with multiplicity equal to the kernel
+      dimension.
 (ii)  Small-(lambda, eps) expansion: the eigenvalue branch continued from
       the zero mode at (0,0) behaves as xi = a lambda + b eps + O(.^2) with
       a = -mu, b = 1, mu = integral of omega q over the domain; the
@@ -95,17 +95,9 @@ def mu_for_family(family: PerturbedFamily, **kwargs) -> float:
     return mu(family.omega_fn, family.base.q_fn, **kwargs)
 
 
-def _potential_at(n, lam: float) -> Potential:
-    if isinstance(n, PerturbedFamily):
-        return n.at(lam)
-    if lam != 0.0:
-        raise ValueError("a bare Potential cannot be perturbed; pass a PerturbedFamily for lambda != 0")
-    return n
-
-
 @dataclass(frozen=True)
 class CriterionOperator:
-    """Weighted-symmetrized A(lambda, k) together with its kernel diagnostics."""
+    """Weighted-symmetrized A(k) together with its kernel diagnostics."""
 
     a_weighted: np.ndarray
     sigma_min: float
@@ -114,39 +106,38 @@ class CriterionOperator:
     kernel_dim_estimate: int
     tol_ker: float
     k: KPoint
-    lam: float
 
 
-def _weighted_a(lam, k, n, nodes: NodeSet) -> tuple[np.ndarray, np.ndarray]:
-    """Weight-symmetrized A(lambda, k) = F_{n_lambda} - F^out(k) and its
-    Hermitian part; k = None takes the continuous limit F^out(0)."""
-    fn = assemble_Fn(nodes, _potential_at(n, lam))
+def _weighted_a(k, n: Potential, nodes: NodeSet) -> tuple[np.ndarray, np.ndarray]:
+    """Weight-symmetrized A(k) = F_n - F^out(k) and its Hermitian part;
+    k = None takes the continuous limit F^out(0)."""
+    fn = assemble_Fn(nodes, n)
     fo = assemble_Fout_zero(nodes) if k is None else assemble_Fout(k, nodes)
     aw = weighted_matrix(BoundaryOperator(fn.matrix - fo.matrix, HPLUS, HMINUS, nodes))
     return aw, 0.5 * (aw + aw.conj().T)
 
 
-def criterion(lam: float, k, n, nodes: NodeSet) -> CriterionOperator:
-    """Kernel-criterion diagnostics of A(lambda,k) = F_{n_lambda} - F^out(k).
+def criterion(k, n: Potential, nodes: NodeSet) -> CriterionOperator:
+    """Kernel-criterion diagnostics of A(k) = F_n - F^out(k).
 
-    ``n`` is a Potential (lam must then be 0) or a PerturbedFamily.
-    ``eig_near_zero`` is the eigenvalue of the Hermitian part of the
-    weighted A nearest zero; near k = 0 the non-self-adjoint part is
-    O(|k|)-small, which makes sign changes of this eigenvalue a well-posed
-    root-finding target.  E_D proximity propagates from the F^out assembly.
+    For n_lambda pass ``family.at(lam)``.  ``eig_near_zero`` is the
+    eigenvalue of the Hermitian part of the weighted A nearest zero; near
+    k = 0 the non-self-adjoint part is O(|k|)-small, which makes sign
+    changes of this eigenvalue a well-posed root-finding target.  E_D
+    proximity propagates from the F^out assembly.
     """
     ws = KWorkspace.at(k, nodes)
-    aw, herm = _weighted_a(lam, ws, n, nodes)
+    aw, herm = _weighted_a(ws, n, nodes)
     sv = np.linalg.svd(aw, compute_uv=False)
     norm, smin = float(sv[0]), float(sv[-1])
     tol_ker = TOL_KER_REL * norm
     kdim = int(np.sum(sv < tol_ker))
     eigs = np.linalg.eigvalsh(herm)
     near = float(eigs[np.argmin(np.abs(eigs))])
-    return CriterionOperator(aw, smin, norm, near, kdim, tol_ker, ws.k, float(lam))
+    return CriterionOperator(aw, smin, norm, near, kdim, tol_ker, ws.k)
 
 
-def assemble_P(k, n, nodes: NodeSet, lam: float = 0.0) -> BoundaryOperator:
+def assemble_P(k, n: Potential, nodes: NodeSet) -> BoundaryOperator:
     """P(k) = I + S_k (F_n - F_0); real matrix for real potentials.
 
     Entries of S_k (hence P) span a dynamic range ~ e^{2|k| diam} at large
@@ -154,12 +145,11 @@ def assemble_P(k, n, nodes: NodeSet, lam: float = 0.0) -> BoundaryOperator:
     the eigenvalues, which the parity detector consumes, remain accurate
     and N-stable across the desk annulus (checked to |k| = 10).
     """
-    pot = _potential_at(n, lam)
-    fn = assemble_Fn(nodes, pot)
+    fn = assemble_Fn(nodes, n)
     f0 = assemble_F0(nodes)
     s = KWorkspace.at(k, nodes).s
     mat = np.eye(nodes.n_nodes) + s.matrix @ (fn.matrix - f0.matrix)
-    if pot.is_real and np.iscomplexobj(mat):
+    if n.is_real and np.iscomplexobj(mat):
         scale = max(1.0, float(np.max(np.abs(mat.real))))
         if np.max(np.abs(mat.imag)) > 1e-8 * scale:
             raise ArithmeticError("P(k) lost realness for a real potential")
@@ -180,7 +170,7 @@ class ParityRecord:
     p: BoundaryOperator
 
 
-def n_minus(k, n, nodes: NodeSet, lam: float = 0.0) -> ParityRecord:
+def n_minus(k, n: Potential, nodes: NodeSet) -> ParityRecord:
     """Count negative real eigenvalues of P(k) with algebraic multiplicity.
 
     A real matrix has an exactly conjugation-closed spectrum, so complex
@@ -188,11 +178,10 @@ def n_minus(k, n, nodes: NodeSet, lam: float = 0.0) -> ParityRecord:
     within TOL_NEG of zero marks the count as unreliable
     (``near_exceptional``).  Only meaningful for real potentials.
     """
-    pot = _potential_at(n, lam)
-    if not pot.is_real:
+    if not n.is_real:
         warnings.warn("n^- is defined for real potentials; counts for complex n are not meaningful", stacklevel=2)
     ws = KWorkspace.at(k, nodes)
-    p = assemble_P(ws, n, nodes, lam=lam)
+    p = assemble_P(ws, n, nodes)
     eigs = dense_eig(p.matrix, right=False)
     real_mask = eigs.imag == 0.0 if not np.iscomplexobj(p.matrix) else np.abs(eigs.imag) < 1e-12
     count = int(np.sum(real_mask & (eigs.real < -TOL_NEG)))
@@ -231,7 +220,7 @@ def _safe_eps(kp: KPoint, nu: float) -> float | None:
         return None
 
 
-def scan(points, lam: float, n, nodes: NodeSet) -> list[ScanResult]:
+def scan(points, n: Potential, nodes: NodeSet) -> list[ScanResult]:
     """Evaluate the kernel criterion and the parity count on a k-grid;
     individual failures are recorded and the scan continues.  Both detectors
     read one S_k per point."""
@@ -241,7 +230,7 @@ def scan(points, lam: float, n, nodes: NodeSet) -> list[ScanResult]:
         flags: list[str] = []
         sigma_a = near = sigma_p = nminus = None
         try:
-            crit = criterion(lam, ws, n, nodes)
+            crit = criterion(ws, n, nodes)
             sigma_a, near = crit.sigma_min, crit.eig_near_zero
             if crit.kernel_dim_estimate > 0:
                 flags.append("kernel")
@@ -250,7 +239,7 @@ def scan(points, lam: float, n, nodes: NodeSet) -> list[ScanResult]:
         except Exception as exc:  # pragma: no cover - diagnostic path
             flags.append(f"criterion_failed:{type(exc).__name__}")
         try:
-            rec = n_minus(ws, n, nodes, lam=lam)
+            rec = n_minus(ws, n, nodes)
             sigma_p = float(np.linalg.svd(rec.p.matrix, compute_uv=False)[-1])
             nminus = rec.n_minus
             if rec.near_exceptional:
@@ -330,17 +319,19 @@ class LocusResult:
 
 def trace_locus(lam: float, family: PerturbedFamily, nodes: NodeSet, angles,
                 xtol_rel: float = 1e-6) -> LocusResult:
-    """Root-find eps*(phi) with eig_near_zero(A(lambda, k(eps, phi))) = 0.
+    """Root-find eps*(phi) with eig_near_zero(A(k(eps, phi))) = 0 for n_lambda.
 
     Requires small lambda > 0 and mu > 0.  Rays without a sign change are
     reported as failures (for lambda > 0 that contradicts the expansion
-    and indicates resolution failure).
+    and indicates resolution failure).  Each eps is evaluated once per ray:
+    brentq restarts at the bracket ends that the bracketing already has.
     """
     if not 0 < lam <= 0.1:
         raise ValueError(f"locus tracing expects 0 < lambda <= 0.1, got {lam}")
     muval = mu_for_family(family)
     if muval <= 0:
         raise ValueError(f"mu = {muval:.3e} <= 0: no locus is predicted")
+    pot = family.at(lam)
     nu = nodes.length
     target = muval * lam / nu
     lo0, hi0 = 0.2 * target, 3.0 * target
@@ -349,10 +340,12 @@ def trace_locus(lam: float, family: PerturbedFamily, nodes: NodeSet, angles,
     eps_star = np.full(angles.shape, np.nan)
     failures = []
     for i, phi in enumerate(angles):
+        seen: dict[float, float] = {}
 
         def f(eps):
-            kp = KPoint.from_eps(eps, phi, nu)
-            return criterion(lam, kp, family, nodes).eig_near_zero
+            if eps not in seen:
+                seen[eps] = criterion(KPoint.from_eps(eps, phi, nu), pot, nodes).eig_near_zero
+            return seen[eps]
 
         lo, hi = lo0, hi0
         flo, fhi = f(lo), f(hi)
@@ -401,8 +394,10 @@ def fit_xi(family: PerturbedFamily, nodes: NodeSet, lambda_grid, eps_grid,
     if np.any(np.abs(lambda_grid) > 0.1) or np.any(eps_grid > 0.1) or np.any(eps_grid < 0):
         raise ValueError("fit_xi grids must sit in |lambda| <= 0.1, 0 <= eps <= 0.1")
     nu = nodes.length
+    # S_k does not depend on lambda: one workspace per nonzero eps serves every lambda
+    spaces = [(eps, KWorkspace(KPoint.from_eps(eps, phi, nu), nodes)) for eps in eps_grid if eps != 0.0]
 
-    vals0, vecs0 = np.linalg.eigh(_weighted_a(0.0, None, family, nodes)[1])
+    vals0, vecs0 = np.linalg.eigh(_weighted_a(None, family.base, nodes)[1])
     j0 = int(np.argmin(np.abs(vals0)))
     xi00, v00 = float(vals0[j0]), vecs0[:, j0]
 
@@ -412,7 +407,8 @@ def fit_xi(family: PerturbedFamily, nodes: NodeSet, lambda_grid, eps_grid,
     v_at_lam = {}
     for i in order:
         lam = lambda_grid[i]
-        vals, vecs = np.linalg.eigh(_weighted_a(lam, None, family, nodes)[1])
+        pot = family.at(lam)
+        vals, vecs = np.linalg.eigh(_weighted_a(None, pot, nodes)[1])
         # chain from the nearest previously tracked lambda (same sign path)
         prev = v00
         done = [l for l in v_at_lam if (l == 0 or np.sign(l) == np.sign(lam)) and abs(l) < abs(lam)]
@@ -422,11 +418,8 @@ def fit_xi(family: PerturbedFamily, nodes: NodeSet, lambda_grid, eps_grid,
         v_at_lam[lam] = v
         samples.append((float(lam), 0.0, float(phi), xi))
         v_prev = v
-        for eps in eps_grid:
-            if eps == 0.0:
-                continue
-            kp = KPoint.from_eps(eps, phi, nu)
-            vals, vecs = np.linalg.eigh(_weighted_a(lam, kp, family, nodes)[1])
+        for eps, ws in spaces:
+            vals, vecs = np.linalg.eigh(_weighted_a(ws, pot, nodes)[1])
             xi, v_prev = _tracked_xi(vals, vecs, v_prev)
             samples.append((float(lam), float(eps), float(phi), xi))
 
@@ -461,7 +454,7 @@ def _logpolar_path(k_a: KPoint, k_b: KPoint):
     return path
 
 
-def parity_path(k_a, k_b, n, nodes: NodeSet, lam: float = 0.0, path=None,
+def parity_path(k_a, k_b, n: Potential, nodes: NodeSet, path=None,
                 resolution: float = 1 / 256) -> ParityVerdict:
     """Bisect a path for the parity jump of n^-; returns a bracketing interval.
 
@@ -472,8 +465,8 @@ def parity_path(k_a, k_b, n, nodes: NodeSet, lam: float = 0.0, path=None,
     k_a = k_a if isinstance(k_a, KPoint) else KPoint.from_k(k_a)
     k_b = k_b if isinstance(k_b, KPoint) else KPoint.from_k(k_b)
     path = path or _logpolar_path(k_a, k_b)
-    rec_a = n_minus(path(0.0), n, nodes, lam=lam)
-    rec_b = n_minus(path(1.0), n, nodes, lam=lam)
+    rec_a = n_minus(path(0.0), n, nodes)
+    rec_b = n_minus(path(1.0), n, nodes)
     if rec_a.near_exceptional or rec_b.near_exceptional:
         raise ValueError("endpoint n^- count is near-exceptional: parity verdict refused")
     if (rec_a.n_minus - rec_b.n_minus) % 2 == 0:
@@ -484,7 +477,7 @@ def parity_path(k_a, k_b, n, nodes: NodeSet, lam: float = 0.0, path=None,
     flags: list[str] = []
     while hi - lo > resolution:
         mid = 0.5 * (lo + hi)
-        rec_m = n_minus(path(mid), n, nodes, lam=lam)
+        rec_m = n_minus(path(mid), n, nodes)
         if rec_m.near_exceptional:
             flags.append(f"midpoint_near_exceptional@s={mid:.6f}")
             lo, hi = mid - 0.25 * (hi - lo), mid + 0.25 * (hi - lo)

@@ -91,6 +91,10 @@ class RunConfig:
             raise ValueError(f"unknown detectors {unknown}; valid: {_DETECTORS}")
         if self.n_nodes < 16 or self.n_nodes % 2:
             raise ValueError(f"n_nodes must be even and >= 16, got {self.n_nodes}")
+        kind = self.potential.get("kind", "conductive")
+        if self.lam != 0.0 and kind != "conductive":
+            raise ValueError(f"lam = {self.lam} perturbs a conductive potential only; "
+                             f"a {kind!r} potential needs lam = 0")
         if self.tolerances:
             raise ValueError(f"tolerances {sorted(self.tolerances)} cannot be set per run: the detectors "
                              "read the module constants TOL_G, TOL_KER_REL, TOL_NEG, SINGULARITY_THRESHOLD, "
@@ -204,14 +208,13 @@ def run(config: RunConfig) -> RunManifest:
     curve_name = curve_params.pop("name")
     nodes = sample(curve_by_name(curve_name, **curve_params), config.n_nodes)
     base, family = build_potential(config)
-    target = family if (family is not None and config.lam != 0.0) else base
+    pot = base if family is None else family.at(config.lam)
 
     timings: dict[str, float] = {}
     # assembly phase: the interior solve dominates; run it through the
     # operator store up front so detector timings measure detector work.
     # Where F_n is unsupported the detectors meet and record the refusal.
     needs_fn = any(d != "validate" for d in config.detectors)
-    pot = target if isinstance(target, Potential) else target.at(config.lam)
     if needs_fn and fn_supported(nodes):
         t0 = time.perf_counter()
         assemble_Fn(nodes, pot, store=cache)
@@ -252,7 +255,7 @@ def run(config: RunConfig) -> RunManifest:
                 size = max(1, (len(points) + config.workers - 1) // max(1, config.workers))
                 parts = [points[i : i + size] for i in range(0, len(points), size)]
                 with ThreadPoolExecutor(max_workers=config.workers) as pool:
-                    chunks = list(pool.map(lambda pts: scan(pts, config.lam, target, nodes), parts))
+                    chunks = list(pool.map(lambda pts: scan(pts, pot, nodes), parts))
                 results: list[ScanResult] = [r for chunk in chunks for r in chunk]
                 scan_to_csv(results, os.path.join(outdir, "scan.csv"))
                 finite = [r.sigma_min_A for r in results if r.sigma_min_A is not None]
@@ -291,7 +294,7 @@ def run(config: RunConfig) -> RunManifest:
                     scale = mu_for_family(family) * config.lam / nodes.length
                 k_a = KPoint.from_eps(pe["eps_a"] * scale, pe.get("phi", 0.0), nodes.length)
                 k_b = KPoint.from_eps(pe["eps_b"] * scale, pe.get("phi", 0.0), nodes.length)
-                verdict = parity_path(k_a, k_b, target, nodes, lam=config.lam)
+                verdict = parity_path(k_a, k_b, pot, nodes)
                 summary["parity"] = {
                     "evidence": verdict.evidence,
                     "message": verdict.message,
@@ -304,7 +307,7 @@ def run(config: RunConfig) -> RunManifest:
                 tk = config.transform_krange
                 pts = [KPoint.from_polar_log(np.log(r), tk.get("phi", 0.0))
                        for r in np.geomspace(tk["rmin"], tk["rmax"], tk["n"])]
-                rep = bound_check(pot, pts, nodes, lam=config.lam)
+                rep = bound_check(pot, pts, nodes)
                 if rep.failures:
                     raise NearSingularError("; ".join(rep.failures))
                 t_at = {tv.k: tv for tv in rep.values}

@@ -20,7 +20,8 @@ from dataclasses import dataclass
 import numpy as np
 
 from .boundary_ops import KWorkspace, NearSingularError
-from .dtn_maps import Potential, assemble_F0, assemble_Fn
+from .dtn_maps import Potential, assemble_F0, assemble_Fn, assemble_Fout
+from .exceptional import assemble_P
 from .geometry import NodeSet
 from .green import KPoint
 
@@ -68,7 +69,6 @@ class BoundReport:
     None where the trace was refused.
     """
 
-    lam: float
     log_abs_k: np.ndarray
     bound_products: np.ndarray
     sup: float
@@ -100,17 +100,15 @@ def trace_u(k, n: Potential, nodes: NodeSet) -> BoundaryTrace:
     lose invertibility.
     """
     ws = KWorkspace.at(k, nodes)
-    kp, s = ws.k, ws.s
+    kp = ws.k
     sinv = ws.inverse  # raises with suspected="E_D" near the Dirichlet set
-    fn = assemble_Fn(nodes, n)
-    f0 = assemble_F0(nodes)
     rhs = np.exp(1j * kp.kz(nodes.z))
 
-    p_mat = np.eye(nodes.n_nodes) + s.matrix @ (fn.matrix - f0.matrix)
+    p_mat = assemble_P(ws, n, nodes).matrix
     _guard_condition(p_mat, "I + S_k(F_n - F_0)", "E", kp)
     u_ls = np.linalg.solve(p_mat, rhs)
 
-    a_mat = fn.matrix - f0.matrix + sinv.matrix  # F_n - F^out with F^out = F_0 - S_k^{-1}
+    a_mat = assemble_Fn(nodes, n).matrix - assemble_Fout(ws, nodes).matrix
     _guard_condition(a_mat, "F_n - F^out(k)", "E", kp)
     u_alt = np.linalg.solve(a_mat, sinv.matrix @ rhs)
 
@@ -131,7 +129,7 @@ def scatter_t(k, n: Potential, nodes: NodeSet) -> TransformValue:
     return TransformValue(kp, t)
 
 
-def bound_check(n, k_sequence, nodes: NodeSet, lam: float | None = None) -> BoundReport:
+def bound_check(n: Potential, k_sequence, nodes: NodeSet) -> BoundReport:
     """Report sup |t(k)|.|ln|k|| along a sequence of k tending to 0.
 
     Intended for the negative-perturbation fixtures (empty exceptional
@@ -161,7 +159,6 @@ def bound_check(n, k_sequence, nodes: NodeSet, lam: float | None = None) -> Boun
         slopes = np.diff(prods) / np.diff(-logs)  # growth per unit of ln(1/|k|)
         increments_ok = bool(np.all(slopes[1:] <= np.maximum(slopes[:-1], 0) * 1.05 + 1e-12))
     return BoundReport(
-        lam=float(lam) if lam is not None else np.nan,
         log_abs_k=logs,
         bound_products=prods,
         sup=sup,

@@ -90,7 +90,7 @@ def run_validation(curve_name: str = "circle", n_nodes: int = 128, **curve_param
     fz = assemble_Fout_zero(nodes)
     add("F^out(0) kills constants", float(np.max(np.abs(fz.matrix @ np.ones(n_nodes)))), 1e-8)
     add("F^out(0) self-adjoint", float(np.max(np.abs(fz.matrix - adjoint_arclength(fz.matrix, nodes)))), 1e-8)
-    gap = meanfree_form_gap(fz.op)
+    gap = meanfree_form_gap(fz)
     add("F^out(0) mean-free gap at least 0.5 (measured shortfall)", 0.5 - gap, 0.0)
     _, pp = mean_projectors(nodes)
 

@@ -79,7 +79,7 @@ def test_a1_operator_identities(nodes128):
 def _meanfree_gap(nodes):
     from faddeev_ep.boundary_ops import meanfree_form_gap
 
-    return meanfree_form_gap(assemble_Fout_zero(nodes).op)
+    return meanfree_form_gap(assemble_Fout_zero(nodes))
 
 
 def test_a2_fout_zero_structure(nodes128, nodes256):
@@ -115,7 +115,7 @@ def _absorbing_gap(nodes, absorbing):
     gap = np.inf
     for r in np.geomspace(1e-4, 0.1, 16):
         for phi in np.linspace(0, 2 * np.pi, 16, endpoint=False):
-            c = criterion(0.0, KPoint.from_polar_log(np.log(r), phi), absorbing, nodes)
+            c = criterion(KPoint.from_polar_log(np.log(r), phi), absorbing, nodes)
             gap = min(gap, c.sigma_min)
     return gap
 
@@ -138,7 +138,7 @@ def test_a5_conductive_no_exceptional_points(nodes128, nodes256, conductive):
     for r in np.geomspace(1e-5, 2.0, 12):
         for phi in np.linspace(0, 2 * np.pi, 6, endpoint=False):
             kp = KPoint.from_polar_log(np.log(r), phi)
-            c = criterion(0.0, kp, conductive, nodes128)
+            c = criterion(kp, conductive, nodes128)
             min_a = min(min_a, c.sigma_min)
             p = assemble_P(kp, conductive, nodes128)
             min_p = min(min_p, np.linalg.svd(p.matrix, compute_uv=False)[-1])
@@ -152,8 +152,8 @@ def test_a5_conductive_no_exceptional_points(nodes128, nodes256, conductive):
             bad_counts += rec.n_minus
     # N-doubling stability of the criterion gap on a subgrid
     sub = [KPoint.from_polar_log(np.log(r), 0.7) for r in np.geomspace(1e-4, 2.0, 4)]
-    g1 = min(criterion(0.0, kp, conductive, nodes128).sigma_min for kp in sub)
-    g2 = min(criterion(0.0, kp, conductive, nodes256).sigma_min for kp in sub)
+    g1 = min(criterion(kp, conductive, nodes128).sigma_min for kp in sub)
+    g2 = min(criterion(kp, conductive, nodes256).sigma_min for kp in sub)
     stable = abs(g2 - g1) <= 0.05 * g1
     report("A5", min_a > 0.05 and min_p > 0.5 and min_eig > 0.5 and bad_counts == 0 and stable,
            f"sigma_min(A) >= {min_a:.4f} and sigma_min(P) >= {min_p:.4f} on |k| in [1e-5, 2]; "
@@ -239,15 +239,15 @@ def test_a8_negative_lambda(nodes128, radial_family):
     signs = set()
     for eps in np.geomspace(0.003, 0.3, 10):
         for phi in (0.0, 2.1, 4.4):
-            c = criterion(lam, KPoint.from_eps(eps, phi, NU), radial_family, nodes128)
+            c = criterion(KPoint.from_eps(eps, phi, NU), radial_family.at(lam), nodes128)
             signs.add(float(np.sign(c.eig_near_zero)))
     no_crossing = signs == {1.0}
 
     pot = radial_family.at(lam)
     pts = [KPoint.from_polar_log(np.log(r), 0.9) for r in np.geomspace(1e-6, 1e-2, 9)]
-    rep = bound_check(pot, pts, nodes128, lam=lam)
+    rep = bound_check(pot, pts, nodes128)
     refined = [KPoint.from_polar_log(np.log(r), 0.9) for r in np.geomspace(1e-8, 1e-2, 13)]
-    rep_fine = bound_check(pot, refined, nodes128, lam=lam)
+    rep_fine = bound_check(pot, refined, nodes128)
     bounded = rep.valid and rep.sup < 2.0 and rep_fine.valid and rep_fine.sup < 2.0
     report("A8", no_crossing and bounded and rep.increments_non_increasing
            and rep_fine.increments_non_increasing,
@@ -262,11 +262,11 @@ def test_a9_parity(nodes128, radial_family, conductive, zero_pot, acceptance_loc
     lam = 0.05
     loc = acceptance_loci[lam]
     eps_star = loc.mean_eps
-    inside = n_minus(KPoint.from_eps(0.5 * eps_star, 0.0, NU), radial_family, nodes128, lam=lam)
-    outside = n_minus(KPoint.from_eps(2.0 * eps_star, 0.0, NU), radial_family, nodes128, lam=lam)
+    inside = n_minus(KPoint.from_eps(0.5 * eps_star, 0.0, NU), radial_family.at(lam), nodes128)
+    outside = n_minus(KPoint.from_eps(2.0 * eps_star, 0.0, NU), radial_family.at(lam), nodes128)
     odd_jump = (inside.n_minus - outside.n_minus) % 2 == 1
 
-    verdict = parity_path(inside.k, outside.k, radial_family, nodes128, lam=lam)
+    verdict = parity_path(inside.k, outside.k, radial_family.at(lam), nodes128)
     lo, hi = verdict.bracket
     cell = hi.eps(NU) - lo.eps(NU)
     bracket_ok = verdict.evidence and (lo.eps(NU) - cell <= eps_star <= hi.eps(NU) + cell)

@@ -134,7 +134,7 @@ def test_Fout_cc_slope_minus_one(nodes128):
     cc = []
     for e in eps:
         kp = KPoint.from_eps(e, 1.1, nodes128.length)
-        cc.append(block_form(assemble_Fout(kp, nodes128).op).cc)
+        cc.append(block_form(assemble_Fout(kp, nodes128)).cc)
     slope = (cc[1] - cc[0]) / (eps[1] - eps[0])
     assert abs(slope - (-1.0)) < 0.02
 

@@ -1,6 +1,7 @@
 import numpy as np
 import pytest
 
+from faddeev_ep import boundary_ops, exceptional
 from faddeev_ep.boundary_ops import KWorkspace, NearSingularError
 from faddeev_ep.exceptional import (
     LocusResult,
@@ -15,6 +16,7 @@ from faddeev_ep.exceptional import (
     scan_to_csv,
     trace_locus,
 )
+from faddeev_ep.geometry import make_circle, sample
 from faddeev_ep.green import EULER_GAMMA, KPoint
 
 NU = 2 * np.pi  # unit-disk boundary length
@@ -60,7 +62,7 @@ def test_conductive_gap(nodes128, conductive):
     gap = np.inf
     for r in np.geomspace(1e-3, 1.0, 6):
         for phi in np.linspace(0, 2 * np.pi, 8, endpoint=False):
-            c = criterion(0.0, KPoint.from_polar_log(np.log(r), phi), conductive, nodes128)
+            c = criterion(KPoint.from_polar_log(np.log(r), phi), conductive, nodes128)
             gap = min(gap, c.sigma_min)
             assert c.kernel_dim_estimate == 0
     assert gap > 0.05  # measured 0.158 on this grid
@@ -71,7 +73,7 @@ def test_eig_near_zero_is_plus_eps_at_lambda_zero(nodes128, conductive):
     A = F_n - F^out flips its sign."""
     for eps in [0.05, 0.02]:
         kp = KPoint.from_eps(eps, 0.3, NU)
-        c = criterion(0.0, kp, conductive, nodes128)
+        c = criterion(kp, conductive, nodes128)
         assert c.eig_near_zero == pytest.approx(eps, rel=5e-3)
 
 
@@ -91,7 +93,7 @@ def test_absorbing_imaginary_form(nodes128, absorbing):
 
 def test_criterion_propagates_ed_refusal(nodes128, conductive):
     with pytest.raises(NearSingularError):
-        criterion(0.0, KPoint.from_k(4.437), conductive, nodes128)
+        criterion(KPoint.from_k(4.437), conductive, nodes128)
 
 
 # ---------------------------------------------------------------------------
@@ -99,7 +101,7 @@ def test_criterion_propagates_ed_refusal(nodes128, conductive):
 
 def test_scan_records_and_serializes(tmp_path, nodes128, conductive):
     pts = [KPoint.from_k(0.1), KPoint.from_k(0.5j), KPoint.from_k(4.437)]
-    results = scan(pts, 0.0, conductive, nodes128)
+    results = scan(pts, conductive, nodes128)
     assert len(results) == 3
     assert results[0].sigma_min_A is not None and results[0].n_minus == 0
     assert "ed_refused" in results[2].flags
@@ -115,18 +117,18 @@ def test_scan_rows_equal_separate_detector_calls(nodes128, radial_family):
     at a regular k and at a k on the refused |k| = 4 ring."""
     lam = 0.05
     regular, refused = KPoint.from_k(0.3 + 0.2j), KPoint.from_k(4.0)
-    row_ok, row_ed = scan([regular, refused], lam, radial_family, nodes128)
+    row_ok, row_ed = scan([regular, refused], radial_family.at(lam), nodes128)
 
-    crit = criterion(lam, regular, radial_family, nodes128)
+    crit = criterion(regular, radial_family.at(lam), nodes128)
     assert (row_ok.sigma_min_A, row_ok.eig_near_zero) == (crit.sigma_min, crit.eig_near_zero)
-    shared = criterion(lam, KWorkspace.at(regular, nodes128), radial_family, nodes128)
+    shared = criterion(KWorkspace.at(regular, nodes128), radial_family.at(lam), nodes128)
     np.testing.assert_array_equal(shared.a_weighted, crit.a_weighted)
     with pytest.raises(NearSingularError):
-        criterion(lam, refused, radial_family, nodes128)
+        criterion(refused, radial_family.at(lam), nodes128)
     assert row_ed.sigma_min_A is None and "ed_refused" in row_ed.flags
     for row, kp in ((row_ok, regular), (row_ed, refused)):
-        rec = n_minus(kp, radial_family, nodes128, lam=lam)
-        p = assemble_P(kp, radial_family, nodes128, lam=lam).matrix
+        rec = n_minus(kp, radial_family.at(lam), nodes128)
+        p = assemble_P(kp, radial_family.at(lam), nodes128).matrix
         np.testing.assert_array_equal(rec.p.matrix, p)
         assert row.n_minus == rec.n_minus
         assert row.sigma_min_P == float(np.linalg.svd(p, compute_uv=False)[-1])
@@ -136,8 +138,8 @@ def test_perturbed_sign_change_encircles_origin(nodes128, radial_family):
     """lambda > 0: eig_near_zero changes sign along every ray toward 0."""
     lam = 0.05
     for phi in np.linspace(0, 2 * np.pi, 4, endpoint=False):
-        inner = criterion(lam, KPoint.from_eps(0.004, phi, NU), radial_family, nodes128)
-        outer = criterion(lam, KPoint.from_eps(0.05, phi, NU), radial_family, nodes128)
+        inner = criterion(KPoint.from_eps(0.004, phi, NU), radial_family.at(lam), nodes128)
+        outer = criterion(KPoint.from_eps(0.05, phi, NU), radial_family.at(lam), nodes128)
         assert inner.eig_near_zero < 0 < outer.eig_near_zero
 
 
@@ -146,7 +148,7 @@ def test_negative_lambda_no_sign_change(nodes128, radial_family):
     signs = set()
     for eps in np.linspace(0.004, 0.3, 8):
         for phi in (0.0, 2.1):
-            c = criterion(lam, KPoint.from_eps(eps, phi, NU), radial_family, nodes128)
+            c = criterion(KPoint.from_eps(eps, phi, NU), radial_family.at(lam), nodes128)
             signs.add(np.sign(c.eig_near_zero))
     assert signs == {1.0}
 
@@ -201,6 +203,20 @@ def test_locus_nonradial(nodes128, cos_family):
     assert abs(loc.mean_eps / loc.prediction - 1) <= 0.3
 
 
+def test_locus_evaluates_each_k_once_per_ray(nodes128, radial_family, monkeypatch):
+    """brentq restarts at the bracket ends: they are not evaluated again."""
+    ks = []
+
+    def counted(*args, **kwargs):
+        ks.append((args[0].log_abs, args[0].phi))
+        return criterion(*args, **kwargs)
+
+    monkeypatch.setattr(exceptional, "criterion", counted)
+    loc = trace_locus(0.05, radial_family, nodes128, [0.0])
+    assert not loc.failures
+    assert len(ks) == len(set(ks)) >= 3
+
+
 def test_locus_rejects_bad_lambda(radial_family, nodes128):
     with pytest.raises(ValueError):
         trace_locus(-0.05, radial_family, nodes128, [0.0])
@@ -240,6 +256,20 @@ def test_xi_residual_quadratic_scaling(nodes128, radial_family, xi_fit_005):
     assert 2.0 < ratio < 8.0
 
 
+def test_fit_xi_assembles_S_once_per_nonzero_eps(radial_family, monkeypatch):
+    """S_k does not depend on lambda: a 3 x 3 grid needs two S_k, not six."""
+    calls = []
+
+    def counted(*args, **kwargs):
+        calls.append(args[0])
+        return assemble_S(*args, **kwargs)
+
+    assemble_S = boundary_ops.assemble_S
+    monkeypatch.setattr(boundary_ops, "assemble_S", counted)
+    fit_xi(radial_family, sample(make_circle(1.0), 64), [-0.02, 0.0, 0.02], [0.0, 0.01, 0.02])
+    assert len(calls) == 2
+
+
 def test_xi_grid_bounds_checked(radial_family, nodes128):
     with pytest.raises(ValueError):
         fit_xi(radial_family, nodes128, [0.0, 0.2], [0.0, 0.01])
@@ -266,7 +296,7 @@ def test_P_eigenvalues_cluster_at_one(nodes128, nodes256, conductive):
 
 
 def test_n_minus_conjugate_pairing(nodes128, radial_family):
-    rec = n_minus(KPoint.from_eps(0.02, 0.5, NU), radial_family, nodes128, lam=0.05)
+    rec = n_minus(KPoint.from_eps(0.02, 0.5, NU), radial_family.at(0.05), nodes128)
     assert rec.pairing_ok
     assert rec.pairing_error <= 1e-8
 
@@ -274,24 +304,24 @@ def test_n_minus_conjugate_pairing(nodes128, radial_family):
 def test_parity_jump_across_locus(nodes128, radial_family, locus_005):
     lam = 0.05
     eps_star = locus_005.mean_eps
-    inside = n_minus(KPoint.from_eps(0.5 * eps_star, 0.0, NU), radial_family, nodes128, lam=lam)
-    outside = n_minus(KPoint.from_eps(2.0 * eps_star, 0.0, NU), radial_family, nodes128, lam=lam)
+    inside = n_minus(KPoint.from_eps(0.5 * eps_star, 0.0, NU), radial_family.at(lam), nodes128)
+    outside = n_minus(KPoint.from_eps(2.0 * eps_star, 0.0, NU), radial_family.at(lam), nodes128)
     assert (inside.n_minus - outside.n_minus) % 2 == 1
 
 
 def test_near_exceptional_flag_at_the_root(nodes128, radial_family, locus_005):
     kp = KPoint.from_eps(locus_005.eps_star[0], locus_005.angles[0], NU)
-    rec = n_minus(kp, radial_family, nodes128, lam=0.05)
+    rec = n_minus(kp, radial_family.at(0.05), nodes128)
     assert rec.near_exceptional
 
 
 def test_kernel_equivalence_of_detectors(nodes128, radial_family, locus_005):
     """At the located point both A and P lose their smallest singular value."""
     kp = KPoint.from_eps(locus_005.eps_star[0], locus_005.angles[0], NU)
-    c = criterion(0.05, kp, radial_family, nodes128)
+    c = criterion(kp, radial_family.at(0.05), nodes128)
     assert c.sigma_min < c.tol_ker
     assert c.kernel_dim_estimate == 1
-    p = assemble_P(kp, radial_family, nodes128, lam=0.05)
+    p = assemble_P(kp, radial_family.at(0.05), nodes128)
     sv = np.linalg.svd(p.matrix, compute_uv=False)
     assert sv[-1] < 1e-5 * sv[0]
 
@@ -301,7 +331,7 @@ def test_parity_path_brackets_locus(nodes128, radial_family, locus_005):
     eps_star = locus_005.mean_eps
     k_in = KPoint.from_eps(0.5 * eps_star, 0.0, NU)
     k_out = KPoint.from_eps(2.0 * eps_star, 0.0, NU)
-    verdict = parity_path(k_in, k_out, radial_family, nodes128, lam=lam)
+    verdict = parity_path(k_in, k_out, radial_family.at(lam), nodes128)
     assert verdict.evidence
     lo, hi = verdict.bracket
     assert lo.eps(NU) - 1e-4 * eps_star <= eps_star <= hi.eps(NU) + 1e-4 * eps_star
@@ -317,7 +347,7 @@ def test_parity_path_null_verdicts(nodes128, zero_pot, conductive, radial_family
     v = parity_path(
         KPoint.from_eps(1.5 * eps_star, 0.0, NU),
         KPoint.from_eps(3.0 * eps_star, 0.0, NU),
-        radial_family, nodes128, lam=0.05,
+        radial_family.at(0.05), nodes128,
     )
     assert not v.evidence
 
@@ -326,4 +356,4 @@ def test_parity_path_refuses_near_exceptional_endpoint(nodes128, radial_family, 
     k_bad = KPoint.from_eps(locus_005.eps_star[0], locus_005.angles[0], NU)
     with pytest.raises(ValueError):
         parity_path(k_bad, KPoint.from_eps(2 * locus_005.mean_eps, 0.0, NU),
-                    radial_family, nodes128, lam=0.05)
+                    radial_family.at(0.05), nodes128)

@@ -183,6 +183,24 @@ def test_cli_scan_subcommand(tmp_path, capsys):
     assert header == "k_re,k_im,eps,sigma_min_A,eig_near_zero,sigma_min_P,n_minus,flags"
 
 
+def test_lambda_perturbs_only_a_conductive_potential(tmp_path):
+    doc = {"potential": {"kind": "absorbing", "delta": 1.0}, "lam": 0.05,
+           "detectors": ["sigma_scan"], "outdir": str(tmp_path)}
+    with pytest.raises(ValueError, match="conductive"):
+        RunConfig.from_dict(doc)
+    with pytest.raises(ValueError, match="conductive"):
+        run(RunConfig(**doc))
+    assert cli_main(["scan", "--potential", "absorbing", "--lam", "0.05", "--outdir", str(tmp_path)]) == 1
+    assert not any(tmp_path.iterdir())
+    assert RunConfig.from_dict({**doc, "lam": 0.0}).lam == 0.0
+
+
+def test_cli_subcommand_config_error_exits_1(tmp_path, capsys):
+    assert cli_main(["scan", "--n", "33", "--outdir", str(tmp_path)]) == 1
+    assert "n_nodes must be even" in capsys.readouterr().err
+    assert not any(tmp_path.iterdir())
+
+
 def test_cache_env_var(tmp_path, monkeypatch):
     monkeypatch.setenv("FADDEEV_EP_CACHE", str(tmp_path / "envcache"))
     cfg = _scan_config(tmp_path / "runs")
@@ -217,7 +235,7 @@ def test_one_assembly_per_scan_point_and_one_trace_per_transform_point(tmp_path,
     manifest = run(cfg)
     assert not manifest.detector_errors
     assert len({(k.log_abs, k.phi) for k in s_calls}) == len(s_calls) == 3 + 3
-    assert len(inv_calls) == 3 + 3 and len(p_calls) == 3
+    assert len(inv_calls) == 3 + 3 and len(p_calls) == 3 + 3   # the transform builds P through assemble_P
     assert len({(k.log_abs, k.phi) for k in u_calls}) == len(u_calls) == 3
     rows = (tmp_path / manifest.config_hash / "transform.csv").read_text().splitlines()[1:]
     log_abs = [float(r.split(",")[2]) for r in rows]

@@ -59,12 +59,12 @@ def test_transform_blows_up_at_locus(nodes128, radial_family):
 def test_bound_check_negative_lambda(nodes128, radial_family):
     pot = radial_family.at(-0.05)
     pts = [KPoint.from_polar_log(np.log(r), 0.9) for r in np.geomspace(1e-6, 1e-2, 9)]
-    rep = bound_check(pot, pts, nodes128, lam=-0.05)
+    rep = bound_check(pot, pts, nodes128)
     assert rep.valid
     assert rep.sup < 2.0
     assert rep.increments_non_increasing
     # halving lambda does not grow the bound constant
-    rep2 = bound_check(radial_family.at(-0.025), pts, nodes128, lam=-0.025)
+    rep2 = bound_check(radial_family.at(-0.025), pts, nodes128)
     assert rep2.valid
     assert rep2.sup <= 1.05 * rep.sup
 
