@@ -9,8 +9,12 @@ in r.  The radial grid is the positive half of a symmetric Chebyshev grid
 with no point at r = 0; values at negative radius are folded back through
 u_m(-r) = (-1)^m u_m(r), which keeps the polar coordinate singularity out
 of the system.  Angular coupling by a non-radial n enters as a mode
-convolution with the FFT of n, assembled sparsely with the numerically
-detected bandwidth.
+convolution with the FFT of n, truncated at the ends of the mode range (not
+wrapped).  With the modes ordered by m and grouped in runs of b modes, b the
+numerically detected angular bandwidth of n, the system is block-tridiagonal
+and is solved by dense block elimination (block LU with LAPACK on each
+diagonal block); all boundary modes share one forward and one backward
+sweep.  A radial n gives runs of one mode and empty off-diagonal blocks.
 """
 
 from __future__ import annotations
@@ -18,8 +22,8 @@ from __future__ import annotations
 from functools import cached_property
 
 import numpy as np
-from scipy import sparse
-from scipy.sparse.linalg import LinearOperator, onenormest, splu
+from scipy.linalg import lu_factor, lu_solve
+from scipy.sparse.linalg import LinearOperator, onenormest
 
 __all__ = ["DiskDtnSolver", "InteriorResonanceError", "cheb", "radial_size"]
 
@@ -120,58 +124,85 @@ class DiskDtnSolver:
         nhat = self._potential_modes(potential)
         bandwidth = max((abs(d) for d in nhat), default=0)
         m_int = nb if bandwidth == 0 else 2 * nb
-        m_vals = (np.fft.fftfreq(m_int) * m_int).astype(int)
+        m_vals = np.arange(-(m_int // 2), m_int // 2)
         n_int = self.nh - 1
-        size = m_int * n_int
         is_complex = any(np.max(np.abs(v.imag)) > 1e-13 for v in nhat.values())
         dtype = complex if is_complex else float
+        coupling = {d: -(v[1:] if is_complex else v[1:].real) for d, v in nhat.items()}   # interior radii
+        step = max(bandwidth, 1)
+        runs = [m_vals[i : i + step] for i in range(0, m_int, step)]
+        radii = np.arange(n_int)
 
-        rows, cols, data = [], [], []
-        bc_cols = np.empty((m_int, n_int), dtype=float)   # L_m[1:, 0] per mode
-        dn_rows0 = np.empty(m_int)                        # fold of D at the boundary row
-        dn_rows = np.empty((m_int, n_int))
-        for mi, m in enumerate(m_vals):
-            lm = self._mode_laplacian(m)
-            blk = -lm[1:, 1:]
-            r0 = mi * n_int
-            rr, cc = np.meshgrid(np.arange(n_int), np.arange(n_int), indexing="ij")
-            rows.append((r0 + rr).ravel())
-            cols.append((r0 + cc).ravel())
-            data.append(blk.ravel())
-            bc_cols[mi] = lm[1:, 0]
-            s = 1 if m % 2 == 0 else -1
-            dn_rows0[mi] = self._d1[s][0, 0]
-            dn_rows[mi] = self._d1[s][0, 1:]
-        for d, nvals in nhat.items():
-            coupling = -nvals[1:]                          # at interior radii
-            src = (np.arange(m_int) - d) % m_int
-            for mi in range(m_int):
-                r0 = mi * n_int
-                c0 = src[mi] * n_int
-                rows.append(r0 + np.arange(n_int))
-                cols.append(c0 + np.arange(n_int))
-                data.append(coupling)
-        entries = np.concatenate([np.asarray(d, dtype=complex) for d in data])
-        mat = sparse.csc_matrix(
-            (entries if is_complex else entries.real, (np.concatenate(rows), np.concatenate(cols))),
-            shape=(size, size),
-        )
-        lu = splu(mat)
-        self._check_condition(mat, lu, dtype)
+        def block(i, j):
+            """Block (run i, run j) of the system matrix.  Mode m couples to m - d
+            only inside the mode range: the convolution is truncated, not wrapped,
+            so runs of `step` modes make the matrix block-tridiagonal."""
+            rows, cols = runs[i], runs[j]
+            out = np.zeros((len(rows), n_int, len(cols), n_int), dtype=dtype)
+            if i == j:
+                for a, m in enumerate(rows):
+                    out[a, :, a, :] = -self._mode_laplacian(m)[1:, 1:]
+            for d, c in coupling.items():
+                src = rows - d - cols[0]
+                hit = np.flatnonzero((src >= 0) & (src < len(cols)))
+                out[hit[:, None], radii, src[hit][:, None], radii] += c
+            return out.reshape(len(rows) * n_int, len(cols) * n_int)
 
-        # boundary-mode right-hand sides: f_hat = e_{m0} for the nb boundary modes
+        # block LU (Thomas): D'_i = A[i, i] - A[i, i-1] D'_{i-1}^{-1} A[i-1, i]
+        lus, lower, gains = [], [], []       # LU of D'_i, A[i, i-1], D'_i^{-1} A[i, i+1]
+        col_norm = [np.zeros(len(run) * n_int) for run in runs]   # column sums of |A|
+        for i in range(len(runs)):
+            diag = block(i, i)
+            col_norm[i] += np.abs(diag).sum(axis=0)
+            if i:
+                lower.append(block(i, i - 1))
+                col_norm[i - 1] += np.abs(lower[-1]).sum(axis=0)
+                diag -= lower[-1] @ gains[-1]
+            lus.append(lu_factor(diag, overwrite_a=True, check_finite=False))
+            if i + 1 < len(runs):
+                upper = block(i, i + 1)
+                col_norm[i + 1] += np.abs(upper).sum(axis=0)
+                gains.append(lu_solve(lus[-1], upper, check_finite=False))
+        splits = np.cumsum([len(run) * n_int for run in runs])[:-1]
+
+        def solve(x):
+            """A^{-1} x in place for x of shape (size, t): a forward and a backward sweep."""
+            parts = np.split(x, splits)
+            for i, part in enumerate(parts):
+                if i:
+                    part -= lower[i - 1] @ parts[i - 1]
+                part[:] = lu_solve(lus[i], part, check_finite=False)
+            for i in range(len(parts) - 2, -1, -1):
+                parts[i] -= gains[i] @ parts[i + 1]
+            return x
+
+        def solve_adjoint(x):
+            """A^{-H} x in place: the sweeps of solve, transposed and in reverse."""
+            parts = np.split(x, splits)
+            for i in range(1, len(parts)):
+                parts[i] -= gains[i - 1].conj().T @ parts[i - 1]
+            for i in range(len(parts) - 1, -1, -1):
+                if i + 1 < len(parts):
+                    parts[i] -= lower[i].conj().T @ parts[i + 1]
+                parts[i][:] = lu_solve(lus[i], parts[i], trans=2, check_finite=False)
+            return x
+
+        size = m_int * n_int
+        self._check_condition(max(float(np.max(c)) for c in col_norm), solve, solve_adjoint, size, dtype)
+
+        # boundary-mode right-hand sides: f_hat = e_{m0} for the nb boundary modes,
+        # whose columns L_m[1:, 0] and normal-derivative rows depend on parity only
+        parity = np.where(m_vals % 2 == 0, 1, -1)
         bmodes = (np.fft.fftfreq(nb) * nb).astype(int)
-        mode_index = {int(m): i for i, m in enumerate(m_vals)}
-        rhs = np.zeros((size, nb), dtype=dtype)
-        for j, m0 in enumerate(bmodes):
-            mi = mode_index[int(m0)]
-            rhs[mi * n_int : (mi + 1) * n_int, j] = bc_cols[mi]
-        sol = lu.solve(rhs)
+        bidx = bmodes + m_int // 2                        # positions in m_vals
+        sol = np.zeros((m_int, n_int, nb), dtype=dtype)
+        for j, mi in enumerate(bidx):
+            sol[mi, :, j] = self._dr2[parity[mi]][1:, 0]
+        solve(sol.reshape(size, nb))
 
-        ghat = np.zeros((m_int, nb), dtype=complex)
-        for j, m0 in enumerate(bmodes):
-            ghat[mode_index[int(m0)], j] = dn_rows0[mode_index[int(m0)]]
-        ghat += np.einsum("mp,mpj->mj", dn_rows, sol.reshape(m_int, n_int, nb))
+        dn_rows = np.array([self._d1[s][0, 1:] for s in parity])
+        ghat = np.einsum("mp,mpj->mj", dn_rows, sol).astype(complex)
+        ghat[bidx, np.arange(nb)] += [self._d1[parity[mi]][0, 0] for mi in bidx]
 
         theta_b = 2 * np.pi * np.arange(nb) / nb
         phi = np.exp(1j * np.outer(theta_b, m_vals))      # mode -> node evaluation
@@ -184,14 +215,20 @@ class DiskDtnSolver:
             return np.ascontiguousarray(fn.real)
         return fn
 
-    def _check_condition(self, mat, lu, dtype):
-        size = mat.shape[0]
-        inv_op = LinearOperator(
-            (size, size), matvec=lu.solve, rmatvec=lambda v: lu.solve(v, trans="H"),
-            dtype=dtype,
-        )
-        cond = onenormest(mat) * onenormest(inv_op)
-        if cond > CONDITION_LIMIT * self._baseline_condition:
+    def _check_condition(self, norm, solve, solve_adjoint, size, dtype):
+        """Refuse when cond = ||A||_1 est||A^{-1}||_1 exceeds CONDITION_LIMIT times
+        the n = 0 baseline; a solve that overflows makes cond inf or nan and is refused."""
+        def apply(sweep):
+            def op(v):
+                x = sweep(np.array(v, dtype=dtype).reshape(size, -1))
+                x[np.abs(x) < np.finfo(float).tiny] = 0   # onenormest's complex sign(x) overflows on subnormals
+                return x.reshape(np.shape(v))
+            return op
+        inv_op = LinearOperator((size, size), matvec=apply(solve), matmat=apply(solve),
+                                rmatvec=apply(solve_adjoint), rmatmat=apply(solve_adjoint), dtype=dtype)
+        with np.errstate(all="ignore"):
+            cond = norm * onenormest(inv_op)
+        if not cond <= CONDITION_LIMIT * self._baseline_condition:
             raise InteriorResonanceError(
                 f"interior Dirichlet solve is near-resonant (condition estimate {cond:.2e}); "
                 "zero is close to an interior Dirichlet eigenvalue of -Lap - n. "

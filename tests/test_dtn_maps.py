@@ -238,6 +238,20 @@ def test_Fn_nonradial_coupling(nodes128, cos_family):
     assert np.max(np.abs(fn.matrix - adjoint_arclength(fn.matrix, nodes128))) < 1e-6
 
 
+@pytest.mark.parametrize("n_nodes", [64, 128])
+@pytest.mark.parametrize("eps", [0.3, 1.0])
+def test_Fn_nonradial_against_exact_solution(eps, n_nodes):
+    """u = exp(eps x^2) solves -Lap u - n u = 0 for n = -2 eps - 4 eps^2 x^2, whose
+    angular modes 0, +-2 couple two modes per block and decouple the parities."""
+    pot = generic_potential(lambda z: -2 * eps - 4 * eps**2 * np.real(z) ** 2, {"family": "gauss_x2", "eps": eps})
+    nodes = sample(make_circle(1.0), n_nodes)
+    cos2 = np.cos(nodes.t) ** 2
+    f = np.exp(eps * cos2)
+    g = 2 * eps * cos2 * f
+    fn = DiskDtnSolver(n_nodes).dtn_matrix(pot)
+    assert np.max(np.abs(fn @ f - g)) <= 1e-10 * np.max(np.abs(g))
+
+
 def test_Fn_ellipticity_proxy(nodes128, conductive):
     """Eigenvalues of the symmetrized F_n grow like |m| (bounded ratio, |m| <= N/4)."""
     fn = assemble_Fn(nodes128, conductive)
@@ -329,6 +343,16 @@ def test_interior_resonance_detected(nodes128):
     )
     with pytest.raises(InteriorResonanceError):
         DiskDtnSolver(128).dtn_matrix(resonant)
+
+
+def test_interior_resonance_detected_nonradial():
+    """A slightly tilted j01^2 given without a radial profile is refused as resonant."""
+    from scipy.special import jn_zeros
+
+    j01 = jn_zeros(0, 1)[0]
+    tilted = generic_potential(lambda z: j01**2 * (1 + 1e-6 * np.real(z)), {"family": "resonant_tilted"})
+    with pytest.raises(InteriorResonanceError):
+        DiskDtnSolver(64).dtn_matrix(tilted)
 
 
 def test_disk_solver_radial_resolution_default():

@@ -55,3 +55,33 @@ def test_traced_functions_keep_their_leading_parameters():
         if params[: len(lead)] != lead:
             changed.append(f"{qualname}{tuple(params)} should start with {tuple(lead)}")
     assert not changed, changed
+
+
+REPO = PACKAGE.parents[1]
+
+#: methods perfbench/tracing.py wraps by name (its ``METHODS``), with the leading
+#: parameters they keep; a method that moves silences its ``*.calls``/``*.self_s``
+TRACED_METHODS = {
+    "disk_solver.DiskDtnSolver.dtn_matrix": ["self", "potential"],
+    "harness.OperatorCache.get_or_build": ["self", "key"],
+}
+
+
+def _tracer_methods() -> set[str]:
+    tree = ast.parse((REPO / "perfbench" / "tracing.py").read_text())
+    for node in tree.body:
+        if isinstance(node, ast.Assign) and any(getattr(t, "id", None) == "METHODS" for t in node.targets):
+            return {".".join(entry) for entry in ast.literal_eval(node.value)}
+    raise AssertionError("perfbench/tracing.py defines no METHODS")
+
+
+def test_traced_methods_exist_with_their_leading_parameters():
+    assert _tracer_methods() == set(TRACED_METHODS)
+    changed = []
+    for qualname, lead in TRACED_METHODS.items():
+        module, cls, name = qualname.split(".")
+        method = getattr(getattr(importlib.import_module(f"faddeev_ep.{module}"), cls, None), name, None)
+        params = list(inspect.signature(method).parameters) if callable(method) else []
+        if params[: len(lead)] != lead:
+            changed.append(f"{qualname}{tuple(params)} should start with {tuple(lead)}")
+    assert not changed, changed
