@@ -321,18 +321,37 @@ def meanfree_form_gap(op: BoundaryOperator) -> float:
     return -float(eigs[-2])
 
 
+def _refusal(kp: KPoint, smin: float, smax: float) -> NearSingularError:
+    return NearSingularError(
+        f"S_k is near-singular at {kp}: sigma_min = {smin:.3e} < {SINGULARITY_THRESHOLD:.0e} * {smax:.3e}; "
+        "k is near the exterior-Dirichlet exceptional set E_D",
+        sigma_min=smin, norm=smax, k=kp, suspected="E_D",
+    )
+
+
 def invert_S(k, s_op: BoundaryOperator) -> BoundaryOperator:
     """Dense inverse of S_k; refuses when sigma_min flags proximity to E_D."""
     kp = k if isinstance(k, KPoint) else KPoint.from_k(k)
     sv = np.linalg.svd(weighted_matrix(s_op), compute_uv=False)
     smin, smax = float(sv[-1]), float(sv[0])
     if smin < SINGULARITY_THRESHOLD * smax:
-        raise NearSingularError(
-            f"S_k is near-singular at {kp}: sigma_min = {smin:.3e} < {SINGULARITY_THRESHOLD:.0e} * {smax:.3e}; "
-            "k is near the exterior-Dirichlet exceptional set E_D",
-            sigma_min=smin, norm=smax, k=kp, suspected="E_D",
-        )
+        raise _refusal(kp, smin, smax)
     return BoundaryOperator(np.linalg.inv(s_op.matrix), s_op.range_space, s_op.domain_space, s_op.nodes)
+
+
+def _rotation_matrix(n: int, alpha: float) -> np.ndarray:
+    """Band-limited shift by alpha on n uniform nodes: (R f)(t_j) = f(t_j + alpha).
+
+    The phase e^{i m alpha} on DFT mode m and 1 on the Nyquist mode, so R
+    is real, circulant and orthogonal.  (cos(n alpha / 2) on the Nyquist
+    mode would interpolate the shift but is not unitary: it scales the
+    Nyquist eigenvalue of the circulant log layer by cos^2.)
+    """
+    phase = np.exp(1j * alpha * np.fft.fftfreq(n) * n)
+    phase[n // 2] = 1.0
+    row = np.fft.ifft(phase).real
+    idx = (np.arange(n)[:, None] - np.arange(n)[None, :]) % n
+    return row[idx]
 
 
 class KWorkspace:
@@ -348,6 +367,8 @@ class KWorkspace:
         self.nodes = nodes
         self.s = assemble_S(self.k, nodes)
         self._inverse: BoundaryOperator | None = None
+        self._refused: tuple[float, float] | None = None   # (sigma_min, norm) of a refused inversion
+        self._base: tuple[KWorkspace, np.ndarray] | None = None   # (base, R) of a rotated workspace
 
     @classmethod
     def at(cls, k, nodes: NodeSet) -> "KWorkspace":
@@ -356,10 +377,45 @@ class KWorkspace:
             return k
         return cls(k.k if isinstance(k, cls) else k, nodes)
 
+    def rotates_to(self, k: KPoint) -> bool:
+        """Whether :meth:`rotated` serves ``k``: the nodes lie on a centred
+        circle and |k| equals this workspace's |k| to 1e-14 relative."""
+        return abs(k.log_abs - self.k.log_abs) <= 1e-14 and self.nodes.centred_circle
+
+    def rotated(self, k: KPoint) -> "KWorkspace":
+        """The workspace at ``k`` = |k| e^{i phi}, by rotating this one.
+
+        On a centred circle S_{k e^{i a}} = R S_k R^T with R the band-limited
+        shift by a (:func:`_rotation_matrix`), and S_k^{-1} rotates the same
+        way.  The Sobolev weights are diagonal in the DFT basis and R is
+        orthogonal, so the weighted refusal SVD is the same on the whole
+        ring: if this workspace refuses, the rotated one refuses at ``k``.
+        """
+        if not self.rotates_to(k):
+            raise ValueError(f"cannot rotate the workspace at {self.k} to {k}: needs the same |k| on a centred circle")
+        out = KWorkspace.__new__(KWorkspace)
+        r = _rotation_matrix(self.nodes.n_nodes, k.phi - self.k.phi)
+        out.k, out.nodes = k, self.nodes
+        out.s = BoundaryOperator(r @ self.s.matrix @ r.T, self.s.domain_space, self.s.range_space, self.nodes)
+        out._inverse, out._refused, out._base = None, None, (self, r)
+        return out
+
     @property
     def inverse(self) -> BoundaryOperator:
         if self._inverse is None:
-            self._inverse = invert_S(self.k, self.s)
+            if self._refused is not None:
+                raise _refusal(self.k, *self._refused)
+            try:
+                if self._base is None:
+                    self._inverse = invert_S(self.k, self.s)
+                else:
+                    base, r = self._base
+                    inv = base.inverse
+                    self._inverse = BoundaryOperator(r @ inv.matrix @ r.T, inv.domain_space, inv.range_space,
+                                                     self.nodes)
+            except NearSingularError as exc:
+                self._refused = (exc.sigma_min, exc.norm)
+                raise _refusal(self.k, *self._refused) from None
         return self._inverse
 
 

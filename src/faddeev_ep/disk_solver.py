@@ -126,7 +126,7 @@ class DiskDtnSolver:
         m_int = nb if bandwidth == 0 else 2 * nb
         m_vals = np.arange(-(m_int // 2), m_int // 2)
         n_int = self.nh - 1
-        is_complex = any(np.max(np.abs(v.imag)) > 1e-13 for v in nhat.values())
+        is_complex = any(np.max(np.abs(v[1:].imag)) > 1e-13 for v in nhat.values())   # interior radii
         dtype = complex if is_complex else float
         coupling = {d: -(v[1:] if is_complex else v[1:].real) for d, v in nhat.items()}   # interior radii
         step = max(bandwidth, 1)
@@ -191,18 +191,25 @@ class DiskDtnSolver:
         self._check_condition(max(float(np.max(c)) for c in col_norm), solve, solve_adjoint, size, dtype)
 
         # boundary-mode right-hand sides: f_hat = e_{m0} for the nb boundary modes,
-        # whose columns L_m[1:, 0] and normal-derivative rows depend on parity only
+        # whose columns L_m[1:, 0] and normal-derivative rows depend on parity only.
+        # The Nyquist column is the real cos(N theta / 2): weight 1/2 on -N/2 and on
+        # +N/2 when both are in the mode range (a radial n has -N/2 only).
         parity = np.where(m_vals % 2 == 0, 1, -1)
         bmodes = (np.fft.fftfreq(nb) * nb).astype(int)
         bidx = bmodes + m_int // 2                        # positions in m_vals
+        modes, cols, weights = bidx, np.arange(nb), np.ones(nb)
+        if m_int > nb:
+            modes, cols = np.append(bidx, bidx[nb // 2] + nb), np.append(cols, nb // 2)
+            weights[nb // 2] = 0.5
+            weights = np.append(weights, 0.5)
         sol = np.zeros((m_int, n_int, nb), dtype=dtype)
-        for j, mi in enumerate(bidx):
-            sol[mi, :, j] = self._dr2[parity[mi]][1:, 0]
+        for mi, j, w in zip(modes, cols, weights):
+            sol[mi, :, j] = w * self._dr2[parity[mi]][1:, 0]
         solve(sol.reshape(size, nb))
 
         dn_rows = np.array([self._d1[s][0, 1:] for s in parity])
         ghat = np.einsum("mp,mpj->mj", dn_rows, sol).astype(complex)
-        ghat[bidx, np.arange(nb)] += [self._d1[parity[mi]][0, 0] for mi in bidx]
+        ghat[modes, cols] += weights * [self._d1[parity[mi]][0, 0] for mi in modes]
 
         theta_b = 2 * np.pi * np.arange(nb) / nb
         phi = np.exp(1j * np.outer(theta_b, m_vals))      # mode -> node evaluation

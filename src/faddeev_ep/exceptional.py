@@ -223,10 +223,17 @@ def _safe_eps(kp: KPoint, nu: float) -> float | None:
 def scan(points, n: Potential, nodes: NodeSet) -> list[ScanResult]:
     """Evaluate the kernel criterion and the parity count on a k-grid;
     individual failures are recorded and the scan continues.  Both detectors
-    read one S_k per point."""
+    read one S_k per point.  On a centred circle a point with the |k| of the
+    point before it takes that point's S_k by rotation (KWorkspace.rotated),
+    so a ring of points assembles and inverts one S_k."""
     out = []
+    base = None
     for kp in points:
-        ws = KWorkspace.at(kp, nodes)
+        kp = kp if isinstance(kp, KPoint) else KPoint.from_k(kp)
+        if base is not None and base.rotates_to(kp):
+            ws = base.rotated(kp)
+        else:
+            ws = base = KWorkspace(kp, nodes)
         flags: list[str] = []
         sigma_a = near = sigma_p = nminus = None
         try:
@@ -288,6 +295,7 @@ class LocusResult:
     nu: float
     angles: np.ndarray
     eps_star: np.ndarray
+    rays_traced: int
     failures: tuple[str, ...] = ()
 
     @property
@@ -325,6 +333,10 @@ def trace_locus(lam: float, family: PerturbedFamily, nodes: NodeSet, angles,
     reported as failures (for lambda > 0 that contradicts the expansion
     and indicates resolution failure).  Each eps is evaluated once per ray:
     brentq restarts at the bracket ends that the bracketing already has.
+    For a radial n_lambda on a centred circle, F_n is rotation invariant and
+    S_k rotation covariant, so A(k) rotates with arg k and eps* does not
+    depend on phi (the exceptional set is a union of circles): only the
+    first angle is traced, and its eps* is fanned out to every angle.
     """
     if not 0 < lam <= 0.1:
         raise ValueError(f"locus tracing expects 0 < lambda <= 0.1, got {lam}")
@@ -336,10 +348,8 @@ def trace_locus(lam: float, family: PerturbedFamily, nodes: NodeSet, angles,
     target = muval * lam / nu
     lo0, hi0 = 0.2 * target, 3.0 * target
 
-    angles = np.asarray(angles, dtype=float)
-    eps_star = np.full(angles.shape, np.nan)
-    failures = []
-    for i, phi in enumerate(angles):
+    def ray(phi):
+        """(eps*, None) on a ray, or (nan, the bracket without a sign change)."""
         seen: dict[float, float] = {}
 
         def f(eps):
@@ -355,10 +365,19 @@ def trace_locus(lam: float, family: PerturbedFamily, nodes: NodeSet, angles,
             flo, fhi = f(lo), f(hi)
             widen += 1
         if flo * fhi > 0:
-            failures.append(f"phi={phi:.4f}: no sign change of eig_near_zero in eps [{lo:.3g}, {hi:.3g}]")
-            continue
-        eps_star[i] = brentq(f, lo, hi, xtol=xtol_rel * target, rtol=1e-12)
-    return LocusResult(float(lam), muval, float(nu), angles, eps_star, tuple(failures))
+            return np.nan, (lo, hi)
+        return brentq(f, lo, hi, xtol=xtol_rel * target, rtol=1e-12), None
+
+    angles = np.asarray(angles, dtype=float)
+    if pot.radial and nodes.centred_circle:
+        traced = [ray(angles[0])] if angles.size else []
+        per_angle = traced * angles.size
+    else:
+        traced = per_angle = [ray(phi) for phi in angles]
+    eps_star = np.array([eps for eps, _ in per_angle], dtype=float).reshape(angles.shape)
+    failures = tuple(f"phi={phi:.4f}: no sign change of eig_near_zero in eps [{bad[0]:.3g}, {bad[1]:.3g}]"
+                     for phi, (_, bad) in zip(angles, per_angle) if bad is not None)
+    return LocusResult(float(lam), muval, float(nu), angles, eps_star, len(traced), failures)
 
 
 # ---------------------------------------------------------------------------

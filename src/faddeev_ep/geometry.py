@@ -91,6 +91,13 @@ class NodeSet:
         """Arc-length mean (1/|dO|) * integral of values over the boundary."""
         return np.sum(self.weights * values) / self.length
 
+    @property
+    def centred_circle(self) -> bool:
+        """Whether z_j = r e^{i t_j} on a circle centred at the origin, so that a
+        rotation of the plane by a shifts the node data by a in t."""
+        r = abs(self.z[0])
+        return bool(np.max(np.abs(self.z - r * np.exp(1j * self.t))) <= 1e-14 * r)
+
 
 def _freeze(*arrays: np.ndarray) -> None:
     for a in arrays:

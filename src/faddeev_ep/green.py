@@ -51,7 +51,8 @@ TOL_G = 1e-8
 # series/E1 crossover for the entire part Ein(-iw); the series avoids the
 # ln|w| cancellation near w = 0
 _SERIES_RADIUS = 4.0
-_SERIES_TERMS = 48
+# the series stops once the next term's bound |s|^n/(n n!) is below this times max(1, max|s|)
+_SERIES_TOL = 1e-17
 
 
 def epsilon_from_log(log_abs_k: float, nu: float) -> float:
@@ -169,16 +170,23 @@ def g0(k, z) -> float:
 def _ein(zeta: np.ndarray) -> np.ndarray:
     """Entire part of the exponential integral, by its Taylor series.
 
-    Ein(s) = sum_{n>=1} (-1)^{n+1} s^n / (n n!); accurate to machine
-    precision for |s| <= _SERIES_RADIUS with _SERIES_TERMS terms.
+    Ein(s) = sum_{n>=1} (-1)^{n+1} s^n / (n n!), accurate to machine
+    precision for |s| <= _SERIES_RADIUS.  The number of terms is chosen per
+    call from max|s|: the sum stops before the first term whose bound
+    |s|^n / (n n!) is below _SERIES_TOL * max(1, max|s|), which is one term
+    at |s| ~ 1e-32 and about 30 at |s| = 4.
     """
     zeta = np.asarray(zeta, dtype=complex)
-    total = np.zeros_like(zeta)
-    term = zeta.copy()
-    total += term
-    for n in range(1, _SERIES_TERMS):
+    smax = float(np.max(np.abs(zeta), initial=0.0))
+    tol = _SERIES_TOL * max(1.0, smax)
+    total = zeta.copy()
+    term = zeta
+    n, bound = 1, smax * smax / 4    # bound of term 2
+    while bound >= tol:
         term = term * (-zeta) * (n / (n + 1) ** 2)
         total += term
+        n += 1
+        bound *= smax * n / (n + 1) ** 2
     return total
 
 

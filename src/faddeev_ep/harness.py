@@ -274,7 +274,7 @@ def run(config: RunConfig) -> RunManifest:
                 summary["locus"] = {
                     "lambda": config.lam, "mu": locus.mu, "prediction": locus.prediction,
                     "mean_eps": locus.mean_eps, "max_ratio_error": locus.max_ratio_error,
-                    "failures": list(locus.failures),
+                    "rays_traced": locus.rays_traced, "failures": list(locus.failures),
                 }
             elif detector == "xi_fit":
                 if family is None:

@@ -1,8 +1,15 @@
-import numpy as np
-import pytest
+import os
 
-from faddeev_ep.geometry import make_circle, sample
-from faddeev_ep.dtn_maps import (
+# one BLAS thread unless the caller chose: the suite's matrices are 128..512 wide,
+# where threading costs more than it gains (must run before numpy loads)
+os.environ.setdefault("OPENBLAS_NUM_THREADS", "1")
+os.environ.setdefault("OMP_NUM_THREADS", "1")
+
+import numpy as np  # noqa: E402
+import pytest  # noqa: E402
+
+from faddeev_ep.geometry import make_circle, sample  # noqa: E402
+from faddeev_ep.dtn_maps import (  # noqa: E402
     PerturbedFamily,
     absorbing_potential,
     omega_poly_cos,

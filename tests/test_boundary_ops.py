@@ -1,5 +1,7 @@
 import numpy as np
 import pytest
+from hypothesis import assume, example, given, settings
+from hypothesis import strategies as st
 
 from conftest import single_layer_fourier_oracle
 from faddeev_ep.boundary_ops import (
@@ -25,7 +27,7 @@ from faddeev_ep.boundary_ops import (
     sobolev_apply,
     weighted_matrix,
 )
-from faddeev_ep.geometry import make_circle, make_kite, sample
+from faddeev_ep.geometry import curve_from_fourier, make_circle, make_kite, sample
 from faddeev_ep.green import KPoint, epsilon
 
 
@@ -163,6 +165,50 @@ def test_workspace_assembles_once_and_refuses_on_every_access(nodes128, monkeypa
     assert KWorkspace.at(ws, nodes128) is ws
     other = sample(make_circle(1.0), 64)
     assert KWorkspace.at(ws, other).nodes is other
+
+
+@settings(max_examples=30, deadline=None, derandomize=True, database=None)
+@given(log_abs=st.floats(float(np.log(1e-3)), float(np.log(4.5))), phi=st.floats(0.0, 2 * np.pi),
+       step=st.integers(0, 127), frac=st.floats(0.05, 0.95))
+@example(log_abs=float(np.log(0.3)), phi=0.4, step=2, frac=0.5)
+@example(log_abs=float(np.log(4.437)), phi=0.0, step=61, frac=0.3)   # a refused ring
+def test_rotated_workspace_matches_direct_assembly(nodes128, log_abs, phi, step, frac):
+    """S_{k e^{ia}} = R S_k R^T and S_{k e^{ia}}^{-1} = R S_k^{-1} R^T for a rotation a
+    off the node grid, and a refusal is carried around the ring with each point's own k.
+    A cos(N a / 2) Nyquist phase scales the Nyquist eigenvalue of the log layer by
+    cos^2(N a / 2) and misses the S bound by orders of magnitude."""
+    alpha = (step + frac) * 2 * np.pi / 128
+    base = KWorkspace(KPoint.from_polar_log(log_abs, phi), nodes128)
+    k = KPoint.from_polar_log(log_abs, phi + alpha)
+    assert base.rotates_to(k)
+    rotated, direct = base.rotated(k), KWorkspace(k, nodes128)
+    assert rotated.k == k and not np.iscomplexobj(rotated.s.matrix)
+    scale = np.max(np.abs(direct.s.matrix))
+    assert np.max(np.abs(rotated.s.matrix - direct.s.matrix)) <= 1e-13 * scale
+
+    sv = np.linalg.svd(weighted_matrix(direct.s), compute_uv=False)
+    ratio = sv[-1] / sv[0]
+    assume(abs(ratio / 1e-6 - 1) > 1e-6)   # the refusal decision is not a rounding tie
+    if ratio < 1e-6:
+        for _ in range(2):   # refused on every access, at the rotated k
+            with pytest.raises(NearSingularError) as exc:
+                rotated.inverse
+            assert exc.value.k == k and exc.value.suspected == "E_D"
+            assert exc.value.sigma_min == pytest.approx(sv[-1], rel=1e-6)
+        return
+    inv = direct.inverse.matrix
+    assert np.max(np.abs(rotated.inverse.matrix - inv)) <= 1e-12 / ratio * np.max(np.abs(inv))
+
+
+def test_rotation_needs_one_ring_on_a_centred_circle(nodes128):
+    ws = KWorkspace(KPoint.from_polar_log(-1.0, 0.3), nodes128)
+    assert not ws.rotates_to(KPoint.from_polar_log(-1.0 + 1e-12, 0.3))
+    with pytest.raises(ValueError):
+        ws.rotated(KPoint.from_polar_log(-1.0 + 1e-12, 0.3))
+    kite = KWorkspace(KPoint.from_polar_log(-1.0, 0.3), sample(make_kite(), 64))
+    assert not kite.rotates_to(KPoint.from_polar_log(-1.0, 1.3))
+    shifted = sample(curve_from_fourier({0: 0.1, 1: 1.0}), 64)   # a circle, not centred
+    assert not shifted.centred_circle and nodes128.centred_circle
 
 
 def test_potential_theory_identity(nodes128):

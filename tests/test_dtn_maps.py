@@ -238,18 +238,39 @@ def test_Fn_nonradial_coupling(nodes128, cos_family):
     assert np.max(np.abs(fn.matrix - adjoint_arclength(fn.matrix, nodes128))) < 1e-6
 
 
-@pytest.mark.parametrize("n_nodes", [64, 128])
-@pytest.mark.parametrize("eps", [0.3, 1.0])
-def test_Fn_nonradial_against_exact_solution(eps, n_nodes):
-    """u = exp(eps x^2) solves -Lap u - n u = 0 for n = -2 eps - 4 eps^2 x^2, whose
-    angular modes 0, +-2 couple two modes per block and decouple the parities."""
-    pot = generic_potential(lambda z: -2 * eps - 4 * eps**2 * np.real(z) ** 2, {"family": "gauss_x2", "eps": eps})
+def _check_exact_x2_solution(eps, n_nodes, cut):
+    """u = exp(eps x^2) solves -Lap u - n u = 0 for n = -2 eps - 4 eps^2 x^2 (set to 0
+    where |z| >= 1 - cut), whose angular modes 0, +-2 couple two modes per block and
+    decouple the parities.  F_n must be real and map u|_bd to its normal derivative."""
+    def n(z):
+        return np.where(np.abs(z) < 1 - cut, -2 * eps - 4 * eps**2 * np.real(z) ** 2, 0.0)
+
+    pot = generic_potential(n, {"family": "gauss_x2", "eps": eps, "cut": cut})
     nodes = sample(make_circle(1.0), n_nodes)
     cos2 = np.cos(nodes.t) ** 2
     f = np.exp(eps * cos2)
     g = 2 * eps * cos2 * f
     fn = DiskDtnSolver(n_nodes).dtn_matrix(pot)
+    assert fn.dtype == np.float64
     assert np.max(np.abs(fn @ f - g)) <= 1e-10 * np.max(np.abs(g))
+
+
+@pytest.mark.parametrize("n_nodes", [64, 128])
+@pytest.mark.parametrize("eps", [0.3, 1.0])
+def test_Fn_nonradial_against_exact_solution(eps, n_nodes):
+    """``Potential.eval`` zeroes n where |z| > 1, which on the r = 1 circle of the
+    collocation grid hits some angles and not others, so n_hat has an imaginary
+    part there; the coupling reads only the interior radii, and so does the choice
+    of real arithmetic."""
+    _check_exact_x2_solution(eps, n_nodes, 0.0)
+
+
+@pytest.mark.parametrize("eps, n_nodes", [(0.3, 64), (1.0, 128)])
+def test_Fn_real_for_real_boundary_data_at_the_nyquist_mode(eps, n_nodes):
+    """With n = 0 on all of r = 1 the solve is real, and the boundary Nyquist column
+    must be solved as cos(N theta / 2): as the one-sided mode -N/2 it gives F_n of
+    real data an imaginary part, and the realness check refuses the potential."""
+    _check_exact_x2_solution(eps, n_nodes, 1e-14)
 
 
 def test_Fn_ellipticity_proxy(nodes128, conductive):

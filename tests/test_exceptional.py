@@ -1,8 +1,10 @@
 import numpy as np
 import pytest
+from hypothesis import assume, example, given, settings
+from hypothesis import strategies as st
 
 from faddeev_ep import boundary_ops, exceptional
-from faddeev_ep.boundary_ops import KWorkspace, NearSingularError
+from faddeev_ep.boundary_ops import KWorkspace, NearSingularError, assemble_S, invert_S
 from faddeev_ep.exceptional import (
     LocusResult,
     assemble_P,
@@ -16,8 +18,8 @@ from faddeev_ep.exceptional import (
     scan_to_csv,
     trace_locus,
 )
-from faddeev_ep.geometry import make_circle, sample
-from faddeev_ep.green import EULER_GAMMA, KPoint
+from faddeev_ep.geometry import NodeSet, make_circle, sample
+from faddeev_ep.green import EULER_GAMMA, KPoint, log_abs_k_from_eps
 
 NU = 2 * np.pi  # unit-disk boundary length
 
@@ -217,6 +219,53 @@ def test_locus_evaluates_each_k_once_per_ray(nodes128, radial_family, monkeypatc
     assert len(ks) == len(set(ks)) >= 3
 
 
+def test_radial_locus_fans_one_ray_out_to_every_angle(nodes128, radial_family, monkeypatch):
+    """For a radial n on the centred circle one ray is root-found and its eps* fanned
+    out; it equals, to 1e-12, the per-ray trace of the same n with the fan-out off."""
+    angles = np.array([0.3, 1.7, 2.0 + np.pi / 128, 4.0])
+    ks = []
+
+    def counted(*args, **kwargs):
+        ks.append(args[0])
+        return criterion(*args, **kwargs)
+
+    monkeypatch.setattr(exceptional, "criterion", counted)
+    fanned = trace_locus(0.05, radial_family, nodes128, angles)
+    assert fanned.rays_traced == 1 and not fanned.failures
+    assert {k.phi for k in ks} == {0.3}
+    assert np.all(fanned.eps_star == fanned.eps_star[0])
+
+    ks.clear()
+    monkeypatch.setattr(NodeSet, "centred_circle", property(lambda self: False))
+    per_ray = trace_locus(0.05, radial_family, nodes128, angles)
+    assert per_ray.rays_traced == 4 and not per_ray.failures
+    assert len({round(k.phi, 12) for k in ks}) == 4
+    np.testing.assert_allclose(fanned.eps_star, per_ray.eps_star, rtol=1e-12)
+
+
+def test_scan_assembles_one_S_per_ring(nodes128, cos_family, monkeypatch):
+    """A ring of scan points on the circle takes one S_k assembly and one inversion,
+    and gives what separate per-point workspaces give; the refused ring stays refused."""
+    pot = cos_family.at(0.05)
+    pts = [KPoint.from_k(r * np.exp(1j * (0.1 + 2 * np.pi * j / 5))) for r in (0.3, 4.0) for j in range(5)]
+    calls, inversions = [], []
+    monkeypatch.setattr(boundary_ops, "assemble_S", lambda k, nodes: calls.append(k) or assemble_S(k, nodes))
+    monkeypatch.setattr(boundary_ops, "invert_S", lambda k, s: inversions.append(k) or invert_S(k, s))
+    rows = scan(pts, pot, nodes128)
+    assert calls == inversions == [pts[0], pts[5]]
+    monkeypatch.undo()
+    for kp, row in zip(pts, rows):
+        assert row.k == kp
+        if abs(kp.k) > 1:
+            assert row.sigma_min_A is None and "ed_refused" in row.flags
+            continue
+        crit = criterion(kp, pot, nodes128)
+        rec = n_minus(kp, pot, nodes128)
+        assert row.sigma_min_A == pytest.approx(crit.sigma_min, rel=1e-12)
+        assert row.eig_near_zero == pytest.approx(crit.eig_near_zero, rel=1e-11)
+        assert row.n_minus == rec.n_minus and row.flags == ()
+
+
 def test_locus_rejects_bad_lambda(radial_family, nodes128):
     with pytest.raises(ValueError):
         trace_locus(-0.05, radial_family, nodes128, [0.0])
@@ -307,6 +356,27 @@ def test_parity_jump_across_locus(nodes128, radial_family, locus_005):
     inside = n_minus(KPoint.from_eps(0.5 * eps_star, 0.0, NU), radial_family.at(lam), nodes128)
     outside = n_minus(KPoint.from_eps(2.0 * eps_star, 0.0, NU), radial_family.at(lam), nodes128)
     assert (inside.n_minus - outside.n_minus) % 2 == 1
+
+
+_WHERE = st.one_of(st.tuples(st.just("eps"), st.floats(0.005, 0.05)),
+                   st.tuples(st.just("log"), st.floats(-7.0, 0.7)))
+
+
+@settings(max_examples=40, deadline=None, derandomize=True, database=None)
+@given(where=_WHERE, phi=st.floats(0.0, 2 * np.pi), lam=st.sampled_from([-0.05, 0.0, 0.025, 0.05]),
+       profile=st.sampled_from(["radial", "cos"]))
+@example(where=("eps", 0.0135 / 2), phi=0.0, lam=0.05, profile="radial")   # both sides of the
+@example(where=("eps", 0.0135 * 2), phi=0.0, lam=0.05, profile="radial")   # lambda = 0.05 locus
+def test_sign_det_P_is_the_parity_of_n_minus(nodes128, radial_family, cos_family, where, phi, lam, profile):
+    """A real P has conjugate pairs of complex eigenvalues with positive products, so
+    sign det P = (-1)^{n^-}: an oracle for n_minus through an LU (slogdet), not an eig."""
+    kind, x = where
+    log_abs = log_abs_k_from_eps(x, NU) if kind == "eps" else x
+    family = radial_family if profile == "radial" else cos_family
+    rec = n_minus(KPoint.from_polar_log(log_abs, phi), family.at(lam), nodes128)
+    assume(not rec.near_exceptional)
+    sign, _ = np.linalg.slogdet(rec.p.matrix)
+    assert sign == (-1) ** rec.n_minus
 
 
 def test_near_exceptional_flag_at_the_root(nodes128, radial_family, locus_005):

@@ -1,5 +1,9 @@
+import math
+
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 from numpy.polynomial.legendre import leggauss
 
 from faddeev_ep.green import (
@@ -88,6 +92,64 @@ def test_series_exp1_branches_agree():
     series = _ein(zeta).real / (2 * np.pi)
     via_exp1 = (EULER_GAMMA + np.log(np.abs(zeta)) + exp1(zeta).real) / (2 * np.pi)
     assert np.max(np.abs(series - via_exp1)) < 1e-12
+
+
+def _ein_mpmath(s: complex) -> complex:
+    """Ein(s) = gamma + ln s + E1(s) at 80 digits (the cancellation at |s| ~ 1e-30 costs 30)."""
+    import mpmath
+
+    with mpmath.workdps(80):
+        s = mpmath.mpc(s)
+        return complex(mpmath.euler + mpmath.log(s) + mpmath.e1(s))
+
+
+def _series_cuts():
+    """|s| at which the adaptive series changes its number of terms, below |s| = 4."""
+    from faddeev_ep.green import _SERIES_TOL
+
+    cuts = []
+    for n in range(2, 40):
+        # the term-n bound |s|^n / (n n!) crosses _SERIES_TOL * max(1, |s|)
+        r = (_SERIES_TOL * n * math.factorial(n)) ** (1 / n)
+        if r > 1:
+            r = (_SERIES_TOL * n * math.factorial(n)) ** (1 / (n - 1))
+        if r <= 4:
+            cuts.append(r)
+    return cuts
+
+
+@settings(max_examples=150, deadline=None, derandomize=True, database=None)
+@given(log10_abs=st.floats(-30.0, float(np.log10(4.0))), arg=st.floats(0.0, 2 * np.pi),
+       others=st.lists(st.floats(-30.0, float(np.log10(4.0))), max_size=3))
+def test_ein_against_mpmath_across_the_adaptive_cut(log10_abs, arg, others):
+    """The adaptive series agrees with mpmath Ein to 1e-15 max(1, |s|) for |s| in
+    [1e-30, 4], alone and in an array whose max|s| sets the number of terms."""
+    from faddeev_ep.green import _ein
+
+    s = np.array([10.0**x * np.exp(1j * (arg + i)) for i, x in enumerate([log10_abs, *others])])
+    got = _ein(s)
+    for si, gi in zip(s, got):
+        assert abs(gi - _ein_mpmath(si)) <= 1e-15 * max(1.0, abs(si))
+
+
+@pytest.mark.parametrize("scale", [1 - 1e-9, 1 + 1e-9])
+def test_ein_at_the_term_count_changes(scale):
+    """Just below and above every |s| where the number of terms changes."""
+    from faddeev_ep.green import _ein
+
+    cuts = _series_cuts()
+    assert len(cuts) > 20
+    for r in cuts:
+        s = scale * r * np.exp(0.7j)
+        assert abs(_ein(np.array([s]))[0] - _ein_mpmath(s)) <= 1e-15 * max(1.0, abs(s))
+
+
+def test_remainder_against_mpmath_across_the_e1_switch():
+    """N(w) on both sides of |w| = 4 (series below, E1 above) against mpmath."""
+    radii = [3.9, 4.0 - 1e-12, 4.0, 4.0 + 1e-12, 4.1, 6.0]
+    w = np.concatenate([r * np.exp(1j * np.linspace(0, 2 * np.pi, 24, endpoint=False)) for r in radii])
+    ref = np.array([_ein_mpmath(-1j * x).real / (2 * np.pi) for x in w])
+    assert np.max(np.abs(green_remainder(w) - ref)) <= 1e-14
 
 
 def test_realness_at_random_points():

@@ -152,6 +152,7 @@ def test_full_run_locus_and_manifest(tmp_path):
     outdir = tmp_path / manifest.config_hash
     summary = json.loads((outdir / "summary.json").read_text())
     assert summary["locus"]["max_ratio_error"] <= 0.3
+    assert summary["locus"]["rays_traced"] == 1   # radial n on the circle: one ray, fanned out
     assert summary["parity"]["evidence"] is True
     inventory = json.loads((outdir / "manifest.json").read_text())["files"]
     assert set(inventory) >= {"config.json", "locus.csv", "summary.json"}
