@@ -14,7 +14,6 @@ from faddeev_ep import (
     assemble_S,
     assemble_S0,
     block_form,
-    epsilon,
     invert_S,
     make_circle,
     make_ellipse,
@@ -37,7 +36,7 @@ print("\n== S_k^0 block structure on the unit circle ==")
 s0 = assemble_S0(k, nodes)
 bf = block_form(s0)
 print(f"constants -> constants block: {bf.cc:.12f}")
-print(f"1/eps(k):                     {1 / epsilon(0.3, nodes.length):.12f}")
+print(f"1/eps(k):                     {1 / k.eps(nodes.length):.12f}")
 print(f"mean-free mode m=5 eigenvalue: "
       f"{np.real((s0.matrix @ np.exp(5j * nodes.t))[0] / np.exp(5j * nodes.t[0])):.12f} "
       f"(log layer gives 1/(2|m|) = {1 / 10})")

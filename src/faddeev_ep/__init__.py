@@ -25,26 +25,20 @@ from .geometry import (  # noqa: F401
 )
 from .green import (  # noqa: F401
     EULER_GAMMA,
-    GreenValue,
     KPoint,
-    epsilon,
-    faddeev_g,
     g0,
-    green_g,
     green_remainder,
 )
 from .boundary_ops import (  # noqa: F401
     BlockForm,
     BoundaryOperator,
     NearSingularError,
-    SobolevWeight,
     assemble_B,
     assemble_S,
     assemble_S0,
     block_form,
     invert_S,
     sigma_min,
-    sobolev_apply,
 )
 from .dtn_maps import (  # noqa: F401
     PerturbedFamily,

@@ -37,7 +37,6 @@ __all__ = [
     "L2",
     "BoundaryOperator",
     "BlockForm",
-    "SobolevWeight",
     "NearSingularError",
     "log_quadrature_matrix",
     "assemble_log_layer",
@@ -49,7 +48,6 @@ __all__ = [
     "invert_S",
     "KWorkspace",
     "invert_on_meanfree",
-    "sobolev_apply",
     "sobolev_matrix",
     "weighted_matrix",
     "sigma_min",
@@ -98,9 +96,6 @@ class BoundaryOperator:
         if self.domain_space not in _SPACE_ORDER or self.range_space not in _SPACE_ORDER:
             raise ValueError(f"unknown space tag in ({self.domain_space}, {self.range_space})")
         self.matrix.flags.writeable = False
-
-    def apply(self, v: np.ndarray) -> np.ndarray:
-        return self.matrix @ v
 
     def compose(self, other: "BoundaryOperator") -> "BoundaryOperator":
         """self after other; space tags must chain."""
@@ -237,26 +232,6 @@ def block_form(op: BoundaryOperator) -> BlockForm:
 def _mode_multipliers(n: int, order: float) -> np.ndarray:
     m = np.abs(np.fft.fftfreq(n) * n)
     return np.maximum(1.0, m) ** order
-
-
-@dataclass(frozen=True)
-class SobolevWeight:
-    """Fourier-mode diagonal (max(1,|m|))^s on the parameter circle."""
-
-    order: float
-
-    def apply(self, v: np.ndarray) -> np.ndarray:
-        v = np.asarray(v)
-        coef = np.fft.fft(v) * _mode_multipliers(len(v), self.order)
-        out = np.fft.ifft(coef)
-        return out if np.iscomplexobj(v) else out.real
-
-    def matrix(self, n: int) -> np.ndarray:
-        return sobolev_matrix(n, self.order)
-
-
-def sobolev_apply(weight: SobolevWeight, v: np.ndarray) -> np.ndarray:
-    return weight.apply(v)
 
 
 @lru_cache(maxsize=32)

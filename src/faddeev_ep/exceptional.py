@@ -64,11 +64,6 @@ TOL_KER_REL = 1e-5
 #: eigenvalues of P(k) within +-TOL_NEG of zero flag the count as unreliable
 TOL_NEG = 1e-6
 
-#: default outer scan radius; |k| > K0 is free of exceptional points for
-#: bounded potentials (Green-function decay makes the volume equation contractive)
-K0_DEFAULT = 10.0
-
-
 def mu(omega_fn, q_fn, n_radial: int = 200, n_theta: int = 128) -> float:
     """mu = integral over the unit disk of omega(z) q(|z|) dS, by quadrature.
 

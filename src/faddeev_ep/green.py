@@ -7,21 +7,22 @@ only through the complex product w = k z and splits as
     G_k(z) = G_k^0(z) + N(kz),
     G_k^0(z) = -(1/2pi) ln|z| - gamma/2pi - (1/2pi) ln|k|,
 
-with N entire, real-valued and N(0) = 0.  The closed form used here is
+with N entire, real-valued and N(0) = 0.  In closed form
 
     G_k(z) = (1/2pi) Re E1(-i k z),      N(w) = (1/2pi) Re Ein(-i w),
 
 where E1 is the exponential integral and Ein its entire part
 (Ein(s) = gamma + ln s + E1(s)).  Re E1 is continuous across the E1 branch
 cut, and e^{-i zeta . z} G_k(z) decays in every direction of w, which is the
-radiation condition that singles this branch out.  Everything is validated
+radiation condition that singles this branch out.  G_k is evaluated only
+through the split: ``g0`` for the logarithmic part and ``green_remainder``
+for N (the Ein series for |w| <= 4, E1 beyond).  Everything is validated
 against independent oracles in the test suite (weak Laplace identity,
 kz-scaling, realness, decay of the ratio |G_k e^{-i zeta.z}| sqrt(|k||z|)).
 """
 
 from __future__ import annotations
 
-import csv
 import warnings
 from dataclasses import dataclass
 
@@ -32,20 +33,16 @@ __all__ = [
     "EULER_GAMMA",
     "TOL_G",
     "KPoint",
-    "GreenValue",
-    "epsilon",
     "epsilon_from_log",
     "log_abs_k_from_eps",
     "g0",
     "green_remainder",
-    "green_g",
-    "faddeev_g",
-    "dump_remainder_csv",
 ]
 
 EULER_GAMMA = float(np.euler_gamma)
 
-#: default evaluation tolerance for the Green function
+#: accuracy contract of the Green function, reported in summary.json; no
+#: evaluation reads it (green_remainder is within 1e-14 of mpmath)
 TOL_G = 1e-8
 
 # series/E1 crossover for the entire part Ein(-iw); the series avoids the
@@ -68,17 +65,6 @@ def epsilon_from_log(log_abs_k: float, nu: float) -> float:
             stacklevel=2,
         )
     return 1.0 / bracket
-
-
-def epsilon(abs_k: float, nu: float) -> float:
-    """Small parameter eps(k) for a boundary of length nu.
-
-    eps = [-nu (gamma/2pi + (1/2pi) ln|k|)]^{-1}; positive and strictly
-    increasing in |k| on 0 < |k| < e^{-gamma}.
-    """
-    if abs_k <= 0:
-        raise ValueError(f"|k| must be positive, got {abs_k}")
-    return epsilon_from_log(float(np.log(abs_k)), nu)
 
 
 def log_abs_k_from_eps(eps: float, nu: float) -> float:
@@ -145,18 +131,6 @@ def _as_kpoint(k) -> KPoint:
     return k if isinstance(k, KPoint) else KPoint.from_k(k)
 
 
-@dataclass(frozen=True)
-class GreenValue:
-    """One evaluation of the Faddeev Green function, split g = g0 + N(kz)."""
-
-    g: float
-    g0: float
-
-    @property
-    def remainder(self) -> float:
-        return self.g - self.g0
-
-
 def g0(k, z) -> float:
     """Logarithmic part G_k^0(z) = -(1/2pi) ln|z| - gamma/2pi - (1/2pi) ln|k|."""
     kp = _as_kpoint(k)
@@ -206,66 +180,3 @@ def green_remainder(w) -> np.ndarray:
         # Ein = gamma + ln s + E1(s); Re is continuous across the E1 cut
         out[~small] = (EULER_GAMMA + np.log(np.abs(zl)) + exp1(zl).real) / (2 * np.pi)
     return out
-
-
-def green_g(k, z) -> np.ndarray:
-    """G_k(z) for array z.
-
-    Small |kz| goes through the g0 + N(kz) split (exact for |k| far below
-    the underflow threshold of ``k`` itself, since the log part uses ln|k|
-    directly and N(kz) -> N(0) = 0).  Large |kz| uses (1/2pi) Re E1(-ikz)
-    without the split: there G and -g0 nearly cancel and the split form
-    would lose all significant digits.
-    """
-    kp = _as_kpoint(k)
-    z = np.asarray(z, dtype=complex)
-    if np.any(z == 0):
-        raise ValueError("Faddeev Green function is singular at z = 0")
-    w = kp.kz(z)
-    out = np.empty(w.shape, dtype=float)
-    small = np.abs(w) <= _SERIES_RADIUS
-    if np.any(small):
-        zs = z[small] if z.shape == w.shape else z
-        out[small] = g0(kp, zs) + _ein(-1j * w[small]).real / (2 * np.pi)
-    if np.any(~small):
-        out[~small] = exp1(-1j * w[~small]).real / (2 * np.pi)
-    return out
-
-
-def faddeev_g(k, z, tol: float = TOL_G) -> GreenValue:
-    """Evaluate G_k(z) at a single point, with its g = g0 + N(kz) split.
-
-    The raw evaluation sums the two conjugate exponential-integral
-    branches; their imaginary parts must cancel below ``tol`` (times the
-    magnitude scale), which is asserted as the realness contract.
-    """
-    kp = _as_kpoint(k)
-    z = complex(z)
-    if z == 0:
-        raise ValueError("Faddeev Green function is singular at z = 0")
-    w = complex(kp.kz(z))
-    zeta = -1j * w
-    if abs(w) <= _SERIES_RADIUS:
-        raw_n = (_ein(np.array([zeta]))[0] + _ein(np.array([np.conj(zeta)]))[0]) / (4 * np.pi)
-        scale = max(1.0, abs(raw_n))
-        if abs(raw_n.imag) > tol * scale:
-            raise ArithmeticError(f"Green evaluation lost realness: Im = {raw_n.imag:.3e} at w = {w}")
-        base = g0(kp, z)
-        return GreenValue(g=base + raw_n.real, g0=base)
-    raw = (exp1(zeta) + exp1(np.conj(zeta))) / (4 * np.pi)
-    scale = max(1.0, abs(raw))
-    if abs(raw.imag) > tol * scale:
-        raise ArithmeticError(f"Green evaluation lost realness: Im = {raw.imag:.3e} at w = {w}")
-    base = g0(kp, z)
-    return GreenValue(g=float(raw.real), g0=base)
-
-
-def dump_remainder_csv(path, ws) -> None:
-    """Diagnostic dump of N(w) samples as CSV rows (w_re, w_im, N)."""
-    ws = np.asarray(ws, dtype=complex).ravel()
-    vals = green_remainder(ws)
-    with open(path, "w", newline="") as fh:
-        writer = csv.writer(fh)
-        writer.writerow(["w_re", "w_im", "N"])
-        for w, v in zip(ws, vals):
-            writer.writerow([repr(float(w.real)), repr(float(w.imag)), repr(float(v))])

@@ -4,8 +4,8 @@ A run is described by a JSON-serializable RunConfig.  Outputs land in
 <outdir>/<confighash>/ as plot-ready CSV files plus summary.json (every
 tolerance and grid parameter needed to reproduce a figure) and
 manifest.json (config hash, versions, timings, file checksums, embedded
-validation results).  Given a fixed seed, re-running an identical config
-reproduces the CSV files byte for byte.
+validation results).  Re-running an identical config reproduces the CSV
+files byte for byte.
 """
 
 from __future__ import annotations
@@ -97,7 +97,7 @@ class RunConfig:
                              f"a {kind!r} potential needs lam = 0")
         if self.tolerances:
             raise ValueError(f"tolerances {sorted(self.tolerances)} cannot be set per run: the detectors "
-                             "read the module constants TOL_G, TOL_KER_REL, TOL_NEG, SINGULARITY_THRESHOLD, "
+                             "read the module constants TOL_KER_REL, TOL_NEG, SINGULARITY_THRESHOLD, "
                              "CONDITION_LIMIT and CONDITION_CAP; leave the field empty")
 
     def to_dict(self) -> dict:
@@ -213,11 +213,17 @@ def run(config: RunConfig) -> RunManifest:
     timings: dict[str, float] = {}
     # assembly phase: the interior solve dominates; run it through the
     # operator store up front so detector timings measure detector work.
+    # xi_fit reads F_n at every lambda of its grid and at lambda = 0.
     # Where F_n is unsupported the detectors meet and record the refusal.
+    lams = np.linspace(-config.xi_lambda_max, config.xi_lambda_max, config.xi_points)
+    fn_pots = [pot]
+    if "xi_fit" in config.detectors and family is not None:
+        fn_pots += [family.at(lam) for lam in (0.0, *lams)]
     needs_fn = any(d != "validate" for d in config.detectors)
     if needs_fn and fn_supported(nodes):
         t0 = time.perf_counter()
-        assemble_Fn(nodes, pot, store=cache)
+        for p in fn_pots:
+            assemble_Fn(nodes, p, store=cache)
         timings["fn_assembly"] = round(time.perf_counter() - t0, 3)
     errors: dict[str, str] = {}
     summary: dict = {
@@ -279,7 +285,6 @@ def run(config: RunConfig) -> RunManifest:
             elif detector == "xi_fit":
                 if family is None:
                     raise ValueError("xi_fit detector needs a conductive base potential")
-                lams = np.linspace(-config.xi_lambda_max, config.xi_lambda_max, config.xi_points)
                 epss = np.linspace(0.0, config.xi_eps_max, config.xi_points)
                 curve_fit = fit_xi(family, nodes, lams, epss)
                 summary["xi_fit"] = {

@@ -42,10 +42,6 @@ class BoundaryTrace:
     u_alt: np.ndarray          # via_LS0428
     residual: float            # relative cross-route disagreement
 
-    @property
-    def route(self) -> str:
-        return "via_LS"
-
 
 @dataclass(frozen=True)
 class TransformValue:

@@ -10,7 +10,6 @@ from faddeev_ep.boundary_ops import (
     BoundaryOperator,
     KWorkspace,
     NearSingularError,
-    SobolevWeight,
     adjoint_arclength,
     assemble_B,
     assemble_S,
@@ -24,11 +23,11 @@ from faddeev_ep.boundary_ops import (
     operator_norm,
     save_operator,
     sigma_min,
-    sobolev_apply,
+    sobolev_matrix,
     weighted_matrix,
 )
 from faddeev_ep.geometry import curve_from_fourier, make_circle, make_kite, sample
-from faddeev_ep.green import KPoint, epsilon
+from faddeev_ep.green import KPoint
 
 
 def modes(nodes, m):
@@ -57,7 +56,7 @@ def test_S0_circle_blocks(nodes128):
     k = KPoint.from_k(0.3)
     s0 = assemble_S0(k, nodes128)
     bf = block_form(s0)
-    inv_eps = 1.0 / epsilon(0.3, nodes128.length)
+    inv_eps = 1.0 / k.eps(nodes128.length)
     assert abs(bf.cc - inv_eps) / abs(inv_eps) < 1e-10
     # mean-free modes see the pure log layer
     for m in [1, 4, 33]:
@@ -225,14 +224,14 @@ def test_potential_theory_identity(nodes128):
 
 
 def test_sobolev_weights(nodes128):
-    wp, wm = SobolevWeight(0.5), SobolevWeight(-0.5)
+    wp, wm = sobolev_matrix(128, 0.5), sobolev_matrix(128, -0.5)
     const = np.ones(128)
-    np.testing.assert_allclose(sobolev_apply(wp, const), const, atol=1e-13)
+    np.testing.assert_allclose(wp @ const, const, atol=1e-13)
     e4 = modes(nodes128, 4)
-    np.testing.assert_allclose(sobolev_apply(wp, e4), 2.0 * e4, atol=1e-12)
+    np.testing.assert_allclose(wp @ e4, 2.0 * e4, atol=1e-12)
     rng = np.random.default_rng(2)
     v = rng.standard_normal(128)
-    np.testing.assert_allclose(sobolev_apply(wm, sobolev_apply(wp, v)), v, atol=1e-12)
+    np.testing.assert_allclose(wm @ (wp @ v), v, atol=1e-12)
 
 
 def test_weighted_sigma_min_matches_operator_norms(nodes128):

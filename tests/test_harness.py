@@ -243,6 +243,31 @@ def test_one_assembly_per_scan_point_and_one_trace_per_transform_point(tmp_path,
     assert log_abs == sorted(log_abs) and len(log_abs) == 3   # config order, inner to outer
 
 
+def test_xi_fit_grid_is_served_by_the_disk_cache(tmp_path, monkeypatch):
+    """The run routes the F_n of every lambda of the xi_fit grid through its store:
+    a second run on the same cache directory solves no interior problem."""
+    from faddeev_ep.disk_solver import DiskDtnSolver
+
+    cfg = RunConfig(n_nodes=64, detectors=["xi_fit"], outdir=str(tmp_path / "runs"),
+                    cache_dir=str(tmp_path / "cache"))
+    OperatorCache().clear()   # a memory hit would leave the disk tier unwritten
+    first = run(cfg)
+    OperatorCache().clear()
+    solves = []
+    dtn_matrix = DiskDtnSolver.dtn_matrix
+
+    def counted(self, *args, **kwargs):
+        solves.append(args)
+        return dtn_matrix(self, *args, **kwargs)
+
+    monkeypatch.setattr(DiskDtnSolver, "dtn_matrix", counted)
+    second = run(cfg)
+    assert not first.detector_errors and not second.detector_errors
+    assert solves == []
+    summaries = [json.loads((tmp_path / "runs" / m.config_hash / "summary.json").read_text()) for m in (first, second)]
+    assert summaries[0]["xi_fit"] == summaries[1]["xi_fit"]
+
+
 def test_refused_transform_point_is_a_detector_error(tmp_path):
     cfg = RunConfig(n_nodes=64, detectors=["transform"], outdir=str(tmp_path),
                     transform_krange={"rmin": 1e-2, "rmax": 4.0, "n": 3, "phi": 0.0})

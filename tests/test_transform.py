@@ -15,7 +15,6 @@ def test_zero_potential_trace_is_incident_wave(nodes128, zero_pot):
     incident = np.exp(1j * kp.kz(nodes128.z))
     assert np.max(np.abs(tr.u_nodes - incident)) < 1e-6
     assert np.max(np.abs(tr.u_alt - incident)) < 1e-6
-    assert tr.route == "via_LS"
 
 
 def test_zero_potential_transform_vanishes(nodes128, zero_pot):
