@@ -468,12 +468,15 @@ class OperatorCache:
 
     def get_or_build(self, key: str, builder) -> np.ndarray:
         """The read-only matrix under ``key``: from memory, from disk, or
-        built by ``builder()`` and stored in both tiers."""
+        built by ``builder()`` and stored in both tiers.  A memory hit is
+        written to this store's directory when its entry file is missing."""
+        path = None if self.dir is None else os.path.join(self.dir, key + ".op")
         with self._lock:
             mat = self._memory.get(key)
         if mat is not None:
+            if path is not None and not os.path.exists(path):
+                save_operator(path, mat, {"key": key})
             return mat
-        path = None if self.dir is None else os.path.join(self.dir, key + ".op")
         if path is not None and os.path.exists(path):
             try:
                 mat, _ = load_operator(path)

@@ -14,7 +14,13 @@ wrapped).  With the modes ordered by m and grouped in runs of b modes, b the
 numerically detected angular bandwidth of n, the system is block-tridiagonal
 and is solved by dense block elimination (block LU with LAPACK on each
 diagonal block); all boundary modes share one forward and one backward
-sweep.  A radial n gives runs of one mode and empty off-diagonal blocks.
+sweep.  n couples no radii, so an off-diagonal block is held compact, one
+value per mode pair and radius (shape (b, b, nh - 1)), and applied by
+einsum in the factorization and in both sweeps.  The right-hand side
+of boundary mode m0 is zero in every run before the one holding m0; the
+columns are ordered by descending m0, so the forward sweep works only on the
+columns whose mode has been reached.  A radial n gives runs of one mode and
+zero off-diagonal blocks.
 """
 
 from __future__ import annotations
@@ -132,46 +138,64 @@ class DiskDtnSolver:
         step = max(bandwidth, 1)
         runs = [m_vals[i : i + step] for i in range(0, m_int, step)]
         radii = np.arange(n_int)
+        # n couples mode m to m - d at each radius and no radii to each other.  Mode
+        # index r = i step + a of run i couples to r - d only inside the mode range
+        # (the convolution is truncated, not wrapped), so runs of `step` modes make
+        # the matrix block-tridiagonal: the coupling of run i to run i - o, o in
+        # (-1, 0, 1), is band[o step + a - a'] for a, a' in the runs, cut for a short run
+        band = np.zeros((4 * step - 1, n_int), dtype=dtype)       # d = 1 - 2 step .. 2 step - 1
+        for d, c in coupling.items():
+            band[d + 2 * step - 1] = c
+        pos = np.arange(step)
+        coupled = {o: band[o * step + pos[:, None] - pos[None, :] + 2 * step - 1] for o in (-1, 0, 1)}
 
-        def block(i, j):
-            """Block (run i, run j) of the system matrix.  Mode m couples to m - d
-            only inside the mode range: the convolution is truncated, not wrapped,
-            so runs of `step` modes make the matrix block-tridiagonal."""
-            rows, cols = runs[i], runs[j]
-            out = np.zeros((len(rows), n_int, len(cols), n_int), dtype=dtype)
+        def coupling_block(i, j):
+            """Coupling of run i to run j, shape (len(run i), len(run j), n_int)."""
+            return coupled[i - j][: len(runs[i]), : len(runs[j])]
+
+        def dense_block(i, j):
+            """Block (run i, run j) of the system matrix, rows and columns (mode, radius)."""
+            c = coupling_block(i, j)
+            out = np.zeros((c.shape[0], n_int, c.shape[1], n_int), dtype=dtype)
+            out[:, radii, :, radii] = c.transpose(2, 0, 1)
             if i == j:
-                for a, m in enumerate(rows):
-                    out[a, :, a, :] = -self._mode_laplacian(m)[1:, 1:]
-            for d, c in coupling.items():
-                src = rows - d - cols[0]
-                hit = np.flatnonzero((src >= 0) & (src < len(cols)))
-                out[hit[:, None], radii, src[hit][:, None], radii] += c
-            return out.reshape(len(rows) * n_int, len(cols) * n_int)
+                for a, m in enumerate(runs[i]):
+                    out[a, :, a, :] -= self._mode_laplacian(m)[1:, 1:]
+            return out.reshape(c.shape[0] * n_int, c.shape[1] * n_int)
+
+        def apply_coupling(c, y):
+            """The off-diagonal block with compact form c (a coupling_block) times y."""
+            return np.einsum("abp,bpt->apt", c, y.reshape(c.shape[1], n_int, -1)).reshape(len(c) * n_int, -1)
 
         # block LU (Thomas): D'_i = A[i, i] - A[i, i-1] D'_{i-1}^{-1} A[i-1, i]
-        lus, lower, gains = [], [], []       # LU of D'_i, A[i, i-1], D'_i^{-1} A[i, i+1]
+        lus, gains = [], []                  # LU of D'_i, D'_i^{-1} A[i, i+1]
         col_norm = [np.zeros(len(run) * n_int) for run in runs]   # column sums of |A|
         for i in range(len(runs)):
-            diag = block(i, i)
+            diag = dense_block(i, i)
             col_norm[i] += np.abs(diag).sum(axis=0)
             if i:
-                lower.append(block(i, i - 1))
-                col_norm[i - 1] += np.abs(lower[-1]).sum(axis=0)
-                diag -= lower[-1] @ gains[-1]
+                lower = coupling_block(i, i - 1)
+                col_norm[i - 1] += np.abs(lower).sum(axis=0).ravel()
+                diag -= apply_coupling(lower, gains[-1])
             lus.append(lu_factor(diag, overwrite_a=True, check_finite=False))
             if i + 1 < len(runs):
-                upper = block(i, i + 1)
+                upper = dense_block(i, i + 1)
                 col_norm[i + 1] += np.abs(upper).sum(axis=0)
                 gains.append(lu_solve(lus[-1], upper, check_finite=False))
         splits = np.cumsum([len(run) * n_int for run in runs])[:-1]
 
-        def solve(x):
-            """A^{-1} x in place for x of shape (size, t): a forward and a backward sweep."""
+        def solve(x, zero_cols=None):
+            """A^{-1} x in place for x of shape (size, t): a forward and a backward sweep.
+            The forward sweep skips the first zero_cols[i] columns at run i, which must
+            be zero in runs 0..i of x (default: none skipped)."""
             parts = np.split(x, splits)
             for i, part in enumerate(parts):
+                live = part[:, 0 if zero_cols is None else zero_cols[i] :]
+                if not live.shape[1]:
+                    continue
                 if i:
-                    part -= lower[i - 1] @ parts[i - 1]
-                part[:] = lu_solve(lus[i], part, check_finite=False)
+                    live -= apply_coupling(coupling_block(i, i - 1), parts[i - 1][:, -live.shape[1] :])
+                live[:] = lu_solve(lus[i], live, check_finite=False)
             for i in range(len(parts) - 2, -1, -1):
                 parts[i] -= gains[i] @ parts[i + 1]
             return x
@@ -183,7 +207,8 @@ class DiskDtnSolver:
                 parts[i] -= gains[i - 1].conj().T @ parts[i - 1]
             for i in range(len(parts) - 1, -1, -1):
                 if i + 1 < len(parts):
-                    parts[i] -= lower[i].conj().T @ parts[i + 1]
+                    lower_h = coupling_block(i + 1, i).conj().transpose(1, 0, 2)   # A[i+1, i]^H
+                    parts[i] -= apply_coupling(lower_h, parts[i + 1])
                 parts[i][:] = lu_solve(lus[i], parts[i], trans=2, check_finite=False)
             return x
 
@@ -202,14 +227,21 @@ class DiskDtnSolver:
             modes, cols = np.append(bidx, bidx[nb // 2] + nb), np.append(cols, nb // 2)
             weights[nb // 2] = 0.5
             weights = np.append(weights, 0.5)
+        # solution columns hold the boundary modes in descending order, so at run i the
+        # columns whose modes lie beyond it (zero right-hand side so far) are a prefix
+        slot = np.empty(nb, dtype=int)
+        slot[np.argsort(-bidx)] = np.arange(nb)
+        ends = np.array([run[-1] for run in runs]) + m_int // 2
+        zero_cols = np.count_nonzero(bidx[None, :] > ends[:, None], axis=1)
         sol = np.zeros((m_int, n_int, nb), dtype=dtype)
-        for mi, j, w in zip(modes, cols, weights):
+        for mi, j, w in zip(modes, slot[cols], weights):
             sol[mi, :, j] = w * self._dr2[parity[mi]][1:, 0]
-        solve(sol.reshape(size, nb))
+        solve(sol.reshape(size, nb), zero_cols)
 
         dn_rows = np.array([self._d1[s][0, 1:] for s in parity])
         ghat = np.einsum("mp,mpj->mj", dn_rows, sol).astype(complex)
-        ghat[modes, cols] += weights * [self._d1[parity[mi]][0, 0] for mi in modes]
+        ghat[modes, slot[cols]] += weights * [self._d1[parity[mi]][0, 0] for mi in modes]
+        ghat = ghat[:, slot]                              # back to the boundary-mode order
 
         theta_b = 2 * np.pi * np.arange(nb) / nb
         phi = np.exp(1j * np.outer(theta_b, m_vals))      # mode -> node evaluation

@@ -31,7 +31,6 @@ from scipy.special import exp1
 
 __all__ = [
     "EULER_GAMMA",
-    "TOL_G",
     "KPoint",
     "epsilon_from_log",
     "log_abs_k_from_eps",
@@ -40,10 +39,6 @@ __all__ = [
 ]
 
 EULER_GAMMA = float(np.euler_gamma)
-
-#: accuracy contract of the Green function, reported in summary.json; no
-#: evaluation reads it (green_remainder is within 1e-14 of mpmath)
-TOL_G = 1e-8
 
 # series/E1 crossover for the entire part Ein(-iw); the series avoids the
 # ln|w| cancellation near w = 0

@@ -48,7 +48,7 @@ from .exceptional import (
     trace_locus,
 )
 from .geometry import curve_by_name, sample
-from .green import TOL_G, KPoint
+from .green import KPoint
 from .transform import CONDITION_CAP, bound_check
 from .validate import run_validation
 
@@ -229,7 +229,7 @@ def run(config: RunConfig) -> RunManifest:
     summary: dict = {
         "config": config.to_dict(),
         "config_hash": chash,
-        "tolerances": {"tol_G": TOL_G, "tol_ker_rel": TOL_KER_REL, "tol_neg": TOL_NEG,
+        "tolerances": {"tol_ker_rel": TOL_KER_REL, "tol_neg": TOL_NEG,
                        "singularity_threshold": SINGULARITY_THRESHOLD,
                        "condition_limit": CONDITION_LIMIT, "condition_cap": CONDITION_CAP},
         "n_nodes": config.n_nodes,

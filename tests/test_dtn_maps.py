@@ -273,6 +273,38 @@ def test_Fn_real_for_real_boundary_data_at_the_nyquist_mode(eps, n_nodes):
     _check_exact_x2_solution(eps, n_nodes, 1e-14)
 
 
+def _cubic(rot):
+    """A complex n with angular modes -2, 0, 1 and 3 (bandwidth 3), rotated by ``rot``."""
+    def n(z):
+        z = np.asarray(z, dtype=complex) * np.exp(-1j * rot)
+        return (2 + 0.5j) * (1 - np.abs(z) ** 2) ** 3 + (0.4 - 0.3j) * z**3 + 0.3j * np.conj(z) ** 2 - 0.2 * z
+
+    return generic_potential(n, {"family": "complex_cubic", "rot": rot}, is_real=False)
+
+
+def test_Fn_complex_bandwidth_three_is_symmetric_and_rotation_covariant():
+    """At N = 64 the 128 modes fall into 42 runs of 3 and a short run of 2.  Green's
+    identity makes F_n symmetric in the arclength pairing sum w_j (F f)_j g_j, with no
+    conjugation for a complex n; the mode truncation at +-N/2 breaks this only near
+    the top modes (1e-6 there), so it is checked on data of degree <= N/4.  Rotating
+    n by one node step shifts the nodes cyclically."""
+    n_nodes = 64
+    nodes = sample(make_circle(1.0), n_nodes)
+    solver = DiskDtnSolver(n_nodes)
+    fn = solver.dtn_matrix(_cubic(0.0))
+    assert fn.dtype == np.complex128
+    low = np.exp(1j * np.outer(nodes.t, np.arange(-n_nodes // 4, n_nodes // 4 + 1)))
+
+    def on_low_modes(mat):
+        return low.conj().T @ mat @ low
+
+    asym = on_low_modes(fn - adjoint_arclength(fn.conj(), nodes))
+    assert np.max(np.abs(asym)) <= 1e-10 * np.max(np.abs(on_low_modes(fn)))   # measured 4e-14
+    rotated = solver.dtn_matrix(_cubic(2 * np.pi / n_nodes))
+    shifted = np.roll(fn, (1, 1), axis=(0, 1))
+    assert np.max(np.abs(rotated - shifted)) <= 1e-10 * np.max(np.abs(fn))   # measured 1.2e-14
+
+
 def test_Fn_ellipticity_proxy(nodes128, conductive):
     """Eigenvalues of the symmetrized F_n grow like |m| (bounded ratio, |m| <= N/4)."""
     fn = assemble_Fn(nodes128, conductive)

@@ -10,7 +10,6 @@ from scipy.special import exp1
 from faddeev_ep.green import (
     EULER_GAMMA,
     KPoint,
-    TOL_G,
     epsilon_from_log,
     g0,
     green_remainder,
@@ -78,7 +77,7 @@ def test_remainder_depends_on_kz_only():
         z = rng.uniform(0.1, 3) * np.exp(1j * rng.uniform(0, 2 * np.pi))
         a = green_remainder(np.array([k * z]))[0]
         b = green_remainder(np.array([(k / 2) * (2 * z)]))[0]
-        assert abs(a - b) <= TOL_G
+        assert abs(a - b) <= 1e-8
 
 
 def test_series_exp1_branches_agree():
@@ -162,7 +161,7 @@ def test_realness_at_random_points():
         z = rng.uniform(0.1, 3) * np.exp(1j * rng.uniform(0, 2 * np.pi))
         s = -1j * k * z
         g = (exp1(s) + exp1(np.conj(s))) / (4 * np.pi)
-        assert abs(g.imag) <= TOL_G * max(1.0, abs(g))
+        assert abs(g.imag) <= 1e-8 * max(1.0, abs(g))
         ref = g.real + (EULER_GAMMA + np.log(abs(s))) / (2 * np.pi)   # G_k - G_k^0
         worst = max(worst, abs(green_remainder(k * z) - ref))
     assert worst < 1e-14   # measured 8.9e-16

@@ -41,13 +41,12 @@ def test_summary_reports_the_tolerances_in_force(tmp_path):
     from faddeev_ep.boundary_ops import SINGULARITY_THRESHOLD
     from faddeev_ep.disk_solver import CONDITION_LIMIT
     from faddeev_ep.exceptional import TOL_KER_REL, TOL_NEG
-    from faddeev_ep.green import TOL_G
     from faddeev_ep.transform import CONDITION_CAP
 
     manifest = run(RunConfig(detectors=[], outdir=str(tmp_path)))
     summary = json.loads((tmp_path / manifest.config_hash / "summary.json").read_text())
     assert summary["tolerances"] == {
-        "tol_G": TOL_G, "tol_ker_rel": TOL_KER_REL, "tol_neg": TOL_NEG,
+        "tol_ker_rel": TOL_KER_REL, "tol_neg": TOL_NEG,
         "singularity_threshold": SINGULARITY_THRESHOLD,
         "condition_limit": CONDITION_LIMIT, "condition_cap": CONDITION_CAP,
     }
@@ -250,7 +249,6 @@ def test_xi_fit_grid_is_served_by_the_disk_cache(tmp_path, monkeypatch):
 
     cfg = RunConfig(n_nodes=64, detectors=["xi_fit"], outdir=str(tmp_path / "runs"),
                     cache_dir=str(tmp_path / "cache"))
-    OperatorCache().clear()   # a memory hit would leave the disk tier unwritten
     first = run(cfg)
     OperatorCache().clear()
     solves = []
@@ -266,6 +264,19 @@ def test_xi_fit_grid_is_served_by_the_disk_cache(tmp_path, monkeypatch):
     assert solves == []
     summaries = [json.loads((tmp_path / "runs" / m.config_hash / "summary.json").read_text()) for m in (first, second)]
     assert summaries[0]["xi_fit"] == summaries[1]["xi_fit"]
+
+
+def test_memory_hit_is_written_to_an_empty_cache_directory(tmp_path):
+    """An F_n that an earlier memory-only store built is still written to the run's
+    cache directory: all five F_n of an N = 64 xi_fit run (the base potential at
+    lambda = 0 and the four nonzero lambdas of the grid) land on disk."""
+    cfg = RunConfig(n_nodes=64, detectors=["xi_fit"], outdir=str(tmp_path / "runs"),
+                    cache_dir=str(tmp_path / "cache"))
+    base, _ = build_potential(cfg)
+    OperatorCache().clear()
+    assemble_Fn(sample(make_circle(1.0), 64), base)
+    assert not run(cfg).detector_errors
+    assert len(list((tmp_path / "cache").glob("*.op"))) == 5
 
 
 def test_refused_transform_point_is_a_detector_error(tmp_path):
