@@ -16,11 +16,14 @@ and is solved by dense block elimination (block LU with LAPACK on each
 diagonal block); all boundary modes share one forward and one backward
 sweep.  n couples no radii, so an off-diagonal block is held compact, one
 value per mode pair and radius (shape (b, b, nh - 1)), and applied by
-einsum in the factorization and in both sweeps.  The right-hand side
-of boundary mode m0 is zero in every run before the one holding m0; the
-columns are ordered by descending m0, so the forward sweep works only on the
-columns whose mode has been reached.  A radial n gives runs of one mode and
-zero off-diagonal blocks.
+einsum in the factorization and in both sweeps.  The solution of boundary
+mode m0 decays as r^|m| and away from m0, and most of it would underflow;
+every sweep step sets the entries below a fixed floor (1e-250) to zero, which
+keeps BLAS out of subnormal arithmetic and moves no entry of F_n.  A zero
+column then stays zero, and with the columns ordered by descending m0 the
+nonzero ones form a span: each step works only on the span that is nonzero
+in its right-hand side or in the neighbouring run it reads.  A radial n
+gives runs of one mode and zero off-diagonal blocks.
 """
 
 from __future__ import annotations
@@ -36,9 +39,18 @@ __all__ = ["DiskDtnSolver", "InteriorResonanceError", "cheb", "radial_size"]
 #: condition estimate above which the interior Dirichlet solve is refused
 CONDITION_LIMIT = 1e8
 
+#: sweep entries below this are set to 0: they move no entry of F_n = O(N), and subnormals stall BLAS
+_FLOOR = 1e-250
+
 
 class InteriorResonanceError(RuntimeError):
     """Zero is (numerically) an interior Dirichlet eigenvalue of -Lap - n."""
+
+
+def _flush(x: np.ndarray) -> np.ndarray:
+    """Set the entries of x below _FLOOR to 0, in place; returns x."""
+    x[np.abs(x) < _FLOOR] = 0
+    return x
 
 
 def cheb(n: int) -> tuple[np.ndarray, np.ndarray]:
@@ -184,20 +196,27 @@ class DiskDtnSolver:
                 gains.append(lu_solve(lus[-1], upper, check_finite=False))
         splits = np.cumsum([len(run) * n_int for run in runs])[:-1]
 
-        def solve(x, zero_cols=None):
+        def span(*blocks):
+            """The columns lo:hi that hold every nonzero column of the blocks."""
+            cols = np.flatnonzero(np.any([b.any(axis=0) for b in blocks], axis=0))
+            return slice(cols[0], cols[-1] + 1) if cols.size else slice(0, 0)
+
+        def solve(x):
             """A^{-1} x in place for x of shape (size, t): a forward and a backward sweep.
-            The forward sweep skips the first zero_cols[i] columns at run i, which must
-            be zero in runs 0..i of x (default: none skipped)."""
+            Each step works only on the span of columns that can be nonzero there and
+            flushes its result, so a column that is zero stays exactly zero."""
             parts = np.split(x, splits)
             for i, part in enumerate(parts):
-                live = part[:, 0 if zero_cols is None else zero_cols[i] :]
+                cols = span(*parts[max(i - 1, 0) : i + 1])
+                live = part[:, cols]
                 if not live.shape[1]:
                     continue
                 if i:
-                    live -= apply_coupling(coupling_block(i, i - 1), parts[i - 1][:, -live.shape[1] :])
-                live[:] = lu_solve(lus[i], live, check_finite=False)
+                    live -= apply_coupling(coupling_block(i, i - 1), parts[i - 1][:, cols])
+                live[:] = _flush(lu_solve(lus[i], live, check_finite=False))
             for i in range(len(parts) - 2, -1, -1):
-                parts[i] -= gains[i] @ parts[i + 1]
+                cols = span(parts[i + 1])
+                parts[i][:, cols] = _flush(parts[i][:, cols] - gains[i] @ parts[i + 1][:, cols])
             return x
 
         def solve_adjoint(x):
@@ -205,11 +224,12 @@ class DiskDtnSolver:
             parts = np.split(x, splits)
             for i in range(1, len(parts)):
                 parts[i] -= gains[i - 1].conj().T @ parts[i - 1]
+                _flush(parts[i])
             for i in range(len(parts) - 1, -1, -1):
                 if i + 1 < len(parts):
                     lower_h = coupling_block(i + 1, i).conj().transpose(1, 0, 2)   # A[i+1, i]^H
                     parts[i] -= apply_coupling(lower_h, parts[i + 1])
-                parts[i][:] = lu_solve(lus[i], parts[i], trans=2, check_finite=False)
+                parts[i][:] = _flush(lu_solve(lus[i], parts[i], trans=2, check_finite=False))
             return x
 
         size = m_int * n_int
@@ -227,16 +247,14 @@ class DiskDtnSolver:
             modes, cols = np.append(bidx, bidx[nb // 2] + nb), np.append(cols, nb // 2)
             weights[nb // 2] = 0.5
             weights = np.append(weights, 0.5)
-        # solution columns hold the boundary modes in descending order, so at run i the
-        # columns whose modes lie beyond it (zero right-hand side so far) are a prefix
+        # solution columns hold the boundary modes in descending order, so the nonzero
+        # columns of each run, whose solutions decay away from their boundary mode, are a span
         slot = np.empty(nb, dtype=int)
         slot[np.argsort(-bidx)] = np.arange(nb)
-        ends = np.array([run[-1] for run in runs]) + m_int // 2
-        zero_cols = np.count_nonzero(bidx[None, :] > ends[:, None], axis=1)
         sol = np.zeros((m_int, n_int, nb), dtype=dtype)
         for mi, j, w in zip(modes, slot[cols], weights):
             sol[mi, :, j] = w * self._dr2[parity[mi]][1:, 0]
-        solve(sol.reshape(size, nb), zero_cols)
+        solve(sol.reshape(size, nb))
 
         dn_rows = np.array([self._d1[s][0, 1:] for s in parity])
         ghat = np.einsum("mp,mpj->mj", dn_rows, sol).astype(complex)
@@ -258,11 +276,7 @@ class DiskDtnSolver:
         """Refuse when cond = ||A||_1 est||A^{-1}||_1 exceeds CONDITION_LIMIT times
         the n = 0 baseline; a solve that overflows makes cond inf or nan and is refused."""
         def apply(sweep):
-            def op(v):
-                x = sweep(np.array(v, dtype=dtype).reshape(size, -1))
-                x[np.abs(x) < np.finfo(float).tiny] = 0   # onenormest's complex sign(x) overflows on subnormals
-                return x.reshape(np.shape(v))
-            return op
+            return lambda v: sweep(np.array(v, dtype=dtype).reshape(size, -1)).reshape(np.shape(v))
         inv_op = LinearOperator((size, size), matvec=apply(solve), matmat=apply(solve),
                                 rmatvec=apply(solve_adjoint), rmatmat=apply(solve_adjoint), dtype=dtype)
         with np.errstate(all="ignore"):
