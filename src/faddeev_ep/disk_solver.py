@@ -12,18 +12,27 @@ of the system.  Angular coupling by a non-radial n enters as a mode
 convolution with the FFT of n, truncated at the ends of the mode range (not
 wrapped).  With the modes ordered by m and grouped in runs of b modes, b the
 numerically detected angular bandwidth of n, the system is block-tridiagonal
-and is solved by dense block elimination (block LU with LAPACK on each
-diagonal block); all boundary modes share one forward and one backward
-sweep.  n couples no radii, so an off-diagonal block is held compact, one
-value per mode pair and radius (shape (b, b, nh - 1)), and applied by
-einsum in the factorization and in both sweeps.  The solution of boundary
-mode m0 decays as r^|m| and away from m0, and most of it would underflow;
-every sweep step sets the entries below a fixed floor (1e-250) to zero, which
-keeps BLAS out of subnormal arithmetic and moves no entry of F_n.  A zero
-column then stays zero, and with the columns ordered by descending m0 the
-nonzero ones form a span: each step works only on the span that is nonzero
-in its right-hand side or in the neighbouring run it reads.  A radial n
-gives runs of one mode and zero off-diagonal blocks.
+and is solved by dense block elimination (LAPACK getrf/getrs on each diagonal
+block).  n couples no radii, so an off-diagonal block is held compact, one
+value per mode pair and radius (shape (b, b, nh - 1)), and applied by einsum.
+The factors, an LU and a gain D_i^{-1} A[i, i+1] per run, are the solver's
+memory: 2·(2N/b)·(b·(nh - 1))^2 values for a non-radial n (N runs of one mode
+for a radial n).
+
+All boundary modes share one forward and one backward sweep.  The solution of
+boundary mode m0 decays as r^|m| and away from m0, and most of it would
+underflow; every sweep step sets the entries below a fixed floor (1e-250) to
+zero, which keeps BLAS out of subnormal arithmetic and moves no entry of F_n.
+With the columns in descending mode order the nonzero columns of each run are
+then a span, and each run's solution is stored as that span and its offset
+only.  The backward sweep reads a run's normal-derivative row as soon as it
+has finished the run and drops it, so beside the factors the solve holds the
+forward spans (on the interior256 potential at N = 256, on average 20 of 256
+columns per run) instead of a dense 2N·(nh - 1)·N solution.  The Nyquist
+boundary column cos(N theta / 2) is solved as its -N/2 and +N/2 halves, each
+in its own place of that order, and summed in the normal derivatives.  The
+same sweep serves the condition estimate's dense columns.  A radial n gives
+runs of one mode and zero off-diagonal blocks.
 """
 
 from __future__ import annotations
@@ -31,7 +40,7 @@ from __future__ import annotations
 from functools import cached_property
 
 import numpy as np
-from scipy.linalg import lu_factor, lu_solve
+from scipy.linalg import get_lapack_funcs
 from scipy.sparse.linalg import LinearOperator, onenormest
 
 __all__ = ["DiskDtnSolver", "InteriorResonanceError", "cheb", "radial_size"]
@@ -180,6 +189,7 @@ class DiskDtnSolver:
             return np.einsum("abp,bpt->apt", c, y.reshape(c.shape[1], n_int, -1)).reshape(len(c) * n_int, -1)
 
         # block LU (Thomas): D'_i = A[i, i] - A[i, i-1] D'_{i-1}^{-1} A[i-1, i]
+        getrf, getrs = get_lapack_funcs(("getrf", "getrs"), dtype=dtype)
         lus, gains = [], []                  # LU of D'_i, D'_i^{-1} A[i, i+1]
         col_norm = [np.zeros(len(run) * n_int) for run in runs]   # column sums of |A|
         for i in range(len(runs)):
@@ -189,34 +199,50 @@ class DiskDtnSolver:
                 lower = coupling_block(i, i - 1)
                 col_norm[i - 1] += np.abs(lower).sum(axis=0).ravel()
                 diag -= apply_coupling(lower, gains[-1])
-            lus.append(lu_factor(diag, overwrite_a=True, check_finite=False))
+            lus.append(getrf(diag, overwrite_a=True)[:2])
             if i + 1 < len(runs):
                 upper = dense_block(i, i + 1)
                 col_norm[i + 1] += np.abs(upper).sum(axis=0)
-                gains.append(lu_solve(lus[-1], upper, check_finite=False))
+                gains.append(getrs(*lus[-1], upper)[0])
         splits = np.cumsum([len(run) * n_int for run in runs])[:-1]
 
-        def span(*blocks):
-            """The columns lo:hi that hold every nonzero column of the blocks."""
-            cols = np.flatnonzero(np.any([b.any(axis=0) for b in blocks], axis=0))
-            return slice(cols[0], cols[-1] + 1) if cols.size else slice(0, 0)
+        def live(lo, x):
+            """Flush x, whose columns start at lo, and keep only its nonzero columns: (lo', x')."""
+            cols = np.flatnonzero(_flush(x).any(axis=0))
+            return (lo + cols[0], x[:, cols[0] : cols[-1] + 1]) if cols.size else (lo, x[:, :0])
 
-        def solve(x):
-            """A^{-1} x in place for x of shape (size, t): a forward and a backward sweep.
-            Each step works only on the span of columns that can be nonzero there and
-            flushes its result, so a column that is zero stays exactly zero."""
+        def joined(a, b, product):
+            """a - product(b) for the blocks a = (lo, A) and b = (lo, B), on the columns they span together."""
+            ends = [(lo, lo + x.shape[1]) for lo, x in (a, b) if x.shape[1]]
+            lo = min((e[0] for e in ends), default=0)
+            out = np.zeros((len(a[1]), max((e[1] for e in ends), default=0) - lo), dtype=dtype)
+            out[:, a[0] - lo : a[0] - lo + a[1].shape[1]] = a[1]
+            if b[1].shape[1]:
+                out[:, b[0] - lo : b[0] - lo + b[1].shape[1]] -= product(b[1])
+            return lo, out
+
+        def solve(rhs):
+            """A^{-1} B by one forward and one backward sweep, with rhs[i] = (lo, B_i) the part of
+            B in run i on columns lo:lo + width.  Yields (i, lo, X_i) from the last run down.
+            Every block holds only the span of its nonzero columns, and a run of the forward
+            sweep is dropped as soon as the backward sweep has passed it."""
+            fwd = []
+            for i, b in enumerate(rhs):
+                prev = fwd[-1] if i else (0, b[1][:, :0])
+                lo, x = joined(b, prev, lambda y: apply_coupling(coupling_block(i, i - 1), y))
+                fwd.append(live(lo, getrs(*lus[i], x)[0] if x.shape[1] else x))
+            nxt = fwd.pop()
+            yield len(fwd), *nxt
+            for i in range(len(fwd) - 1, -1, -1):
+                nxt = live(*joined(fwd.pop(), nxt, lambda x: gains[i] @ x))
+                yield i, *nxt
+
+        def solve_dense(x):
+            """A^{-1} x in place for x of shape (size, t)."""
             parts = np.split(x, splits)
-            for i, part in enumerate(parts):
-                cols = span(*parts[max(i - 1, 0) : i + 1])
-                live = part[:, cols]
-                if not live.shape[1]:
-                    continue
-                if i:
-                    live -= apply_coupling(coupling_block(i, i - 1), parts[i - 1][:, cols])
-                live[:] = _flush(lu_solve(lus[i], live, check_finite=False))
-            for i in range(len(parts) - 2, -1, -1):
-                cols = span(parts[i + 1])
-                parts[i][:, cols] = _flush(parts[i][:, cols] - gains[i] @ parts[i + 1][:, cols])
+            for i, lo, xi in solve([(0, part) for part in parts]):
+                parts[i][:] = 0
+                parts[i][:, lo : lo + xi.shape[1]] = xi
             return x
 
         def solve_adjoint(x):
@@ -229,16 +255,17 @@ class DiskDtnSolver:
                 if i + 1 < len(parts):
                     lower_h = coupling_block(i + 1, i).conj().transpose(1, 0, 2)   # A[i+1, i]^H
                     parts[i] -= apply_coupling(lower_h, parts[i + 1])
-                parts[i][:] = _flush(lu_solve(lus[i], parts[i], trans=2, check_finite=False))
+                parts[i][:] = _flush(getrs(*lus[i], parts[i], trans=2)[0])
             return x
 
         size = m_int * n_int
-        self._check_condition(max(float(np.max(c)) for c in col_norm), solve, solve_adjoint, size, dtype)
+        self._check_condition(max(float(np.max(c)) for c in col_norm), solve_dense, solve_adjoint, size, dtype)
 
         # boundary-mode right-hand sides: f_hat = e_{m0} for the nb boundary modes,
         # whose columns L_m[1:, 0] and normal-derivative rows depend on parity only.
         # The Nyquist column is the real cos(N theta / 2): weight 1/2 on -N/2 and on
-        # +N/2 when both are in the mode range (a radial n has -N/2 only).
+        # +N/2 when both are in the mode range (a radial n has -N/2 only), solved as
+        # two columns and summed in ghat.
         parity = np.where(m_vals % 2 == 0, 1, -1)
         bmodes = (np.fft.fftfreq(nb) * nb).astype(int)
         bidx = bmodes + m_int // 2                        # positions in m_vals
@@ -247,19 +274,30 @@ class DiskDtnSolver:
             modes, cols = np.append(bidx, bidx[nb // 2] + nb), np.append(cols, nb // 2)
             weights[nb // 2] = 0.5
             weights = np.append(weights, 0.5)
-        # solution columns hold the boundary modes in descending order, so the nonzero
-        # columns of each run, whose solutions decay away from their boundary mode, are a span
-        slot = np.empty(nb, dtype=int)
-        slot[np.argsort(-bidx)] = np.arange(nb)
-        sol = np.zeros((m_int, n_int, nb), dtype=dtype)
-        for mi, j, w in zip(modes, slot[cols], weights):
-            sol[mi, :, j] = w * self._dr2[parity[mi]][1:, 0]
-        solve(sol.reshape(size, nb))
+        # solve columns in descending mode order: a run's right-hand sides are then
+        # adjacent columns, and the nonzero columns of its solution, which decays away
+        # from its boundary mode, are a span
+        order = np.argsort(-modes)
+        modes, cols, weights = modes[order], cols[order], weights[order]
+        rhs = []
+        for i, run in enumerate(runs):
+            js = np.flatnonzero(modes // step == i)
+            b = np.zeros((len(run), n_int, js.size), dtype=dtype)
+            for c, j in enumerate(js):
+                b[modes[j] - i * step, :, c] = weights[j] * self._dr2[parity[modes[j]]][1:, 0]
+            rhs.append((js[0] if js.size else 0, b.reshape(len(run) * n_int, js.size)))
 
         dn_rows = np.array([self._d1[s][0, 1:] for s in parity])
-        ghat = np.einsum("mp,mpj->mj", dn_rows, sol).astype(complex)
-        ghat[modes, slot[cols]] += weights * [self._d1[parity[mi]][0, 0] for mi in modes]
-        ghat = ghat[:, slot]                              # back to the boundary-mode order
+        # normal derivatives of the solve columns, summed over the radii in order (a plain
+        # sum or einsum would pick its summation order from the block's memory layout)
+        dn_sol = np.zeros((m_int, len(modes)), dtype=complex)
+        for i, lo, x in solve(rhs):
+            rows = slice(i * step, i * step + len(runs[i]))
+            terms = dn_rows[rows, :, None] * x.reshape(len(runs[i]), n_int, -1)
+            dn_sol[rows, lo : lo + x.shape[1]] = np.add.accumulate(terms, axis=1)[:, -1]
+        ghat = np.zeros((m_int, nb), dtype=complex)
+        np.add.at(ghat.T, cols, dn_sol.T)           # back to the boundary-mode order
+        ghat[modes, cols] += weights * [self._d1[parity[mi]][0, 0] for mi in modes]
 
         theta_b = 2 * np.pi * np.arange(nb) / nb
         phi = np.exp(1j * np.outer(theta_b, m_vals))      # mode -> node evaluation
@@ -279,8 +317,8 @@ class DiskDtnSolver:
             return lambda v: sweep(np.array(v, dtype=dtype).reshape(size, -1)).reshape(np.shape(v))
         inv_op = LinearOperator((size, size), matvec=apply(solve), matmat=apply(solve),
                                 rmatvec=apply(solve_adjoint), rmatmat=apply(solve_adjoint), dtype=dtype)
-        with np.errstate(all="ignore"):
-            cond = norm * onenormest(inv_op)
+        with np.errstate(all="ignore"):   # t = 1 draws no random column: deterministic, np.random untouched
+            cond = norm * onenormest(inv_op, t=1)
         if not cond <= CONDITION_LIMIT * self._baseline_condition:
             raise InteriorResonanceError(
                 f"interior Dirichlet solve is near-resonant (condition estimate {cond:.2e}); "

@@ -412,6 +412,57 @@ def test_interior_resonance_detected_nonradial():
         DiskDtnSolver(64).dtn_matrix(tilted)
 
 
+def _tilted_bump():
+    """20 (1 - r^2)(1 + x): angular modes -1, 0 and 1, so the solve runs one mode at a time."""
+    return generic_potential(lambda z: 20 * (1 - np.abs(z) ** 2) * (1 + np.real(z)), {"family": "tilted_bump"})
+
+
+def test_condition_estimate_is_deterministic_and_leaves_the_global_rng_alone(monkeypatch):
+    """The estimate draws no random numbers: np.random's state is the same after dtn_matrix,
+    and the estimate is the same under any seed.  A random second estimate column moved it
+    by about 1e-14 between seeds 0 and 1 on this potential."""
+    import faddeev_ep.disk_solver as disk_solver
+
+    estimates = []
+    onenormest = disk_solver.onenormest
+
+    def recording(*args, **kwargs):
+        estimates.append(onenormest(*args, **kwargs))
+        return estimates[-1]
+
+    monkeypatch.setattr(disk_solver, "onenormest", recording)
+    solver = DiskDtnSolver(32)
+    saved = np.random.get_state()
+    try:
+        for seed in (0, 1):
+            np.random.seed(seed)
+            before = np.random.get_state()
+            solver.dtn_matrix(_tilted_bump())
+            after = np.random.get_state()
+            assert np.array_equal(before[1], after[1]) and before[2:] == after[2:]
+    finally:
+        np.random.set_state(saved)
+    assert len(estimates) == 2 and estimates[0] == estimates[1]
+
+
+def test_interior_solve_memory_is_bounded_by_its_factors():
+    """The block LU stores an LU and a gain of (b (nh - 1))^2 values for each of the 2N / b
+    runs (b = 1 here); everything else the solve holds must fit in as much again.  A dense
+    solution of the N boundary columns, 2N (nh - 1) N values, alone is 1.45 times the
+    factors at N = 128."""
+    import tracemalloc
+
+    solver = DiskDtnSolver(128)
+    factors = 2 * (2 * 128) * (solver.nh - 1) ** 2 * np.dtype(float).itemsize
+    tracemalloc.start()
+    try:
+        solver.dtn_matrix(_tilted_bump())
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 2 * factors
+
+
 def test_disk_solver_radial_resolution_default():
     solver = DiskDtnSolver(128)
     assert solver.nh >= 45
