@@ -226,13 +226,10 @@ class DiskDtnSolver:
             B in run i on columns lo:lo + width.  Yields (i, lo, X_i) from the last run down.
             Every block holds only the span of its nonzero columns, and a run of the forward
             sweep is dropped as soon as the backward sweep has passed it."""
-            fwd = []
+            fwd, nxt = [], (0, np.zeros((0, 0), dtype=dtype))
             for i, b in enumerate(rhs):
-                prev = fwd[-1] if i else (0, b[1][:, :0])
-                lo, x = joined(b, prev, lambda y: apply_coupling(coupling_block(i, i - 1), y))
-                fwd.append(live(lo, getrs(*lus[i], x)[0] if x.shape[1] else x))
-            nxt = fwd.pop()
-            yield len(fwd), *nxt
+                lo, x = joined(b, fwd[-1] if fwd else nxt, lambda y: apply_coupling(coupling_block(i, i - 1), y))
+                fwd.append(live(lo, getrs(*lus[i], x)[0]))
             for i in range(len(fwd) - 1, -1, -1):
                 nxt = live(*joined(fwd.pop(), nxt, lambda x: gains[i] @ x))
                 yield i, *nxt
@@ -288,15 +285,14 @@ class DiskDtnSolver:
             rhs.append((js[0] if js.size else 0, b.reshape(len(run) * n_int, js.size)))
 
         dn_rows = np.array([self._d1[s][0, 1:] for s in parity])
-        # normal derivatives of the solve columns, summed over the radii in order (a plain
-        # sum or einsum would pick its summation order from the block's memory layout)
-        dn_sol = np.zeros((m_int, len(modes)), dtype=complex)
+        # normal derivatives, summed over the radii in order (a plain sum or einsum would
+        # pick its summation order from the block's memory layout), added into the boundary
+        # columns: the two Nyquist halves add into one
+        ghat = np.zeros((m_int, nb), dtype=complex)
         for i, lo, x in solve(rhs):
             rows = slice(i * step, i * step + len(runs[i]))
             terms = dn_rows[rows, :, None] * x.reshape(len(runs[i]), n_int, -1)
-            dn_sol[rows, lo : lo + x.shape[1]] = np.add.accumulate(terms, axis=1)[:, -1]
-        ghat = np.zeros((m_int, nb), dtype=complex)
-        np.add.at(ghat.T, cols, dn_sol.T)           # back to the boundary-mode order
+            np.add.at(ghat, (rows, cols[lo : lo + x.shape[1]]), np.add.accumulate(terms, axis=1)[:, -1])
         ghat[modes, cols] += weights * [self._d1[parity[mi]][0, 0] for mi in modes]
 
         theta_b = 2 * np.pi * np.arange(nb) / nb
