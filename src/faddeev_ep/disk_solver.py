@@ -30,9 +30,15 @@ has finished the run and drops it, so beside the factors the solve holds the
 forward spans (on the interior256 potential at N = 256, on average 20 of 256
 columns per run) instead of a dense 2N·(nh - 1)·N solution.  The Nyquist
 boundary column cos(N theta / 2) is solved as its -N/2 and +N/2 halves, each
-in its own place of that order, and summed in the normal derivatives.  The
-same sweep serves the condition estimate's dense columns.  A radial n gives
-runs of one mode and zero off-diagonal blocks.
+in its own place of that order, and summed in the normal derivatives.  A
+radial n gives runs of one mode and zero off-diagonal blocks.
+
+The resonance refusal reads the same solve.  Its gain max_j |u_j|_1 / |b_j|_1
+over the boundary columns b_j and their solutions u_j is a lower bound of
+|A^{-1}|_1, and every Dirichlet eigenfunction has a nonzero normal derivative,
+so the boundary data excites it: near an eigenvalue the gain grows as 1 / the
+distance.  The solve is refused when its gain exceeds CONDITION_LIMIT times
+the gain for n = 0, before F_n is formed.
 """
 
 from __future__ import annotations
@@ -41,12 +47,11 @@ from functools import cached_property
 
 import numpy as np
 from scipy.linalg import get_lapack_funcs
-from scipy.sparse.linalg import LinearOperator, onenormest
 
 __all__ = ["DiskDtnSolver", "InteriorResonanceError", "cheb", "radial_size"]
 
-#: condition estimate above which the interior Dirichlet solve is refused
-CONDITION_LIMIT = 1e8
+#: boundary-solve gain, relative to its n = 0 value, above which the interior Dirichlet solve is refused
+CONDITION_LIMIT = 1e5
 
 #: sweep entries below this are set to 0: they move no entry of F_n = O(N), and subnormals stall BLAS
 _FLOOR = 1e-250
@@ -191,20 +196,13 @@ class DiskDtnSolver:
         # block LU (Thomas): D'_i = A[i, i] - A[i, i-1] D'_{i-1}^{-1} A[i-1, i]
         getrf, getrs = get_lapack_funcs(("getrf", "getrs"), dtype=dtype)
         lus, gains = [], []                  # LU of D'_i, D'_i^{-1} A[i, i+1]
-        col_norm = [np.zeros(len(run) * n_int) for run in runs]   # column sums of |A|
         for i in range(len(runs)):
             diag = dense_block(i, i)
-            col_norm[i] += np.abs(diag).sum(axis=0)
             if i:
-                lower = coupling_block(i, i - 1)
-                col_norm[i - 1] += np.abs(lower).sum(axis=0).ravel()
-                diag -= apply_coupling(lower, gains[-1])
+                diag -= apply_coupling(coupling_block(i, i - 1), gains[-1])
             lus.append(getrf(diag, overwrite_a=True)[:2])
             if i + 1 < len(runs):
-                upper = dense_block(i, i + 1)
-                col_norm[i + 1] += np.abs(upper).sum(axis=0)
-                gains.append(getrs(*lus[-1], upper)[0])
-        splits = np.cumsum([len(run) * n_int for run in runs])[:-1]
+                gains.append(getrs(*lus[-1], dense_block(i, i + 1))[0])
 
         def live(lo, x):
             """Flush x, whose columns start at lo, and keep only its nonzero columns: (lo', x')."""
@@ -233,30 +231,6 @@ class DiskDtnSolver:
             for i in range(len(fwd) - 1, -1, -1):
                 nxt = live(*joined(fwd.pop(), nxt, lambda x: gains[i] @ x))
                 yield i, *nxt
-
-        def solve_dense(x):
-            """A^{-1} x in place for x of shape (size, t)."""
-            parts = np.split(x, splits)
-            for i, lo, xi in solve([(0, part) for part in parts]):
-                parts[i][:] = 0
-                parts[i][:, lo : lo + xi.shape[1]] = xi
-            return x
-
-        def solve_adjoint(x):
-            """A^{-H} x in place: the sweeps of solve, transposed and in reverse."""
-            parts = np.split(x, splits)
-            for i in range(1, len(parts)):
-                parts[i] -= gains[i - 1].conj().T @ parts[i - 1]
-                _flush(parts[i])
-            for i in range(len(parts) - 1, -1, -1):
-                if i + 1 < len(parts):
-                    lower_h = coupling_block(i + 1, i).conj().transpose(1, 0, 2)   # A[i+1, i]^H
-                    parts[i] -= apply_coupling(lower_h, parts[i + 1])
-                parts[i][:] = _flush(getrs(*lus[i], parts[i], trans=2)[0])
-            return x
-
-        size = m_int * n_int
-        self._check_condition(max(float(np.max(c)) for c in col_norm), solve_dense, solve_adjoint, size, dtype)
 
         # boundary-mode right-hand sides: f_hat = e_{m0} for the nb boundary modes,
         # whose columns L_m[1:, 0] and normal-derivative rows depend on parity only.
@@ -289,10 +263,20 @@ class DiskDtnSolver:
         # pick its summation order from the block's memory layout), added into the boundary
         # columns: the two Nyquist halves add into one
         ghat = np.zeros((m_int, nb), dtype=complex)
+        sol_norm = np.zeros(modes.size)                   # |u_j|_1 of each solved column
         for i, lo, x in solve(rhs):
             rows = slice(i * step, i * step + len(runs[i]))
             terms = dn_rows[rows, :, None] * x.reshape(len(runs[i]), n_int, -1)
             np.add.at(ghat, (rows, cols[lo : lo + x.shape[1]]), np.add.accumulate(terms, axis=1)[:, -1])
+            sol_norm[lo : lo + x.shape[1]] += np.abs(x).sum(axis=0)
+        # refuse before F_n is formed; a solve that overflows has an inf or nan gain and is refused
+        gain = np.max(sol_norm / (weights * [np.abs(self._dr2[parity[mi]][1:, 0]).sum() for mi in modes]))
+        if not gain <= CONDITION_LIMIT * self._baseline_gain:
+            raise InteriorResonanceError(
+                f"interior Dirichlet solve is near-resonant (boundary-solve gain {gain / self._baseline_gain:.2e} "
+                "times its n = 0 value); zero is close to an interior Dirichlet eigenvalue of -Lap - n. "
+                "Dilating the domain slightly (rescaling the potential) moves the eigenvalue away."
+            )
         ghat[modes, cols] += weights * [self._d1[parity[mi]][0, 0] for mi in modes]
 
         theta_b = 2 * np.pi * np.arange(nb) / nb
@@ -306,27 +290,16 @@ class DiskDtnSolver:
             return np.ascontiguousarray(fn.real)
         return fn
 
-    def _check_condition(self, norm, solve, solve_adjoint, size, dtype):
-        """Refuse when cond = ||A||_1 est||A^{-1}||_1 exceeds CONDITION_LIMIT times
-        the n = 0 baseline; a solve that overflows makes cond inf or nan and is refused."""
-        def apply(sweep):
-            return lambda v: sweep(np.array(v, dtype=dtype).reshape(size, -1)).reshape(np.shape(v))
-        inv_op = LinearOperator((size, size), matvec=apply(solve), matmat=apply(solve),
-                                rmatvec=apply(solve_adjoint), rmatmat=apply(solve_adjoint), dtype=dtype)
-        with np.errstate(all="ignore"):   # t = 1 draws no random column: deterministic, np.random untouched
-            cond = norm * onenormest(inv_op, t=1)
-        if not cond <= CONDITION_LIMIT * self._baseline_condition:
-            raise InteriorResonanceError(
-                f"interior Dirichlet solve is near-resonant (condition estimate {cond:.2e}); "
-                "zero is close to an interior Dirichlet eigenvalue of -Lap - n. "
-                "Dilating the domain slightly (rescaling the potential) moves the eigenvalue away."
-            )
-
     @cached_property
-    def _baseline_condition(self) -> float:
-        """Condition estimate of the n = 0 system, per solver instance.
+    def _baseline_gain(self) -> float:
+        """Gain max_m |u_m|_1 / |b_m|_1 of the n = 0 boundary solve, one single-mode
+        Laplacian per |m| <= N/2, per solver instance.
 
-        Collocation matrices are intrinsically stiff (condition ~ nh^4), so
-        resonance is flagged relative to the potential-free baseline.
+        The gain depends on the collocation grid, so resonance is flagged
+        relative to this potential-free baseline.
         """
-        return float(max(np.linalg.cond(-self._mode_laplacian(m)[1:, 1:], p=1) for m in (0, 1)))
+        gains = []
+        for m in range(self.n_boundary // 2 + 1):
+            b = self._dr2[1 if m % 2 == 0 else -1][1:, 0]
+            gains.append(np.abs(np.linalg.solve(-self._mode_laplacian(m)[1:, 1:], b)).sum() / np.abs(b).sum())
+        return float(max(gains))

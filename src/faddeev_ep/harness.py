@@ -23,7 +23,7 @@ import numpy as np
 
 from . import __version__
 from .boundary_ops import SINGULARITY_THRESHOLD, NearSingularError, OperatorCache
-from .disk_solver import CONDITION_LIMIT
+from .disk_solver import CONDITION_LIMIT, InteriorResonanceError
 from .dtn_maps import (
     PerturbedFamily,
     Potential,
@@ -214,18 +214,25 @@ def run(config: RunConfig) -> RunManifest:
     # assembly phase: the interior solve dominates; run it through the
     # operator store up front so detector timings measure detector work.
     # xi_fit reads F_n at every lambda of its grid and at lambda = 0.
-    # Where F_n is unsupported the detectors meet and record the refusal.
+    # Where F_n is unsupported the detectors meet and record the refusal; a
+    # near-resonant F_n is recorded here for every detector that reads it
+    # (xi_fit alone when only one of its lambdas is refused), without re-solving.
     lams = np.linspace(-config.xi_lambda_max, config.xi_lambda_max, config.xi_points)
     fn_pots = [pot]
     if "xi_fit" in config.detectors and family is not None:
         fn_pots += [family.at(lam) for lam in (0.0, *lams)]
-    needs_fn = any(d != "validate" for d in config.detectors)
+    needs_fn = [d for d in config.detectors if d != "validate"]
+    errors: dict[str, str] = {}
     if needs_fn and fn_supported(nodes):
         t0 = time.perf_counter()
-        for p in fn_pots:
-            assemble_Fn(nodes, p, store=cache)
+        try:
+            for p in fn_pots:
+                assemble_Fn(nodes, p, store=cache)
+        except InteriorResonanceError as exc:
+            refused = needs_fn if p is pot else ["xi_fit"]
+            errors.update((d, f"{type(exc).__name__}: {exc}") for d in refused)
+            log.warning("F_n refused for %s: %s", refused, exc)
         timings["fn_assembly"] = round(time.perf_counter() - t0, 3)
-    errors: dict[str, str] = {}
     summary: dict = {
         "config": config.to_dict(),
         "config_hash": chash,
@@ -243,6 +250,8 @@ def run(config: RunConfig) -> RunManifest:
         json.dump(config.to_dict(), fh, indent=2, sort_keys=True)
 
     for detector in config.detectors:
+        if detector in errors:
+            continue
         t0 = time.perf_counter()
         try:
             if detector == "validate":

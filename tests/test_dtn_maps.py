@@ -387,29 +387,53 @@ def test_perturbed_family_returns_one_potential_per_lambda(radial_family):
     assert radial_family.at(0.05) is not radial_family.at(0.04)
 
 
-def test_interior_resonance_detected(nodes128):
+def _resonant(j, delta=0.0):
+    """The constant j^2 (1 + delta), given with its radial profile."""
+    return generic_potential(lambda z: j**2 * (1 + delta) * np.ones(np.shape(z)), {"family": "resonant", "delta": delta},
+                             radial_fn=lambda r: j**2 * (1 + delta) * np.ones(np.shape(r)))
+
+
+def _tilted(j, delta=0.0):
+    """j^2 (1 + delta)(1 + 1e-6 x): a real non-radial n near the Dirichlet eigenvalue j^2."""
+    return generic_potential(lambda z: j**2 * (1 + delta) * (1 + 1e-6 * np.real(z)),
+                             {"family": "resonant_tilted", "j": j, "delta": delta})
+
+
+def test_interior_resonance_detected():
     from scipy.special import jn_zeros
 
-    from faddeev_ep.dtn_maps import generic_potential
-
-    j01 = jn_zeros(0, 1)[0]
-    resonant = generic_potential(
-        lambda z: (j01**2) * np.ones(np.shape(z)),
-        {"family": "resonant"},
-        radial_fn=lambda r: (j01**2) * np.ones(np.shape(r)),
-    )
     with pytest.raises(InteriorResonanceError):
-        DiskDtnSolver(128).dtn_matrix(resonant)
+        DiskDtnSolver(128).dtn_matrix(_resonant(jn_zeros(0, 1)[0]))
 
 
 def test_interior_resonance_detected_nonradial():
     """A slightly tilted j01^2 given without a radial profile is refused as resonant."""
     from scipy.special import jn_zeros
 
-    j01 = jn_zeros(0, 1)[0]
-    tilted = generic_potential(lambda z: j01**2 * (1 + 1e-6 * np.real(z)), {"family": "resonant_tilted"})
     with pytest.raises(InteriorResonanceError):
-        DiskDtnSolver(64).dtn_matrix(tilted)
+        DiskDtnSolver(64).dtn_matrix(_tilted(jn_zeros(0, 1)[0]))
+
+
+@pytest.mark.parametrize("n_nodes", [32, 64])
+def test_near_resonance_of_a_double_eigenvalue_is_refused_not_a_realness_failure(n_nodes):
+    """Near j11^2, whose eigenfunctions have m = +-1, the F_n of a real tilted n loses realness
+    for a solve whose boundary-solve gain is still 7e5..4e6 times its n = 0 value; the
+    refusal must come first."""
+    from scipy.special import jn_zeros
+
+    with pytest.raises(InteriorResonanceError):
+        DiskDtnSolver(n_nodes).dtn_matrix(_tilted(jn_zeros(1, 1)[0], 1e-7))
+
+
+def test_radial_refusal_window():
+    """j01^2 (1 + delta) at N = 128: the boundary-solve gain is about 0.73 / delta times its
+    n = 0 value, so delta = 1e-6 is refused and delta = 1e-4 is solved."""
+    from scipy.special import jn_zeros
+
+    solver = DiskDtnSolver(128)
+    with pytest.raises(InteriorResonanceError):
+        solver.dtn_matrix(_resonant(jn_zeros(0, 1)[0], 1e-6))
+    assert np.all(np.isfinite(solver.dtn_matrix(_resonant(jn_zeros(0, 1)[0], 1e-4))))
 
 
 def _tilted_bump():
@@ -417,32 +441,22 @@ def _tilted_bump():
     return generic_potential(lambda z: 20 * (1 - np.abs(z) ** 2) * (1 + np.real(z)), {"family": "tilted_bump"})
 
 
-def test_condition_estimate_is_deterministic_and_leaves_the_global_rng_alone(monkeypatch):
-    """The estimate draws no random numbers: np.random's state is the same after dtn_matrix,
-    and the estimate is the same under any seed.  A random second estimate column moved it
-    by about 1e-14 between seeds 0 and 1 on this potential."""
-    import faddeev_ep.disk_solver as disk_solver
-
-    estimates = []
-    onenormest = disk_solver.onenormest
-
-    def recording(*args, **kwargs):
-        estimates.append(onenormest(*args, **kwargs))
-        return estimates[-1]
-
-    monkeypatch.setattr(disk_solver, "onenormest", recording)
+def test_condition_estimate_is_deterministic_and_leaves_the_global_rng_alone():
+    """The resonance refusal draws no random numbers: np.random's state is the same after
+    dtn_matrix, and F_n is bitwise the same under any seed."""
     solver = DiskDtnSolver(32)
     saved = np.random.get_state()
+    fns = []
     try:
         for seed in (0, 1):
             np.random.seed(seed)
             before = np.random.get_state()
-            solver.dtn_matrix(_tilted_bump())
+            fns.append(solver.dtn_matrix(_tilted_bump()))
             after = np.random.get_state()
             assert np.array_equal(before[1], after[1]) and before[2:] == after[2:]
     finally:
         np.random.set_state(saved)
-    assert len(estimates) == 2 and estimates[0] == estimates[1]
+    assert fns[0].dtype == fns[1].dtype and np.array_equal(fns[0], fns[1])
 
 
 def test_interior_solve_memory_is_bounded_by_its_factors():

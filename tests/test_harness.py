@@ -297,3 +297,24 @@ def test_unsupported_curve_is_recorded_not_raised(tmp_path):
     assert manifest.detector_errors["parity"].startswith("NotImplementedError")
     rows = (tmp_path / manifest.config_hash / "scan.csv").read_text().splitlines()
     assert rows[1].endswith("criterion_failed:NotImplementedError;parity_failed:NotImplementedError")
+
+
+def test_resonant_potential_is_a_detector_error_not_a_traceback(tmp_path):
+    """A raster of constant j01^2 makes the interior solve near-resonant: the up-front F_n
+    refusal is recorded for each detector that reads F_n, validate still runs, and
+    summary.json and manifest.json are written."""
+    from scipy.special import jn_zeros
+
+    value = jn_zeros(0, 1)[0] ** 2
+    raster = tmp_path / "resonant.json"
+    raster.write_text(json.dumps({"x0": -1.0, "y0": -1.0, "dx": 2.0, "dy": 2.0, "re": [[value] * 2] * 2}))
+    cfg = RunConfig(n_nodes=32, potential={"kind": "raster", "path": str(raster)}, outdir=str(tmp_path / "runs"),
+                    detectors=["validate", "sigma_scan", "parity"], use_cache=False,
+                    kgrid={"type": "list", "values": [[0.3, 0.0]]})
+    manifest = run(cfg)
+    assert sorted(manifest.detector_errors) == ["parity", "sigma_scan"]
+    assert all(e.startswith("InteriorResonanceError") for e in manifest.detector_errors.values())
+    assert manifest.validation_passed is not None
+    outdir = tmp_path / "runs" / manifest.config_hash
+    assert (outdir / "summary.json").exists() and (outdir / "manifest.json").exists()
+    assert not (outdir / "scan.csv").exists()
