@@ -120,9 +120,8 @@ def main(argv=None) -> int:
             if args.outdir:
                 cfg.outdir = args.outdir
         elif args.command == "validate":
-            checks = run_validation(**{"curve_name": args.curve, "n_nodes": args.n,
-                                       **({"radius": args.radius} if args.curve == "circle" else {}),
-                                       **({"a": args.a, "b": args.b} if args.curve == "ellipse" else {})})
+            curve = _curve_dict(args)
+            checks = run_validation(curve.pop("name"), args.n, **curve)
             for c in checks:
                 print(c.line())
             return 0 if all(c.passed for c in checks) else 2

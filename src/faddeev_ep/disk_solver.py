@@ -8,7 +8,8 @@ Discretization: Fourier modes in theta crossed with Chebyshev collocation
 in r.  The radial grid is the positive half of a symmetric Chebyshev grid
 with no point at r = 0; values at negative radius are folded back through
 u_m(-r) = (-1)^m u_m(r), which keeps the polar coordinate singularity out
-of the system.  Angular coupling by a non-radial n enters as a mode
+of the system.  Every n, radial or not, is sampled at the radii times 2N
+equispaced angles, and its angular coupling enters as a mode
 convolution with the FFT of n, truncated at the ends of the mode range (not
 wrapped).  With the modes ordered by m and grouped in runs of b modes, b the
 numerically detected angular bandwidth of n, the system is block-tridiagonal
@@ -32,6 +33,10 @@ columns per run) instead of a dense 2N·(nh - 1)·N solution.  The Nyquist
 boundary column cos(N theta / 2) is solved as its -N/2 and +N/2 halves, each
 in its own place of that order, and summed in the normal derivatives.  A
 radial n gives runs of one mode and zero off-diagonal blocks.
+
+F_n is read off the boundary modes |m| <= N/2 only (the modes beyond would
+alias onto the N nodes), with both Nyquist halves, weight 1 each, folded into
+one row, and is taken to the nodes by two FFTs.
 
 The resonance refusal reads the same solve.  Its gain max_j |u_j|_1 / |b_j|_1
 over the boundary columns b_j and their solutions u_j is a lower bound of
@@ -124,10 +129,7 @@ class DiskDtnSolver:
         return self._dr2[s] - (m * m) * np.diag(self._inv_r2)
 
     def samples(self, potential) -> np.ndarray:
-        """Every value of n the solve reads: the radial profile at the radii
-        for a radial n, else n at the radii times 2N equispaced angles."""
-        if getattr(potential, "radial", False):
-            return np.asarray(potential.eval_radial(self.r), dtype=complex)
+        """Every value of n the solve reads: n at the radii times 2N equispaced angles."""
         m_int = 2 * self.n_boundary
         theta = 2 * np.pi * np.arange(m_int) / m_int
         return np.asarray(potential.eval(self.r[:, None] * np.exp(1j * theta[None, :])), dtype=complex)
@@ -136,8 +138,6 @@ class DiskDtnSolver:
         """FFT of n over theta at each radius; returns {d: n_hat_d(r)} above noise,
         judged on the interior radii the coupling reads (masking on r = 1 is ragged)."""
         nvals = self.samples(potential)
-        if nvals.ndim == 1:   # a radial profile couples no angular modes
-            return {0: nvals} if np.any(nvals != 0) else {}
         m_int = nvals.shape[1]
         nhat = np.fft.fft(nvals, axis=1) / m_int
         interior = np.abs(nhat[1:])
@@ -238,8 +238,7 @@ class DiskDtnSolver:
         # +N/2 when both are in the mode range (a radial n has -N/2 only), solved as
         # two columns and summed in ghat.
         parity = np.where(m_vals % 2 == 0, 1, -1)
-        bmodes = (np.fft.fftfreq(nb) * nb).astype(int)
-        bidx = bmodes + m_int // 2                        # positions in m_vals
+        bidx = (np.fft.fftfreq(nb) * nb).astype(int) + m_int // 2   # boundary modes' positions in m_vals
         modes, cols, weights = bidx, np.arange(nb), np.ones(nb)
         if m_int > nb:
             modes, cols = np.append(bidx, bidx[nb // 2] + nb), np.append(cols, nb // 2)
@@ -259,15 +258,13 @@ class DiskDtnSolver:
             rhs.append((js[0] if js.size else 0, b.reshape(len(run) * n_int, js.size)))
 
         dn_rows = np.array([self._d1[s][0, 1:] for s in parity])
-        # normal derivatives, summed over the radii in order (a plain sum or einsum would
-        # pick its summation order from the block's memory layout), added into the boundary
-        # columns: the two Nyquist halves add into one
+        # normal derivatives, added into the boundary columns: the two Nyquist halves add into one
         ghat = np.zeros((m_int, nb), dtype=complex)
         sol_norm = np.zeros(modes.size)                   # |u_j|_1 of each solved column
         for i, lo, x in solve(rhs):
             rows = slice(i * step, i * step + len(runs[i]))
-            terms = dn_rows[rows, :, None] * x.reshape(len(runs[i]), n_int, -1)
-            np.add.at(ghat, (rows, cols[lo : lo + x.shape[1]]), np.add.accumulate(terms, axis=1)[:, -1])
+            dn = np.einsum("ap,apc->ac", dn_rows[rows], x.reshape(len(runs[i]), n_int, -1))
+            np.add.at(ghat, (rows, cols[lo : lo + x.shape[1]]), dn)
             sol_norm[lo : lo + x.shape[1]] += np.abs(x).sum(axis=0)
         # refuse before F_n is formed; a solve that overflows has an inf or nan gain and is refused
         gain = np.max(sol_norm / (weights * [np.abs(self._dr2[parity[mi]][1:, 0]).sum() for mi in modes]))
@@ -279,10 +276,11 @@ class DiskDtnSolver:
             )
         ghat[modes, cols] += weights * [self._d1[parity[mi]][0, 0] for mi in modes]
 
-        theta_b = 2 * np.pi * np.arange(nb) / nb
-        phi = np.exp(1j * np.outer(theta_b, m_vals))      # mode -> node evaluation
-        dft = np.exp(-1j * np.outer(bmodes, theta_b)) / nb
-        fn = phi @ ghat @ dft
+        # boundary modes |m| <= N/2 only, row m in FFT order: the two Nyquist halves add into row N/2
+        keep = np.abs(m_vals) <= nb // 2
+        gb = np.zeros((nb, nb), dtype=complex)
+        np.add.at(gb, m_vals[keep] % nb, ghat[keep])
+        fn = np.fft.ifft(np.fft.fft(gb, axis=1), axis=0)
         if not is_complex:
             imag_scale = float(np.max(np.abs(fn.imag)))
             if imag_scale > 1e-8 * max(1.0, float(np.max(np.abs(fn.real)))):

@@ -70,15 +70,15 @@ class Potential:
     ``kind`` is one of generic / conductive / perturbed_conductive /
     absorbing / raster.  ``descriptor`` is a JSON-serializable dict that
     names the potential in records; cached operators are keyed on its
-    sampled values as well (:func:`fn_key`).  ``radial`` marks potentials
-    that depend on |z| only (enabling decoupled interior solves).
+    sampled values as well (:func:`fn_key`).  ``radial`` marks potentials that
+    depend on |z| only, whose F_n on the centred circle is rotation invariant;
+    the interior solver does not read it but finds every n's modes by FFT.
     """
 
     kind: str
     descriptor: dict
     eval_fn: Callable[[np.ndarray], np.ndarray]
     radial: bool = False
-    radial_fn: Callable[[np.ndarray], np.ndarray] | None = None
     q_fn: Callable[[np.ndarray], np.ndarray] | None = None
     is_real: bool = True
     # N -> sha256 of the values the interior solver reads, filled by fn_key
@@ -90,12 +90,6 @@ class Potential:
         vals = np.asarray(self.eval_fn(z), dtype=complex)
         return np.where(np.abs(z) <= 1.0, vals, 0.0)
 
-    def eval_radial(self, r) -> np.ndarray:
-        if self.radial_fn is None:
-            raise ValueError(f"{self.kind} potential has no radial profile")
-        r = np.asarray(r, dtype=float)
-        return np.where(r <= 1.0, np.asarray(self.radial_fn(r), dtype=complex), 0.0)
-
 
 def zero_potential() -> Potential:
     return Potential(
@@ -103,7 +97,6 @@ def zero_potential() -> Potential:
         descriptor={"family": "zero"},
         eval_fn=lambda z: np.zeros(np.shape(z)),
         radial=True,
-        radial_fn=lambda r: np.zeros(np.shape(r)),
     )
 
 
@@ -151,7 +144,6 @@ def conductive_radial(q, dq, d2q, name: str, params: dict, validate: bool = True
         descriptor={"family": name, **params},
         eval_fn=lambda z: n_radial(np.abs(z)),
         radial=True,
-        radial_fn=n_radial,
         q_fn=lambda r: np.asarray(q(np.asarray(r, dtype=float)), dtype=float),
     )
     if validate:
@@ -192,7 +184,6 @@ def absorbing_potential(delta: float = 1.0) -> Potential:
         descriptor={"family": "constant_absorbing", "delta": d},
         eval_fn=lambda z: 1j * d * np.ones(np.shape(z)),
         radial=True,
-        radial_fn=lambda r: 1j * d * np.ones(np.shape(r)),
         is_real=False,
     )
     sample = pot.eval(np.array([0.1 + 0.2j, 0.5j]))
@@ -201,13 +192,12 @@ def absorbing_potential(delta: float = 1.0) -> Potential:
     return pot
 
 
-def generic_potential(eval_fn, descriptor: dict, radial_fn=None, is_real: bool = True) -> Potential:
+def generic_potential(eval_fn, descriptor: dict, radial: bool = False, is_real: bool = True) -> Potential:
     return Potential(
         kind="generic",
         descriptor=descriptor,
         eval_fn=eval_fn,
-        radial=radial_fn is not None,
-        radial_fn=radial_fn,
+        radial=radial,
         is_real=is_real,
     )
 
@@ -305,19 +295,11 @@ class PerturbedFamily:
         def fn(z):
             return base.eval_fn(np.asarray(z, dtype=complex)) + lam * self.omega_fn(z)
 
-        radial = base.radial and self.omega_radial
-        radial_fn = None
-        if radial:
-            def radial_fn(r):
-                r = np.asarray(r, dtype=float)
-                return base.radial_fn(r) + lam * self.omega_fn(r.astype(complex))
-
         return Potential(
             kind="perturbed_conductive",
             descriptor={"base": base.descriptor, "omega": self.omega_descriptor, "lambda": lam},
             eval_fn=fn,
-            radial=radial,
-            radial_fn=radial_fn,
+            radial=base.radial and self.omega_radial,
             q_fn=base.q_fn,
             is_real=base.is_real,
         )

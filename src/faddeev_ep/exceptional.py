@@ -64,6 +64,10 @@ TOL_KER_REL = 1e-5
 #: eigenvalues of P(k) within +-TOL_NEG of zero flag the count as unreliable
 TOL_NEG = 1e-6
 
+#: parity_path bisects its path down to this fraction of its length
+PARITY_RESOLUTION = 1 / 256
+
+
 def mu(omega_fn, q_fn, n_radial: int = 200, n_theta: int = 128) -> float:
     """mu = integral over the unit disk of omega(z) q(|z|) dS, by quadrature.
 
@@ -458,27 +462,19 @@ class ParityVerdict:
     flags: tuple[str, ...] = ()
 
 
-def _logpolar_path(k_a: KPoint, k_b: KPoint):
-    def path(s: float) -> KPoint:
-        return KPoint.from_polar_log(
-            (1 - s) * k_a.log_abs + s * k_b.log_abs,
-            (1 - s) * k_a.phi + s * k_b.phi,
-        )
-
-    return path
-
-
-def parity_path(k_a, k_b, n: Potential, nodes: NodeSet, path=None,
-                resolution: float = 1 / 256) -> ParityVerdict:
+def parity_path(k_a, k_b, n: Potential, nodes: NodeSet) -> ParityVerdict:
     """Bisect a path for the parity jump of n^-; returns a bracketing interval.
 
-    The default path interpolates linearly in (ln|k|, arg k), an analytic
-    arc that cannot pass through k = 0.  Endpoint counts flagged as
-    near-exceptional refuse the verdict.
+    The path interpolates linearly in (ln|k|, arg k), an analytic arc that
+    cannot pass through k = 0, and is bisected down to PARITY_RESOLUTION of
+    its length.  Endpoint counts flagged as near-exceptional refuse the verdict.
     """
     k_a = k_a if isinstance(k_a, KPoint) else KPoint.from_k(k_a)
     k_b = k_b if isinstance(k_b, KPoint) else KPoint.from_k(k_b)
-    path = path or _logpolar_path(k_a, k_b)
+
+    def path(s: float) -> KPoint:
+        return KPoint.from_polar_log((1 - s) * k_a.log_abs + s * k_b.log_abs, (1 - s) * k_a.phi + s * k_b.phi)
+
     rec_a = n_minus(path(0.0), n, nodes)
     rec_b = n_minus(path(1.0), n, nodes)
     if rec_a.near_exceptional or rec_b.near_exceptional:
@@ -489,7 +485,7 @@ def parity_path(k_a, k_b, n: Potential, nodes: NodeSet, path=None,
     lo, hi = 0.0, 1.0
     par_lo = rec_a.n_minus % 2
     flags: list[str] = []
-    while hi - lo > resolution:
+    while hi - lo > PARITY_RESOLUTION:
         mid = 0.5 * (lo + hi)
         rec_m = n_minus(path(mid), n, nodes)
         if rec_m.near_exceptional:

@@ -171,6 +171,17 @@ def test_cli_validate_and_exit_codes(tmp_path, capsys):
     assert cli_main(["run", str(cfgpath)]) == 0
 
 
+def test_cli_validate_reads_a_fourier_curve(tmp_path, capsys):
+    """The unit circle as a Fourier table validates like --curve circle; without the
+    table the command is a config error, not a traceback."""
+    curve = tmp_path / "c.json"
+    curve.write_text(json.dumps({"coeffs": {"1": [1.0, 0.0]}}))
+    assert cli_main(["validate", "--curve", "fourier", "--curve-json", str(curve), "--n", "64"]) == 0
+    assert "[FAIL]" not in capsys.readouterr().out
+    assert cli_main(["validate", "--curve", "fourier", "--n", "64"]) == 1
+    assert "config error:" in capsys.readouterr().err
+
+
 def test_cli_scan_subcommand(tmp_path, capsys):
     rc = cli_main([
         "scan", "--n", "64", "--rmin", "0.05", "--rmax", "0.5", "--nr", "2", "--nphi", "2",
