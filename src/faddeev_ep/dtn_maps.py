@@ -192,14 +192,8 @@ def absorbing_potential(delta: float = 1.0) -> Potential:
     return pot
 
 
-def generic_potential(eval_fn, descriptor: dict, radial: bool = False, is_real: bool = True) -> Potential:
-    return Potential(
-        kind="generic",
-        descriptor=descriptor,
-        eval_fn=eval_fn,
-        radial=radial,
-        is_real=is_real,
-    )
+def generic_potential(eval_fn, descriptor: dict, is_real: bool = True) -> Potential:
+    return Potential(kind="generic", descriptor=descriptor, eval_fn=eval_fn, is_real=is_real)
 
 
 def raster_potential(path) -> Potential:

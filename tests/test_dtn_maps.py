@@ -334,7 +334,7 @@ def test_Fn_requires_unit_disk(conductive):
 
 def _three():
     """n = 3 under the zero potential's descriptor: only its values tell it apart."""
-    return generic_potential(lambda z: 3.0 * np.ones(np.shape(z)), {"family": "zero"}, radial=True)
+    return generic_potential(lambda z: 3.0 * np.ones(np.shape(z)), {"family": "zero"})
 
 
 def test_Fn_store_keys_on_sampled_values(tmp_path):
@@ -396,9 +396,8 @@ def test_perturbed_family_returns_one_potential_per_lambda(radial_family):
 
 
 def _resonant(j, delta=0.0):
-    """The constant j^2 (1 + delta), marked radial."""
-    return generic_potential(lambda z: j**2 * (1 + delta) * np.ones(np.shape(z)), {"family": "resonant", "delta": delta},
-                             radial=True)
+    """The constant j^2 (1 + delta)."""
+    return generic_potential(lambda z: j**2 * (1 + delta) * np.ones(np.shape(z)), {"family": "resonant", "delta": delta})
 
 
 def _tilted(j, delta=0.0):
@@ -415,7 +414,7 @@ def test_interior_resonance_detected():
 
 
 def test_interior_resonance_detected_nonradial():
-    """A slightly tilted j01^2 given without a radial profile is refused as resonant."""
+    """A slightly tilted j01^2, whose modes couple, is refused as resonant."""
     from scipy.special import jn_zeros
 
     with pytest.raises(InteriorResonanceError):
