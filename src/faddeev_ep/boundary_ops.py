@@ -103,12 +103,6 @@ class BoundaryOperator:
             raise ValueError(f"space mismatch: cannot compose {self.domain_space} <- {other.range_space}")
         return BoundaryOperator(self.matrix @ other.matrix, other.domain_space, self.range_space, self.nodes)
 
-    def is_real(self, tol: float = 1e-10) -> bool:
-        if not np.iscomplexobj(self.matrix):
-            return True
-        scale = max(1.0, float(np.max(np.abs(self.matrix))))
-        return float(np.max(np.abs(self.matrix.imag))) <= tol * scale
-
 
 def log_quadrature_matrix(n_nodes: int) -> np.ndarray:
     """Circulant weights R with sum_j R[i,j] f(t_j) ~ int ln(4 sin^2((t_i-t)/2)) f(t) dt.

@@ -134,9 +134,11 @@ class DiskDtnSolver:
         theta = 2 * np.pi * np.arange(m_int) / m_int
         return np.asarray(potential.eval(self.r[:, None] * np.exp(1j * theta[None, :])), dtype=complex)
 
-    def _potential_modes(self, potential) -> dict[int, np.ndarray]:
+    def angular_modes(self, potential) -> dict[int, np.ndarray]:
         """FFT of n over theta at each radius; returns {d: n_hat_d(r)} above noise,
-        judged on the interior radii the coupling reads (masking on r = 1 is ragged)."""
+        judged on the interior radii the coupling reads (masking on r = 1 is ragged).
+        The one bandwidth detector: keys within {0} mean the samples of n have
+        angular bandwidth 0, i.e. n is radial as the solve sees it."""
         nvals = self.samples(potential)
         m_int = nvals.shape[1]
         nhat = np.fft.fft(nvals, axis=1) / m_int
@@ -153,7 +155,7 @@ class DiskDtnSolver:
         """Assemble the N x N Dirichlet-to-Neumann matrix in the node basis;
         refuses a near-resonant interior solve (InteriorResonanceError)."""
         nb = self.n_boundary
-        nhat = self._potential_modes(potential)
+        nhat = self.angular_modes(potential)
         bandwidth = max((abs(d) for d in nhat), default=0)
         m_int = nb if bandwidth == 0 else 2 * nb
         m_vals = np.arange(-(m_int // 2), m_int // 2)

@@ -70,17 +70,16 @@ class Potential:
     ``kind`` is one of generic / conductive / perturbed_conductive /
     absorbing / raster.  ``descriptor`` is a JSON-serializable dict that
     names the potential in records; cached operators are keyed on its
-    sampled values as well (:func:`fn_key`).  ``radial`` marks potentials that
-    depend on |z| only, whose F_n on the centred circle is rotation invariant;
-    the interior solver does not read it but finds every n's modes by FFT.
+    sampled values as well (:func:`fn_key`).  A potential declares no
+    symmetry: whether n is real, and whether its samples have angular
+    bandwidth 0 (:meth:`DiskDtnSolver.angular_modes`), is read from the
+    samples the interior solver reads.
     """
 
     kind: str
     descriptor: dict
     eval_fn: Callable[[np.ndarray], np.ndarray]
-    radial: bool = False
     q_fn: Callable[[np.ndarray], np.ndarray] | None = None
-    is_real: bool = True
     # N -> sha256 of the values the interior solver reads, filled by fn_key
     _sample_digests: dict = field(default_factory=dict, init=False, repr=False, compare=False)
 
@@ -96,7 +95,6 @@ def zero_potential() -> Potential:
         kind="generic",
         descriptor={"family": "zero"},
         eval_fn=lambda z: np.zeros(np.shape(z)),
-        radial=True,
     )
 
 
@@ -143,7 +141,6 @@ def conductive_radial(q, dq, d2q, name: str, params: dict, validate: bool = True
         kind="conductive",
         descriptor={"family": name, **params},
         eval_fn=lambda z: n_radial(np.abs(z)),
-        radial=True,
         q_fn=lambda r: np.asarray(q(np.asarray(r, dtype=float)), dtype=float),
     )
     if validate:
@@ -183,8 +180,6 @@ def absorbing_potential(delta: float = 1.0) -> Potential:
         kind="absorbing",
         descriptor={"family": "constant_absorbing", "delta": d},
         eval_fn=lambda z: 1j * d * np.ones(np.shape(z)),
-        radial=True,
-        is_real=False,
     )
     sample = pot.eval(np.array([0.1 + 0.2j, 0.5j]))
     if np.min(sample.imag) < d - 1e-12:
@@ -192,8 +187,8 @@ def absorbing_potential(delta: float = 1.0) -> Potential:
     return pot
 
 
-def generic_potential(eval_fn, descriptor: dict, is_real: bool = True) -> Potential:
-    return Potential(kind="generic", descriptor=descriptor, eval_fn=eval_fn, is_real=is_real)
+def generic_potential(eval_fn, descriptor: dict) -> Potential:
+    return Potential(kind="generic", descriptor=descriptor, eval_fn=eval_fn)
 
 
 def raster_potential(path) -> Potential:
@@ -232,7 +227,6 @@ def raster_potential(path) -> Potential:
         kind="raster",
         descriptor={"family": "raster", "sha": blob, "x0": x0, "y0": y0, "dx": dx, "dy": dy},
         eval_fn=interp,
-        is_real=bool(np.max(np.abs(im)) == 0.0),
     )
 
 
@@ -248,7 +242,7 @@ def omega_radial_poly(power: int = 3, amplitude: float = 1.0):
         s = np.maximum(1 - r**2, 0.0)
         return a * s**p
 
-    return fn, {"profile": "radial_poly", "amplitude": a, "power": p}, True
+    return fn, {"profile": "radial_poly", "amplitude": a, "power": p}
 
 
 def omega_poly_cos(power: int = 3, amplitude: float = 1.0, cos_coeff: float = 0.5):
@@ -263,7 +257,7 @@ def omega_poly_cos(power: int = 3, amplitude: float = 1.0, cos_coeff: float = 0.
             cos_th = np.where(r > 0, z.real / np.where(r > 0, r, 1.0), 0.0)
         return a * s**p * (1 + c * cos_th)
 
-    return fn, {"profile": "poly_cos", "amplitude": a, "power": p, "cos_coeff": c}, False
+    return fn, {"profile": "poly_cos", "amplitude": a, "power": p, "cos_coeff": c}
 
 
 @dataclass(frozen=True)
@@ -273,7 +267,6 @@ class PerturbedFamily:
     base: Potential
     omega_fn: Callable
     omega_descriptor: dict
-    omega_radial: bool = False
     _members: dict = field(default_factory=dict, init=False, repr=False, compare=False)
 
     def at(self, lam: float) -> Potential:
@@ -293,9 +286,7 @@ class PerturbedFamily:
             kind="perturbed_conductive",
             descriptor={"base": base.descriptor, "omega": self.omega_descriptor, "lambda": lam},
             eval_fn=fn,
-            radial=base.radial and self.omega_radial,
             q_fn=base.q_fn,
-            is_real=base.is_real,
         )
 
 

@@ -33,6 +33,7 @@ from .boundary_ops import (
     NearSingularError,
     weighted_matrix,
 )
+from .disk_solver import DiskDtnSolver
 from .dtn_maps import PerturbedFamily, Potential, assemble_F0, assemble_Fn, assemble_Fout, assemble_Fout_zero
 from .geometry import NodeSet
 from .green import KPoint, epsilon_from_log, log_abs_k_from_eps
@@ -67,31 +68,34 @@ TOL_NEG = 1e-6
 #: parity_path bisects its path down to this fraction of its length
 PARITY_RESOLUTION = 1 / 256
 
+#: mu quadrature: Gauss-Legendre radii crossed with trapezoid angles
+MU_RADII, MU_ANGLES = 200, 128
 
-def mu(omega_fn, q_fn, n_radial: int = 200, n_theta: int = 128) -> float:
+
+def mu(omega_fn, q_fn) -> float:
     """mu = integral over the unit disk of omega(z) q(|z|) dS, by quadrature.
 
     Gauss-Legendre in radius crossed with trapezoid in angle; flags
     (warns on) mu <= 0, where the sign-definite perturbation theory has
     nothing to say.
     """
-    x, w = leggauss(n_radial)
+    x, w = leggauss(MU_RADII)
     r = 0.5 * (x + 1.0)
     wr = 0.5 * w
-    theta = 2 * np.pi * np.arange(n_theta) / n_theta
+    theta = 2 * np.pi * np.arange(MU_ANGLES) / MU_ANGLES
     zgrid = r[:, None] * np.exp(1j * theta[None, :])
     om = np.asarray(omega_fn(zgrid), dtype=float)
     qq = np.asarray(q_fn(r), dtype=float)[:, None]
-    val = float(np.sum(om * qq * r[:, None] * wr[:, None]) * (2 * np.pi / n_theta))
+    val = float(np.sum(om * qq * r[:, None] * wr[:, None]) * (2 * np.pi / MU_ANGLES))
     if val <= 0:
         warnings.warn(f"mu = {val:.3e} <= 0: the sign hypothesis of the locus expansion fails", stacklevel=2)
     return val
 
 
-def mu_for_family(family: PerturbedFamily, **kwargs) -> float:
+def mu_for_family(family: PerturbedFamily) -> float:
     if family.base.q_fn is None:
         raise ValueError("mu needs the conductivity q of a conductive base potential")
-    return mu(family.omega_fn, family.base.q_fn, **kwargs)
+    return mu(family.omega_fn, family.base.q_fn)
 
 
 @dataclass(frozen=True)
@@ -137,7 +141,8 @@ def criterion(k, n: Potential, nodes: NodeSet) -> CriterionOperator:
 
 
 def assemble_P(k, n: Potential, nodes: NodeSet) -> BoundaryOperator:
-    """P(k) = I + S_k (F_n - F_0); real matrix for real potentials.
+    """P(k) = I + S_k (F_n - F_0).  S_k and F_0 are real, so P is real
+    exactly when F_n is (which :meth:`DiskDtnSolver.dtn_matrix` decides).
 
     Entries of S_k (hence P) span a dynamic range ~ e^{2|k| diam} at large
     |k|, so sigma_min(P) stops measuring kernel distance beyond |k| ~ 2;
@@ -148,12 +153,7 @@ def assemble_P(k, n: Potential, nodes: NodeSet) -> BoundaryOperator:
     f0 = assemble_F0(nodes)
     s = KWorkspace.at(k, nodes).s
     mat = np.eye(nodes.n_nodes) + s.matrix @ (fn.matrix - f0.matrix)
-    if n.is_real and np.iscomplexobj(mat):
-        scale = max(1.0, float(np.max(np.abs(mat.real))))
-        if np.max(np.abs(mat.imag)) > 1e-8 * scale:
-            raise ArithmeticError("P(k) lost realness for a real potential")
-        mat = mat.real
-    return BoundaryOperator(np.ascontiguousarray(mat), L2, L2, nodes)
+    return BoundaryOperator(mat, L2, L2, nodes)
 
 
 @dataclass(frozen=True)
@@ -175,14 +175,16 @@ def n_minus(k, n: Potential, nodes: NodeSet) -> ParityRecord:
     A real matrix has an exactly conjugation-closed spectrum, so complex
     pairs contribute evenly and cannot flip the parity.  Any eigenvalue
     within TOL_NEG of zero marks the count as unreliable
-    (``near_exceptional``).  Only meaningful for real potentials.
+    (``near_exceptional``).  Only meaningful for real potentials: a complex
+    P(k) warns.
     """
-    if not n.is_real:
-        warnings.warn("n^- is defined for real potentials; counts for complex n are not meaningful", stacklevel=2)
     ws = KWorkspace.at(k, nodes)
     p = assemble_P(ws, n, nodes)
+    is_complex = np.iscomplexobj(p.matrix)
+    if is_complex:
+        warnings.warn("n^- is defined for real potentials; counts for complex n are not meaningful", stacklevel=2)
     eigs = dense_eig(p.matrix, right=False)
-    real_mask = eigs.imag == 0.0 if not np.iscomplexobj(p.matrix) else np.abs(eigs.imag) < 1e-12
+    real_mask = np.abs(eigs.imag) < 1e-12 if is_complex else eigs.imag == 0.0
     count = int(np.sum(real_mask & (eigs.real < -TOL_NEG)))
     near = bool(np.min(np.abs(eigs)) < TOL_NEG)
     # conjugation closure of the spectrum (real integral kernel)
@@ -332,10 +334,12 @@ def trace_locus(lam: float, family: PerturbedFamily, nodes: NodeSet, angles,
     reported as failures (for lambda > 0 that contradicts the expansion
     and indicates resolution failure).  Each eps is evaluated once per ray:
     brentq restarts at the bracket ends that the bracketing already has.
-    For a radial n_lambda on a centred circle, F_n is rotation invariant and
-    S_k rotation covariant, so A(k) rotates with arg k and eps* does not
-    depend on phi (the exceptional set is a union of circles): only the
-    first angle is traced, and its eps* is fanned out to every angle.
+    For an n_lambda whose samples have angular bandwidth 0
+    (:meth:`DiskDtnSolver.angular_modes`) on a centred circle, F_n is
+    rotation invariant and S_k rotation covariant, so A(k) rotates with
+    arg k and eps* does not depend on phi (the exceptional set is a union
+    of circles): only the first angle is traced, and its eps* is fanned
+    out to every angle.
     """
     if not 0 < lam <= 0.1:
         raise ValueError(f"locus tracing expects 0 < lambda <= 0.1, got {lam}")
@@ -368,7 +372,7 @@ def trace_locus(lam: float, family: PerturbedFamily, nodes: NodeSet, angles,
         return brentq(f, lo, hi, xtol=xtol_rel * target, rtol=1e-12), None
 
     angles = np.asarray(angles, dtype=float)
-    if pot.radial and nodes.centred_circle:
+    if nodes.centred_circle and set(DiskDtnSolver(nodes.n_nodes).angular_modes(pot)) <= {0}:
         traced = [ray(angles[0])] if angles.size else []
         per_angle = traced * angles.size
     else:

@@ -145,7 +145,7 @@ def test_Fout_cc_slope_minus_one(nodes128):
 def test_conductive_structure_validated():
     pot = standard_conductive()
     assert pot.kind == "conductive"
-    assert pot.radial
+    assert list(DiskDtnSolver(64).angular_modes(pot)) == [0]   # detected bandwidth 0
     # n at the origin for q = 1 + 2(1-r^2)^3: 12 s^2/q + ... = 4
     assert pot.eval(np.array([0.0]))[0] == pytest.approx(4.0, rel=1e-12)
     assert pot.eval(np.array([1.0]))[0] == pytest.approx(0.0, abs=1e-12)
@@ -172,7 +172,7 @@ def test_absorbing_potential():
     pot = absorbing_potential(1.0)
     vals = pot.eval(np.array([0.2 + 0.1j]))
     assert vals[0] == 1j
-    assert not pot.is_real
+    assert DiskDtnSolver(32).dtn_matrix(pot).dtype == np.complex128   # detected complex
     with pytest.raises(ValueError):
         absorbing_potential(0.0)
 
@@ -252,7 +252,7 @@ def _check_exact_x2_solution(eps, n_nodes, cut):
         return np.where(np.abs(z) < 1 - cut, -2 * eps - 4 * eps**2 * np.real(z) ** 2, 0.0)
 
     is_real = not isinstance(eps, complex)
-    pot = generic_potential(n, {"family": "gauss_x2", "eps": str(eps), "cut": cut}, is_real=is_real)
+    pot = generic_potential(n, {"family": "gauss_x2", "eps": str(eps), "cut": cut})
     nodes = sample(make_circle(1.0), n_nodes)
     cos2 = np.cos(nodes.t) ** 2
     f = np.exp(eps * cos2)
@@ -287,7 +287,7 @@ def _cubic(rot):
         z = np.asarray(z, dtype=complex) * np.exp(-1j * rot)
         return (2 + 0.5j) * (1 - np.abs(z) ** 2) ** 3 + (0.4 - 0.3j) * z**3 + 0.3j * np.conj(z) ** 2 - 0.2 * z
 
-    return generic_potential(n, {"family": "complex_cubic", "rot": rot}, is_real=False)
+    return generic_potential(n, {"family": "complex_cubic", "rot": rot})
 
 
 def test_Fn_complex_bandwidth_three_is_symmetric_and_rotation_covariant():
@@ -381,7 +381,7 @@ def test_Fn_boundary_nonzero_potential_keeps_its_modes():
     are masked to zero, and its modes solve Bessel's equation with argument sqrt(3) r."""
     solver = DiskDtnSolver(64)
     three = generic_potential(lambda z: 3.0 * np.ones(np.shape(z)), {"family": "three"})
-    assert list(solver._potential_modes(three)) == [0]
+    assert list(solver.angular_modes(three)) == [0]
     fn = solver.dtn_matrix(three)
     nodes, s = sample(make_circle(1.0), 64), np.sqrt(3.0)
     for m in [0, 1, 3, 8]:

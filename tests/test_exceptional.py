@@ -1,3 +1,5 @@
+import warnings
+
 import numpy as np
 import pytest
 from hypothesis import assume, example, given, settings
@@ -5,6 +7,7 @@ from hypothesis import strategies as st
 
 from faddeev_ep import boundary_ops, exceptional
 from faddeev_ep.boundary_ops import KWorkspace, NearSingularError, assemble_S, invert_S
+from faddeev_ep.dtn_maps import PerturbedFamily, standard_conductive
 from faddeev_ep.exceptional import (
     LocusResult,
     assemble_P,
@@ -200,7 +203,7 @@ def test_locus_radius_formula(locus_005):
 def test_locus_nonradial(nodes128, cos_family):
     angles = np.linspace(0, 2 * np.pi, 8, endpoint=False)
     loc = trace_locus(0.05, cos_family, nodes128, angles)
-    assert not loc.failures
+    assert loc.rays_traced == 8 and not loc.failures   # declares nothing; bandwidth 1 traces every angle
     assert np.all(np.isfinite(loc.eps_star))
     assert abs(loc.mean_eps / loc.prediction - 1) <= 0.3
 
@@ -219,9 +222,9 @@ def test_locus_evaluates_each_k_once_per_ray(nodes128, radial_family, monkeypatc
     assert len(ks) == len(set(ks)) >= 3
 
 
-def test_radial_locus_fans_one_ray_out_to_every_angle(nodes128, radial_family, monkeypatch):
-    """For a radial n on the centred circle one ray is root-found and its eps* fanned
-    out; it equals, to 1e-12, the per-ray trace of the same n with the fan-out off."""
+def _check_fan_out(family, nodes, monkeypatch):
+    """One ray root-found and its eps* fanned out; it equals, to 1e-12, the per-ray
+    trace of the same n with the fan-out off."""
     angles = np.array([0.3, 1.7, 2.0 + np.pi / 128, 4.0])
     ks = []
 
@@ -230,17 +233,31 @@ def test_radial_locus_fans_one_ray_out_to_every_angle(nodes128, radial_family, m
         return criterion(*args, **kwargs)
 
     monkeypatch.setattr(exceptional, "criterion", counted)
-    fanned = trace_locus(0.05, radial_family, nodes128, angles)
+    fanned = trace_locus(0.05, family, nodes, angles)
     assert fanned.rays_traced == 1 and not fanned.failures
     assert {k.phi for k in ks} == {0.3}
     assert np.all(fanned.eps_star == fanned.eps_star[0])
 
     ks.clear()
     monkeypatch.setattr(NodeSet, "centred_circle", property(lambda self: False))
-    per_ray = trace_locus(0.05, radial_family, nodes128, angles)
+    per_ray = trace_locus(0.05, family, nodes, angles)
     assert per_ray.rays_traced == 4 and not per_ray.failures
     assert len({round(k.phi, 12) for k in ks}) == 4
     np.testing.assert_allclose(fanned.eps_star, per_ray.eps_star, rtol=1e-12)
+
+
+def test_radial_locus_fans_one_ray_out_to_every_angle(nodes128, radial_family, monkeypatch):
+    """For a radial n on the centred circle one ray is root-found and fanned out."""
+    _check_fan_out(radial_family, nodes128, monkeypatch)
+
+
+def test_fan_out_is_detected_from_the_samples(nodes128, monkeypatch):
+    """A family from a hand-built radial omega declares nothing; the angular bandwidth 0
+    of its samples alone makes trace_locus fan one ray out."""
+    def omega(z):
+        return np.maximum(1 - np.abs(np.asarray(z)) ** 2, 0.0) ** 2
+
+    _check_fan_out(PerturbedFamily(standard_conductive(), omega, {"profile": "square"}), nodes128, monkeypatch)
 
 
 def test_scan_assembles_one_S_per_ring(nodes128, cos_family, monkeypatch):
@@ -342,6 +359,15 @@ def test_P_eigenvalues_cluster_at_one(nodes128, nodes256, conductive):
         counts[nodes.n_nodes] = int(np.sum(np.abs(eigs - 1) > 0.1))
     assert counts[128] == counts[256]
     assert counts[128] < 10
+
+
+def test_n_minus_warns_for_a_complex_P(nodes128, absorbing, radial_family):
+    kp = KPoint.from_eps(0.02, 0.5, NU)
+    with pytest.warns(UserWarning, match="real potentials"):
+        n_minus(kp, absorbing, nodes128)
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        n_minus(kp, radial_family.at(0.05), nodes128)
 
 
 def test_n_minus_conjugate_pairing(nodes128, radial_family):
