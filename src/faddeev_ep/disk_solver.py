@@ -48,6 +48,7 @@ the gain for n = 0, before F_n is formed.
 
 from __future__ import annotations
 
+import hashlib
 from functools import cached_property
 
 import numpy as np
@@ -134,22 +135,26 @@ class DiskDtnSolver:
         theta = 2 * np.pi * np.arange(m_int) / m_int
         return np.asarray(potential.eval(self.r[:, None] * np.exp(1j * theta[None, :])), dtype=complex)
 
+    def sampled(self, potential) -> tuple[str, dict[int, np.ndarray]]:
+        """sha256 of :meth:`samples` and their FFT over theta, {d: n_hat_d(r)} above noise
+        on the interior radii the coupling reads (masking on r = 1 is ragged).  Sampled
+        once per potential and N: both are kept in ``potential.sampled``, the samples not."""
+        got = potential.sampled.get(self.n_boundary)
+        if got is None:
+            nvals = self.samples(potential)
+            m_int = nvals.shape[1]
+            nhat = np.fft.fft(nvals, axis=1) / m_int
+            interior = np.max(np.abs(nhat[1:]), axis=0)
+            keep = np.flatnonzero(interior > 1e-13 * max(float(np.max(interior)), 1e-300))
+            d_vals = (np.fft.fftfreq(m_int) * m_int).astype(int)
+            modes = dict(zip(d_vals[keep].tolist(), nhat[:, keep].T.copy()))   # copies: nhat is not kept
+            got = potential.sampled.setdefault(self.n_boundary, (hashlib.sha256(nvals.tobytes()).hexdigest(), modes))
+        return got
+
     def angular_modes(self, potential) -> dict[int, np.ndarray]:
-        """FFT of n over theta at each radius; returns {d: n_hat_d(r)} above noise,
-        judged on the interior radii the coupling reads (masking on r = 1 is ragged).
-        The one bandwidth detector: keys within {0} mean the samples of n have
-        angular bandwidth 0, i.e. n is radial as the solve sees it."""
-        nvals = self.samples(potential)
-        m_int = nvals.shape[1]
-        nhat = np.fft.fft(nvals, axis=1) / m_int
-        interior = np.abs(nhat[1:])
-        scale = max(float(np.max(interior)), 1e-300)
-        d_vals = (np.fft.fftfreq(m_int) * m_int).astype(int)
-        out = {}
-        for i, d in enumerate(d_vals):
-            if np.max(interior[:, i]) > 1e-13 * scale:
-                out[int(d)] = nhat[:, i]
-        return out
+        """{d: n_hat_d(r)} of :meth:`sampled`, the one bandwidth detector: keys within {0}
+        mean the samples have angular bandwidth 0, i.e. n is radial as the solve sees it."""
+        return self.sampled(potential)[1]
 
     def dtn_matrix(self, potential) -> np.ndarray:
         """Assemble the N x N Dirichlet-to-Neumann matrix in the node basis;

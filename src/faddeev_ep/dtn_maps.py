@@ -80,8 +80,8 @@ class Potential:
     descriptor: dict
     eval_fn: Callable[[np.ndarray], np.ndarray]
     q_fn: Callable[[np.ndarray], np.ndarray] | None = None
-    # N -> sha256 of the values the interior solver reads, filled by fn_key
-    _sample_digests: dict = field(default_factory=dict, init=False, repr=False, compare=False)
+    # N -> (sha256 of the interior solver's samples of n, their angular modes): DiskDtnSolver.sampled
+    sampled: dict = field(default_factory=dict, init=False, repr=False, compare=False)
 
     def eval(self, z) -> np.ndarray:
         """n(z) for complex z (vectorized); zero outside the closed disk."""
@@ -375,10 +375,7 @@ def fn_key(nodes: NodeSet, potential: Potential) -> str:
     N, the radial grid size and the package version.
     """
     n = nodes.n_nodes
-    digest = potential._sample_digests.get(n)
-    if digest is None:
-        samples = DiskDtnSolver(n).samples(potential)
-        digest = potential._sample_digests.setdefault(n, hashlib.sha256(samples.tobytes()).hexdigest())
+    digest = (potential.sampled.get(n) or DiskDtnSolver(n).sampled(potential))[0]
     doc = {"operator": "F_n", "kind": potential.kind, "descriptor": potential.descriptor,
            "samples": digest, "n": n, "nh": radial_size(n), "version": __version__}
     return hashlib.sha256(json.dumps(doc, sort_keys=True).encode()).hexdigest()

@@ -22,7 +22,6 @@ from dataclasses import dataclass, field
 import numpy as np
 from numpy.polynomial.legendre import leggauss
 from scipy.linalg import eig as dense_eig
-from scipy.optimize import brentq
 
 from .boundary_ops import (
     HMINUS,
@@ -326,6 +325,26 @@ class LocusResult:
         return np.array([log_abs_k_from_eps(e, self.nu) for e in self.eps_star])
 
 
+def _bracketed_root(f, a, fa, b, fb, xtol):
+    """The end with the smaller |f| of a bracket of width <= xtol around a sign change
+    of f, from ends a, b whose values fa, fb the caller has evaluated.  False-position
+    steps are kept xtol/2 inside the bracket, and a step after the first that has not
+    halved it is followed by a bisection: at most 2 ceil(log2(|b - a| / xtol)) + 1
+    evaluations, none repeated and none outside the bracket."""
+    secant = first = True
+    while abs(b - a) > xtol and fa * fb < 0:
+        width = abs(b - a)
+        x = a - fa * (b - a) / (fb - fa) if secant else 0.5 * (a + b)
+        x = min(max(x, min(a, b) + 0.5 * xtol), max(a, b) - 0.5 * xtol)
+        fx = f(x)
+        if (fx < 0) == (fa < 0):
+            a, fa = x, fx
+        else:
+            b, fb = x, fx
+        secant, first = first or abs(b - a) <= 0.5 * width, False
+    return a if abs(fa) < abs(fb) else b
+
+
 def trace_locus(lam: float, family: PerturbedFamily, nodes: NodeSet, angles,
                 xtol_rel: float = 1e-6) -> LocusResult:
     """Root-find eps*(phi) with eig_near_zero(A(k(eps, phi))) = 0 for n_lambda.
@@ -333,7 +352,8 @@ def trace_locus(lam: float, family: PerturbedFamily, nodes: NodeSet, angles,
     Requires small lambda > 0 and mu > 0.  Rays without a sign change are
     reported as failures (for lambda > 0 that contradicts the expansion
     and indicates resolution failure).  Each eps is evaluated once per ray:
-    brentq restarts at the bracket ends that the bracketing already has.
+    :func:`_bracketed_root` starts from the evaluated bracket ends and returns
+    eps* within xtol = xtol_rel * (mu/nu) lambda of the sign change.
     For an n_lambda whose samples have angular bandwidth 0
     (:meth:`DiskDtnSolver.angular_modes`) on a centred circle, F_n is
     rotation invariant and S_k rotation covariant, so A(k) rotates with
@@ -369,7 +389,7 @@ def trace_locus(lam: float, family: PerturbedFamily, nodes: NodeSet, angles,
             widen += 1
         if flo * fhi > 0:
             return np.nan, (lo, hi)
-        return brentq(f, lo, hi, xtol=xtol_rel * target, rtol=1e-12), None
+        return _bracketed_root(f, lo, flo, hi, fhi, xtol_rel * target), None
 
     angles = np.asarray(angles, dtype=float)
     if nodes.centred_circle and set(DiskDtnSolver(nodes.n_nodes).angular_modes(pot)) <= {0}:

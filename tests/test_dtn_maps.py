@@ -376,6 +376,27 @@ def test_Fn_store_misses_on_a_new_version(tmp_path, monkeypatch):
     store.clear()
 
 
+def test_each_potential_is_sampled_once_per_N(monkeypatch):
+    """fn_key, the F_n build and the bandwidth detector read one sampling of n per
+    N, kept on the potential as its digest and angular modes."""
+    counts = {}
+    samples = DiskDtnSolver.samples
+
+    def counted(self, potential):
+        counts[self.n_boundary] = counts.get(self.n_boundary, 0) + 1
+        return samples(self, potential)
+
+    monkeypatch.setattr(DiskDtnSolver, "samples", counted)
+    pot = _tilted_bump()
+    for n_nodes in (32, 64):
+        nodes = sample(make_circle(1.0), n_nodes)
+        for _ in range(2):
+            assemble_Fn(nodes, pot)   # key, then a build into a new empty store
+        assert sorted(DiskDtnSolver(n_nodes).angular_modes(pot)) == [-1, 0, 1]
+    assert counts == {32: 1, 64: 1}
+    assert set(pot.sampled) == {32, 64}
+
+
 def test_Fn_boundary_nonzero_potential_keeps_its_modes():
     """n = 3 couples no angular modes, although r = 1 samples whose |z| rounds above 1
     are masked to zero, and its modes solve Bessel's equation with argument sqrt(3) r."""

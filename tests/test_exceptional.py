@@ -209,7 +209,8 @@ def test_locus_nonradial(nodes128, cos_family):
 
 
 def test_locus_evaluates_each_k_once_per_ray(nodes128, radial_family, monkeypatch):
-    """brentq restarts at the bracket ends: they are not evaluated again."""
+    """The root-find starts from the bracket ends, which are not evaluated again, and
+    spends no more evaluations than brentq did on this ray (4, two of them the ends)."""
     ks = []
 
     def counted(*args, **kwargs):
@@ -219,7 +220,42 @@ def test_locus_evaluates_each_k_once_per_ray(nodes128, radial_family, monkeypatc
     monkeypatch.setattr(exceptional, "criterion", counted)
     loc = trace_locus(0.05, radial_family, nodes128, [0.0])
     assert not loc.failures
-    assert len(ks) == len(set(ks)) >= 3
+    assert 3 <= len(ks) == len(set(ks)) <= 4
+
+
+def _root_find(f, a, b, xtol):
+    """exceptional._bracketed_root from the evaluated ends, with every point it evaluates."""
+    xs = []
+
+    def g(x):
+        xs.append(x)
+        return f(x)
+
+    return exceptional._bracketed_root(g, a, f(a), b, f(b), xtol), xs
+
+
+@pytest.mark.parametrize("f", [lambda x: np.tanh(40 * (x - 0.3)) + 0.1 * (x - 0.3), lambda x: x**3 - 0.2],
+                         ids=["tanh", "cubic"])
+@pytest.mark.parametrize("xtol", [1e-3, 1e-6, 1e-10])
+def test_root_find_lands_within_xtol_of_brentq(f, xtol):
+    """Within xtol of brentq's root (at 1e-15), with no point evaluated twice or outside the bracket."""
+    from scipy.optimize import brentq
+
+    for a, b in ((0.0, 1.0), (1.0, 0.0)):
+        x, xs = _root_find(f, a, b, xtol)
+        assert abs(x - brentq(f, 0.0, 1.0, xtol=1e-15)) <= xtol
+        assert len(set(xs)) == len(xs) and all(0.0 < p < 1.0 for p in xs)
+
+
+@pytest.mark.parametrize("xtol", [1e-3, 1e-6, 1e-10])
+def test_root_find_bounds_its_evaluations_where_false_position_stalls(xtol):
+    """(x - 0.7)^9 keeps one end of a false-position bracket fixed; the bisection
+    fallback caps the count at 2 ceil(log2((b - a) / xtol)) + 2 (a rule that bisects
+    only after two steps in a row have not halved the bracket takes 51 > 42 at 1e-6)."""
+    x, xs = _root_find(lambda x: (x - 0.7) ** 9, 0.0, 1.0, xtol)
+    assert abs(x - 0.7) <= xtol
+    assert len(xs) <= 2 * int(np.ceil(np.log2(1.0 / xtol))) + 2
+    assert len(set(xs)) == len(xs) and all(0.0 < p < 1.0 for p in xs)
 
 
 def _check_fan_out(family, nodes, monkeypatch):

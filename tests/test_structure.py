@@ -10,6 +10,9 @@ dunder.
 import ast
 import importlib
 import inspect
+import os
+import subprocess
+import sys
 from pathlib import Path
 
 PACKAGE = Path(__file__).resolve().parents[1] / "src" / "faddeev_ep"
@@ -85,3 +88,13 @@ def test_traced_methods_exist_with_their_leading_parameters():
         if params[: len(lead)] != lead:
             changed.append(f"{qualname}{tuple(params)} should start with {tuple(lead)}")
     assert not changed, changed
+
+
+def test_package_import_leaves_scipy_optimize_out():
+    """A run loads only scipy.linalg and scipy.special: scipy.optimize alone adds about
+    a quarter of a second to every process start."""
+    probe = "import sys, faddeev_ep, faddeev_ep.harness, faddeev_ep.cli; print('scipy.optimize' in sys.modules)"
+    path = os.pathsep.join(filter(None, [str(PACKAGE.parent), os.environ.get("PYTHONPATH")]))
+    out = subprocess.run([sys.executable, "-c", probe], capture_output=True, text=True, check=True,
+                         env={**os.environ, "PYTHONPATH": path})
+    assert out.stdout.strip() == "False", out.stderr
