@@ -104,6 +104,13 @@ class BoundaryOperator:
         return BoundaryOperator(self.matrix @ other.matrix, other.domain_space, self.range_space, self.nodes)
 
 
+def _circulant(symbol: np.ndarray) -> np.ndarray:
+    """Real circulant matrix with eigenvalue symbol[m] on DFT mode m (in FFT order)."""
+    n = len(symbol)
+    row = np.fft.ifft(symbol).real
+    return row[(np.arange(n)[:, None] - np.arange(n)[None, :]) % n]
+
+
 def log_quadrature_matrix(n_nodes: int) -> np.ndarray:
     """Circulant weights R with sum_j R[i,j] f(t_j) ~ int ln(4 sin^2((t_i-t)/2)) f(t) dt.
 
@@ -115,9 +122,7 @@ def log_quadrature_matrix(n_nodes: int) -> np.ndarray:
     m = np.abs(np.fft.fftfreq(n_nodes) * n_nodes)
     lam = np.zeros(n_nodes)
     lam[m > 0] = -2 * np.pi / m[m > 0]
-    row = np.fft.ifft(lam).real
-    idx = (np.arange(n_nodes)[:, None] - np.arange(n_nodes)[None, :]) % n_nodes
-    return row[idx]
+    return _circulant(lam)
 
 
 _LOG_KERNEL_CACHE: "weakref.WeakKeyDictionary[NodeSet, np.ndarray]" = weakref.WeakKeyDictionary()
@@ -154,7 +159,7 @@ def assemble_log_layer(nodes: NodeSet) -> BoundaryOperator:
 
 def assemble_S0(k, nodes: NodeSet) -> BoundaryOperator:
     """Single layer S_k^0 with kernel G_k^0 = -(1/2pi) ln|z-z'| - gamma/2pi - ln|k|/2pi."""
-    kp = k if isinstance(k, KPoint) else KPoint.from_k(k)
+    kp = KPoint.from_k(k)
     shift = -(EULER_GAMMA + kp.log_abs) / (2 * np.pi)
     mat = _log_kernel_matrix(nodes) + shift * nodes.weights[None, :]
     return BoundaryOperator(mat, HMINUS, HPLUS, nodes)
@@ -162,7 +167,7 @@ def assemble_S0(k, nodes: NodeSet) -> BoundaryOperator:
 
 def assemble_S(k, nodes: NodeSet) -> BoundaryOperator:
     """Faddeev single layer S_k = S_k^0 + Nystrom(N(k(z-z'))), diag N(0) = 0."""
-    kp = k if isinstance(k, KPoint) else KPoint.from_k(k)
+    kp = KPoint.from_k(k)
     w = kp.kz(nodes.z[:, None] - nodes.z[None, :])
     smooth = green_remainder(w)
     mat = assemble_S0(kp, nodes).matrix + (2 * np.pi / nodes.n_nodes) * smooth * nodes.speed[None, :]
@@ -233,9 +238,7 @@ def sobolev_matrix(n: int, order: float) -> np.ndarray:
     """Dense (real, symmetric, circulant) matrix of the order-s weight."""
     if n % 2:
         raise ValueError(f"Sobolev weights need an even node count, got {n}")
-    row = np.fft.ifft(_mode_multipliers(n, order)).real
-    idx = (np.arange(n)[:, None] - np.arange(n)[None, :]) % n
-    mat = row[idx]
+    mat = _circulant(_mode_multipliers(n, order))
     mat.flags.writeable = False
     return mat
 
@@ -300,7 +303,7 @@ def _refusal(kp: KPoint, smin: float, smax: float) -> NearSingularError:
 
 def invert_S(k, s_op: BoundaryOperator) -> BoundaryOperator:
     """Dense inverse of S_k; refuses when sigma_min flags proximity to E_D."""
-    kp = k if isinstance(k, KPoint) else KPoint.from_k(k)
+    kp = KPoint.from_k(k)
     sv = np.linalg.svd(weighted_matrix(s_op), compute_uv=False)
     smin, smax = float(sv[-1]), float(sv[0])
     if smin < SINGULARITY_THRESHOLD * smax:
@@ -318,9 +321,7 @@ def _rotation_matrix(n: int, alpha: float) -> np.ndarray:
     """
     phase = np.exp(1j * alpha * np.fft.fftfreq(n) * n)
     phase[n // 2] = 1.0
-    row = np.fft.ifft(phase).real
-    idx = (np.arange(n)[:, None] - np.arange(n)[None, :]) % n
-    return row[idx]
+    return _circulant(phase)
 
 
 class KWorkspace:
@@ -332,7 +333,7 @@ class KWorkspace:
     """
 
     def __init__(self, k, nodes: NodeSet):
-        self.k = k if isinstance(k, KPoint) else KPoint.from_k(k)
+        self.k = KPoint.from_k(k)
         self.nodes = nodes
         self.s = assemble_S(self.k, nodes)
         self._inverse: BoundaryOperator | None = None

@@ -10,6 +10,7 @@ import json
 import logging
 import sys
 
+from .geometry import curve_by_name, sample
 from .harness import RunConfig, run
 from .validate import run_validation
 
@@ -120,8 +121,7 @@ def main(argv=None) -> int:
             if args.outdir:
                 cfg.outdir = args.outdir
         elif args.command == "validate":
-            curve = _curve_dict(args)
-            checks = run_validation(curve.pop("name"), args.n, **curve)
+            checks = run_validation(sample(curve_by_name(**_curve_dict(args)), args.n))
             for c in checks:
                 print(c.line())
             return 0 if all(c.passed for c in checks) else 2

@@ -229,7 +229,7 @@ def scan(points, n: Potential, nodes: NodeSet) -> list[ScanResult]:
     out = []
     base = None
     for kp in points:
-        kp = kp if isinstance(kp, KPoint) else KPoint.from_k(kp)
+        kp = KPoint.from_k(kp)
         if base is not None and base.rotates_to(kp):
             ws = base.rotated(kp)
         else:
@@ -493,8 +493,8 @@ def parity_path(k_a, k_b, n: Potential, nodes: NodeSet) -> ParityVerdict:
     cannot pass through k = 0, and is bisected down to PARITY_RESOLUTION of
     its length.  Endpoint counts flagged as near-exceptional refuse the verdict.
     """
-    k_a = k_a if isinstance(k_a, KPoint) else KPoint.from_k(k_a)
-    k_b = k_b if isinstance(k_b, KPoint) else KPoint.from_k(k_b)
+    k_a = KPoint.from_k(k_a)
+    k_b = KPoint.from_k(k_b)
 
     def path(s: float) -> KPoint:
         return KPoint.from_polar_log((1 - s) * k_a.log_abs + s * k_b.log_abs, (1 - s) * k_a.phi + s * k_b.phi)

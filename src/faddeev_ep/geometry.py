@@ -1,16 +1,19 @@
-"""Closed C^2 boundary curves and their quadrature node sets.
+"""Closed boundary curves and their quadrature node sets.
 
-Curves are 2pi-periodic parametrizations t -> z(t) of the boundary of a
-bounded domain, identified with the complex plane (z = x + iy).  Node sets
-carry uniform-parameter trapezoid quadrature, which is spectrally accurate
-for smooth closed curves, together with outward unit normals.
+Every curve is a table of Fourier coefficients c_m of z(t) = sum_m c_m e^{imt},
+t in [0, 2pi), and z, z' and z'' are read from that one series.  The circle of
+radius r is {1: r}, the ellipse (a cos t, b sin t) is {1: (a+b)/2, -1: (a-b)/2}
+and the kite (cos t + 0.65 cos 2t - 0.65, 1.5 sin t) is
+{-2: 0.325, -1: -0.25, 0: -0.65, 1: 1.25, 2: 0.325}.  The interior map F_n is
+supported exactly on the table {1: 1}.  Node sets carry uniform-parameter
+trapezoid quadrature, spectrally accurate for smooth closed curves, and
+outward unit normals.
 """
 
 from __future__ import annotations
 
 import json
 from dataclasses import dataclass, field
-from typing import Callable
 
 import numpy as np
 
@@ -29,24 +32,18 @@ __all__ = [
 
 @dataclass(frozen=True, eq=False)
 class BoundaryCurve:
-    """A smooth closed curve t in [0, 2pi) -> z(t) in C.
+    """The curve z(t) = sum_m coeffs[i] e^{i modes[i] t} (``modes`` sorted); ``name``
+    and the constructor's ``params`` identify it in configs and cache keys."""
 
-    Parameters
-    ----------
-    param, deriv, second_deriv : callable
-        Vectorized maps from parameter values to complex points z(t),
-        z'(t), z''(t).
-    name : str
-        Identifier used in configs and cache keys.
-    params : dict
-        Constructor parameters, recorded for reproducibility.
-    """
-
-    param: Callable[[np.ndarray], np.ndarray]
-    deriv: Callable[[np.ndarray], np.ndarray]
-    second_deriv: Callable[[np.ndarray], np.ndarray]
+    modes: np.ndarray
+    coeffs: np.ndarray
     name: str
     params: dict = field(default_factory=dict)
+
+    def z(self, t, order: int = 0) -> np.ndarray:
+        """z(t), z'(t) or z''(t) (``order`` 0, 1 or 2) from the series, vectorized over t."""
+        phase = np.exp(1j * np.outer(np.asarray(t, dtype=float), self.modes))
+        return phase @ (self.coeffs * (1j * self.modes) ** order)
 
     def key(self) -> str:
         """Stable identifier (name plus sorted parameters)."""
@@ -87,16 +84,12 @@ class NodeSet:
         """Quadrature estimate of the boundary length |dO|."""
         return float(np.sum(self.weights))
 
-    def mean(self, values: np.ndarray) -> complex:
-        """Arc-length mean (1/|dO|) * integral of values over the boundary."""
-        return np.sum(self.weights * values) / self.length
-
     @property
     def centred_circle(self) -> bool:
-        """Whether z_j = r e^{i t_j} on a circle centred at the origin, so that a
+        """Whether z(t) = c e^{it} (m = 1 is the only nonzero mode), so that a
         rotation of the plane by a shifts the node data by a in t."""
-        r = abs(self.z[0])
-        return bool(np.max(np.abs(self.z - r * np.exp(1j * self.t))) <= 1e-14 * r)
+        c = self.curve
+        return c.modes[c.coeffs != 0].tolist() == [1]
 
 
 def _freeze(*arrays: np.ndarray) -> None:
@@ -104,18 +97,21 @@ def _freeze(*arrays: np.ndarray) -> None:
         a.flags.writeable = False
 
 
+def _table(coeffs: dict[int, complex], name: str, params: dict) -> BoundaryCurve:
+    modes = np.array(sorted(coeffs), dtype=int)
+    if len(modes) == 0:
+        raise ValueError("empty Fourier coefficient table")
+    c = np.array([complex(coeffs[int(m)]) for m in modes])
+    _freeze(modes, c)
+    return BoundaryCurve(modes, c, name, params)
+
+
 def make_circle(radius: float) -> BoundaryCurve:
     """Circle of given radius centred at the origin."""
     if radius <= 0:
         raise ValueError(f"radius must be positive, got {radius}")
     r = float(radius)
-    return BoundaryCurve(
-        param=lambda t: r * np.exp(1j * np.asarray(t, dtype=float)),
-        deriv=lambda t: 1j * r * np.exp(1j * np.asarray(t, dtype=float)),
-        second_deriv=lambda t: -r * np.exp(1j * np.asarray(t, dtype=float)),
-        name="circle",
-        params={"radius": r},
-    )
+    return _table({1: r}, "circle", {"radius": r})
 
 
 def make_ellipse(a: float, b: float) -> BoundaryCurve:
@@ -123,64 +119,19 @@ def make_ellipse(a: float, b: float) -> BoundaryCurve:
     if a <= 0 or b <= 0:
         raise ValueError(f"ellipse axes must be positive, got a={a}, b={b}")
     a, b = float(a), float(b)
-
-    def param(t):
-        t = np.asarray(t, dtype=float)
-        return a * np.cos(t) + 1j * b * np.sin(t)
-
-    def deriv(t):
-        t = np.asarray(t, dtype=float)
-        return -a * np.sin(t) + 1j * b * np.cos(t)
-
-    def second_deriv(t):
-        t = np.asarray(t, dtype=float)
-        return -a * np.cos(t) - 1j * b * np.sin(t)
-
-    return BoundaryCurve(param, deriv, second_deriv, "ellipse", {"a": a, "b": b})
+    return _table({1: (a + b) / 2, -1: (a - b) / 2}, "ellipse", {"a": a, "b": b})
 
 
 def make_kite() -> BoundaryCurve:
     """The standard kite z(t) = (cos t + 0.65 cos 2t - 0.65, 1.5 sin t)."""
-
-    def param(t):
-        t = np.asarray(t, dtype=float)
-        return np.cos(t) + 0.65 * np.cos(2 * t) - 0.65 + 1.5j * np.sin(t)
-
-    def deriv(t):
-        t = np.asarray(t, dtype=float)
-        return -np.sin(t) - 1.3 * np.sin(2 * t) + 1.5j * np.cos(t)
-
-    def second_deriv(t):
-        t = np.asarray(t, dtype=float)
-        return -np.cos(t) - 2.6 * np.cos(2 * t) - 1.5j * np.sin(t)
-
-    return BoundaryCurve(param, deriv, second_deriv, "kite", {})
+    return _table({-2: 0.325, -1: -0.25, 0: -0.65, 1: 1.25, 2: 0.325}, "kite", {})
 
 
 def curve_from_fourier(coeffs: dict[int, complex], name: str = "fourier") -> BoundaryCurve:
-    """Curve from a table of Fourier coefficients of z(t).
-
-    ``coeffs`` maps mode index m to the complex coefficient c_m of
-    z(t) = sum_m c_m e^{i m t}.
-    """
-    modes = np.array(sorted(coeffs), dtype=int)
-    if len(modes) == 0:
-        raise ValueError("empty Fourier coefficient table")
-    c = np.array([complex(coeffs[int(m)]) for m in modes])
-
-    def series(t, order):
-        t = np.atleast_1d(np.asarray(t, dtype=float))
-        phase = np.exp(1j * np.outer(t, modes))
-        vals = phase @ (c * (1j * modes) ** order)
-        return vals
-
-    return BoundaryCurve(
-        param=lambda t: series(t, 0),
-        deriv=lambda t: series(t, 1),
-        second_deriv=lambda t: series(t, 2),
-        name=name,
-        params={"modes": [int(m) for m in modes], "coeffs": [str(x) for x in c]},
-    )
+    """Curve z(t) = sum_m c_m e^{imt} from the table ``coeffs`` {m: c_m}."""
+    curve = _table(coeffs, name, {})
+    curve.params.update(modes=curve.modes.tolist(), coeffs=[str(x) for x in curve.coeffs])
+    return curve
 
 
 def curve_from_fourier_json(path) -> BoundaryCurve:
@@ -213,20 +164,13 @@ def sample(curve: BoundaryCurve, n: int) -> NodeSet:
     Requires N even and >= 16 (the log-quadrature and the Sobolev weights
     both assume an even number of nodes).
     """
-    if n < 16:
-        raise ValueError(f"need at least 16 nodes, got {n}")
-    if n % 2 != 0:
-        raise ValueError(f"node count must be even, got {n}")
+    if n < 16 or n % 2:
+        raise ValueError(f"node count must be even and at least 16, got {n}")
     t = 2 * np.pi * np.arange(n) / n
-    z = np.asarray(curve.param(t), dtype=complex)
-    dz = np.asarray(curve.deriv(t), dtype=complex)
-    d2z = np.asarray(curve.second_deriv(t), dtype=complex)
+    z, dz, d2z = (curve.z(t, order) for order in range(3))
     speed = np.abs(dz)
     if np.min(speed) <= 0:
         raise ValueError(f"irregular parametrization: |z'| vanishes on {curve.name}")
-    closure = abs(curve.param(0.0) - curve.param(2 * np.pi))
-    if closure > 1e-12 * max(1.0, float(np.max(np.abs(z)))):
-        raise ValueError(f"curve {curve.name} does not close: |z(0)-z(2pi)| = {closure:.3e}")
     weights = speed * (2 * np.pi / n)
     # outward normal for counterclockwise orientation: (y', -x')/|z'|
     normals = (dz.imag - 1j * dz.real) / speed

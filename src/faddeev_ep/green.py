@@ -88,7 +88,10 @@ class KPoint:
         object.__setattr__(self, "phi", float(np.mod(self.phi, 2 * np.pi)))
 
     @classmethod
-    def from_k(cls, k: complex) -> "KPoint":
+    def from_k(cls, k) -> "KPoint":
+        """The KPoint of a complex k; a KPoint is returned unchanged."""
+        if isinstance(k, cls):
+            return k
         k = complex(k)
         if k == 0:
             raise ValueError("k = 0 is not a valid spectral parameter")
@@ -122,13 +125,9 @@ class KPoint:
         return f"KPoint(|k|=e^{self.log_abs:.6g}, arg={self.phi:.6g})"
 
 
-def _as_kpoint(k) -> KPoint:
-    return k if isinstance(k, KPoint) else KPoint.from_k(k)
-
-
 def g0(k, z) -> float:
     """Logarithmic part G_k^0(z) = -(1/2pi) ln|z| - gamma/2pi - (1/2pi) ln|k|."""
-    kp = _as_kpoint(k)
+    kp = KPoint.from_k(k)
     az = np.abs(np.asarray(z, dtype=complex))
     if np.any(az == 0):
         raise ValueError("G_k^0 is singular at z = 0")

@@ -204,9 +204,7 @@ def run(config: RunConfig) -> RunManifest:
         cache = OperatorCache(config.cache_dir or os.environ.get(CACHE_ENV_VAR)
                               or os.path.join(config.outdir, "cache"))
 
-    curve_params = dict(config.curve)
-    curve_name = curve_params.pop("name")
-    nodes = sample(curve_by_name(curve_name, **curve_params), config.n_nodes)
+    nodes = sample(curve_by_name(**config.curve), config.n_nodes)
     base, family = build_potential(config)
     pot = base if family is None else family.at(config.lam)
 
@@ -255,7 +253,7 @@ def run(config: RunConfig) -> RunManifest:
         t0 = time.perf_counter()
         try:
             if detector == "validate":
-                checks = run_validation(curve_name, config.n_nodes, **curve_params)
+                checks = run_validation(nodes)
                 validation_passed = all(c.passed for c in checks)
                 summary["validation"] = [
                     {"name": c.name, "passed": c.passed, "measured": c.measured, "threshold": c.threshold}

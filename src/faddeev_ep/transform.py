@@ -115,7 +115,7 @@ def trace_u(k, n: Potential, nodes: NodeSet) -> BoundaryTrace:
 
 def scatter_t(k, n: Potential, nodes: NodeSet) -> TransformValue:
     """t(k) by node quadrature of e^{i conj(kz)} (F_n - F_0) u over the boundary."""
-    kp = k if isinstance(k, KPoint) else KPoint.from_k(k)
+    kp = KPoint.from_k(k)
     tr = trace_u(kp, n, nodes)
     fn = assemble_Fn(nodes, n)
     f0 = assemble_F0(nodes)
@@ -134,10 +134,7 @@ def bound_check(n: Potential, k_sequence, nodes: NodeSet) -> BoundReport:
     be non-increasing (within 5%), which certifies saturation onto a
     finite plateau.  Any trace failure marks the report invalid.
     """
-    pts = []
-    for kk in k_sequence:
-        pts.append(kk if isinstance(kk, KPoint) else KPoint.from_k(kk))
-    pts = sorted(pts, key=lambda p: -p.log_abs)  # outer -> inner
+    pts = sorted(map(KPoint.from_k, k_sequence), key=lambda p: -p.log_abs)  # outer -> inner
     prods = np.full(len(pts), np.nan)
     values: list[TransformValue | None] = [None] * len(pts)
     failures = []

@@ -27,7 +27,7 @@ from .boundary_ops import (
     weighted_matrix,
 )
 from .dtn_maps import assemble_F0, assemble_Fout, assemble_Fout_bounded, assemble_Fout_zero
-from .geometry import curve_by_name, sample
+from .geometry import NodeSet, sample
 from .green import KPoint, epsilon_from_log
 
 __all__ = ["CheckResult", "run_validation"]
@@ -45,10 +45,11 @@ class CheckResult:
         return f"[{status}] {self.name}: measured {self.measured:.3e} (threshold {self.threshold:.1e})"
 
 
-def run_validation(curve_name: str = "circle", n_nodes: int = 128, **curve_params) -> list[CheckResult]:
-    curve = curve_by_name(curve_name, **curve_params)
-    nodes = sample(curve, n_nodes)
-    nodes2 = sample(curve, 2 * n_nodes)
+def run_validation(nodes: NodeSet) -> list[CheckResult]:
+    """Run the checks on ``nodes``, the node set of the run itself, so that its
+    k-independent operators are built once per run."""
+    n_nodes = nodes.n_nodes
+    nodes2 = sample(nodes.curve, 2 * n_nodes)
     checks: list[CheckResult] = []
 
     def add(name, measured, threshold):

@@ -31,7 +31,7 @@ from faddeev_ep.dtn_maps import (
     standard_conductive,
     zero_potential,
 )
-from faddeev_ep.geometry import make_circle, make_ellipse, sample
+from faddeev_ep.geometry import curve_from_fourier_json, make_circle, make_ellipse, sample
 from faddeev_ep.green import KPoint
 
 
@@ -330,6 +330,14 @@ def test_Fn_requires_unit_disk(conductive):
     nodes = sample(make_ellipse(2.0, 1.0), 64)
     with pytest.raises(NotImplementedError):
         assemble_Fn(nodes, conductive)
+
+
+def test_Fn_on_a_fourier_unit_circle(tmp_path, conductive):
+    """F_n is supported on the table {1: 1} whatever the curve's name."""
+    path = tmp_path / "round.json"
+    path.write_text(json.dumps({"name": "round", "coeffs": {"1": [1.0, 0.0]}}))
+    fn = assemble_Fn(sample(curve_from_fourier_json(path), 64), conductive)
+    assert np.array_equal(fn.matrix, assemble_Fn(sample(make_circle(1.0), 64), conductive).matrix)
 
 
 def _three():

@@ -157,6 +157,25 @@ def test_full_run_locus_and_manifest(tmp_path):
     assert set(inventory) >= {"config.json", "locus.csv", "summary.json"}
 
 
+def test_validate_runs_on_the_run_nodes(tmp_path, monkeypatch):
+    """A run samples its curve at N once: validate reads the run's own NodeSet
+    (and its k-independent operators) and samples only the 2N set of its own."""
+    from faddeev_ep import geometry, harness, validate
+
+    sizes = []
+
+    def counted(curve, n):
+        sizes.append(n)
+        return geometry.sample(curve, n)
+
+    for mod in (harness, validate):
+        monkeypatch.setattr(mod, "sample", counted)
+    manifest = run(RunConfig(detectors=["validate", "locus"], lam=0.05, locus_angles=2, n_nodes=64,
+                             use_cache=False, outdir=str(tmp_path)))
+    assert manifest.validation_passed and not manifest.detector_errors
+    assert sorted(sizes) == [64, 128]
+
+
 def test_cli_validate_and_exit_codes(tmp_path, capsys):
     assert cli_main(["validate", "--n", "64"]) == 0
     out = capsys.readouterr().out
