@@ -13,12 +13,14 @@ equispaced angles, and its angular coupling enters as a mode
 convolution with the FFT of n, truncated at the ends of the mode range (not
 wrapped).  With the modes ordered by m and grouped in runs of b modes, b the
 numerically detected angular bandwidth of n, the system is block-tridiagonal
-and is solved by dense block elimination (LAPACK getrf/getrs on each diagonal
-block).  n couples no radii, so an off-diagonal block is held compact, one
-value per mode pair and radius (shape (b, b, nh - 1)), and applied by einsum.
-The factors, an LU and a gain D_i^{-1} A[i, i+1] per run, are the solver's
-memory: 2·(2N/b)·(b·(nh - 1))^2 values for a non-radial n (N runs of one mode
-for a radial n).
+and is solved by dense block elimination fused with the forward sweep.  n
+couples no radii, so an off-diagonal block is held compact, one value per mode
+pair and radius (shape (b, b, nh - 1)), and applied by einsum.  Each run
+inverts its diagonal block once (gesv against the identity, the work of a
+solve against the b·(nh - 1) columns of A[i, i+1]) and keeps only its gain
+D_i^{-1} A[i, i+1] and forward span: the gains are the solver's memory,
+(2N/b - 1)·(b·(nh - 1))^2 values for a non-radial n (N runs of one mode for a
+radial n).
 
 All boundary modes share one forward and one backward sweep.  The solution of
 boundary mode m0 decays as r^|m| and away from m0, and most of it would
@@ -27,7 +29,7 @@ zero, which keeps BLAS out of subnormal arithmetic and moves no entry of F_n.
 With the columns in descending mode order the nonzero columns of each run are
 then a span, and each run's solution is stored as that span and its offset
 only.  The backward sweep reads a run's normal-derivative row as soon as it
-has finished the run and drops it, so beside the factors the solve holds the
+has finished the run and drops it, so beside the gains the solve holds the
 forward spans (on the interior256 potential at N = 256, on average 20 of 256
 columns per run) instead of a dense 2N·(nh - 1)·N solution.  The Nyquist
 boundary column cos(N theta / 2) is solved as its -N/2 and +N/2 halves, each
@@ -52,7 +54,6 @@ import hashlib
 from functools import cached_property
 
 import numpy as np
-from scipy.linalg import get_lapack_funcs
 
 __all__ = ["DiskDtnSolver", "InteriorResonanceError", "cheb", "radial_size"]
 
@@ -125,10 +126,6 @@ class DiskDtnSolver:
         }
         self._inv_r2 = 1.0 / self.r**2
 
-    def _mode_laplacian(self, m: int) -> np.ndarray:
-        s = 1 if m % 2 == 0 else -1
-        return self._dr2[s] - (m * m) * np.diag(self._inv_r2)
-
     def samples(self, potential) -> np.ndarray:
         """Every value of n the solve reads: n at the radii times 2N equispaced angles."""
         m_int = 2 * self.n_boundary
@@ -186,58 +183,19 @@ class DiskDtnSolver:
             """Coupling of run i to run j, shape (len(run i), len(run j), n_int)."""
             return coupled[i - j][: len(runs[i]), : len(runs[j])]
 
-        def dense_block(i, j):
-            """Block (run i, run j) of the system matrix, rows and columns (mode, radius)."""
-            c = coupling_block(i, j)
-            out = np.zeros((c.shape[0], n_int, c.shape[1], n_int), dtype=dtype)
+        def diag_block(i):
+            """Block (run i, run i) of the system matrix, rows and columns (mode, radius)."""
+            c = coupling_block(i, i)
+            out = np.zeros((len(c), n_int, len(c), n_int), dtype=dtype)
             out[:, radii, :, radii] = c.transpose(2, 0, 1)
-            if i == j:
-                for a, m in enumerate(runs[i]):
-                    out[a, :, a, :] -= self._mode_laplacian(m)[1:, 1:]
-            return out.reshape(c.shape[0] * n_int, c.shape[1] * n_int)
+            for a, m in enumerate(runs[i]):   # minus the mode Laplacian d_r^2 + d_r / r - m^2 / r^2
+                out[a, :, a, :] -= self._dr2[1 if m % 2 == 0 else -1][1:, 1:]
+                out[a, radii, a, radii] += m * m * self._inv_r2[1:]
+            return out.reshape(len(c) * n_int, -1)
 
         def apply_coupling(c, y):
             """The off-diagonal block with compact form c (a coupling_block) times y."""
             return np.einsum("abp,bpt->apt", c, y.reshape(c.shape[1], n_int, -1)).reshape(len(c) * n_int, -1)
-
-        # block LU (Thomas): D'_i = A[i, i] - A[i, i-1] D'_{i-1}^{-1} A[i-1, i]
-        getrf, getrs = get_lapack_funcs(("getrf", "getrs"), dtype=dtype)
-        lus, gains = [], []                  # LU of D'_i, D'_i^{-1} A[i, i+1]
-        for i in range(len(runs)):
-            diag = dense_block(i, i)
-            if i:
-                diag -= apply_coupling(coupling_block(i, i - 1), gains[-1])
-            lus.append(getrf(diag, overwrite_a=True)[:2])
-            if i + 1 < len(runs):
-                gains.append(getrs(*lus[-1], dense_block(i, i + 1))[0])
-
-        def live(lo, x):
-            """Flush x, whose columns start at lo, and keep only its nonzero columns: (lo', x')."""
-            cols = np.flatnonzero(_flush(x).any(axis=0))
-            return (lo + cols[0], x[:, cols[0] : cols[-1] + 1]) if cols.size else (lo, x[:, :0])
-
-        def joined(a, b, product):
-            """a - product(b) for the blocks a = (lo, A) and b = (lo, B), on the columns they span together."""
-            ends = [(lo, lo + x.shape[1]) for lo, x in (a, b) if x.shape[1]]
-            lo = min((e[0] for e in ends), default=0)
-            out = np.zeros((len(a[1]), max((e[1] for e in ends), default=0) - lo), dtype=dtype)
-            out[:, a[0] - lo : a[0] - lo + a[1].shape[1]] = a[1]
-            if b[1].shape[1]:
-                out[:, b[0] - lo : b[0] - lo + b[1].shape[1]] -= product(b[1])
-            return lo, out
-
-        def solve(rhs):
-            """A^{-1} B by one forward and one backward sweep, with rhs[i] = (lo, B_i) the part of
-            B in run i on columns lo:lo + width.  Yields (i, lo, X_i) from the last run down.
-            Every block holds only the span of its nonzero columns, and a run of the forward
-            sweep is dropped as soon as the backward sweep has passed it."""
-            fwd, nxt = [], (0, np.zeros((0, 0), dtype=dtype))
-            for i, b in enumerate(rhs):
-                lo, x = joined(b, fwd[-1] if fwd else nxt, lambda y: apply_coupling(coupling_block(i, i - 1), y))
-                fwd.append(live(lo, getrs(*lus[i], x)[0]))
-            for i in range(len(fwd) - 1, -1, -1):
-                nxt = live(*joined(fwd.pop(), nxt, lambda x: gains[i] @ x))
-                yield i, *nxt
 
         # boundary-mode right-hand sides: f_hat = e_{m0} for the nb boundary modes,
         # whose columns L_m[1:, 0] and normal-derivative rows depend on parity only.
@@ -256,19 +214,48 @@ class DiskDtnSolver:
         # from its boundary mode, are a span
         order = np.argsort(-modes)
         modes, cols, weights = modes[order], cols[order], weights[order]
-        rhs = []
+
+        def live(lo, x):
+            """Flush x, whose columns start at lo, and keep only its nonzero columns: (lo', x')."""
+            cols = np.flatnonzero(_flush(x).any(axis=0))
+            return (lo + cols[0], x[:, cols[0] : cols[-1] + 1]) if cols.size else (lo, x[:, :0])
+
+        def joined(a, b, product):
+            """a - product(b) for the blocks a = (lo, A) and b = (lo, B), on the columns they span together."""
+            ends = [(lo, lo + x.shape[1]) for lo, x in (a, b) if x.shape[1]]
+            lo = min((e[0] for e in ends), default=0)
+            out = np.zeros((len(a[1]), max((e[1] for e in ends), default=0) - lo), dtype=dtype)
+            out[:, a[0] - lo : a[0] - lo + a[1].shape[1]] = a[1]
+            if b[1].shape[1]:
+                out[:, b[0] - lo : b[0] - lo + b[1].shape[1]] -= product(b[1])
+            return lo, out
+
+        # block elimination fused with the forward sweep: run i inverts D'_i = A[i, i] - A[i, i-1] G_{i-1}
+        # and keeps G_i = D'_i^{-1} A[i, i+1] and its forward span D'_i^{-1} (B_i - A[i, i-1] X'_{i-1}),
+        # B_i the boundary columns js whose mode lies in run i (adjacent in the descending order)
+        gains, fwd, nxt = [], [], (0, np.zeros((0, 0), dtype=dtype))
         for i, run in enumerate(runs):
             js = np.flatnonzero(modes // step == i)
             b = np.zeros((len(run), n_int, js.size), dtype=dtype)
             for c, j in enumerate(js):
                 b[modes[j] - i * step, :, c] = weights[j] * self._dr2[parity[modes[j]]][1:, 0]
-            rhs.append((js[0] if js.size else 0, b.reshape(len(run) * n_int, js.size)))
+            diag = diag_block(i)
+            if i:
+                diag -= apply_coupling(coupling_block(i, i - 1), gains[-1])
+            lo, x = joined((js[0] if js.size else 0, b.reshape(len(run) * n_int, js.size)), fwd[-1] if fwd else nxt,
+                           lambda y: apply_coupling(coupling_block(i, i - 1), y))
+            inv = np.linalg.inv(diag)
+            if i + 1 < len(runs):
+                up = coupling_block(i, i + 1)
+                gains.append(np.einsum("xap,abp->xbp", inv.reshape(len(inv), len(up), n_int), up).reshape(len(inv), -1))
+            fwd.append(live(lo, inv @ x))
 
         dn_rows = np.array([self._d1[s][0, 1:] for s in parity])
         # normal derivatives, added into the boundary columns: the two Nyquist halves add into one
         ghat = np.zeros((m_int, nb), dtype=complex)
         sol_norm = np.zeros(modes.size)                   # |u_j|_1 of each solved column
-        for i, lo, x in solve(rhs):
+        for i in range(len(fwd) - 1, -1, -1):   # the backward sweep drops each forward span it passes
+            lo, x = nxt = live(*joined(fwd.pop(), nxt, lambda y: gains[i] @ y))
             rows = slice(i * step, i * step + len(runs[i]))
             dn = np.einsum("ap,apc->ac", dn_rows[rows], x.reshape(len(runs[i]), n_int, -1))
             np.add.at(ghat, (rows, cols[lo : lo + x.shape[1]]), dn)
@@ -305,6 +292,6 @@ class DiskDtnSolver:
         """
         gains = []
         for m in range(self.n_boundary // 2 + 1):
-            b = self._dr2[1 if m % 2 == 0 else -1][1:, 0]
-            gains.append(np.abs(np.linalg.solve(-self._mode_laplacian(m)[1:, 1:], b)).sum() / np.abs(b).sum())
+            lap = self._dr2[1 if m % 2 == 0 else -1] - m * m * np.diag(self._inv_r2)   # d_r^2 + d_r / r - m^2 / r^2
+            gains.append(np.abs(np.linalg.solve(-lap[1:, 1:], lap[1:, 0])).sum() / np.abs(lap[1:, 0]).sum())
         return float(max(gains))

@@ -98,11 +98,10 @@ def zero_potential() -> Potential:
     )
 
 
-def _check_conductive(n_fn, q_fn, rng_seed=0, tol=1e-4) -> None:
-    """Verify n = -q^{-1/2} Lap q^{1/2} by finite differences on a sample grid."""
-    rng = np.random.default_rng(rng_seed)
-    r = rng.uniform(0.05, 0.95, 120)
-    th = rng.uniform(0, 2 * np.pi, 120)
+def _check_conductive(n_fn, q_fn, tol=1e-4) -> None:
+    """Verify n = -q^{-1/2} Lap q^{1/2} by finite differences on 120 golden-angle points."""
+    j = np.arange(120)
+    r, th = 0.05 + 0.9 * (j + 0.5) / 120, 2 * np.pi * np.mod(j * (np.sqrt(5) - 1) / 2, 1)
     x, y = r * np.cos(th), r * np.sin(th)
     h = 1e-3
 

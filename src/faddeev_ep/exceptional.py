@@ -21,7 +21,6 @@ from dataclasses import dataclass, field
 
 import numpy as np
 from numpy.polynomial.legendre import leggauss
-from scipy.linalg import eig as dense_eig
 
 from .boundary_ops import (
     HMINUS,
@@ -182,7 +181,7 @@ def n_minus(k, n: Potential, nodes: NodeSet) -> ParityRecord:
     is_complex = np.iscomplexobj(p.matrix)
     if is_complex:
         warnings.warn("n^- is defined for real potentials; counts for complex n are not meaningful", stacklevel=2)
-    eigs = dense_eig(p.matrix, right=False)
+    eigs = np.linalg.eigvals(p.matrix)
     real_mask = np.abs(eigs.imag) < 1e-12 if is_complex else eigs.imag == 0.0
     count = int(np.sum(real_mask & (eigs.real < -TOL_NEG)))
     near = bool(np.min(np.abs(eigs)) < TOL_NEG)

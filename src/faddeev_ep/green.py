@@ -16,7 +16,8 @@ where E1 is the exponential integral and Ein its entire part
 cut, and e^{-i zeta . z} G_k(z) decays in every direction of w, which is the
 radiation condition that singles this branch out.  G_k is evaluated only
 through the split: ``g0`` for the logarithmic part and ``green_remainder``
-for N (the Ein series for |w| <= 4, E1 beyond).  Everything is validated
+for N (the Ein series for |w| <= 4; beyond, E1 by its continued fraction, or
+near the negative real axis the Ein series again).  Everything is validated
 against independent oracles in the test suite (weak Laplace identity,
 kz-scaling, realness, decay of the ratio |G_k e^{-i zeta.z}| sqrt(|k||z|)).
 """
@@ -27,7 +28,6 @@ import warnings
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.special import exp1
 
 __all__ = [
     "EULER_GAMMA",
@@ -45,6 +45,9 @@ EULER_GAMMA = float(np.euler_gamma)
 _SERIES_RADIUS = 4.0
 # the series stops once the next term's bound |s|^n/(n n!) is below this times max(1, max|s|)
 _SERIES_TOL = 1e-17
+# beyond it, E1 by its continued fraction at this depth for |arg s| <= _CF_ARG, else the series
+_CF_ARG = 0.8 * np.pi
+_CF_DEPTH = 200
 
 
 def epsilon_from_log(log_abs_k: float, nu: float) -> float:
@@ -167,10 +170,16 @@ def green_remainder(w) -> np.ndarray:
     out = np.empty(w.shape, dtype=float)
     zeta = -1j * w
     small = np.abs(w) <= _SERIES_RADIUS
-    if np.any(small):
-        out[small] = _ein(zeta[small]).real / (2 * np.pi)
-    if np.any(~small):
-        zl = zeta[~small]
+    cf = ~small & (np.abs(np.angle(zeta)) <= _CF_ARG)
+    for series in (small, ~small & ~cf):    # two calls: max|s| sets each one's number of terms
+        out[series] = _ein(zeta[series]).real / (2 * np.pi)
+    if np.any(cf):
+        # E1(s) = e^{-s} / f, f = s + 1/(1 + 1/(s + 2/(1 + 2/(s + ...)))) evaluated backward: 1e-14
+        # relative up to |s| = 20 (near the negative real axis it converges slowly, and the series
+        # is as accurate there, its terms no longer cancelling)
+        s = f = zeta[cf]
+        for n in range(_CF_DEPTH, 0, -1):
+            f = s + n / (1 + n / f)
         # Ein = gamma + ln s + E1(s); Re is continuous across the E1 cut
-        out[~small] = (EULER_GAMMA + np.log(np.abs(zl)) + exp1(zl).real) / (2 * np.pi)
+        out[cf] = (EULER_GAMMA + np.log(np.abs(s)) + (np.exp(-s) / f).real) / (2 * np.pi)
     return out

@@ -89,6 +89,10 @@ class RunConfig:
         unknown = [d for d in self.detectors if d not in _DETECTORS]
         if unknown:
             raise ValueError(f"unknown detectors {unknown}; valid: {_DETECTORS}")
+        try:
+            curve_by_name(**self.curve)
+        except (KeyError, TypeError) as exc:   # a missing parameter or name
+            raise ValueError(f"curve {self.curve} is incomplete ({type(exc).__name__}: {exc})") from None
         if self.n_nodes < 16 or self.n_nodes % 2:
             raise ValueError(f"n_nodes must be even and >= 16, got {self.n_nodes}")
         kind = self.potential.get("kind", "conductive")
@@ -346,11 +350,9 @@ def run(config: RunConfig) -> RunManifest:
         with open(os.path.join(outdir, name), "rb") as fh:
             files[name] = hashlib.sha256(fh.read()).hexdigest()
 
-    import scipy
-
     manifest = RunManifest(
         config_hash=chash,
-        versions={"faddeev_ep": __version__, "numpy": np.__version__, "scipy": scipy.__version__},
+        versions={"faddeev_ep": __version__, "numpy": np.__version__},
         timings=timings,
         files=files,
         validation_passed=validation_passed,

@@ -496,21 +496,22 @@ def test_condition_estimate_is_deterministic_and_leaves_the_global_rng_alone():
 
 
 def test_interior_solve_memory_is_bounded_by_its_factors():
-    """The block LU stores an LU and a gain of (b (nh - 1))^2 values for each of the 2N / b
-    runs (b = 1 here); everything else the solve holds must fit in as much again.  A dense
-    solution of the N boundary columns, 2N (nh - 1) N values, alone is 1.45 times the
-    factors at N = 128."""
+    """The block elimination stores a gain of (b (nh - 1))^2 values for each of the 2N / b
+    runs (b = 1 here) and no LU; the forward spans and everything else the solve holds must
+    fit in twice as much again (measured 9.0 MB against 12.0 at N = 128).  An LU kept per
+    run as well (13.0 MB), or a dense solution of the N boundary columns, 2N (nh - 1) N
+    values, alone 2.9 times the gains, does not."""
     import tracemalloc
 
     solver = DiskDtnSolver(128)
-    factors = 2 * (2 * 128) * (solver.nh - 1) ** 2 * np.dtype(float).itemsize
+    gains = (2 * 128) * (solver.nh - 1) ** 2 * np.dtype(float).itemsize
     tracemalloc.start()
     try:
         solver.dtn_matrix(_tilted_bump())
         peak = tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()
-    assert peak < 2 * factors
+    assert peak < 3 * gains
 
 
 def test_disk_solver_radial_resolution_default():

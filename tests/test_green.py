@@ -151,6 +151,19 @@ def test_remainder_against_mpmath_across_the_e1_switch():
     assert np.max(np.abs(green_remainder(w) - ref)) <= 1e-14
 
 
+def test_remainder_against_mpmath_beyond_the_series_radius():
+    """N(w) for 4 < |w| <= 20 (the range A5 reaches) at 64 angles, on both sides of the
+    switch from the E1 continued fraction to the Ein series at |arg s| = 0.8 pi.  The
+    error is measured against |Ein(s)| / 2pi, of which N is the real part: near the
+    negative real axis Re Ein passes through zero while |Ein| ~ e^|s| / |s|, so no double
+    evaluation is accurate relative to N itself there (scipy's exp1 reads 2.7e-12 so)."""
+    w = np.concatenate([r * np.exp(1j * np.linspace(0, 2 * np.pi, 64, endpoint=False))
+                        for r in np.linspace(4.0 + 1e-9, 20.0, 33)])
+    ref = np.array([_ein_mpmath(-1j * x) for x in w]) / (2 * np.pi)
+    err = np.abs(green_remainder(w) - ref.real) / np.maximum(1.0, np.abs(ref))
+    assert np.max(err) <= 5e-14   # measured 2.3e-15
+
+
 def test_realness_at_random_points():
     """N(kz) against the conjugate-branch sum G_k = (E1(s) + E1(conj s))/4pi, s = -ikz, whose
     imaginary parts cancel; |kz| runs from 0.05 to 8.2, so both branches of N are checked."""

@@ -231,6 +231,18 @@ def test_cli_subcommand_config_error_exits_1(tmp_path, capsys):
     assert not any(tmp_path.iterdir())
 
 
+@pytest.mark.parametrize("curve, message", [({"name": "ellipse"}, "incomplete"),
+                                            ({"name": "trefoil"}, "unknown curve name")])
+def test_cli_run_rejects_a_bad_curve_before_running(tmp_path, capsys, curve, message):
+    """An ellipse without its axes, or an unknown curve name, is a config error (exit 1)."""
+    cfgpath = tmp_path / "cfg.json"
+    cfgpath.write_text(json.dumps({"curve": curve, "detectors": [], "outdir": str(tmp_path / "runs")}))
+    assert cli_main(["run", str(cfgpath)]) == 1
+    err = capsys.readouterr().err
+    assert "config error:" in err and message in err
+    assert not (tmp_path / "runs").exists()
+
+
 def test_cache_env_var(tmp_path, monkeypatch):
     monkeypatch.setenv("FADDEEV_EP_CACHE", str(tmp_path / "envcache"))
     cfg = _scan_config(tmp_path / "runs")
