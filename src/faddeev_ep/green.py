@@ -45,9 +45,7 @@ EULER_GAMMA = float(np.euler_gamma)
 _SERIES_RADIUS = 4.0
 # the series stops once the next term's bound |s|^n/(n n!) is below this times max(1, max|s|)
 _SERIES_TOL = 1e-17
-# beyond it, E1 by its continued fraction at this depth for |arg s| <= _CF_ARG, else the series
-_CF_ARG = 0.8 * np.pi
-_CF_DEPTH = 200
+_CF_ARG, _CF_DEPTH = 0.8 * np.pi, 200   # |s| > 4: E1 by continued fraction for |arg s| <= _CF_ARG
 
 
 def epsilon_from_log(log_abs_k: float, nu: float) -> float:
@@ -170,16 +168,18 @@ def green_remainder(w) -> np.ndarray:
     out = np.empty(w.shape, dtype=float)
     zeta = -1j * w
     small = np.abs(w) <= _SERIES_RADIUS
-    cf = ~small & (np.abs(np.angle(zeta)) <= _CF_ARG)
-    for series in (small, ~small & ~cf):    # two calls: max|s| sets each one's number of terms
-        out[series] = _ein(zeta[series]).real / (2 * np.pi)
-    if np.any(cf):
-        # E1(s) = e^{-s} / f, f = s + 1/(1 + 1/(s + 2/(1 + 2/(s + ...)))) evaluated backward: 1e-14
-        # relative up to |s| = 20 (near the negative real axis it converges slowly, and the series
-        # is as accurate there, its terms no longer cancelling)
-        s = f = zeta[cf]
+    if np.any(small):
+        out[small] = _ein(zeta[small]).real / (2 * np.pi)
+    if not np.all(small):
+        # Ein = gamma + ln s + E1(s), whose Re is continuous across the E1 cut; E1(s) = e^{-s} / f, f =
+        # s + 1/(1 + 1/(s + 2/(1 + ...))) evaluated backward, is within 1e-14 up to |s| = 20 for |arg s|
+        # <= _CF_ARG, and nearer the negative real axis the series (a call of its own) is as accurate
+        big = zeta[~small]
+        cf = np.abs(np.angle(big)) <= _CF_ARG
+        s = f = big[cf]
         for n in range(_CF_DEPTH, 0, -1):
             f = s + n / (1 + n / f)
-        # Ein = gamma + ln s + E1(s); Re is continuous across the E1 cut
-        out[cf] = (EULER_GAMMA + np.log(np.abs(s)) + (np.exp(-s) / f).real) / (2 * np.pi)
+        big[~cf] = _ein(big[~cf])
+        big[cf] = EULER_GAMMA + np.log(np.abs(s)) + np.exp(-s) / f
+        out[~small] = big.real / (2 * np.pi)
     return out
