@@ -27,7 +27,7 @@ from faddeev_ep.exceptional import scan, scan_to_csv
 
 nodes = sample(make_circle(1.0), 128)
 NU = nodes.length
-family = PerturbedFamily(standard_conductive(), *omega_radial_poly())
+family = PerturbedFamily(standard_conductive(), omega_radial_poly())
 LAM = 0.05
 N_LAM = family.at(LAM)   # the detectors take this one potential, n + LAM omega
 

@@ -26,7 +26,7 @@ from faddeev_ep import (
 nodes = sample(make_circle(1.0), 128)
 NU = nodes.length
 cond = standard_conductive()
-family = PerturbedFamily(cond, *omega_radial_poly())
+family = PerturbedFamily(cond, omega_radial_poly())
 
 print("== route equivalence of the boundary trace ==")
 for r in (1e-3, 0.1, 0.8):

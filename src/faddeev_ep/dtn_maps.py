@@ -48,7 +48,6 @@ __all__ = [
     "conductive_radial",
     "standard_conductive",
     "absorbing_potential",
-    "generic_potential",
     "raster_potential",
     "omega_radial_poly",
     "omega_poly_cos",
@@ -67,17 +66,14 @@ __all__ = [
 class Potential:
     """Complex-valued potential n(z) supported in the closed unit disk.
 
-    ``kind`` is one of generic / conductive / perturbed_conductive /
-    absorbing / raster.  ``descriptor`` is a JSON-serializable dict that
-    names the potential in records; cached operators are keyed on its
-    sampled values as well (:func:`fn_key`).  A potential declares no
-    symmetry: whether n is real, and whether its samples have angular
-    bandwidth 0 (:meth:`DiskDtnSolver.angular_modes`), is read from the
-    samples the interior solver reads.
+    A potential is its values: cached operators are keyed on its samples on
+    the interior solver's grid (:func:`fn_key`), so two potentials with equal
+    values share an entry.  It declares no symmetry either: whether n is real,
+    and whether its samples have angular bandwidth 0
+    (:meth:`DiskDtnSolver.angular_modes`), is read from those samples.
+    ``q_fn`` is the radial conductivity of a conductive n, which mu reads.
     """
 
-    kind: str
-    descriptor: dict
     eval_fn: Callable[[np.ndarray], np.ndarray]
     q_fn: Callable[[np.ndarray], np.ndarray] | None = None
     # N -> (sha256 of the interior solver's samples of n, their angular modes): DiskDtnSolver.sampled
@@ -91,11 +87,7 @@ class Potential:
 
 
 def zero_potential() -> Potential:
-    return Potential(
-        kind="generic",
-        descriptor={"family": "zero"},
-        eval_fn=lambda z: np.zeros(np.shape(z)),
-    )
+    return Potential(lambda z: np.zeros(np.shape(z)))
 
 
 def _check_conductive(n_fn, q_fn, tol=1e-4) -> None:
@@ -117,11 +109,12 @@ def _check_conductive(n_fn, q_fn, tol=1e-4) -> None:
         raise ValueError(f"conductive structure check failed: |n_fd - n| = {err:.3e} > {tol}")
 
 
-def conductive_radial(q, dq, d2q, name: str, params: dict, validate: bool = True) -> Potential:
+def conductive_radial(q, dq, d2q) -> Potential:
     """Conductive potential n = -q^{-1/2} Lap q^{1/2} from a radial q > 0.
 
     ``q, dq, d2q`` are vectorized radial callables; q must be C^2 with
-    q - 1 vanishing outside the disk (q(1) = 1, q'(1) = 0).
+    q - 1 vanishing outside the disk (q(1) = 1, q'(1) = 0).  n is checked
+    against q by finite differences; a mismatch raises ValueError.
     """
 
     def n_radial(r):
@@ -136,14 +129,9 @@ def conductive_radial(q, dq, d2q, name: str, params: dict, validate: bool = True
         last = np.where(small, qpp / (2 * qq), qp / (2 * qq * np.where(small, 1.0, r)))
         return -(qpp / (2 * qq) - qp**2 / (4 * qq**2) + last)
 
-    pot = Potential(
-        kind="conductive",
-        descriptor={"family": name, **params},
-        eval_fn=lambda z: n_radial(np.abs(z)),
-        q_fn=lambda r: np.asarray(q(np.asarray(r, dtype=float)), dtype=float),
-    )
-    if validate:
-        _check_conductive(pot.eval, pot.q_fn)
+    pot = Potential(lambda z: n_radial(np.abs(z)),
+                    q_fn=lambda r: np.asarray(q(np.asarray(r, dtype=float)), dtype=float))
+    _check_conductive(pot.eval, pot.q_fn)
     return pot
 
 
@@ -167,7 +155,7 @@ def standard_conductive(amplitude: float = 2.0, power: int = 3) -> Potential:
         s = 1 - r**2
         return -2 * a * p * (s ** (p - 1) - 2 * (p - 1) * r**2 * s ** (p - 2))
 
-    return conductive_radial(q, dq, d2q, "polybump", {"amplitude": a, "power": p})
+    return conductive_radial(q, dq, d2q)
 
 
 def absorbing_potential(delta: float = 1.0) -> Potential:
@@ -175,19 +163,7 @@ def absorbing_potential(delta: float = 1.0) -> Potential:
     if delta <= 0:
         raise ValueError(f"absorption delta must be positive, got {delta}")
     d = float(delta)
-    pot = Potential(
-        kind="absorbing",
-        descriptor={"family": "constant_absorbing", "delta": d},
-        eval_fn=lambda z: 1j * d * np.ones(np.shape(z)),
-    )
-    sample = pot.eval(np.array([0.1 + 0.2j, 0.5j]))
-    if np.min(sample.imag) < d - 1e-12:
-        raise ValueError("absorbing potential violates Im n >= delta")
-    return pot
-
-
-def generic_potential(eval_fn, descriptor: dict) -> Potential:
-    return Potential(kind="generic", descriptor=descriptor, eval_fn=eval_fn)
+    return Potential(lambda z: 1j * d * np.ones(np.shape(z)))
 
 
 def raster_potential(path) -> Potential:
@@ -221,19 +197,14 @@ def raster_potential(path) -> Potential:
         inside = (fx >= 0) & (fx <= nx - 1) & (fy >= 0) & (fy <= ny - 1)
         return np.where(inside, v, 0.0)
 
-    blob = hashlib.sha256(vals.tobytes()).hexdigest()[:16]
-    return Potential(
-        kind="raster",
-        descriptor={"family": "raster", "sha": blob, "x0": x0, "y0": y0, "dx": dx, "dy": dy},
-        eval_fn=interp,
-    )
+    return Potential(interp)
 
 
 # ---------------------------------------------------------------------------
 # Perturbation profiles and families
 
 def omega_radial_poly(power: int = 3, amplitude: float = 1.0):
-    """Radial profile omega = amplitude (1 - r^2)^power, with descriptor."""
+    """Radial profile omega = amplitude (1 - r^2)^power."""
     a, p = float(amplitude), int(power)
 
     def fn(z):
@@ -241,7 +212,7 @@ def omega_radial_poly(power: int = 3, amplitude: float = 1.0):
         s = np.maximum(1 - r**2, 0.0)
         return a * s**p
 
-    return fn, {"profile": "radial_poly", "amplitude": a, "power": p}
+    return fn
 
 
 def omega_poly_cos(power: int = 3, amplitude: float = 1.0, cos_coeff: float = 0.5):
@@ -256,7 +227,7 @@ def omega_poly_cos(power: int = 3, amplitude: float = 1.0, cos_coeff: float = 0.
             cos_th = np.where(r > 0, z.real / np.where(r > 0, r, 1.0), 0.0)
         return a * s**p * (1 + c * cos_th)
 
-    return fn, {"profile": "poly_cos", "amplitude": a, "power": p, "cos_coeff": c}
+    return fn
 
 
 @dataclass(frozen=True)
@@ -265,7 +236,6 @@ class PerturbedFamily:
 
     base: Potential
     omega_fn: Callable
-    omega_descriptor: dict
     _members: dict = field(default_factory=dict, init=False, repr=False, compare=False)
 
     def at(self, lam: float) -> Potential:
@@ -281,12 +251,7 @@ class PerturbedFamily:
         def fn(z):
             return base.eval_fn(np.asarray(z, dtype=complex)) + lam * self.omega_fn(z)
 
-        return Potential(
-            kind="perturbed_conductive",
-            descriptor={"base": base.descriptor, "omega": self.omega_descriptor, "lambda": lam},
-            eval_fn=fn,
-            q_fn=base.q_fn,
-        )
+        return Potential(fn, q_fn=base.q_fn)
 
 
 # ---------------------------------------------------------------------------
@@ -371,14 +336,13 @@ def fn_supported(nodes: NodeSet) -> bool:
 def fn_key(nodes: NodeSet, potential: Potential) -> str:
     """Content key of F_n, stable across processes.
 
-    sha256 over the potential's kind and descriptor, its values on the
-    interior solver's collocation grid (sampled once per Potential and N),
-    N, the radial grid size and the package version.
+    sha256 over the potential's values on the interior solver's collocation
+    grid (sampled once per Potential and N), N, the radial grid size and the
+    package version: two potentials with equal values share one entry.
     """
     n = nodes.n_nodes
     digest = (potential.sampled.get(n) or DiskDtnSolver(n).sampled(potential))[0]
-    doc = {"operator": "F_n", "kind": potential.kind, "descriptor": potential.descriptor,
-           "samples": digest, "n": n, "nh": radial_size(n), "version": __version__}
+    doc = {"operator": "F_n", "samples": digest, "n": n, "nh": radial_size(n), "version": __version__}
     return hashlib.sha256(json.dumps(doc, sort_keys=True).encode()).hexdigest()
 
 

@@ -212,9 +212,7 @@ class ScanResult:
 
 def _safe_eps(kp: KPoint, nu: float) -> float | None:
     try:
-        with warnings.catch_warnings():
-            warnings.simplefilter("ignore")
-            return epsilon_from_log(kp.log_abs, nu)
+        return epsilon_from_log(kp.log_abs, nu)
     except ValueError:
         return None
 
@@ -409,7 +407,7 @@ def trace_locus(lam: float, family: PerturbedFamily, nodes: NodeSet, angles,
 class XiCurve:
     """Samples of the continued eigenvalue xi and its linear fit."""
 
-    samples: list = field(default_factory=list)   # records (lam, eps, phi, xi)
+    samples: list = field(default_factory=list)   # records (lam, eps, xi)
     a: float = np.nan
     b: float = np.nan
     residual: float = np.nan
@@ -422,9 +420,10 @@ def _tracked_xi(vals, vecs, v_ref):
     return float(vals[j]), vecs[:, j]
 
 
-def fit_xi(family: PerturbedFamily, nodes: NodeSet, lambda_grid, eps_grid,
-           phi: float = 0.0) -> XiCurve:
+def fit_xi(family: PerturbedFamily, nodes: NodeSet, lambda_grid, eps_grid) -> XiCurve:
     """Track the eigenvalue continued from the (0,0) zero mode; fit xi ~ a lam + b eps.
+
+    The k of each eps lies on the ray arg k = 0.
 
     Eigenpairs are matched between neighbouring grid points by maximal
     eigenvector overlap.  The least-squares fit has no intercept (the
@@ -436,7 +435,7 @@ def fit_xi(family: PerturbedFamily, nodes: NodeSet, lambda_grid, eps_grid,
         raise ValueError("fit_xi grids must sit in |lambda| <= 0.1, 0 <= eps <= 0.1")
     nu = nodes.length
     # S_k does not depend on lambda: one workspace per nonzero eps serves every lambda
-    spaces = [(eps, KWorkspace(KPoint.from_eps(eps, phi, nu), nodes)) for eps in eps_grid if eps != 0.0]
+    spaces = [(eps, KWorkspace(KPoint.from_eps(eps, 0.0, nu), nodes)) for eps in eps_grid if eps != 0.0]
 
     vals0, vecs0 = np.linalg.eigh(_weighted_a(None, family.base, nodes)[1])
     j0 = int(np.argmin(np.abs(vals0)))
@@ -457,14 +456,14 @@ def fit_xi(family: PerturbedFamily, nodes: NodeSet, lambda_grid, eps_grid,
             prev = v_at_lam[max(done, key=abs)]
         xi, v = _tracked_xi(vals, vecs, prev)
         v_at_lam[lam] = v
-        samples.append((float(lam), 0.0, float(phi), xi))
+        samples.append((float(lam), 0.0, xi))
         v_prev = v
         for eps, ws in spaces:
             vals, vecs = np.linalg.eigh(_weighted_a(ws, pot, nodes)[1])
             xi, v_prev = _tracked_xi(vals, vecs, v_prev)
-            samples.append((float(lam), float(eps), float(phi), xi))
+            samples.append((float(lam), float(eps), xi))
 
-    arr = np.array([(s[0], s[1], s[3]) for s in samples])
+    arr = np.array(samples)
     design = arr[:, :2]
     target = arr[:, 2]
     coef, *_ = np.linalg.lstsq(design, target, rcond=None)

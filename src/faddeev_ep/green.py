@@ -55,11 +55,6 @@ def epsilon_from_log(log_abs_k: float, nu: float) -> float:
     bracket = -nu * (EULER_GAMMA + log_abs_k) / (2 * np.pi)
     if abs(bracket) < 1e-14:
         raise ValueError(f"epsilon pole: |k| = e^-gamma makes the bracket vanish (ln|k| = {log_abs_k})")
-    if log_abs_k > -EULER_GAMMA:
-        warnings.warn(
-            f"epsilon evaluated outside its regime |k| < e^-gamma (ln|k| = {log_abs_k:.4g}); value is negative",
-            stacklevel=2,
-        )
     return 1.0 / bracket
 
 
@@ -116,6 +111,10 @@ class KPoint:
         return self.abs * complex(np.cos(self.phi), np.sin(self.phi))
 
     def eps(self, nu: float) -> float:
+        """eps(|k|); warns outside its regime |k| < e^-gamma, where it is negative."""
+        if self.log_abs > -EULER_GAMMA:
+            warnings.warn(f"epsilon evaluated outside its regime |k| < e^-gamma "
+                          f"(ln|k| = {self.log_abs:.4g}); value is negative", stacklevel=2)
         return epsilon_from_log(self.log_abs, nu)
 
     def kz(self, z) -> np.ndarray:

@@ -99,6 +99,11 @@ class RunConfig:
         if self.lam != 0.0 and kind != "conductive":
             raise ValueError(f"lam = {self.lam} perturbs a conductive potential only; "
                              f"a {kind!r} potential needs lam = 0")
+        try:
+            build_potential(self)
+        except (KeyError, TypeError) as exc:   # a missing, misspelled or unknown parameter
+            raise ValueError(f"potential {self.potential} or omega {self.omega} does not fit its "
+                             f"builder ({type(exc).__name__}: {exc})") from None
         if self.tolerances:
             raise ValueError(f"tolerances {sorted(self.tolerances)} cannot be set per run: the detectors "
                              "read the module constants TOL_KER_REL, TOL_NEG, SINGULARITY_THRESHOLD, "
@@ -136,32 +141,26 @@ class RunManifest:
     detector_errors: dict
 
 
+_POTENTIALS = {"zero": zero_potential, "conductive": standard_conductive,
+               "absorbing": absorbing_potential, "raster": raster_potential}
+_PROFILES = {"radial_poly": omega_radial_poly, "poly_cos": omega_poly_cos}
+
+
 def build_potential(cfg: RunConfig) -> tuple[Potential, PerturbedFamily | None]:
-    """Materialize the potential (and perturbation family) from a config."""
+    """Materialize the potential (and, for a conductive one, its perturbation
+    family) from a config; every other key of a spec is its builder's parameter."""
     spec = dict(cfg.potential)
     kind = spec.pop("kind", "conductive")
-    if kind == "zero":
-        base = zero_potential()
-    elif kind == "conductive":
-        base = standard_conductive(spec.get("amplitude", 2.0), spec.get("power", 3))
-    elif kind == "absorbing":
-        base = absorbing_potential(spec.get("delta", 1.0))
-    elif kind == "raster":
-        base = raster_potential(spec["path"])
-    else:
-        raise ValueError(f"unknown potential kind {kind!r}")
-
-    family = None
-    if base.kind == "conductive":
-        om = dict(cfg.omega)
-        profile = om.pop("profile", "radial_poly")
-        if profile == "radial_poly":
-            family = PerturbedFamily(base, *omega_radial_poly(**om))
-        elif profile == "poly_cos":
-            family = PerturbedFamily(base, *omega_poly_cos(**om))
-        else:
-            raise ValueError(f"unknown omega profile {profile!r}")
-    return base, family
+    if kind not in _POTENTIALS:
+        raise ValueError(f"unknown potential kind {kind!r}; valid: {sorted(_POTENTIALS)}")
+    base = _POTENTIALS[kind](**spec)
+    if kind != "conductive":
+        return base, None
+    om = dict(cfg.omega)
+    profile = om.pop("profile", "radial_poly")
+    if profile not in _PROFILES:
+        raise ValueError(f"unknown omega profile {profile!r}; valid: {sorted(_PROFILES)}")
+    return base, PerturbedFamily(base, _PROFILES[profile](**om))
 
 
 def kgrid_points(spec: dict) -> list[KPoint]:

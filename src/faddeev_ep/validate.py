@@ -4,6 +4,11 @@ Fast structural checks run by the command-line ``validate`` subcommand and
 by the batch harness before longer detector runs: quadrature consistency,
 the potential-theory identity (F_0 - F^out(k)) S_k = I, block structure of
 S_k^0, and the structure of F^out(0).
+
+The constants block of S_k^0 is 1/eps(k) + c, with c = (1/nu) w^T L 1 a
+constant of the curve (L the log-kernel layer): 0 on the unit circle and
+-(nu/2pi) ln R on a centred circle of radius R.  Off circles c is read at the
+first k of the spread, and the other k check that it does not depend on k.
 """
 
 from __future__ import annotations
@@ -24,7 +29,6 @@ from .boundary_ops import (
     mean_projectors,
     meanfree_form_gap,
     operator_norm,
-    weighted_matrix,
 )
 from .dtn_maps import assemble_F0, assemble_Fout, assemble_Fout_bounded, assemble_Fout_zero
 from .geometry import NodeSet, sample
@@ -61,11 +65,11 @@ def run_validation(nodes: NodeSet) -> list[CheckResult]:
     add("length stable under N-doubling", abs(nodes.length - nodes2.length), 1e-10)
 
     # operator identities at a spread of k
+    nu = nodes.length
+    c = -nu / (2 * np.pi) * np.log(nu / (2 * np.pi)) if nodes.centred_circle else None
     worst_identity = 0.0
     worst_cc = 0.0
     f0 = assemble_F0(nodes)
-    import warnings as _warnings
-
     for i, r in enumerate(np.geomspace(1e-3, 1.0, 10)):
         kp = KPoint.from_polar_log(np.log(r), (i % 4) * np.pi / 3)
         ws = KWorkspace(kp, nodes)
@@ -73,12 +77,11 @@ def run_validation(nodes: NodeSet) -> list[CheckResult]:
         resid = (f0.matrix - fo.matrix) @ ws.s.matrix - np.eye(n_nodes)
         worst_identity = max(worst_identity, float(np.linalg.norm(resid, 2)))
         cc = block_form(assemble_S0(kp, nodes)).cc
-        with _warnings.catch_warnings():
-            _warnings.simplefilter("ignore")  # eps is negative past |k| = e^-gamma; identity still holds
-            inv_eps = 1.0 / epsilon_from_log(kp.log_abs, nodes.length)
-        worst_cc = max(worst_cc, abs(cc - inv_eps) / abs(inv_eps))
+        inv_eps = 1.0 / epsilon_from_log(kp.log_abs, nu)   # negative past |k| = e^-gamma
+        c = cc - inv_eps if c is None else c
+        worst_cc = max(worst_cc, abs(cc - inv_eps - c) / abs(inv_eps + c))
     add("(F_0 - F^out(k)) S_k = I", worst_identity, 1e-8)
-    add("constants block of S_k^0 = 1/eps", worst_cc, 1e-10)
+    add("constants block of S_k^0 = 1/eps + c", worst_cc, 1e-10)
 
     # S_k^0, B symmetry in the arc-length pairing
     kp = KPoint.from_k(0.5)
@@ -95,18 +98,14 @@ def run_validation(nodes: NodeSet) -> list[CheckResult]:
     add("F^out(0) mean-free gap at least 0.5 (measured shortfall)", 0.5 - gap, 0.0)
     _, pp = mean_projectors(nodes)
 
-    # bounded exterior identity (F_0 - F_b^out) B = I on mean-free
-    fb = assemble_Fout_bounded(nodes)
-    resid = ((f0.matrix - fb.matrix) @ b.matrix - pp) @ pp
-    add("(F_0 - F_b^out) B = I on mean-free", float(np.linalg.norm(resid, 2)), 1e-8)
+    # bounded exterior identity (F_0 - F_b^out) B = I on mean-free; F_0 - F_b^out = B^{-1} P_perp
+    binv = f0.matrix - assemble_Fout_bounded(nodes).matrix
+    add("(F_0 - F_b^out) B = I on mean-free", float(np.linalg.norm((binv @ b.matrix - pp) @ pp, 2)), 1e-8)
 
     # inverse block structure of S_k at small k
-    kp_small = KPoint.from_eps(0.05, 0.0, nodes.length)
-    bf = block_form(KWorkspace(kp_small, nodes).inverse)
-    add("cc of S_k^{-1} = eps + O(eps^2)", abs(bf.cc - 0.05), 0.01 * 0.05)
-    binv_block = BoundaryOperator(
-        bf.perp_perp - (pp @ np.linalg.inv(b.matrix + np.outer(np.ones(n_nodes), nodes.weights) / nodes.length)),
-        HPLUS, HMINUS, nodes,
-    )
-    add("perp block of S_k^{-1} -> B^{-1}", operator_norm(binv_block), 0.1)
+    eps = 0.05
+    bf = block_form(KWorkspace(KPoint.from_eps(eps, 0.0, nu), nodes).inverse)
+    add("cc of S_k^{-1} = eps/(1 + c eps) + O(eps^2)", abs(bf.cc - eps / (1 + c * eps)), 0.01 * eps)
+    perp = BoundaryOperator(bf.perp_perp - binv, HPLUS, HMINUS, nodes)
+    add("perp block of S_k^{-1} -> B^{-1}", operator_norm(perp), 0.1)
     return checks

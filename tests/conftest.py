@@ -46,12 +46,12 @@ def zero_pot():
 
 @pytest.fixture(scope="session")
 def radial_family(conductive):
-    return PerturbedFamily(conductive, *omega_radial_poly())
+    return PerturbedFamily(conductive, omega_radial_poly())
 
 
 @pytest.fixture(scope="session")
 def cos_family(conductive):
-    return PerturbedFamily(conductive, *omega_poly_cos())
+    return PerturbedFamily(conductive, omega_poly_cos())
 
 
 def dtn_mode_oracle(m, n_radial_fn, rtol=1e-11):

@@ -24,9 +24,9 @@ from faddeev_ep.dtn_maps import (
     assemble_Fout,
     assemble_Fout_bounded,
     assemble_Fout_zero,
+    Potential,
     conductive_radial,
     fn_key,
-    generic_potential,
     raster_potential,
     standard_conductive,
     zero_potential,
@@ -144,7 +144,8 @@ def test_Fout_cc_slope_minus_one(nodes128):
 
 def test_conductive_structure_validated():
     pot = standard_conductive()
-    assert pot.kind == "conductive"
+    r = np.array([0.0, 0.5, 1.0, 1.5])
+    np.testing.assert_allclose(pot.q_fn(r), [3.0, 1 + 2 * 0.75**3, 1.0, 1.0], rtol=1e-15)
     assert list(DiskDtnSolver(64).angular_modes(pot)) == [0]   # detected bandwidth 0
     # n at the origin for q = 1 + 2(1-r^2)^3: 12 s^2/q + ... = 4
     assert pot.eval(np.array([0.0]))[0] == pytest.approx(4.0, rel=1e-12)
@@ -165,7 +166,7 @@ def test_conductive_check_rejects_wrong_laplacian():
         return np.zeros(np.shape(r))
 
     with pytest.raises(ValueError):
-        conductive_radial(q, dq, wrong_d2q, "broken", {})
+        conductive_radial(q, dq, wrong_d2q)
 
 
 def test_absorbing_potential():
@@ -252,7 +253,7 @@ def _check_exact_x2_solution(eps, n_nodes, cut):
         return np.where(np.abs(z) < 1 - cut, -2 * eps - 4 * eps**2 * np.real(z) ** 2, 0.0)
 
     is_real = not isinstance(eps, complex)
-    pot = generic_potential(n, {"family": "gauss_x2", "eps": str(eps), "cut": cut})
+    pot = Potential(n)
     nodes = sample(make_circle(1.0), n_nodes)
     cos2 = np.cos(nodes.t) ** 2
     f = np.exp(eps * cos2)
@@ -287,7 +288,7 @@ def _cubic(rot):
         z = np.asarray(z, dtype=complex) * np.exp(-1j * rot)
         return (2 + 0.5j) * (1 - np.abs(z) ** 2) ** 3 + (0.4 - 0.3j) * z**3 + 0.3j * np.conj(z) ** 2 - 0.2 * z
 
-    return generic_potential(n, {"family": "complex_cubic", "rot": rot})
+    return Potential(n)
 
 
 def test_Fn_complex_bandwidth_three_is_symmetric_and_rotation_covariant():
@@ -341,12 +342,12 @@ def test_Fn_on_a_fourier_unit_circle(tmp_path, conductive):
 
 
 def _three():
-    """n = 3 under the zero potential's descriptor: only its values tell it apart."""
-    return generic_potential(lambda z: 3.0 * np.ones(np.shape(z)), {"family": "zero"})
+    """The constant n = 3."""
+    return Potential(lambda z: 3.0 * np.ones(np.shape(z)))
 
 
 def test_Fn_store_keys_on_sampled_values(tmp_path):
-    """Two potentials with one descriptor get their own F_n from memory and from disk."""
+    """Two potentials with different values get their own F_n from memory and from disk."""
     nodes = sample(make_circle(1.0), 64)
     zero, three = zero_potential(), _three()
     solved = {"zero": DiskDtnSolver(64).dtn_matrix(zero), "three": DiskDtnSolver(64).dtn_matrix(three)}
@@ -361,6 +362,29 @@ def test_Fn_store_keys_on_sampled_values(tmp_path):
     store.clear()
     for name, pot in (("three", three), ("zero", zero)):   # read back from disk
         np.testing.assert_array_equal(assemble_Fn(nodes, pot, store=store).matrix, solved[name])
+
+
+def test_equal_values_share_one_Fn_entry_and_one_solve(tmp_path, monkeypatch):
+    """F_n depends on n alone: two Potential objects built apart with equal values
+    get one key, one solve and one disk entry."""
+    solves = []
+    dtn_matrix = DiskDtnSolver.dtn_matrix
+
+    def counted(self, potential):
+        solves.append(potential)
+        return dtn_matrix(self, potential)
+
+    monkeypatch.setattr(DiskDtnSolver, "dtn_matrix", counted)
+    nodes = sample(make_circle(1.0), 64)
+    first, second = _three(), Potential(lambda z: np.full(np.shape(z), 3.0))
+    assert fn_key(nodes, first) == fn_key(nodes, second)
+    store = OperatorCache(tmp_path)
+    store.clear()
+    fn = assemble_Fn(nodes, first, store=store)
+    assert assemble_Fn(nodes, second, store=store).matrix is fn.matrix
+    assert solves == [first]
+    assert len(list(tmp_path.iterdir())) == 1
+    store.clear()
 
 
 def test_Fn_store_misses_on_a_new_version(tmp_path, monkeypatch):
@@ -409,7 +433,7 @@ def test_Fn_boundary_nonzero_potential_keeps_its_modes():
     """n = 3 couples no angular modes, although r = 1 samples whose |z| rounds above 1
     are masked to zero, and its modes solve Bessel's equation with argument sqrt(3) r."""
     solver = DiskDtnSolver(64)
-    three = generic_potential(lambda z: 3.0 * np.ones(np.shape(z)), {"family": "three"})
+    three = _three()
     assert list(solver.angular_modes(three)) == [0]
     fn = solver.dtn_matrix(three)
     nodes, s = sample(make_circle(1.0), 64), np.sqrt(3.0)
@@ -426,13 +450,12 @@ def test_perturbed_family_returns_one_potential_per_lambda(radial_family):
 
 def _resonant(j, delta=0.0):
     """The constant j^2 (1 + delta)."""
-    return generic_potential(lambda z: j**2 * (1 + delta) * np.ones(np.shape(z)), {"family": "resonant", "delta": delta})
+    return Potential(lambda z: j**2 * (1 + delta) * np.ones(np.shape(z)))
 
 
 def _tilted(j, delta=0.0):
     """j^2 (1 + delta)(1 + 1e-6 x): a real non-radial n near the Dirichlet eigenvalue j^2."""
-    return generic_potential(lambda z: j**2 * (1 + delta) * (1 + 1e-6 * np.real(z)),
-                             {"family": "resonant_tilted", "j": j, "delta": delta})
+    return Potential(lambda z: j**2 * (1 + delta) * (1 + 1e-6 * np.real(z)))
 
 
 def test_interior_resonance_detected():
@@ -474,7 +497,7 @@ def test_radial_refusal_window():
 
 def _tilted_bump():
     """20 (1 - r^2)(1 + x): angular modes -1, 0 and 1, so the solve runs one mode at a time."""
-    return generic_potential(lambda z: 20 * (1 - np.abs(z) ** 2) * (1 + np.real(z)), {"family": "tilted_bump"})
+    return Potential(lambda z: 20 * (1 - np.abs(z) ** 2) * (1 + np.real(z)))
 
 
 def test_condition_estimate_is_deterministic_and_leaves_the_global_rng_alone():

@@ -293,7 +293,7 @@ def test_fan_out_is_detected_from_the_samples(nodes128, monkeypatch):
     def omega(z):
         return np.maximum(1 - np.abs(np.asarray(z)) ** 2, 0.0) ** 2
 
-    _check_fan_out(PerturbedFamily(standard_conductive(), omega, {"profile": "square"}), nodes128, monkeypatch)
+    _check_fan_out(PerturbedFamily(standard_conductive(), omega), nodes128, monkeypatch)
 
 
 def test_scan_assembles_one_S_per_ring(nodes128, cos_family, monkeypatch):

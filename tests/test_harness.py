@@ -53,12 +53,36 @@ def test_summary_reports_the_tolerances_in_force(tmp_path):
 
 
 def test_build_potential_kinds():
+    """A conductive kind carries its conductivity q and a perturbation family; the
+    absorbing and zero kinds carry neither.  Each is checked by its values."""
+    z = np.array([0.0, 0.3 + 0.4j])
     base, family = build_potential(RunConfig())
-    assert base.kind == "conductive" and family is not None
+    assert base.q_fn is not None and family is not None and family.at(0.0) is base
+    assert base.eval(z)[0] == pytest.approx(4.0, rel=1e-12)   # q = 1 + 2(1 - r^2)^3: n(0) = 4
+    np.testing.assert_allclose(family.at(0.05).eval(z) - base.eval(z), 0.05 * family.omega_fn(z), rtol=1e-13)
     base, family = build_potential(RunConfig(potential={"kind": "absorbing", "delta": 0.5}))
-    assert base.kind == "absorbing" and family is None
-    base, _ = build_potential(RunConfig(potential={"kind": "zero"}))
-    assert base.kind == "generic"
+    assert base.q_fn is None and family is None
+    np.testing.assert_array_equal(base.eval(z), 0.5j)
+    base, family = build_potential(RunConfig(potential={"kind": "zero"}))
+    assert base.q_fn is None and family is None
+    np.testing.assert_array_equal(base.eval(z), 0.0)
+
+
+@pytest.mark.parametrize("doc, message", [
+    ({"potential": {"kind": "conductive", "amplitdue": 5.0}}, "amplitdue"),
+    ({"omega": {"profile": "poly_cos", "cos_cof": 0.5}}, "cos_cof"),
+    ({"potential": {"kind": "absorbing", "delta": -1.0}}, "delta must be positive"),
+    ({"potential": {"kind": "raster"}}, "path"),
+])
+def test_cli_run_rejects_a_bad_potential_or_profile(tmp_path, capsys, doc, message):
+    """A misspelled builder parameter, a non-positive absorption and a raster without its
+    path are config errors (exit 1), found before anything runs."""
+    cfgpath = tmp_path / "cfg.json"
+    cfgpath.write_text(json.dumps({**doc, "detectors": [], "outdir": str(tmp_path / "runs")}))
+    assert cli_main(["run", str(cfgpath)]) == 1
+    err = capsys.readouterr().err
+    assert "config error:" in err and message in err
+    assert not (tmp_path / "runs").exists()
 
 
 def test_kgrid_points():
@@ -199,6 +223,15 @@ def test_cli_validate_reads_a_fourier_curve(tmp_path, capsys):
     assert "[FAIL]" not in capsys.readouterr().out
     assert cli_main(["validate", "--curve", "fourier", "--n", "64"]) == 1
     assert "config error:" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("curve", [["--curve", "circle", "--radius", "1.25"],
+                                   ["--curve", "ellipse", "--a", "1.5", "--b", "1.0"]])
+def test_cli_validate_passes_off_the_unit_circle(capsys, curve):
+    """The constants block of S_k^0 is 1/eps + c for a curve constant c, which is
+    -(nu/2pi) ln R on a centred circle and 0 only on the unit circle."""
+    assert cli_main(["validate", *curve, "--n", "64"]) == 0
+    assert "[FAIL]" not in capsys.readouterr().out
 
 
 def test_cli_scan_subcommand(tmp_path, capsys):

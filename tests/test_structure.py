@@ -1,5 +1,6 @@
-"""Structure of the package: no module imports another's private names, and
-the parameters the benchmark reads by position stay where they are.
+"""Structure of the package: no module imports another's private names or swaps
+the warning filters, and the parameters the benchmark reads by position stay
+where they are.
 
 A private name (leading underscore) is a module's own business; a module
 that imports one from a sibling couples itself to that sibling's internals,
@@ -36,6 +37,21 @@ def test_no_module_imports_private_names_of_another():
     modules = sorted(PACKAGE.glob("*.py"))
     assert len(modules) > 5
     offenders = [line for path in modules for line in _private_imports(path)]
+    assert not offenders, offenders
+
+
+def _catch_warnings_calls(path: Path) -> list[str]:
+    return [f"{path.name}:{node.lineno} calls catch_warnings"
+            for node in ast.walk(ast.parse(path.read_text(), filename=str(path)))
+            if isinstance(node, ast.Call)
+            and "catch_warnings" in (getattr(node.func, "attr", None), getattr(node.func, "id", None))]
+
+
+def test_no_module_swaps_the_warning_filters():
+    """``warnings.catch_warnings`` saves and restores the interpreter-wide filter list, so
+    two threads inside it can leave a filter behind or let the other's warning through;
+    the scan runs its points on threads.  A warning the package does not want is not issued."""
+    offenders = [line for path in sorted(PACKAGE.glob("*.py")) for line in _catch_warnings_calls(path)]
     assert not offenders, offenders
 
 
