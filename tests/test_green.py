@@ -1,4 +1,5 @@
 import math
+import warnings
 
 import numpy as np
 import pytest
@@ -45,6 +46,9 @@ def test_epsilon_pole_and_regime():
         epsilon_from_log(-5.0, 0.0)
     with pytest.warns(UserWarning):
         KPoint.from_k(1.0).eps(2 * np.pi)
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")   # the scan reads eps on its pool threads: no warning there
+        assert epsilon_from_log(1.0, 2 * np.pi) < 0
 
 
 def test_epsilon_monotone_in_abs_k():
