@@ -232,7 +232,10 @@ class DiskDtnSolver:
 
         # block elimination fused with the forward sweep: run i inverts D'_i = A[i, i] - A[i, i-1] G_{i-1}
         # and keeps G_i = D'_i^{-1} A[i, i+1] and its forward span D'_i^{-1} (B_i - A[i, i-1] X'_{i-1}),
-        # B_i the boundary columns js whose mode lies in run i (adjacent in the descending order)
+        # B_i the boundary columns js whose mode lies in run i (adjacent in the descending order).
+        # Past the last run with a boundary column, the first empty forward span ends the loop:
+        # every later forward span and every solution from there on is zero
+        last_b = modes.max() // step
         gains, fwd, nxt = [], [], (0, np.zeros((0, 0), dtype=dtype))
         for i, run in enumerate(runs):
             js = np.flatnonzero(modes // step == i)
@@ -245,10 +248,12 @@ class DiskDtnSolver:
             lo, x = joined((js[0] if js.size else 0, b.reshape(len(run) * n_int, js.size)), fwd[-1] if fwd else nxt,
                            lambda y: apply_coupling(coupling_block(i, i - 1), y))
             inv = np.linalg.inv(diag)
+            fwd.append(live(lo, inv @ x))
+            if i >= last_b and not fwd[-1][1].shape[1]:
+                break
             if i + 1 < len(runs):
                 up = coupling_block(i, i + 1)
                 gains.append(np.einsum("xap,abp->xbp", inv.reshape(len(inv), len(up), n_int), up).reshape(len(inv), -1))
-            fwd.append(live(lo, inv @ x))
 
         dn_rows = np.array([self._d1[s][0, 1:] for s in parity])
         # normal derivatives, added into the boundary columns: the two Nyquist halves add into one

@@ -85,7 +85,10 @@ class RunConfig:
     use_cache: bool = True
     cache_dir: str = ""
 
-    def validate_fields(self) -> None:
+    def validate_fields(self) -> tuple[Potential, PerturbedFamily | None]:
+        """Check the fields and return :func:`build_potential` of the config.  The
+        potential is built once per potential and omega spec and kept on the config,
+        so that checking a config and running it read a raster once."""
         unknown = [d for d in self.detectors if d not in _DETECTORS]
         if unknown:
             raise ValueError(f"unknown detectors {unknown}; valid: {_DETECTORS}")
@@ -99,15 +102,19 @@ class RunConfig:
         if self.lam != 0.0 and kind != "conductive":
             raise ValueError(f"lam = {self.lam} perturbs a conductive potential only; "
                              f"a {kind!r} potential needs lam = 0")
-        try:
-            build_potential(self)
-        except (KeyError, TypeError) as exc:   # a missing, misspelled or unknown parameter
-            raise ValueError(f"potential {self.potential} or omega {self.omega} does not fit its "
-                             f"builder ({type(exc).__name__}: {exc})") from None
         if self.tolerances:
             raise ValueError(f"tolerances {sorted(self.tolerances)} cannot be set per run: the detectors "
                              "read the module constants TOL_KER_REL, TOL_NEG, SINGULARITY_THRESHOLD, "
                              "CONDITION_LIMIT and CONDITION_CAP; leave the field empty")
+        spec = json.dumps([self.potential, self.omega], sort_keys=True)
+        built = self.__dict__.get("_built")   # not a field: to_dict and config_hash do not see it
+        if built is None or built[0] != spec:
+            try:
+                built = self.__dict__["_built"] = (spec, build_potential(self))
+            except (KeyError, TypeError) as exc:   # a missing, misspelled or unknown parameter
+                raise ValueError(f"potential {self.potential} or omega {self.omega} does not fit its "
+                                 f"builder ({type(exc).__name__}: {exc})") from None
+        return built[1]
 
     def to_dict(self) -> dict:
         return asdict(self)
@@ -197,7 +204,7 @@ def run(config: RunConfig) -> RunManifest:
     Partial detector failures are recorded in the manifest; only config
     and setup errors raise.
     """
-    config.validate_fields()
+    base, family = config.validate_fields()
     chash = config.config_hash()
     outdir = os.path.join(config.outdir, chash)
     os.makedirs(outdir, exist_ok=True)
@@ -208,7 +215,6 @@ def run(config: RunConfig) -> RunManifest:
                               or os.path.join(config.outdir, "cache"))
 
     nodes = sample(curve_by_name(**config.curve), config.n_nodes)
-    base, family = build_potential(config)
     pot = base if family is None else family.at(config.lam)
 
     timings: dict[str, float] = {}

@@ -11,6 +11,11 @@ must vanish to solver precision.  The scattering transform is the node
 quadrature of
 
     t(k) = int e^{i conj(k z)} [(F_n - F_0) u](z, k) dl_z.
+
+Each route inverts its matrix M once, explicitly: M^{-1} is both the solve
+and the refusal.  A route is refused, with E as the suspected set, when its
+1-norm condition number |M|_1 |M^{-1}|_1 exceeds CONDITION_CAP or the
+inverse fails; the E_D refusal stays with the inversion of S_k.
 """
 
 from __future__ import annotations
@@ -28,8 +33,8 @@ from .green import KPoint
 __all__ = ["CONDITION_CAP", "BoundaryTrace", "TransformValue", "BoundReport",
            "trace_u", "scatter_t", "bound_check"]
 
-#: relative condition cap for the dense solves; beyond it the value is
-#: reported unavailable rather than extrapolated
+#: cap on the 1-norm condition number of the two route matrices; beyond it the
+#: value is reported unavailable rather than extrapolated
 CONDITION_CAP = 1e10
 
 
@@ -78,14 +83,22 @@ def _weighted_norm(v: np.ndarray, nodes: NodeSet) -> float:
     return float(np.sqrt(np.sum(nodes.weights * np.abs(v) ** 2)))
 
 
-def _guard_condition(mat: np.ndarray, what: str, suspected: str, kp: KPoint) -> None:
-    sv = np.linalg.svd(mat, compute_uv=False)
-    if sv[-1] == 0 or sv[0] / sv[-1] > CONDITION_CAP:
+def _inverse(mat: np.ndarray, what: str, kp: KPoint) -> np.ndarray:
+    """mat^{-1}, refused with suspected set E when inv fails, overflows or
+    finds |mat|_1 |mat^{-1}|_1 above CONDITION_CAP: the one inverse is both
+    the condition number and the solve."""
+    norm = float(np.linalg.norm(mat, 1))
+    try:
+        inv = np.linalg.inv(mat)
+        inv_norm = float(np.linalg.norm(inv, 1))
+    except np.linalg.LinAlgError:
+        inv_norm = np.inf
+    if not norm * inv_norm <= CONDITION_CAP:   # nan, from a non-finite inverse, refuses too
         raise NearSingularError(
-            f"{what} is near-singular at {kp} (cond ~ {sv[0] / max(sv[-1], 1e-300):.2e}); "
-            f"suspected set: {suspected}",
-            sigma_min=float(sv[-1]), norm=float(sv[0]), k=kp, suspected=suspected,
+            f"{what} is near-singular at {kp} (1-norm cond ~ {norm * inv_norm:.2e}); suspected set: E",
+            sigma_min=1.0 / inv_norm, norm=norm, k=kp, suspected="E",
         )
+    return inv
 
 
 def trace_u(k, n: Potential, nodes: NodeSet) -> BoundaryTrace:
@@ -100,13 +113,9 @@ def trace_u(k, n: Potential, nodes: NodeSet) -> BoundaryTrace:
     sinv = ws.inverse  # raises with suspected="E_D" near the Dirichlet set
     rhs = np.exp(1j * kp.kz(nodes.z))
 
-    p_mat = assemble_P(ws, n, nodes).matrix
-    _guard_condition(p_mat, "I + S_k(F_n - F_0)", "E", kp)
-    u_ls = np.linalg.solve(p_mat, rhs)
-
+    u_ls = _inverse(assemble_P(ws, n, nodes).matrix, "I + S_k(F_n - F_0)", kp) @ rhs
     a_mat = assemble_Fn(nodes, n).matrix - assemble_Fout(ws, nodes).matrix
-    _guard_condition(a_mat, "F_n - F^out(k)", "E", kp)
-    u_alt = np.linalg.solve(a_mat, sinv.matrix @ rhs)
+    u_alt = _inverse(a_mat, "F_n - F^out(k)", kp) @ (sinv.matrix @ rhs)
 
     denom = max(_weighted_norm(u_ls, nodes), 1e-300)
     residual = _weighted_norm(u_ls - u_alt, nodes) / denom

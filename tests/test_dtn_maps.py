@@ -518,6 +518,28 @@ def test_condition_estimate_is_deterministic_and_leaves_the_global_rng_alone():
     assert fns[0].dtype == fns[1].dtype and np.array_equal(fns[0], fns[1])
 
 
+def test_no_run_is_eliminated_past_the_last_live_span(monkeypatch):
+    """The forward sweep stops at the first empty span past the last boundary mode: F_n is
+    the solve that eliminates all 2N runs of one mode (no entry flushed, _FLOOR = 0), with
+    fewer block inverses (305 of 320 here; at N <= 128 no span of this n falls below the floor)."""
+    import faddeev_ep.disk_solver as disk_solver
+
+    n_nodes, inv, calls = 160, np.linalg.inv, []
+
+    def counted(a):
+        calls.append(a.shape)
+        return inv(a)
+
+    monkeypatch.setattr(np.linalg, "inv", counted)
+    fn = DiskDtnSolver(n_nodes).dtn_matrix(_tilted_bump())
+    kept = len(calls)
+    monkeypatch.setattr(disk_solver, "_FLOOR", 0.0)
+    full = DiskDtnSolver(n_nodes).dtn_matrix(_tilted_bump())
+    assert len(calls) - kept == 2 * n_nodes
+    assert kept < 2 * n_nodes
+    assert np.max(np.abs(fn - full)) <= 1e-13 * np.max(np.abs(full))
+
+
 def test_interior_solve_memory_is_bounded_by_its_factors():
     """The block elimination stores a gain of (b (nh - 1))^2 values for each of the 2N / b
     runs (b = 1 here) and no LU; the forward spans and everything else the solve holds must

@@ -85,6 +85,24 @@ def test_cli_run_rejects_a_bad_potential_or_profile(tmp_path, capsys, doc, messa
     assert not (tmp_path / "runs").exists()
 
 
+def test_a_raster_config_reads_its_json_once_per_run(tmp_path, monkeypatch):
+    """Checking a config and running it build the potential once: the raster is read once."""
+    raster = tmp_path / "n.json"
+    raster.write_text(json.dumps({"x0": -1.0, "y0": -1.0, "dx": 2.0, "dy": 2.0, "re": [[1.0] * 2] * 2}))
+    cfgpath = tmp_path / "cfg.json"
+    cfgpath.write_text(json.dumps({"potential": {"kind": "raster", "path": str(raster)}, "detectors": [],
+                                   "outdir": str(tmp_path / "runs")}))
+    reads, load = [], json.load
+
+    def counted(fh, *args, **kwargs):
+        reads.append(fh.name)
+        return load(fh, *args, **kwargs)
+
+    monkeypatch.setattr(json, "load", counted)
+    assert cli_main(["run", str(cfgpath)]) == 0
+    assert reads == [str(cfgpath), str(raster)]
+
+
 def test_kgrid_points():
     pts = kgrid_points({"type": "logpolar", "rmin": 0.1, "rmax": 1.0, "nr": 3, "nphi": 4})
     assert len(pts) == 12
@@ -232,6 +250,26 @@ def test_cli_validate_passes_off_the_unit_circle(capsys, curve):
     -(nu/2pi) ln R on a centred circle and 0 only on the unit circle."""
     assert cli_main(["validate", *curve, "--n", "64"]) == 0
     assert "[FAIL]" not in capsys.readouterr().out
+
+
+def test_validate_checks_F0_on_harmonic_traces(monkeypatch):
+    """A wrong K' in F_0 = (K' + I/2) B^{-1} fails the harmonic-trace check.  It cancels in
+    F_0 - F_b^out = B^{-1} P_perp, so the identity (F_0 - F_b^out) B = I on mean-free, which
+    that check replaced, passes the same mutation."""
+    from faddeev_ep import dtn_maps
+    from faddeev_ep.boundary_ops import assemble_B, mean_projectors
+    from faddeev_ep.geometry import make_ellipse
+    from faddeev_ep.validate import run_validation
+
+    name = "F_0 maps Re, Im z^m (m = 1..4) to their normal derivatives"
+    assert {c.name: c for c in run_validation(sample(make_ellipse(1.5, 1.0), 64))}[name].passed
+    kprime = dtn_maps.adjoint_double_layer
+    monkeypatch.setattr(dtn_maps, "adjoint_double_layer", lambda nodes: 1.01 * kprime(nodes))
+    nodes = sample(make_ellipse(1.5, 1.0), 64)
+    assert not {c.name: c for c in run_validation(nodes)}[name].passed
+    binv = dtn_maps.assemble_F0(nodes).matrix - dtn_maps.assemble_Fout_bounded(nodes).matrix
+    _, pp = mean_projectors(nodes)
+    assert np.linalg.norm((binv @ assemble_B(nodes).matrix - pp) @ pp, 2) <= 1e-8
 
 
 def test_cli_scan_subcommand(tmp_path, capsys):

@@ -1,7 +1,9 @@
 import numpy as np
 import pytest
 
-from faddeev_ep.boundary_ops import NearSingularError
+from faddeev_ep import transform
+from faddeev_ep.boundary_ops import L2, BoundaryOperator, NearSingularError
+from faddeev_ep.exceptional import assemble_P
 from faddeev_ep.geometry import make_circle, sample
 from faddeev_ep.green import KPoint
 from faddeev_ep.transform import bound_check, scatter_t, trace_u
@@ -94,6 +96,38 @@ def test_trace_refuses_on_exceptional_circle(nodes128, radial_family):
     with pytest.raises(NearSingularError) as exc:
         trace_u(kp, pot, nodes128)
     assert exc.value.suspected == "E"
+    # the refusal reads the 1-norm condition number of P from the inverse that would solve it
+    cond = np.linalg.cond(assemble_P(kp, pot, nodes128).matrix, 1)
+    assert exc.value.norm / exc.value.sigma_min == pytest.approx(cond, rel=1e-12)
+    assert cond > transform.CONDITION_CAP
+
+
+def test_trace_refuses_an_exactly_singular_system(nodes128, conductive, monkeypatch):
+    """An exactly singular P, which np.linalg.inv rejects, is a refusal with E blamed, not a LinAlgError."""
+    singular = np.eye(nodes128.n_nodes)
+    singular[0, 0] = 0.0
+    monkeypatch.setattr(transform, "assemble_P", lambda ws, n, nodes: BoundaryOperator(singular, L2, L2, nodes))
+    with pytest.raises(NearSingularError) as exc:
+        trace_u(KPoint.from_k(0.5), conductive, nodes128)
+    assert exc.value.suspected == "E" and exc.value.sigma_min == 0.0
+
+
+def test_trace_makes_one_svd_and_no_solve_per_point(nodes128, conductive, monkeypatch):
+    """The E_D refusal is the one SVD of a point; each route is one explicit inverse, which
+    is its refusal and its solve, beside the inverse of S_k."""
+    trace_u(KPoint.from_k(0.3), conductive, nodes128)   # F_n and the Laplace pieces are built once
+    calls = {"svd": 0, "solve": 0, "inv": 0}
+    for name in calls:
+        fn = getattr(np.linalg, name)
+
+        def counted(*args, _name=name, _fn=fn, **kwargs):
+            calls[_name] += 1
+            return _fn(*args, **kwargs)
+
+        monkeypatch.setattr(np.linalg, name, counted)
+    for k in (0.2 + 0.1j, 1e-3j):
+        trace_u(KPoint.from_k(k), conductive, nodes128)
+    assert calls == {"svd": 2, "solve": 0, "inv": 6}
 
 
 def test_transform_self_convergence(nodes128, nodes256, conductive):
