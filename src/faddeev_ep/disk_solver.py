@@ -18,9 +18,12 @@ couples no radii, so an off-diagonal block is held compact, one value per mode
 pair and radius (shape (b, b, nh - 1)), and applied by einsum.  Each run
 inverts its diagonal block once (gesv against the identity, the work of a
 solve against the b·(nh - 1) columns of A[i, i+1]) and keeps only its gain
-D_i^{-1} A[i, i+1] and forward span: the gains are the solver's memory,
-(2N/b - 1)·(b·(nh - 1))^2 values for a non-radial n (N runs of one mode for a
-radial n).
+D_i^{-1} A[i, i+1] and forward span.  The forward sweep ends at the first run
+past the last boundary mode whose forward span is empty (see below): every later
+forward span is zero, so is every solution from there on, and those runs are
+neither inverted nor given a gain.  The gains are the solver's memory,
+(R - 1)·(b·(nh - 1))^2 values for the R <= 2N/b runs kept (R <= N runs of one
+mode for a radial n).
 
 All boundary modes share one forward and one backward sweep.  The solution of
 boundary mode m0 decays as r^|m| and away from m0, and most of it would

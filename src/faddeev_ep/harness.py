@@ -107,10 +107,10 @@ class RunConfig:
                              "read the module constants TOL_KER_REL, TOL_NEG, SINGULARITY_THRESHOLD, "
                              "CONDITION_LIMIT and CONDITION_CAP; leave the field empty")
         spec = json.dumps([self.potential, self.omega], sort_keys=True)
-        built = self.__dict__.get("_built")   # not a field: to_dict and config_hash do not see it
+        built = getattr(self, "_built", None)   # not a field: to_dict and config_hash do not see it
         if built is None or built[0] != spec:
             try:
-                built = self.__dict__["_built"] = (spec, build_potential(self))
+                built = self._built = (spec, build_potential(self))
             except (KeyError, TypeError) as exc:   # a missing, misspelled or unknown parameter
                 raise ValueError(f"potential {self.potential} or omega {self.omega} does not fit its "
                                  f"builder ({type(exc).__name__}: {exc})") from None
