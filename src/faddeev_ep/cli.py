@@ -1,5 +1,10 @@
 """Command-line entry point: faddeev-ep run | validate | scan | locus | parity | transform.
 
+``scan``, ``locus``, ``parity`` and ``transform`` write their flags into a config
+document and run it as ``faddeev-ep run`` runs a config file.  The potential and
+perturbation flags have no defaults here: a spec holds only the flags given, and
+the builders supply the rest.
+
 Exit codes: 0 success, 1 config/setup error, 2 validation failure.
 """
 
@@ -23,17 +28,23 @@ def _add_common(p: argparse.ArgumentParser) -> None:
     p.add_argument("--curve-json", default=None, help="Fourier-coefficient JSON for --curve fourier")
     p.add_argument("--n", type=int, default=128, help="boundary node count (even)")
     p.add_argument("--outdir", default="runs")
-    p.add_argument("--seed", type=int, default=0)
     p.add_argument("--workers", type=int, default=4)
     p.add_argument("--no-cache", action="store_true")
-    p.add_argument("--potential", default="conductive", help="conductive | absorbing | zero | raster")
-    p.add_argument("--amplitude", type=float, default=2.0)
-    p.add_argument("--power", type=int, default=3)
-    p.add_argument("--delta", type=float, default=1.0, help="absorption strength")
-    p.add_argument("--raster", default=None, help="raster JSON path for --potential raster")
+    p.add_argument("--potential", help="conductive | absorbing | zero | raster")
+    p.add_argument("--amplitude", type=float)
+    p.add_argument("--power", type=int)
+    p.add_argument("--delta", type=float, help="absorption strength")
+    p.add_argument("--raster", help="raster JSON path for --potential raster")
     p.add_argument("--lam", "--lambda", dest="lam", type=float, default=0.0, help="perturbation strength")
-    p.add_argument("--omega", default="radial_poly", help="radial_poly | poly_cos")
-    p.add_argument("--omega-cos", type=float, default=0.5, help="cos-theta coefficient of the perturbation")
+    p.add_argument("--omega", help="radial_poly | poly_cos")
+    p.add_argument("--omega-cos", type=float, help="cos-theta coefficient of the perturbation")
+
+
+# flag -> (config field, builder keyword)
+_BUILDER_FLAGS = {"potential": ("potential", "kind"), "amplitude": ("potential", "amplitude"),
+                  "power": ("potential", "power"), "delta": ("potential", "delta"),
+                  "raster": ("potential", "path"), "omega": ("omega", "profile"),
+                  "omega_cos": ("omega", "cos_coeff")}
 
 
 def _curve_dict(args) -> dict:
@@ -50,32 +61,22 @@ def _curve_dict(args) -> dict:
     raise ValueError(f"unknown curve {args.curve!r}")
 
 
-def _config_from_args(args, detectors: list[str]) -> RunConfig:
-    potential = {"kind": args.potential}
-    if args.potential == "conductive":
-        potential.update(amplitude=args.amplitude, power=args.power)
-    elif args.potential == "absorbing":
-        potential.update(delta=args.delta)
-    elif args.potential == "raster":
-        if not args.raster:
-            raise ValueError("--potential raster needs --raster <path>")
-        potential.update(path=args.raster)
-    omega = {"profile": args.omega, "amplitude": 1.0, "power": 3}
-    if args.omega == "poly_cos":
-        omega["cos_coeff"] = args.omega_cos
-    cfg = RunConfig(
-        curve=_curve_dict(args),
-        n_nodes=args.n,
-        potential=potential,
-        lam=args.lam,
-        omega=omega,
-        detectors=detectors,
-        outdir=args.outdir,
-        seed=args.seed,
-        workers=args.workers,
-        use_cache=not args.no_cache,
-    )
-    return cfg
+def _config_doc(args) -> dict:
+    """The config document of a scan, locus, parity or transform command.  A builder
+    flag that is not given is left out, so the config's or the builder's default holds."""
+    doc = {"curve": _curve_dict(args), "n_nodes": args.n, "lam": args.lam, "outdir": args.outdir,
+           "detectors": ["sigma_scan" if args.command == "scan" else args.command],
+           "workers": args.workers, "use_cache": not args.no_cache}
+    for flag, (name, key) in _BUILDER_FLAGS.items():
+        if getattr(args, flag) is not None:
+            doc.setdefault(name, {})[key] = getattr(args, flag)
+    if args.command == "scan":
+        doc["kgrid"] = {"type": "logpolar", "rmin": args.rmin, "rmax": args.rmax, "nr": args.nr, "nphi": args.nphi}
+    if args.command == "locus":
+        doc["locus_angles"] = args.angles
+    if args.command == "transform":
+        doc["transform_krange"] = {"rmin": args.rmin, "rmax": args.rmax, "n": args.nk, "phi": args.phi}
+    return doc
 
 
 def main(argv=None) -> int:
@@ -126,20 +127,12 @@ def main(argv=None) -> int:
                 print(c.line())
             return 0 if all(c.passed for c in checks) else 2
         else:
-            cfg = _config_from_args(args, ["sigma_scan" if args.command == "scan" else args.command])
-            if args.command == "scan":
-                cfg.kgrid = {"type": "logpolar", "rmin": args.rmin, "rmax": args.rmax,
-                             "nr": args.nr, "nphi": args.nphi}
-            if args.command == "locus":
-                cfg.locus_angles = args.angles
-            if args.command == "transform":
-                cfg.transform_krange = {"rmin": args.rmin, "rmax": args.rmax, "n": args.nk, "phi": args.phi}
-            cfg.validate_fields()
+            cfg = RunConfig.from_dict(_config_doc(args))
+        manifest = run(cfg)
     except (ValueError, OSError, json.JSONDecodeError) as exc:
         print(f"config error: {exc}", file=sys.stderr)
         return 1
 
-    manifest = run(cfg)
     print(json.dumps({"config_hash": manifest.config_hash, "timings": manifest.timings,
                       "errors": manifest.detector_errors}, indent=2, sort_keys=True))
     if manifest.validation_passed is False:

@@ -40,6 +40,7 @@ from .boundary_ops import (
 )
 from .disk_solver import DiskDtnSolver, radial_size
 from .geometry import NodeSet
+from .green import KPoint
 
 __all__ = [
     "Potential",
@@ -257,17 +258,24 @@ class PerturbedFamily:
 # ---------------------------------------------------------------------------
 # DtN maps
 
-def adjoint_double_layer(nodes: NodeSet) -> np.ndarray:
-    """Nystrom matrix of K': density -> normal derivative of its single layer.
+def adjoint_double_layer(nodes: NodeSet, k=None) -> np.ndarray:
+    """Nystrom matrix of K' (``k`` None) or of K_k': density -> normal derivative
+    of its Laplace or Faddeev single layer.
 
-    Kernel -(1/2pi) (z-z').nu_z / |z-z'|^2 with the curvature diagonal
-    limit -kappa/(4 pi).
+    K' has kernel -(1/2pi) (z-z').nu_z / |z-z'|^2 with the curvature diagonal
+    limit -kappa/(4 pi).  K_k' adds the normal derivative of N(k(z-z')): since
+    d/dz Re E1(-ikz)/2pi = Re(-e^{ikz}/(2pi z)), that kernel is
+    Re(-expm1(ik(z-z')) nu_z / (2pi (z-z'))), with diagonal Re(-ik nu_z)/(2pi).
     """
     z, nu, w = nodes.z, nodes.normals, nodes.weights
     dz = z[:, None] - z[None, :]
     with np.errstate(invalid="ignore", divide="ignore"):
         kern = -(dz.real * nu.real[:, None] + dz.imag * nu.imag[:, None]) / (2 * np.pi * np.abs(dz) ** 2)
-    np.fill_diagonal(kern, -nodes.curvature / (4 * np.pi))
+        if k is not None:
+            ik = 1j * KPoint.from_k(k).k
+            kern += (-np.expm1(ik * dz) * nu[:, None] / (2 * np.pi * dz)).real
+    diag = -nodes.curvature / (4 * np.pi)
+    np.fill_diagonal(kern, diag if k is None else diag + (-ik * nu).real / (2 * np.pi))
     return kern * w[None, :]
 
 

@@ -1,11 +1,13 @@
 """Batch experiment driver: configs, operator cache, detectors, artifacts.
 
-A run is described by a JSON-serializable RunConfig.  Outputs land in
-<outdir>/<confighash>/ as plot-ready CSV files plus summary.json (every
-tolerance and grid parameter needed to reproduce a figure) and
-manifest.json (config hash, versions, timings, file checksums, embedded
-validation results).  Re-running an identical config reproduces the CSV
-files byte for byte.
+A run is described by a JSON-serializable RunConfig, whose potential and
+omega specs hold only what was given: :func:`run` builds the potential once,
+before it writes anything, and the builders supply every parameter left out.
+Outputs land in <outdir>/<confighash>/ as plot-ready CSV files plus
+summary.json (every tolerance and grid parameter needed to reproduce a
+figure) and manifest.json (config hash, versions, timings, file checksums,
+embedded validation results).  Re-running an identical config reproduces the
+CSV files byte for byte.
 """
 
 from __future__ import annotations
@@ -63,13 +65,15 @@ CACHE_ENV_VAR = "FADDEEV_EP_CACHE"
 
 @dataclass
 class RunConfig:
-    """Declarative description of one batch run; every field has a default."""
+    """Declarative description of one batch run; every field has a default.  The
+    potential and omega defaults name only the kind and the profile, so each
+    builder parameter has its default in the builder's signature alone."""
 
     curve: dict = field(default_factory=lambda: {"name": "circle", "radius": 1.0})
     n_nodes: int = 128
-    potential: dict = field(default_factory=lambda: {"kind": "conductive", "amplitude": 2.0, "power": 3})
+    potential: dict = field(default_factory=lambda: {"kind": "conductive"})
     lam: float = 0.0
-    omega: dict = field(default_factory=lambda: {"profile": "radial_poly", "amplitude": 1.0, "power": 3})
+    omega: dict = field(default_factory=lambda: {"profile": "radial_poly"})
     kgrid: dict = field(default_factory=lambda: {"type": "logpolar", "rmin": 1e-3, "rmax": 1.0, "nr": 16, "nphi": 8})
     detectors: list = field(default_factory=lambda: ["validate"])
     locus_angles: int = 16
@@ -85,17 +89,11 @@ class RunConfig:
     use_cache: bool = True
     cache_dir: str = ""
 
-    def validate_fields(self) -> tuple[Potential, PerturbedFamily | None]:
-        """Check the fields and return :func:`build_potential` of the config.  The
-        potential is built once per potential and omega spec and kept on the config,
-        so that checking a config and running it read a raster once."""
+    def validate_fields(self) -> None:
+        """Check the fields; the curve and the potential are built by :func:`run`, once."""
         unknown = [d for d in self.detectors if d not in _DETECTORS]
         if unknown:
             raise ValueError(f"unknown detectors {unknown}; valid: {_DETECTORS}")
-        try:
-            curve_by_name(**self.curve)
-        except (KeyError, TypeError) as exc:   # a missing parameter or name
-            raise ValueError(f"curve {self.curve} is incomplete ({type(exc).__name__}: {exc})") from None
         if self.n_nodes < 16 or self.n_nodes % 2:
             raise ValueError(f"n_nodes must be even and >= 16, got {self.n_nodes}")
         kind = self.potential.get("kind", "conductive")
@@ -106,15 +104,6 @@ class RunConfig:
             raise ValueError(f"tolerances {sorted(self.tolerances)} cannot be set per run: the detectors "
                              "read the module constants TOL_KER_REL, TOL_NEG, SINGULARITY_THRESHOLD, "
                              "CONDITION_LIMIT and CONDITION_CAP; leave the field empty")
-        spec = json.dumps([self.potential, self.omega], sort_keys=True)
-        built = getattr(self, "_built", None)   # not a field: to_dict and config_hash do not see it
-        if built is None or built[0] != spec:
-            try:
-                built = self._built = (spec, build_potential(self))
-            except (KeyError, TypeError) as exc:   # a missing, misspelled or unknown parameter
-                raise ValueError(f"potential {self.potential} or omega {self.omega} does not fit its "
-                                 f"builder ({type(exc).__name__}: {exc})") from None
-        return built[1]
 
     def to_dict(self) -> dict:
         return asdict(self)
@@ -155,19 +144,21 @@ _PROFILES = {"radial_poly": omega_radial_poly, "poly_cos": omega_poly_cos}
 
 def build_potential(cfg: RunConfig) -> tuple[Potential, PerturbedFamily | None]:
     """Materialize the potential (and, for a conductive one, its perturbation
-    family) from a config; every other key of a spec is its builder's parameter."""
-    spec = dict(cfg.potential)
-    kind = spec.pop("kind", "conductive")
+    family) from a config; every other key of a spec is its builder's parameter,
+    and a key the builder does not take, or lacks, is a ValueError."""
+    spec, om = dict(cfg.potential), dict(cfg.omega)
+    kind, profile = spec.pop("kind", "conductive"), om.pop("profile", "radial_poly")
     if kind not in _POTENTIALS:
         raise ValueError(f"unknown potential kind {kind!r}; valid: {sorted(_POTENTIALS)}")
-    base = _POTENTIALS[kind](**spec)
-    if kind != "conductive":
-        return base, None
-    om = dict(cfg.omega)
-    profile = om.pop("profile", "radial_poly")
-    if profile not in _PROFILES:
+    if kind == "conductive" and profile not in _PROFILES:
         raise ValueError(f"unknown omega profile {profile!r}; valid: {sorted(_PROFILES)}")
-    return base, PerturbedFamily(base, _PROFILES[profile](**om))
+    try:
+        base = _POTENTIALS[kind](**spec)
+        omega = _PROFILES[profile](**om) if kind == "conductive" else None
+    except (KeyError, TypeError) as exc:   # a missing, misspelled or unknown parameter
+        raise ValueError(f"potential {cfg.potential} or omega {cfg.omega} does not fit its "
+                         f"builder ({type(exc).__name__}: {exc})") from None
+    return base, None if omega is None else PerturbedFamily(base, omega)
 
 
 def kgrid_points(spec: dict) -> list[KPoint]:
@@ -202,9 +193,15 @@ def run(config: RunConfig) -> RunManifest:
     """Execute the requested detectors and write all artifacts.
 
     Partial detector failures are recorded in the manifest; only config
-    and setup errors raise.
+    and setup errors raise, and the fields are checked and the curve and the
+    potential built before anything is written.
     """
-    base, family = config.validate_fields()
+    config.validate_fields()
+    base, family = build_potential(config)
+    try:
+        curve = curve_by_name(**config.curve)
+    except (KeyError, TypeError) as exc:   # a missing parameter or name
+        raise ValueError(f"curve {config.curve} is incomplete ({type(exc).__name__}: {exc})") from None
     chash = config.config_hash()
     outdir = os.path.join(config.outdir, chash)
     os.makedirs(outdir, exist_ok=True)
@@ -214,7 +211,7 @@ def run(config: RunConfig) -> RunManifest:
         cache = OperatorCache(config.cache_dir or os.environ.get(CACHE_ENV_VAR)
                               or os.path.join(config.outdir, "cache"))
 
-    nodes = sample(curve_by_name(**config.curve), config.n_nodes)
+    nodes = sample(curve, config.n_nodes)
     pot = base if family is None else family.at(config.lam)
 
     timings: dict[str, float] = {}

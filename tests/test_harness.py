@@ -103,6 +103,58 @@ def test_a_raster_config_reads_its_json_once_per_run(tmp_path, monkeypatch):
     assert reads == [str(cfgpath), str(raster)]
 
 
+@pytest.mark.parametrize("name, spec", [("potential", {"kind": "raster"}), ("curve", {"name": "fourier"})])
+def test_a_config_builds_nothing_until_it_runs(tmp_path, capsys, name, spec):
+    """from_dict checks the fields only: a raster or a curve whose file is missing is found by
+    the run, which builds both before it writes anything, as a config error (exit 1)."""
+    doc = {name: {**spec, "path": str(tmp_path / "missing.json")}, "detectors": [],
+           "outdir": str(tmp_path / "runs")}
+    RunConfig.from_dict(doc)
+    cfgpath = tmp_path / "cfg.json"
+    cfgpath.write_text(json.dumps(doc))
+    assert cli_main(["run", str(cfgpath)]) == 1
+    assert "config error:" in capsys.readouterr().err
+    assert not (tmp_path / "runs").exists()
+
+
+def test_a_run_leaves_the_config_its_fields_only(tmp_path):
+    cfg = RunConfig.from_dict({"detectors": [], "outdir": str(tmp_path)})
+    run(cfg)
+    assert set(vars(cfg)) == set(RunConfig.__dataclass_fields__)
+
+
+def _cli_config(tmp_path, *flags):
+    """Run a small scan from the command line; return its config.json and scan.csv."""
+    argv = ["scan", "--n", "32", "--rmin", "0.05", "--rmax", "0.5", "--nr", "2", "--nphi", "1",
+            "--workers", "1", "--no-cache", "--outdir", str(tmp_path), *flags]
+    assert cli_main(argv) == 0
+    (rundir,) = tmp_path.iterdir()
+    return json.loads((rundir / "config.json").read_text()), (rundir / "scan.csv").read_bytes()
+
+
+def test_cli_writes_only_the_builder_flags_given(tmp_path):
+    """A flagless scan names only the kind and the profile, and the builders' defaults give
+    the scan that spelling every parameter out gives; a flag given is written as given."""
+    cfg, csv = _cli_config(tmp_path / "flagless")
+    assert cfg["potential"] == {"kind": "conductive"} and cfg["omega"] == {"profile": "radial_poly"}
+    spelled = RunConfig.from_dict({**cfg, "outdir": str(tmp_path / "spelled"),
+                                   "potential": {"kind": "conductive", "amplitude": 2.0, "power": 3},
+                                   "omega": {"profile": "radial_poly", "amplitude": 1.0, "power": 3}})
+    manifest = run(spelled)
+    assert (tmp_path / "spelled" / manifest.config_hash / "scan.csv").read_bytes() == csv
+    cfg, _ = _cli_config(tmp_path / "absorbing", "--potential", "absorbing")
+    assert cfg["potential"] == {"kind": "absorbing"}
+    cfg, _ = _cli_config(tmp_path / "delta", "--potential", "absorbing", "--delta", "0.5")
+    assert cfg["potential"] == {"kind": "absorbing", "delta": 0.5}
+
+
+def test_cli_rejects_a_flag_its_builder_does_not_take(tmp_path, capsys):
+    """--delta on a conductive run is a config error, not a flag dropped silently."""
+    assert cli_main(["scan", "--n", "32", "--delta", "0.5", "--outdir", str(tmp_path)]) == 1
+    assert "config error:" in capsys.readouterr().err
+    assert not any(tmp_path.iterdir())
+
+
 def test_kgrid_points():
     pts = kgrid_points({"type": "logpolar", "rmin": 0.1, "rmax": 1.0, "nr": 3, "nphi": 4})
     assert len(pts) == 12
@@ -270,6 +322,28 @@ def test_validate_checks_F0_on_harmonic_traces(monkeypatch):
     binv = dtn_maps.assemble_F0(nodes).matrix - dtn_maps.assemble_Fout_bounded(nodes).matrix
     _, pp = mean_projectors(nodes)
     assert np.linalg.norm((binv @ assemble_B(nodes).matrix - pp) @ pp, 2) <= 1e-8
+
+
+def test_validate_checks_S_k_against_its_closed_form_jump(monkeypatch):
+    """A wrong Green remainder in S_k fails F_0 S_k = K_k' + I/2, whose K_k' is closed-form.
+    F^out(k) = F_0 - S_k^{-1} is built from the same S_k, so the identity
+    (F_0 - F^out(k)) S_k = I, which that check replaced, passes the same mutation."""
+    from faddeev_ep import boundary_ops
+    from faddeev_ep.dtn_maps import assemble_F0, assemble_Fout
+    from faddeev_ep.green import KPoint
+    from faddeev_ep.validate import run_validation
+
+    name = "F_0 S_k = K_k' + I/2 on cos mt, sin mt (m = 0..4)"
+    assert {c.name: c for c in run_validation(sample(make_circle(1.0), 64))}[name].passed
+    remainder = boundary_ops.green_remainder
+    monkeypatch.setattr(boundary_ops, "green_remainder", lambda w: 1.01 * remainder(w))
+    nodes = sample(make_circle(1.0), 64)
+    assert {c.name: c for c in run_validation(nodes)}[name].measured >= 1e-3
+    f0 = assemble_F0(nodes).matrix
+    for i, r in enumerate(np.geomspace(1e-3, 1.0, 10)):
+        ws = boundary_ops.KWorkspace(KPoint.from_polar_log(np.log(r), (i % 4) * np.pi / 3), nodes)
+        resid = (f0 - assemble_Fout(ws, nodes).matrix) @ ws.s.matrix - np.eye(64)
+        assert np.linalg.norm(resid, 2) <= 1e-8
 
 
 def test_cli_scan_subcommand(tmp_path, capsys):
