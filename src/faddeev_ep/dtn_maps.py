@@ -269,13 +269,14 @@ def adjoint_double_layer(nodes: NodeSet, k=None) -> np.ndarray:
     """
     z, nu, w = nodes.z, nodes.normals, nodes.weights
     dz = z[:, None] - z[None, :]
+    diag = -nodes.curvature / (4 * np.pi)
     with np.errstate(invalid="ignore", divide="ignore"):
         kern = -(dz.real * nu.real[:, None] + dz.imag * nu.imag[:, None]) / (2 * np.pi * np.abs(dz) ** 2)
         if k is not None:
             ik = 1j * KPoint.from_k(k).k
             kern += (-np.expm1(ik * dz) * nu[:, None] / (2 * np.pi * dz)).real
-    diag = -nodes.curvature / (4 * np.pi)
-    np.fill_diagonal(kern, diag if k is None else diag + (-ik * nu).real / (2 * np.pi))
+            diag = diag + (-ik * nu).real / (2 * np.pi)
+    np.fill_diagonal(kern, diag)
     return kern * w[None, :]
 
 

@@ -1,13 +1,13 @@
 """Batch experiment driver: configs, operator cache, detectors, artifacts.
 
 A run is described by a JSON-serializable RunConfig, whose potential and
-omega specs hold only what was given: :func:`run` builds the potential once,
-before it writes anything, and the builders supply every parameter left out.
-Outputs land in <outdir>/<confighash>/ as plot-ready CSV files plus
-summary.json (every tolerance and grid parameter needed to reproduce a
-figure) and manifest.json (config hash, versions, timings, file checksums,
-embedded validation results).  Re-running an identical config reproduces the
-CSV files byte for byte.
+omega specs hold only what was given: :func:`run` builds the curve and the
+potential once, before it writes anything, and the builders supply every
+parameter left out.  Outputs land in <outdir>/<confighash>/ as plot-ready
+CSV files plus summary.json (every tolerance and grid parameter needed to
+reproduce a figure) and manifest.json (config hash, versions, timings, file
+checksums, embedded validation results).  Re-running an identical config
+reproduces the CSV files byte for byte.
 """
 
 from __future__ import annotations

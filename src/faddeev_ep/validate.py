@@ -33,7 +33,7 @@ from .boundary_ops import (
     meanfree_form_gap,
     operator_norm,
 )
-from .dtn_maps import assemble_F0, assemble_Fout_bounded, assemble_Fout_zero, adjoint_double_layer
+from .dtn_maps import adjoint_double_layer, assemble_F0, assemble_Fout_bounded, assemble_Fout_zero
 from .geometry import NodeSet, sample
 from .green import KPoint, epsilon_from_log
 
