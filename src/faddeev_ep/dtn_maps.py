@@ -336,10 +336,9 @@ def assemble_Fout(k, nodes: NodeSet) -> BoundaryOperator:
 
 def fn_supported(nodes: NodeSet) -> bool:
     """Whether :func:`assemble_Fn` can assemble F_n on ``nodes``: the unit circle
-    only, the coefficient table {1: c} with |c - 1| < 1e-14."""
+    only, a centred circle {1: c} with |c - 1| < 1e-14."""
     c = nodes.curve
-    live = c.coeffs != 0
-    return c.modes[live].tolist() == [1] and abs(c.coeffs[live][0] - 1.0) < 1e-14
+    return nodes.centred_circle and abs(c.coeffs[c.modes == 1][0] - 1.0) < 1e-14
 
 
 def fn_key(nodes: NodeSet, potential: Potential) -> str:

@@ -348,8 +348,9 @@ def trace_locus(lam: float, family: PerturbedFamily, nodes: NodeSet, angles,
 
     Requires small lambda > 0 and mu > 0.  Rays without a sign change are
     reported as failures (for lambda > 0 that contradicts the expansion
-    and indicates resolution failure).  Each eps is evaluated once per ray:
-    :func:`_bracketed_root` starts from the evaluated bracket ends and returns
+    and indicates resolution failure).  Each eps is evaluated once per ray (the
+    widening's capped end eps = 0.6 aside): each widening step moves both ends,
+    and :func:`_bracketed_root` starts from the evaluated bracket ends and returns
     eps* within xtol = xtol_rel * (mu/nu) lambda of the sign change.
     For an n_lambda whose samples have angular bandwidth 0
     (:meth:`DiskDtnSolver.angular_modes`) on a centred circle, F_n is
@@ -370,12 +371,8 @@ def trace_locus(lam: float, family: PerturbedFamily, nodes: NodeSet, angles,
 
     def ray(phi):
         """(eps*, None) on a ray, or (nan, the bracket without a sign change)."""
-        seen: dict[float, float] = {}
-
         def f(eps):
-            if eps not in seen:
-                seen[eps] = criterion(KPoint.from_eps(eps, phi, nu), pot, nodes).eig_near_zero
-            return seen[eps]
+            return criterion(KPoint.from_eps(eps, phi, nu), pot, nodes).eig_near_zero
 
         lo, hi = lo0, hi0
         flo, fhi = f(lo), f(hi)

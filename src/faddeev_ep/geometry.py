@@ -106,7 +106,7 @@ def _table(coeffs: dict[int, complex], name: str, params: dict) -> BoundaryCurve
     return BoundaryCurve(modes, c, name, params)
 
 
-def make_circle(radius: float) -> BoundaryCurve:
+def make_circle(radius: float = 1.0) -> BoundaryCurve:
     """Circle of given radius centred at the origin."""
     if radius <= 0:
         raise ValueError(f"radius must be positive, got {radius}")
@@ -145,17 +145,15 @@ def curve_from_fourier_json(path) -> BoundaryCurve:
     return curve_from_fourier(coeffs, name=doc.get("name", "fourier"))
 
 
+_CURVES = {"circle": make_circle, "ellipse": make_ellipse, "kite": make_kite, "fourier": curve_from_fourier_json}
+
+
 def curve_by_name(name: str, **params) -> BoundaryCurve:
-    """Factory used by configs: circle / ellipse / kite / fourier-json."""
-    if name == "circle":
-        return make_circle(params.get("radius", 1.0))
-    if name == "ellipse":
-        return make_ellipse(params["a"], params["b"])
-    if name == "kite":
-        return make_kite()
-    if name == "fourier":
-        return curve_from_fourier_json(params["path"])
-    raise ValueError(f"unknown curve name {name!r}")
+    """Factory used by configs: ``params`` are the keywords of the named builder, so a
+    missing or foreign parameter is a TypeError."""
+    if name not in _CURVES:
+        raise ValueError(f"unknown curve name {name!r}; valid: {sorted(_CURVES)}")
+    return _CURVES[name](**params)
 
 
 def sample(curve: BoundaryCurve, n: int) -> NodeSet:

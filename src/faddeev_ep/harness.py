@@ -1,13 +1,14 @@
 """Batch experiment driver: configs, operator cache, detectors, artifacts.
 
-A run is described by a JSON-serializable RunConfig, whose potential and
-omega specs hold only what was given: :func:`run` builds the curve and the
-potential once, before it writes anything, and the builders supply every
-parameter left out.  Outputs land in <outdir>/<confighash>/ as plot-ready
-CSV files plus summary.json (every tolerance and grid parameter needed to
-reproduce a figure) and manifest.json (config hash, versions, timings, file
-checksums, embedded validation results).  Re-running an identical config
-reproduces the CSV files byte for byte.
+A run is described by a JSON-serializable RunConfig.  Its field defaults and
+the builders' signatures are the only defaults: a config document names only
+what differs from them, and the curve, potential and omega specs hold only the
+builder parameters given.  :func:`run` builds the curve and the potential once,
+before it writes anything.  Outputs land in <outdir>/<confighash>/ as
+plot-ready CSV files plus config.json (the document), summary.json (every
+field, tolerance and grid parameter in force) and manifest.json (config hash,
+versions, timings, file checksums, embedded validation results).  Re-running
+an identical config reproduces the CSV files byte for byte.
 """
 
 from __future__ import annotations
@@ -49,12 +50,12 @@ from .exceptional import (
     scan_to_csv,
     trace_locus,
 )
-from .geometry import curve_by_name, sample
+from .geometry import BoundaryCurve, curve_by_name, sample
 from .green import KPoint
 from .transform import CONDITION_CAP, bound_check
 from .validate import run_validation
 
-__all__ = ["RunConfig", "RunManifest", "OperatorCache", "run", "build_potential", "kgrid_points"]
+__all__ = ["RunConfig", "RunManifest", "OperatorCache", "run", "build_curve", "build_potential", "kgrid_points"]
 
 log = logging.getLogger("faddeev_ep")
 
@@ -62,14 +63,19 @@ _DETECTORS = ("validate", "sigma_scan", "locus", "xi_fit", "parity", "transform"
 
 CACHE_ENV_VAR = "FADDEEV_EP_CACHE"
 
+# the xi_fit grid: lambda in [-0.05, 0.05] and eps in [0, 0.05], 5 points each
+_XI_LAMBDAS = np.linspace(-0.05, 0.05, 5)
+_XI_EPSS = np.linspace(0.0, 0.05, 5)
+
 
 @dataclass
 class RunConfig:
     """Declarative description of one batch run; every field has a default.  The
-    potential and omega defaults name only the kind and the profile, so each
-    builder parameter has its default in the builder's signature alone."""
+    curve, potential and omega defaults name only the curve, the kind and the
+    profile, so each builder parameter has its default in the builder's signature
+    alone."""
 
-    curve: dict = field(default_factory=lambda: {"name": "circle", "radius": 1.0})
+    curve: dict = field(default_factory=lambda: {"name": "circle"})
     n_nodes: int = 128
     potential: dict = field(default_factory=lambda: {"kind": "conductive"})
     lam: float = 0.0
@@ -77,12 +83,8 @@ class RunConfig:
     kgrid: dict = field(default_factory=lambda: {"type": "logpolar", "rmin": 1e-3, "rmax": 1.0, "nr": 16, "nphi": 8})
     detectors: list = field(default_factory=lambda: ["validate"])
     locus_angles: int = 16
-    xi_lambda_max: float = 0.05
-    xi_eps_max: float = 0.05
-    xi_points: int = 5
     parity_eps: dict = field(default_factory=lambda: {"eps_a": 0.5, "eps_b": 2.0, "phi": 0.0, "scale": "prediction"})
     transform_krange: dict = field(default_factory=lambda: {"rmin": 1e-6, "rmax": 1e-2, "n": 9, "phi": 0.9})
-    tolerances: dict = field(default_factory=dict)
     outdir: str = "runs"
     seed: int = 0
     workers: int = 4
@@ -97,16 +99,14 @@ class RunConfig:
         if self.n_nodes < 16 or self.n_nodes % 2:
             raise ValueError(f"n_nodes must be even and >= 16, got {self.n_nodes}")
         kind = self.potential.get("kind", "conductive")
-        if self.lam != 0.0 and kind != "conductive":
-            raise ValueError(f"lam = {self.lam} perturbs a conductive potential only; "
-                             f"a {kind!r} potential needs lam = 0")
-        if self.tolerances:
-            raise ValueError(f"tolerances {sorted(self.tolerances)} cannot be set per run: the detectors "
-                             "read the module constants TOL_KER_REL, TOL_NEG, SINGULARITY_THRESHOLD, "
-                             "CONDITION_LIMIT and CONDITION_CAP; leave the field empty")
+        if kind != "conductive" and (self.lam != 0.0 or self.omega != RunConfig().omega):
+            raise ValueError(f"lam = {self.lam} and omega {self.omega} perturb a conductive potential "
+                             f"only; a {kind!r} potential needs lam = 0 and no omega")
 
     def to_dict(self) -> dict:
-        return asdict(self)
+        """The config document: the fields that differ from their defaults."""
+        default = RunConfig()
+        return {k: v for k, v in asdict(self).items() if v != getattr(default, k)}
 
     @classmethod
     def from_dict(cls, doc: dict) -> "RunConfig":
@@ -123,7 +123,7 @@ class RunConfig:
             return cls.from_dict(json.load(fh))
 
     def config_hash(self) -> str:
-        blob = json.dumps(self.to_dict(), sort_keys=True)
+        blob = json.dumps(asdict(self), sort_keys=True)
         return hashlib.sha256(blob.encode()).hexdigest()[:16]
 
 
@@ -140,6 +140,15 @@ class RunManifest:
 _POTENTIALS = {"zero": zero_potential, "conductive": standard_conductive,
                "absorbing": absorbing_potential, "raster": raster_potential}
 _PROFILES = {"radial_poly": omega_radial_poly, "poly_cos": omega_poly_cos}
+
+
+def build_curve(cfg: RunConfig) -> BoundaryCurve:
+    """The config's curve; a missing, unknown or foreign parameter is a ValueError."""
+    try:
+        return curve_by_name(**cfg.curve)
+    except (KeyError, TypeError) as exc:
+        raise ValueError(f"curve {cfg.curve} is incomplete or takes no such parameter "
+                         f"({type(exc).__name__}: {exc})") from None
 
 
 def build_potential(cfg: RunConfig) -> tuple[Potential, PerturbedFamily | None]:
@@ -198,10 +207,7 @@ def run(config: RunConfig) -> RunManifest:
     """
     config.validate_fields()
     base, family = build_potential(config)
-    try:
-        curve = curve_by_name(**config.curve)
-    except (KeyError, TypeError) as exc:   # a missing parameter or name
-        raise ValueError(f"curve {config.curve} is incomplete ({type(exc).__name__}: {exc})") from None
+    nodes = sample(build_curve(config), config.n_nodes)
     chash = config.config_hash()
     outdir = os.path.join(config.outdir, chash)
     os.makedirs(outdir, exist_ok=True)
@@ -211,7 +217,6 @@ def run(config: RunConfig) -> RunManifest:
         cache = OperatorCache(config.cache_dir or os.environ.get(CACHE_ENV_VAR)
                               or os.path.join(config.outdir, "cache"))
 
-    nodes = sample(curve, config.n_nodes)
     pot = base if family is None else family.at(config.lam)
 
     timings: dict[str, float] = {}
@@ -221,10 +226,9 @@ def run(config: RunConfig) -> RunManifest:
     # Where F_n is unsupported the detectors meet and record the refusal; a
     # near-resonant F_n is recorded here for every detector that reads it
     # (xi_fit alone when only one of its lambdas is refused), without re-solving.
-    lams = np.linspace(-config.xi_lambda_max, config.xi_lambda_max, config.xi_points)
     fn_pots = [pot]
     if "xi_fit" in config.detectors and family is not None:
-        fn_pots += [family.at(lam) for lam in (0.0, *lams)]
+        fn_pots += [family.at(lam) for lam in (0.0, *_XI_LAMBDAS)]
     needs_fn = [d for d in config.detectors if d != "validate"]
     errors: dict[str, str] = {}
     if needs_fn and fn_supported(nodes):
@@ -238,7 +242,7 @@ def run(config: RunConfig) -> RunManifest:
             log.warning("F_n refused for %s: %s", refused, exc)
         timings["fn_assembly"] = round(time.perf_counter() - t0, 3)
     summary: dict = {
-        "config": config.to_dict(),
+        "config": asdict(config),
         "config_hash": chash,
         "tolerances": {"tol_ker_rel": TOL_KER_REL, "tol_neg": TOL_NEG,
                        "singularity_threshold": SINGULARITY_THRESHOLD,
@@ -298,12 +302,11 @@ def run(config: RunConfig) -> RunManifest:
             elif detector == "xi_fit":
                 if family is None:
                     raise ValueError("xi_fit detector needs a conductive base potential")
-                epss = np.linspace(0.0, config.xi_eps_max, config.xi_points)
-                curve_fit = fit_xi(family, nodes, lams, epss)
+                curve_fit = fit_xi(family, nodes, _XI_LAMBDAS, _XI_EPSS)
                 summary["xi_fit"] = {
                     "a": curve_fit.a, "b": curve_fit.b, "residual": curve_fit.residual,
                     "xi00": curve_fit.xi00, "mu": mu_for_family(family),
-                    "nu": nodes.length,
+                    "nu": nodes.length, "lambdas": _XI_LAMBDAS.tolist(), "eps": _XI_EPSS.tolist(),
                 }
             elif detector == "parity":
                 pe = config.parity_eps

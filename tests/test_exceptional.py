@@ -5,7 +5,7 @@ import pytest
 from hypothesis import assume, example, given, settings
 from hypothesis import strategies as st
 
-from faddeev_ep import boundary_ops, exceptional
+from faddeev_ep import boundary_ops, dtn_maps, exceptional
 from faddeev_ep.boundary_ops import KWorkspace, NearSingularError, assemble_S, invert_S
 from faddeev_ep.dtn_maps import PerturbedFamily, standard_conductive
 from faddeev_ep.exceptional import (
@@ -275,6 +275,7 @@ def _check_fan_out(family, nodes, monkeypatch):
     assert np.all(fanned.eps_star == fanned.eps_star[0])
 
     ks.clear()
+    monkeypatch.setattr(dtn_maps, "fn_supported", lambda nodes: True)   # F_n reads centred_circle too
     monkeypatch.setattr(NodeSet, "centred_circle", property(lambda self: False))
     per_ray = trace_locus(0.05, family, nodes, angles)
     assert per_ray.rays_traced == 4 and not per_ray.failures

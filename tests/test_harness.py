@@ -32,9 +32,10 @@ def test_config_rejects_unknown_fields_and_detectors():
 
 
 def test_config_rejects_per_run_tolerances():
-    with pytest.raises(ValueError, match="TOL_KER_REL.*CONDITION_CAP"):
-        RunConfig.from_dict({"tolerances": {"tol_neg": 1e-3}})
-    assert RunConfig.from_dict({"tolerances": {}}).config_hash() == RunConfig().config_hash()
+    """The tolerances and the xi_fit grid are module constants, not config fields."""
+    for doc in ({"tolerances": {}}, {"tolerances": {"tol_neg": 1e-3}}, {"xi_points": 5}):
+        with pytest.raises(ValueError, match="unknown config fields"):
+            RunConfig.from_dict(doc)
 
 
 def test_summary_reports_the_tolerances_in_force(tmp_path):
@@ -133,10 +134,10 @@ def _cli_config(tmp_path, *flags):
 
 
 def test_cli_writes_only_the_builder_flags_given(tmp_path):
-    """A flagless scan names only the kind and the profile, and the builders' defaults give
+    """A flagless scan names no potential and no omega, and the builders' defaults give
     the scan that spelling every parameter out gives; a flag given is written as given."""
     cfg, csv = _cli_config(tmp_path / "flagless")
-    assert cfg["potential"] == {"kind": "conductive"} and cfg["omega"] == {"profile": "radial_poly"}
+    assert "potential" not in cfg and "omega" not in cfg
     spelled = RunConfig.from_dict({**cfg, "outdir": str(tmp_path / "spelled"),
                                    "potential": {"kind": "conductive", "amplitude": 2.0, "power": 3},
                                    "omega": {"profile": "radial_poly", "amplitude": 1.0, "power": 3}})
@@ -149,10 +150,45 @@ def test_cli_writes_only_the_builder_flags_given(tmp_path):
 
 
 def test_cli_rejects_a_flag_its_builder_does_not_take(tmp_path, capsys):
-    """--delta on a conductive run is a config error, not a flag dropped silently."""
-    assert cli_main(["scan", "--n", "32", "--delta", "0.5", "--outdir", str(tmp_path)]) == 1
-    assert "config error:" in capsys.readouterr().err
-    assert not any(tmp_path.iterdir())
+    """--delta on a conductive run, --a on a circle, an ellipse without its axes and an omega
+    on an absorbing potential are config errors, found before anything is written: no flag
+    is dropped silently and no axis is filled in."""
+    for flags in (["--delta", "0.5"], ["--curve", "circle", "--a", "1.5"], ["--curve", "ellipse"],
+                  ["--potential", "absorbing", "--omega-cos", "0.3"]):
+        assert cli_main(["scan", "--n", "32", *flags, "--outdir", str(tmp_path)]) == 1
+        assert "config error:" in capsys.readouterr().err
+        assert not any(tmp_path.iterdir())
+
+
+@pytest.mark.parametrize("command, detector", [("scan", "sigma_scan"), ("locus", "locus"), ("transform", "transform")])
+def test_a_flagless_command_writes_only_its_detector(tmp_path, monkeypatch, command, detector):
+    """No flag has a default of its own: a command given no flags writes a config.json that names
+    its detector alone, and RunConfig's defaults supply every other field.  (The flagless locus,
+    at lam = 0, records a detector error and exits 1, after writing its config.)"""
+    monkeypatch.chdir(tmp_path)
+    cli_main([command])
+    (config,) = (tmp_path / "runs").glob("*/config.json")
+    doc = json.loads(config.read_text())
+    assert doc == {"detectors": [detector]}
+    assert RunConfig.from_dict(doc) == RunConfig(detectors=[detector])
+
+
+@pytest.mark.parametrize("command, flags, name", [("scan", ["--nr", "2"], "kgrid"),
+                                                  ("transform", ["--nk", "3"], "transform_krange")])
+def test_cli_completes_a_partly_given_grid_from_the_config_default(tmp_path, command, flags, name):
+    """The grid flag given is written into RunConfig's default grid; no other field is written."""
+    assert cli_main([command, "--n", "32", *flags, "--no-cache", "--outdir", str(tmp_path)]) == 0
+    (config,) = tmp_path.glob("*/config.json")
+    doc = json.loads(config.read_text())
+    assert set(doc) == {"detectors", "n_nodes", "use_cache", "outdir", name}
+    key = "nr" if name == "kgrid" else "n"
+    assert doc[name] == {**getattr(RunConfig(), name), key: int(flags[1])}
+
+
+def test_cli_validate_takes_only_the_curve_flags_and_n(capsys):
+    with pytest.raises(SystemExit):
+        cli_main(["validate", "--n", "32", "--potential", "absorbing"])
+    assert "unrecognized arguments: --potential absorbing" in capsys.readouterr().err
 
 
 def test_kgrid_points():
@@ -324,6 +360,22 @@ def test_validate_checks_F0_on_harmonic_traces(monkeypatch):
     assert np.linalg.norm((binv @ assemble_B(nodes).matrix - pp) @ pp, 2) <= 1e-8
 
 
+def test_validate_checks_Fout_bounded_on_exterior_harmonics(monkeypatch):
+    """A B^{-1} off by 1% fails F_b^out on the traces of Re, Im z^-m (about 1e-2).  The check
+    it replaced, F^out(0) 1 = 0, reads P_perp (F_0 - B^{-1}) P_perp 1, which vanishes by
+    construction and passes the same mutation."""
+    from faddeev_ep import dtn_maps
+    from faddeev_ep.validate import run_validation
+
+    name = "F_b^out maps Re, Im z^-m (m = 1..4) to their normal derivatives"
+    assert {c.name: c for c in run_validation(sample(make_circle(1.0), 64))}[name].passed
+    invert = dtn_maps.invert_on_meanfree
+    monkeypatch.setattr(dtn_maps, "invert_on_meanfree", lambda bop: 1.01 * invert(bop))
+    nodes = sample(make_circle(1.0), 64)
+    assert {c.name: c for c in run_validation(nodes)}[name].measured >= 1e-3
+    assert np.max(np.abs(dtn_maps.assemble_Fout_zero(nodes).matrix @ np.ones(64))) <= 1e-8
+
+
 def test_validate_checks_S_k_against_its_closed_form_jump(monkeypatch):
     """A wrong Green remainder in S_k fails F_0 S_k = K_k' + I/2, whose K_k' is closed-form.
     F^out(k) = F_0 - S_k^{-1} is built from the same S_k, so the identity
@@ -368,6 +420,8 @@ def test_lambda_perturbs_only_a_conductive_potential(tmp_path):
     assert cli_main(["scan", "--potential", "absorbing", "--lam", "0.05", "--outdir", str(tmp_path)]) == 1
     assert not any(tmp_path.iterdir())
     assert RunConfig.from_dict({**doc, "lam": 0.0}).lam == 0.0
+    with pytest.raises(ValueError, match="conductive"):
+        RunConfig.from_dict({**doc, "lam": 0.0, "omega": {"profile": "poly_cos"}})
 
 
 def test_cli_subcommand_config_error_exits_1(tmp_path, capsys):
