@@ -17,13 +17,17 @@ and is solved by dense block elimination fused with the forward sweep.  n
 couples no radii, so an off-diagonal block is held compact, one value per mode
 pair and radius (shape (b, b, nh - 1)), and applied by einsum.  Each run
 inverts its diagonal block once (gesv against the identity, the work of a
-solve against the b·(nh - 1) columns of A[i, i+1]) and keeps only its gain
+solve against the b·(nh - 1) columns of A[i, i+1]) and forms only its gain
 D_i^{-1} A[i, i+1] and forward span.  The forward sweep ends at the first run
 past the last boundary mode whose forward span is empty (see below): every later
 forward span is zero, so is every solution from there on, and those runs are
-neither inverted nor given a gain.  The gains are the solver's memory,
-(R - 1)·(b·(nh - 1))^2 values for the R <= 2N/b runs kept (R <= N runs of one
-mode for a radial n).
+neither inverted nor given a gain.  The runs below the lowest boundary mode
+(-N/2; the modes of a non-radial n start at -N) have empty forward spans and
+their solutions reach no row of F_n, so their gains are held for the next run's
+Schur update only and the backward sweep ends at the lowest boundary mode's run.
+The gains kept, from that run to the last live span, are the solver's memory:
+(b·(nh - 1))^2 values each, for at most 3N/(2b) runs (at most N runs of one mode
+for a radial n, whose modes start at -N/2).
 
 All boundary modes share one forward and one backward sweep.  The solution of
 boundary mode m0 decays as r^|m| and away from m0, and most of it would
@@ -44,11 +48,12 @@ alias onto the N nodes), with both Nyquist halves, weight 1 each, folded into
 one row, and is taken to the nodes by two FFTs.
 
 The resonance refusal reads the same solve.  Its gain max_j |u_j|_1 / |b_j|_1
-over the boundary columns b_j and their solutions u_j is a lower bound of
-|A^{-1}|_1, and every Dirichlet eigenfunction has a nonzero normal derivative,
-so the boundary data excites it: near an eigenvalue the gain grows as 1 / the
-distance.  The solve is refused when its gain exceeds CONDITION_LIMIT times
-the gain for n = 0, before F_n is formed.
+over the boundary columns b_j and their solutions u_j, summed over the runs the
+backward sweep reaches, is a lower bound of |A^{-1}|_1, and every Dirichlet
+eigenfunction has a nonzero normal derivative, so the boundary data excites it:
+near an eigenvalue the gain grows as 1 / the distance.  The solve is refused
+when its gain exceeds CONDITION_LIMIT times the gain for n = 0, before F_n is
+formed.
 """
 
 from __future__ import annotations
@@ -234,12 +239,14 @@ class DiskDtnSolver:
             return lo, out
 
         # block elimination fused with the forward sweep: run i inverts D'_i = A[i, i] - A[i, i-1] G_{i-1}
-        # and keeps G_i = D'_i^{-1} A[i, i+1] and its forward span D'_i^{-1} (B_i - A[i, i-1] X'_{i-1}),
+        # and forms G_i = D'_i^{-1} A[i, i+1] and its forward span D'_i^{-1} (B_i - A[i, i-1] X'_{i-1}),
         # B_i the boundary columns js whose mode lies in run i (adjacent in the descending order).
         # Past the last run with a boundary column, the first empty forward span ends the loop:
-        # every later forward span and every solution from there on is zero
-        last_b = modes.max() // step
-        gains, fwd, nxt = [], [], (0, np.zeros((0, 0), dtype=dtype))
+        # every later forward span and every solution from there on is zero.  Below the first
+        # run with a boundary column the spans are empty and the solutions reach no row of F_n,
+        # so the backward sweep ends there, and only the gains from that run on are kept
+        first_b, last_b = modes.min() // step, modes.max() // step
+        gains, fwd, g, nxt = [], [], None, (0, np.zeros((0, 0), dtype=dtype))
         for i, run in enumerate(runs):
             js = np.flatnonzero(modes // step == i)
             b = np.zeros((len(run), n_int, js.size), dtype=dtype)
@@ -247,7 +254,7 @@ class DiskDtnSolver:
                 b[modes[j] - i * step, :, c] = weights[j] * self._dr2[parity[modes[j]]][1:, 0]
             diag = diag_block(i)
             if i:
-                diag -= apply_coupling(coupling_block(i, i - 1), gains[-1])
+                diag -= apply_coupling(coupling_block(i, i - 1), g)
             lo, x = joined((js[0] if js.size else 0, b.reshape(len(run) * n_int, js.size)), fwd[-1] if fwd else nxt,
                            lambda y: apply_coupling(coupling_block(i, i - 1), y))
             inv = np.linalg.inv(diag)
@@ -256,14 +263,16 @@ class DiskDtnSolver:
                 break
             if i + 1 < len(runs):
                 up = coupling_block(i, i + 1)
-                gains.append(np.einsum("xap,abp->xbp", inv.reshape(len(inv), len(up), n_int), up).reshape(len(inv), -1))
+                g = np.einsum("xap,abp->xbp", inv.reshape(len(inv), len(up), n_int), up).reshape(len(inv), -1)
+                if i >= first_b:
+                    gains.append(g)
 
         dn_rows = np.array([self._d1[s][0, 1:] for s in parity])
         # normal derivatives, added into the boundary columns: the two Nyquist halves add into one
         ghat = np.zeros((m_int, nb), dtype=complex)
-        sol_norm = np.zeros(modes.size)                   # |u_j|_1 of each solved column
-        for i in range(len(fwd) - 1, -1, -1):   # the backward sweep drops each forward span it passes
-            lo, x = nxt = live(*joined(fwd.pop(), nxt, lambda y: gains[i] @ y))
+        sol_norm = np.zeros(modes.size)                   # |u_j|_1 of each solved column, on the runs swept
+        for i in range(len(fwd) - 1, first_b - 1, -1):   # the backward sweep drops each forward span it passes
+            lo, x = nxt = live(*joined(fwd.pop(), nxt, lambda y: gains[i - first_b] @ y))
             rows = slice(i * step, i * step + len(runs[i]))
             dn = np.einsum("ap,apc->ac", dn_rows[rows], x.reshape(len(runs[i]), n_int, -1))
             np.add.at(ghat, (rows, cols[lo : lo + x.shape[1]]), dn)

@@ -18,9 +18,9 @@ from __future__ import annotations
 import csv
 import warnings
 from dataclasses import dataclass, field
+from functools import cache
 
 import numpy as np
-from numpy.polynomial.legendre import leggauss
 
 from .boundary_ops import (
     HMINUS,
@@ -47,6 +47,7 @@ __all__ = [
     "ParityVerdict",
     "mu",
     "mu_for_family",
+    "check_locus_lambda",
     "criterion",
     "scan",
     "scan_to_csv",
@@ -70,6 +71,17 @@ PARITY_RESOLUTION = 1 / 256
 MU_RADII, MU_ANGLES = 200, 128
 
 
+@cache
+def _gauss_legendre(n: int) -> tuple[np.ndarray, np.ndarray]:
+    """n-point Gauss-Legendre nodes and weights on [-1, 1], once per process (Golub-Welsch:
+    the eigenvalues of the Jacobi matrix, and 2 v_0^2 of its unit eigenvectors v); read-only."""
+    k = np.arange(1, n)
+    x, v = np.linalg.eigh(np.diag(k / np.sqrt(4.0 * k * k - 1.0), 1), UPLO="U")
+    w = 2.0 * v[0] ** 2
+    x.flags.writeable = w.flags.writeable = False
+    return x, w
+
+
 def mu(omega_fn, q_fn) -> float:
     """mu = integral over the unit disk of omega(z) q(|z|) dS, by quadrature.
 
@@ -77,7 +89,7 @@ def mu(omega_fn, q_fn) -> float:
     (warns on) mu <= 0, where the sign-definite perturbation theory has
     nothing to say.
     """
-    x, w = leggauss(MU_RADII)
+    x, w = _gauss_legendre(MU_RADII)
     r = 0.5 * (x + 1.0)
     wr = 0.5 * w
     theta = 2 * np.pi * np.arange(MU_ANGLES) / MU_ANGLES
@@ -342,6 +354,12 @@ def _bracketed_root(f, a, fa, b, fb, xtol):
     return a if abs(fa) < abs(fb) else b
 
 
+def check_locus_lambda(lam: float) -> None:
+    """The locus expansion is for small lambda > 0: a ValueError unless 0 < lam <= 0.1."""
+    if not 0 < lam <= 0.1:
+        raise ValueError(f"locus tracing expects 0 < lambda <= 0.1, got {lam}")
+
+
 def trace_locus(lam: float, family: PerturbedFamily, nodes: NodeSet, angles,
                 xtol_rel: float = 1e-6) -> LocusResult:
     """Root-find eps*(phi) with eig_near_zero(A(k(eps, phi))) = 0 for n_lambda.
@@ -359,8 +377,7 @@ def trace_locus(lam: float, family: PerturbedFamily, nodes: NodeSet, angles,
     of circles): only the first angle is traced, and its eps* is fanned
     out to every angle.
     """
-    if not 0 < lam <= 0.1:
-        raise ValueError(f"locus tracing expects 0 < lambda <= 0.1, got {lam}")
+    check_locus_lambda(lam)
     muval = mu_for_family(family)
     if muval <= 0:
         raise ValueError(f"mu = {muval:.3e} <= 0: no locus is predicted")

@@ -43,6 +43,7 @@ from .exceptional import (
     TOL_KER_REL,
     TOL_NEG,
     ScanResult,
+    check_locus_lambda,
     mu_for_family,
     fit_xi,
     parity_path,
@@ -96,6 +97,8 @@ class RunConfig:
         unknown = [d for d in self.detectors if d not in _DETECTORS]
         if unknown:
             raise ValueError(f"unknown detectors {unknown}; valid: {_DETECTORS}")
+        if "locus" in self.detectors:
+            check_locus_lambda(self.lam)
         if self.n_nodes < 16 or self.n_nodes % 2:
             raise ValueError(f"n_nodes must be even and >= 16, got {self.n_nodes}")
         kind = self.potential.get("kind", "conductive")

@@ -25,8 +25,10 @@ from faddeev_ep.dtn_maps import (
     assemble_Fout_bounded,
     assemble_Fout_zero,
     Potential,
+    PerturbedFamily,
     conductive_radial,
     fn_key,
+    omega_poly_cos,
     raster_potential,
     standard_conductive,
     zero_potential,
@@ -541,9 +543,9 @@ def test_no_run_is_eliminated_past_the_last_live_span(monkeypatch):
 
 
 def test_interior_solve_memory_is_bounded_by_its_factors():
-    """The block elimination stores a gain of (b (nh - 1))^2 values for each of the 2N / b
+    """The block elimination stores a gain of (b (nh - 1))^2 values for each of at most 2N / b
     runs (b = 1 here) and no LU; the forward spans and everything else the solve holds must
-    fit in twice as much again (measured 9.0 MB against 12.0 at N = 128).  An LU kept per
+    fit in twice as much again (measured 7.8 MB against 12.0 at N = 128).  An LU kept per
     run as well (13.0 MB), or a dense solution of the N boundary columns, 2N (nh - 1) N
     values, alone 2.9 times the gains, does not."""
     import tracemalloc
@@ -557,6 +559,25 @@ def test_interior_solve_memory_is_bounded_by_its_factors():
     finally:
         tracemalloc.stop()
     assert peak < 3 * gains
+
+
+def test_interior_solve_keeps_no_gain_below_the_lowest_boundary_mode():
+    """The runs below m = -N/2 have no boundary column and reach no row of F_n, so their gains
+    are held for one Schur update only and the backward sweep ends at -N/2.  On the scan
+    potential (bandwidth 1) at N = 128 the traced peak of the solve is 5.12 MiB; keeping
+    every gain down to m = -N, as the full backward sweep needs, peaks at 6.08 MiB."""
+    import tracemalloc
+
+    pot = PerturbedFamily(standard_conductive(), omega_poly_cos()).at(0.05)
+    solver = DiskDtnSolver(128)
+    solver.angular_modes(pot)     # the samples are kept with the potential, not by the solve
+    tracemalloc.start()
+    try:
+        solver.dtn_matrix(pot)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak <= 5.6 * 2**20
 
 
 def test_disk_solver_radial_resolution_default():

@@ -34,6 +34,22 @@ MU_RADIAL = np.pi * 15 / 28
 # ---------------------------------------------------------------------------
 # mu
 
+def test_gauss_legendre_rule_matches_numpy_leggauss():
+    """mu's rule (Golub-Welsch) against numpy's leggauss: nodes to rounding, weights to 1e-10
+    relative (2.4e-11 at the end nodes, the eigenvector entries there are smallest), and
+    polynomials up to degree 2n - 1 integrated to rounding."""
+    from numpy.polynomial.legendre import leggauss
+
+    x, w = exceptional._gauss_legendre(exceptional.MU_RADII)
+    x0, w0 = leggauss(exceptional.MU_RADII)
+    assert np.max(np.abs(x - x0)) <= 1e-15
+    assert np.max(np.abs(w - w0) / w0) <= 1e-10
+    exact = [2.0 / (k + 1) if k % 2 == 0 else 0.0 for k in range(2 * exceptional.MU_RADII)]
+    assert max(abs(np.sum(w * x**k) - e) for k, e in enumerate(exact)) <= 1e-14
+    assert exceptional._gauss_legendre(exceptional.MU_RADII)[0] is x   # once per process
+    assert not x.flags.writeable and not w.flags.writeable
+
+
 def test_mu_constant_profile():
     val = mu(lambda z: np.ones(np.shape(z)), lambda r: np.ones(np.shape(r)))
     assert val == pytest.approx(np.pi, rel=1e-12)

@@ -161,16 +161,30 @@ def test_cli_rejects_a_flag_its_builder_does_not_take(tmp_path, capsys):
 
 
 @pytest.mark.parametrize("command, detector", [("scan", "sigma_scan"), ("locus", "locus"), ("transform", "transform")])
-def test_a_flagless_command_writes_only_its_detector(tmp_path, monkeypatch, command, detector):
+def test_a_flagless_command_writes_only_its_detector(tmp_path, monkeypatch, capsys, command, detector):
     """No flag has a default of its own: a command given no flags writes a config.json that names
-    its detector alone, and RunConfig's defaults supply every other field.  (The flagless locus,
-    at lam = 0, records a detector error and exits 1, after writing its config.)"""
+    its detector alone, and RunConfig's defaults supply every other field.  The flagless locus,
+    at RunConfig's lam = 0, is a config error found before anything is written."""
     monkeypatch.chdir(tmp_path)
+    if command == "locus":
+        assert cli_main([command]) == 1
+        assert "config error: locus tracing expects 0 < lambda" in capsys.readouterr().err
+        assert not (tmp_path / "runs").exists()
+        return
     cli_main([command])
     (config,) = (tmp_path / "runs").glob("*/config.json")
     doc = json.loads(config.read_text())
     assert doc == {"detectors": [detector]}
     assert RunConfig.from_dict(doc) == RunConfig(detectors=[detector])
+
+
+def test_config_refuses_a_locus_outside_the_small_lambda_range():
+    """The locus detector's lambda range is a config check, the one trace_locus makes."""
+    for lam in (0.0, -0.05, 0.2):
+        with pytest.raises(ValueError, match="locus tracing expects"):
+            RunConfig.from_dict({"detectors": ["locus"], "lam": lam})
+    assert RunConfig.from_dict({"detectors": ["locus"], "lam": 0.1}).lam == 0.1
+    assert RunConfig.from_dict({"detectors": ["sigma_scan"], "lam": 0.2}).lam == 0.2
 
 
 @pytest.mark.parametrize("command, flags, name", [("scan", ["--nr", "2"], "kgrid"),

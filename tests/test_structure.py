@@ -106,12 +106,23 @@ def test_traced_methods_exist_with_their_leading_parameters():
     assert not changed, changed
 
 
-def test_package_import_loads_no_scipy():
-    """A run needs numpy only: scipy.linalg and scipy.special together add about a third
-    of a second and 30 MB to every process start.  Tests may still use scipy as an oracle."""
+def _loaded_by_package_import(package: str) -> str:
+    """The modules of package (itself or below it) that importing the package's entry points loads."""
     probe = ("import sys, faddeev_ep, faddeev_ep.harness, faddeev_ep.cli; "
-             "print(sorted(m for m in sys.modules if m == 'scipy' or m.startswith('scipy.')))")
+             f"print(sorted(m for m in sys.modules if m == {package!r} or m.startswith({package + '.'!r})))")
     path = os.pathsep.join(filter(None, [str(PACKAGE.parent), os.environ.get("PYTHONPATH")]))
     out = subprocess.run([sys.executable, "-c", probe], capture_output=True, text=True, check=True,
                          env={**os.environ, "PYTHONPATH": path})
-    assert out.stdout.strip() == "[]", out.stdout + out.stderr
+    return out.stdout.strip() + out.stderr
+
+
+def test_package_import_loads_no_scipy():
+    """A run needs numpy only: scipy.linalg and scipy.special together add about a third
+    of a second and 30 MB to every process start.  Tests may still use scipy as an oracle."""
+    assert _loaded_by_package_import("scipy") == "[]"
+
+
+def test_package_import_loads_no_numpy_polynomial():
+    """mu's Gauss-Legendre rule comes from one eigh of the Jacobi matrix, so no run pays for
+    importing numpy.polynomial (about 5.6 ms and 0.8 MB of every process start)."""
+    assert _loaded_by_package_import("numpy.polynomial") == "[]"
