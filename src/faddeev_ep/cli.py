@@ -72,9 +72,9 @@ def _dest(flags: str) -> str:
 
 
 def _config_doc(args) -> dict:
-    """The config document of a command.  Each flag given is written under its field; a
-    dict field given in part is completed from RunConfig's default for that field."""
-    doc, default = {}, RunConfig()
+    """The config document of a command: each flag given is written under its field, and
+    RunConfig lays a dict field given in part over that field's default."""
+    doc = {}
     if args.command != "validate":
         doc["detectors"] = ["sigma_scan" if args.command == "scan" else args.command]
     for flags, (name, key, _) in _FLAGS[args.command].items():
@@ -84,7 +84,7 @@ def _config_doc(args) -> dict:
         if key is None:
             doc[name] = value
         else:
-            doc.setdefault(name, dict(getattr(default, name)))[key] = value
+            doc.setdefault(name, {})[key] = value
     return doc
 
 

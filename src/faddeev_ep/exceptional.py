@@ -4,10 +4,10 @@
       weight-symmetrized A(k) = F_n - F^out(k); a point k is exceptional
       iff A has a nontrivial kernel, with multiplicity equal to the kernel
       dimension.
-(ii)  Small-(lambda, eps) expansion: the eigenvalue branch continued from
-      the zero mode at (0,0) behaves as xi = a lambda + b eps + O(.^2) with
-      a = -mu, b = 1, mu = integral of omega q over the domain; the
-      exceptional locus solves xi = 0, i.e. eps ~ mu lambda.
+(ii)  Small-(lambda, eps) expansion: xi = eig_near_zero, the branch through
+      the zero mode at (0,0) while |xi| stays well below the next eigenvalue
+      (about 2), behaves as xi = a lambda + b eps + O(.^2) with a = -mu/nu, b = 1,
+      mu = int omega q dS, nu = |bd O|; the locus xi = 0 is eps ~ (mu/nu) lambda.
 (iii) Parity counter: n^-(k) counts negative eigenvalues of
       P(k) = I + S_k (F_n - F_0) with multiplicity; endpoints of a path
       with different parity bracket an exceptional point.
@@ -17,7 +17,7 @@ from __future__ import annotations
 
 import csv
 import warnings
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from functools import cache
 
 import numpy as np
@@ -29,6 +29,7 @@ from .boundary_ops import (
     BoundaryOperator,
     KWorkspace,
     NearSingularError,
+    sigma_min,
     weighted_matrix,
 )
 from .disk_solver import DiskDtnSolver
@@ -130,6 +131,12 @@ def _weighted_a(k, n: Potential, nodes: NodeSet) -> tuple[np.ndarray, np.ndarray
     return aw, 0.5 * (aw + aw.conj().T)
 
 
+def _eig_near_zero(herm: np.ndarray) -> float:
+    """The eigenvalue of a Hermitian matrix nearest zero."""
+    eigs = np.linalg.eigvalsh(herm)
+    return float(eigs[np.argmin(np.abs(eigs))])
+
+
 def criterion(k, n: Potential, nodes: NodeSet) -> CriterionOperator:
     """Kernel-criterion diagnostics of A(k) = F_n - F^out(k).
 
@@ -145,9 +152,7 @@ def criterion(k, n: Potential, nodes: NodeSet) -> CriterionOperator:
     norm, smin = float(sv[0]), float(sv[-1])
     tol_ker = TOL_KER_REL * norm
     kdim = int(np.sum(sv < tol_ker))
-    eigs = np.linalg.eigvalsh(herm)
-    near = float(eigs[np.argmin(np.abs(eigs))])
-    return CriterionOperator(aw, smin, norm, near, kdim, tol_ker, ws.k)
+    return CriterionOperator(aw, smin, norm, _eig_near_zero(herm), kdim, tol_ker, ws.k)
 
 
 def assemble_P(k, n: Potential, nodes: NodeSet) -> BoundaryOperator:
@@ -256,7 +261,7 @@ def scan(points, n: Potential, nodes: NodeSet) -> list[ScanResult]:
             flags.append(f"criterion_failed:{type(exc).__name__}")
         try:
             rec = n_minus(ws, n, nodes)
-            sigma_p = float(np.linalg.svd(rec.p.matrix, compute_uv=False)[-1])
+            sigma_p = sigma_min(rec.p)
             nminus = rec.n_minus
             if rec.near_exceptional:
                 flags.append("near_exceptional")
@@ -419,29 +424,23 @@ def trace_locus(lam: float, family: PerturbedFamily, nodes: NodeSet, angles,
 
 @dataclass(frozen=True)
 class XiCurve:
-    """Samples of the continued eigenvalue xi and its linear fit."""
+    """Samples (lam, eps, xi) of xi = eig_near_zero and their linear fit."""
 
-    samples: list = field(default_factory=list)   # records (lam, eps, xi)
-    a: float = np.nan
-    b: float = np.nan
-    residual: float = np.nan
-    xi00: float = np.nan
-
-
-def _tracked_xi(vals, vecs, v_ref):
-    overlap = np.abs(v_ref.conj() @ vecs)
-    j = int(np.argmax(overlap))
-    return float(vals[j]), vecs[:, j]
+    samples: list
+    a: float
+    b: float
+    residual: float
+    xi00: float
 
 
 def fit_xi(family: PerturbedFamily, nodes: NodeSet, lambda_grid, eps_grid) -> XiCurve:
-    """Track the eigenvalue continued from the (0,0) zero mode; fit xi ~ a lam + b eps.
+    """Sample xi = eig_near_zero of A(k) for n_lambda on the grid; fit xi ~ a lam + b eps.
 
-    The k of each eps lies on the ray arg k = 0.
-
-    Eigenpairs are matched between neighbouring grid points by maximal
-    eigenvector overlap.  The least-squares fit has no intercept (the
-    anchor xi(0,0) = 0 is recorded separately in ``xi00``).
+    The k of each eps lies on the ray arg k = 0, and eps = 0 takes the limit
+    F^out(0).  While |xi| stays well below the next eigenvalue (about 2), the
+    eigenvalue nearest zero is the branch through the zero mode at (0,0).  The
+    least-squares fit has no intercept (the anchor xi(0,0) = 0 is recorded
+    separately in ``xi00``).
     """
     lambda_grid = np.sort(np.asarray(lambda_grid, dtype=float))
     eps_grid = np.sort(np.asarray(eps_grid, dtype=float))
@@ -449,37 +448,14 @@ def fit_xi(family: PerturbedFamily, nodes: NodeSet, lambda_grid, eps_grid) -> Xi
         raise ValueError("fit_xi grids must sit in |lambda| <= 0.1, 0 <= eps <= 0.1")
     nu = nodes.length
     # S_k does not depend on lambda: one workspace per nonzero eps serves every lambda
-    spaces = [(eps, KWorkspace(KPoint.from_eps(eps, 0.0, nu), nodes)) for eps in eps_grid if eps != 0.0]
-
-    vals0, vecs0 = np.linalg.eigh(_weighted_a(None, family.base, nodes)[1])
-    j0 = int(np.argmin(np.abs(vals0)))
-    xi00, v00 = float(vals0[j0]), vecs0[:, j0]
-
-    samples = []
-    # continue along lambda at eps = 0 first, then up each eps column
-    order = np.argsort(np.abs(lambda_grid), kind="stable")
-    v_at_lam = {}
-    for i in order:
-        lam = lambda_grid[i]
-        pot = family.at(lam)
-        vals, vecs = np.linalg.eigh(_weighted_a(None, pot, nodes)[1])
-        # chain from the nearest previously tracked lambda (same sign path)
-        prev = v00
-        done = [l for l in v_at_lam if (l == 0 or np.sign(l) == np.sign(lam)) and abs(l) < abs(lam)]
-        if done:
-            prev = v_at_lam[max(done, key=abs)]
-        xi, v = _tracked_xi(vals, vecs, prev)
-        v_at_lam[lam] = v
-        samples.append((float(lam), 0.0, xi))
-        v_prev = v
-        for eps, ws in spaces:
-            vals, vecs = np.linalg.eigh(_weighted_a(ws, pot, nodes)[1])
-            xi, v_prev = _tracked_xi(vals, vecs, v_prev)
-            samples.append((float(lam), float(eps), xi))
+    spaces = [(eps, None if eps == 0.0 else KWorkspace(KPoint.from_eps(eps, 0.0, nu), nodes))
+              for eps in eps_grid]
+    xi00 = _eig_near_zero(_weighted_a(None, family.base, nodes)[1])
+    samples = [(float(lam), float(eps), _eig_near_zero(_weighted_a(ws, family.at(lam), nodes)[1]))
+               for lam in lambda_grid for eps, ws in spaces]
 
     arr = np.array(samples)
-    design = arr[:, :2]
-    target = arr[:, 2]
+    design, target = arr[:, :2], arr[:, 2]
     coef, *_ = np.linalg.lstsq(design, target, rcond=None)
     resid = float(np.sqrt(np.mean((design @ coef - target) ** 2)))
     return XiCurve(samples, float(coef[0]), float(coef[1]), resid, xi00)

@@ -68,6 +68,10 @@ CACHE_ENV_VAR = "FADDEEV_EP_CACHE"
 _XI_LAMBDAS = np.linspace(-0.05, 0.05, 5)
 _XI_EPSS = np.linspace(0.0, 0.05, 5)
 
+# the dict fields, and those of them whose keys are builder parameters
+_DICT_FIELDS = ("curve", "potential", "omega", "kgrid", "parity_eps", "transform_krange")
+_BUILT_FIELDS = ("curve", "potential", "omega")
+
 
 @dataclass
 class RunConfig:
@@ -92,6 +96,24 @@ class RunConfig:
     use_cache: bool = True
     cache_dir: str = ""
 
+    def __post_init__(self) -> None:
+        """Lay each dict field over its default, so a dict given in part means what the
+        same flags mean on the command line; a key the field does not take is a
+        ValueError.  The curve, potential and omega take their builder's parameters,
+        which the builders check; a list kgrid takes exactly its type and values."""
+        for name in _DICT_FIELDS:
+            given, default = getattr(self, name), self.__dataclass_fields__[name].default_factory()
+            if not isinstance(given, dict):
+                raise ValueError(f"config field {name} must be a dict, got {given!r}")
+            if name == "kgrid" and given.get("type") == "list":
+                if set(given) != {"type", "values"}:
+                    raise ValueError(f"a list kgrid takes exactly the keys type and values, got {sorted(given)}")
+                continue
+            foreign = set() if name in _BUILT_FIELDS else set(given) - set(default)
+            if foreign:
+                raise ValueError(f"{name} takes no key {sorted(foreign)}; its keys are {sorted(default)}")
+            setattr(self, name, {**default, **given})
+
     def validate_fields(self) -> None:
         """Check the fields; the curve and the potential are built by :func:`run`, once."""
         unknown = [d for d in self.detectors if d not in _DETECTORS]
@@ -101,7 +123,7 @@ class RunConfig:
             check_locus_lambda(self.lam)
         if self.n_nodes < 16 or self.n_nodes % 2:
             raise ValueError(f"n_nodes must be even and >= 16, got {self.n_nodes}")
-        kind = self.potential.get("kind", "conductive")
+        kind = self.potential["kind"]
         if kind != "conductive" and (self.lam != 0.0 or self.omega != RunConfig().omega):
             raise ValueError(f"lam = {self.lam} and omega {self.omega} perturb a conductive potential "
                              f"only; a {kind!r} potential needs lam = 0 and no omega")
@@ -159,7 +181,7 @@ def build_potential(cfg: RunConfig) -> tuple[Potential, PerturbedFamily | None]:
     family) from a config; every other key of a spec is its builder's parameter,
     and a key the builder does not take, or lacks, is a ValueError."""
     spec, om = dict(cfg.potential), dict(cfg.omega)
-    kind, profile = spec.pop("kind", "conductive"), om.pop("profile", "radial_poly")
+    kind, profile = spec.pop("kind"), om.pop("profile")
     if kind not in _POTENTIALS:
         raise ValueError(f"unknown potential kind {kind!r}; valid: {sorted(_POTENTIALS)}")
     if kind == "conductive" and profile not in _PROFILES:
@@ -174,31 +196,21 @@ def build_potential(cfg: RunConfig) -> tuple[Potential, PerturbedFamily | None]:
 
 
 def kgrid_points(spec: dict) -> list[KPoint]:
-    if spec.get("type", "logpolar") == "logpolar":
+    if spec["type"] == "logpolar":
         radii = np.geomspace(spec["rmin"], spec["rmax"], spec["nr"])
         phis = 2 * np.pi * np.arange(spec["nphi"]) / spec["nphi"]
         return [KPoint.from_polar_log(np.log(r), p) for r in radii for p in phis]
     if spec["type"] == "list":
         return [KPoint.from_k(complex(re, im)) for re, im in spec["values"]]
-    raise ValueError(f"unknown kgrid type {spec.get('type')!r}")
+    raise ValueError(f"unknown kgrid type {spec['type']!r}")
 
 
-def _write_locus_csv(path, locus) -> None:
+def _write_csv(path, header, rows) -> None:
+    """A CSV file of float rows, each written as its repr."""
     with open(path, "w", newline="") as fh:
         w = csv.writer(fh)
-        w.writerow(["phi", "eps_star", "ratio_error"])
-        for phi, eps, err in zip(locus.angles, locus.eps_star, locus.ratio_errors):
-            w.writerow([repr(float(phi)), repr(float(eps)), repr(float(err))])
-
-
-def _write_transform_csv(path, rows) -> None:
-    with open(path, "w", newline="") as fh:
-        w = csv.writer(fh)
-        w.writerow(["k_re", "k_im", "log_abs_k", "t_re", "t_im", "bound_product"])
-        for kp, tv in rows:
-            k = kp.k
-            w.writerow([repr(k.real), repr(k.imag), repr(kp.log_abs),
-                        repr(tv.t.real), repr(tv.t.imag), repr(tv.bound_product)])
+        w.writerow(header)
+        w.writerows([repr(float(x)) for x in row] for row in rows)
 
 
 def run(config: RunConfig) -> RunManifest:
@@ -296,7 +308,8 @@ def run(config: RunConfig) -> RunManifest:
                     raise ValueError("locus detector needs a conductive base potential with a perturbation profile")
                 angles = 2 * np.pi * np.arange(config.locus_angles) / config.locus_angles
                 locus = trace_locus(config.lam, family, nodes, angles)
-                _write_locus_csv(os.path.join(outdir, "locus.csv"), locus)
+                _write_csv(os.path.join(outdir, "locus.csv"), ["phi", "eps_star", "ratio_error"],
+                           zip(locus.angles, locus.eps_star, locus.ratio_errors))
                 summary["locus"] = {
                     "lambda": config.lam, "mu": locus.mu, "prediction": locus.prediction,
                     "mean_eps": locus.mean_eps, "max_ratio_error": locus.max_ratio_error,
@@ -314,10 +327,10 @@ def run(config: RunConfig) -> RunManifest:
             elif detector == "parity":
                 pe = config.parity_eps
                 scale = 1.0
-                if pe.get("scale") == "prediction" and family is not None and config.lam > 0:
+                if pe["scale"] == "prediction" and family is not None and config.lam > 0:
                     scale = mu_for_family(family) * config.lam / nodes.length
-                k_a = KPoint.from_eps(pe["eps_a"] * scale, pe.get("phi", 0.0), nodes.length)
-                k_b = KPoint.from_eps(pe["eps_b"] * scale, pe.get("phi", 0.0), nodes.length)
+                k_a = KPoint.from_eps(pe["eps_a"] * scale, pe["phi"], nodes.length)
+                k_b = KPoint.from_eps(pe["eps_b"] * scale, pe["phi"], nodes.length)
                 verdict = parity_path(k_a, k_b, pot, nodes)
                 summary["parity"] = {
                     "evidence": verdict.evidence,
@@ -329,13 +342,16 @@ def run(config: RunConfig) -> RunManifest:
                 }
             elif detector == "transform":
                 tk = config.transform_krange
-                pts = [KPoint.from_polar_log(np.log(r), tk.get("phi", 0.0))
+                pts = [KPoint.from_polar_log(np.log(r), tk["phi"])
                        for r in np.geomspace(tk["rmin"], tk["rmax"], tk["n"])]
                 rep = bound_check(pot, pts, nodes)
                 if rep.failures:
                     raise NearSingularError("; ".join(rep.failures))
                 t_at = {tv.k: tv for tv in rep.values}
-                _write_transform_csv(os.path.join(outdir, "transform.csv"), [(p, t_at[p]) for p in pts])
+                _write_csv(os.path.join(outdir, "transform.csv"),
+                           ["k_re", "k_im", "log_abs_k", "t_re", "t_im", "bound_product"],
+                           [(p.k.real, p.k.imag, p.log_abs, tv.t.real, tv.t.imag, tv.bound_product)
+                            for p, tv in zip(pts, map(t_at.get, pts))])
                 summary["transform"] = {
                     "sup_bound_product": rep.sup,
                     "increments_non_increasing": rep.increments_non_increasing,

@@ -4,8 +4,8 @@ Each test prints one [A*] PASS/FAIL line (run with ``pytest -s`` to see
 them all).  Tolerances are pinned here, not deferred: desk scale is the
 unit disk at N = 128 with N = 256 for stability checks.
 
-A6/A7 carry a normalization subtlety: the eps-slope of the tracked
-eigenvalue is +1, which fixes the Rayleigh normalization, and in that
+A6/A7 carry a normalization subtlety: the eps-slope of xi =
+eig_near_zero is +1, which fixes the Rayleigh normalization, and in that
 normalization the lambda-slope is -mu/nu (nu = boundary length = 2pi
 here), so the first-order locus is eps* = (mu/nu) lambda.  The
 unnormalized forms (locus at mu lambda, slope -mu) are asserted as strict

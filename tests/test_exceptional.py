@@ -359,7 +359,7 @@ def test_xi_anchor_and_coefficients(xi_fit_005):
     assert xi_fit_005.a == pytest.approx(-MU_RADIAL / NU, rel=0.05)
 
 
-@pytest.mark.xfail(strict=True, reason="the lambda-slope of the tracked eigenvalue is -mu/nu "
+@pytest.mark.xfail(strict=True, reason="the lambda-slope of xi = eig_near_zero is -mu/nu "
                    "(Rayleigh normalization fixed by the eps-slope b = 1); -mu itself is "
                    "excluded by the Green-identity oracle and by the parity detector")
 def test_xi_lambda_slope_equals_minus_mu_unnormalized(xi_fit_005):
@@ -387,6 +387,47 @@ def test_fit_xi_assembles_S_once_per_nonzero_eps(radial_family, monkeypatch):
     monkeypatch.setattr(boundary_ops, "assemble_S", counted)
     fit_xi(radial_family, sample(make_circle(1.0), 64), [-0.02, 0.0, 0.02], [0.0, 0.01, 0.02])
     assert len(calls) == 2
+
+
+def test_fit_xi_samples_are_the_criterion_eig_near_zero(radial_family):
+    """xi has one evaluation path: each sample at eps > 0 is criterion's eig_near_zero at that
+    (lambda, eps) on the ray arg k = 0, bit for bit."""
+    nodes = sample(make_circle(1.0), 64)
+    curve = fit_xi(radial_family, nodes, [-0.02, 0.0, 0.02], [0.0, 0.01, 0.02])
+    positive = [(lam, eps, xi) for lam, eps, xi in curve.samples if eps > 0]
+    assert len(positive) == 6
+    for lam, eps, xi in positive:
+        k = KPoint.from_eps(eps, 0.0, nodes.length)
+        assert xi == criterion(k, radial_family.at(lam), nodes).eig_near_zero
+
+
+def test_fit_xi_makes_no_eigenvector_decomposition(radial_family, monkeypatch):
+    calls = []
+
+    def counted(*args, **kwargs):
+        calls.append(args[0].shape)
+        return eigh(*args, **kwargs)
+
+    eigh = np.linalg.eigh
+    monkeypatch.setattr(np.linalg, "eigh", counted)
+    fit_xi(radial_family, sample(make_circle(1.0), 64), [-0.02, 0.0, 0.02], [0.0, 0.01, 0.02])
+    assert calls == []
+
+
+@pytest.mark.parametrize("family_name", ["radial_family", "cos_family"])
+def test_eig_near_zero_is_well_separated_at_the_grid_corners(request, family_name):
+    """The eigenvalue nearest zero is the branch through the (0,0) zero mode only while the
+    other eigenvalues stay far from zero: the zero mode is simple, the rest of the spectrum of
+    the Hermitian part of the weighted A sits near 2, and across fit_xi's largest grid
+    (|lambda|, eps <= 0.1) xi moves by O(0.1).  At the corners the second-nearest eigenvalue is
+    at least 10 |xi| away from zero (15.8 |xi| or more measured at N = 64)."""
+    family = request.getfixturevalue(family_name)
+    nodes = sample(make_circle(1.0), 64)
+    for lam in (-0.1, 0.1):
+        for eps in (0.0, 0.1):
+            ws = None if eps == 0.0 else KWorkspace(KPoint.from_eps(eps, 0.0, nodes.length), nodes)
+            eigs = np.sort(np.abs(np.linalg.eigvalsh(exceptional._weighted_a(ws, family.at(lam), nodes)[1])))
+            assert eigs[1] >= 10 * eigs[0], (lam, eps, eigs[:2])
 
 
 def test_xi_grid_bounds_checked(radial_family, nodes128):

@@ -199,6 +199,64 @@ def test_cli_completes_a_partly_given_grid_from_the_config_default(tmp_path, com
     assert doc[name] == {**getattr(RunConfig(), name), key: int(flags[1])}
 
 
+def _run_json(tmp_path, doc):
+    """Run a config document through ``faddeev-ep run``; return its exit code and run directory."""
+    cfgpath = tmp_path / "cfg.json"
+    cfgpath.write_text(json.dumps({"n_nodes": 32, "use_cache": False, "outdir": str(tmp_path / "runs"), **doc}))
+    code = cli_main(["run", str(cfgpath)])
+    return code, next((tmp_path / "runs").iterdir(), None) if (tmp_path / "runs").exists() else None
+
+
+def test_a_partial_transform_krange_in_json_runs_as_on_the_command_line(tmp_path):
+    """A transform_krange without phi takes the default phi = 0.9, as the flags do: the JSON
+    config and the flags name one run directory."""
+    code, rundir = _run_json(tmp_path, {"detectors": ["transform"],
+                                        "transform_krange": {"rmin": 1e-6, "rmax": 1e-2, "n": 4}})
+    assert code == 0
+    argv = ["transform", "--n", "32", "--no-cache", "--rmin", "1e-6", "--rmax", "1e-2", "--nk", "4",
+            "--outdir", str(tmp_path / "runs")]
+    assert cli_main(argv) == 0
+    assert list((tmp_path / "runs").iterdir()) == [rundir]
+    rows = (rundir / "transform.csv").read_text().splitlines()[1:]
+    assert len(rows) == 4
+    for row in rows:
+        re, im = map(float, row.split(",")[:2])
+        assert np.angle(complex(re, im)) == pytest.approx(0.9, abs=1e-12)
+
+
+def test_a_partial_parity_eps_in_json_scales_by_the_prediction(tmp_path):
+    """parity_eps without scale brackets the predicted locus (the default scale), so the
+    parity jump across it is found."""
+    code, rundir = _run_json(tmp_path, {"detectors": ["parity"], "lam": 0.05,
+                                        "parity_eps": {"eps_a": 0.5, "eps_b": 2.0}})
+    assert code == 0
+    summary = json.loads((rundir / "summary.json").read_text())
+    assert summary["parity"]["evidence"] is True
+    assert summary["config"]["parity_eps"]["scale"] == "prediction"
+
+
+def test_a_partial_logpolar_kgrid_in_json_is_completed(tmp_path):
+    code, rundir = _run_json(tmp_path, {"detectors": ["sigma_scan"], "kgrid": {"nr": 2, "nphi": 2}})
+    assert code == 0
+    assert len((rundir / "scan.csv").read_text().splitlines()) == 1 + 4
+    assert RunConfig(kgrid={"nr": 2, "nphi": 2}).kgrid == {**RunConfig().kgrid, "nr": 2, "nphi": 2}
+
+
+@pytest.mark.parametrize("doc", [{"parity_eps": {"Phi": 0.3}},
+                                 {"transform_krange": {"rmin": 1e-5, "nr": 3}},
+                                 {"kgrid": {"type": "list", "values": [[0.1, 0.0]], "rmin": 0.1}},
+                                 {"kgrid": {"type": "list"}},
+                                 {"kgrid": [[0.1, 0.0]]}])
+def test_a_key_a_dict_field_does_not_take_is_a_config_error(tmp_path, capsys, doc):
+    """A misspelled or foreign key, a list kgrid without its values and a dict field that is
+    not a dict are config errors (exit 1), found before anything is written."""
+    code, rundir = _run_json(tmp_path, {**doc, "detectors": []})
+    assert code == 1 and rundir is None
+    assert "config error:" in capsys.readouterr().err
+    with pytest.raises(ValueError):
+        RunConfig(**doc)
+
+
 def test_cli_validate_takes_only_the_curve_flags_and_n(capsys):
     with pytest.raises(SystemExit):
         cli_main(["validate", "--n", "32", "--potential", "absorbing"])
