@@ -10,7 +10,7 @@ locus eps ~ (mu/nu) lambda, and the negative-eigenvalue parity counter
 n^-(k) of I + S_k (F_n - F_0).
 """
 
-__version__ = "0.1.6"
+__version__ = "0.1.7"
 
 from .geometry import (  # noqa: F401
     BoundaryCurve,

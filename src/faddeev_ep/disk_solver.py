@@ -17,43 +17,48 @@ and is solved by dense block elimination fused with the forward sweep.  n
 couples no radii, so an off-diagonal block is held compact, one value per mode
 pair and radius (shape (b, b, nh - 1)), and applied by einsum.  Each run
 inverts its diagonal block once (gesv against the identity, the work of a
-solve against the b·(nh - 1) columns of A[i, i+1]) and forms only its gain
-D_i^{-1} A[i, i+1] and forward span.  The forward sweep ends at the first run
-past the last boundary mode whose forward span is empty (see below): every later
-forward span is zero, so is every solution from there on, and those runs are
-neither inverted nor given a gain.  The runs below the lowest boundary mode
-(-N/2; the modes of a non-radial n start at -N) have empty forward spans and
-their solutions reach no row of F_n, so their gains are held for the next run's
-Schur update only and the backward sweep ends at the lowest boundary mode's run.
-The gains kept, from that run to the last live span, are the solver's memory:
-(b·(nh - 1))^2 values each, for at most 3N/(2b) runs (at most N runs of one mode
-for a radial n, whose modes start at -N/2).
+solve against the b·(nh - 1) columns of A[i, i+1]) and forms its gain
+G_i = D'_i^{-1} A[i, i+1] and forward span.  The forward sweep ends at the first
+run past the last boundary mode whose forward span is empty (see below): every
+later forward span is zero, so is every solution from there on, and those runs
+are neither inverted nor given a gain.
 
-All boundary modes share one forward and one backward sweep.  The solution of
-boundary mode m0 decays as r^|m| and away from m0, and most of it would
-underflow; every sweep step sets the entries below a fixed floor (1e-250) to
-zero, which keeps BLAS out of subnormal arithmetic and moves no entry of F_n.
-With the columns in descending mode order the nonzero columns of each run are
-then a span, and each run's solution is stored as that span and its offset
-only.  The backward sweep reads a run's normal-derivative row as soon as it
-has finished the run and drops it, so beside the gains the solve holds the
-forward spans (on the interior256 potential at N = 256, on average 20 of 256
-columns per run) instead of a dense 2N·(nh - 1)·N solution.  The Nyquist
-boundary column cos(N theta / 2) is solved as its -N/2 and +N/2 halves, each
-in its own place of that order, and summed in the normal derivatives.  A
-radial n gives runs of one mode and zero off-diagonal blocks.
+There is no backward sweep.  With A = L U, U unit block upper bidiagonal with the
+gains above its diagonal, the normal derivatives R u of the solution u = U^{-1} y
+are W^T y, where y are the forward spans and U^T W = R^T.  U^T is block lower
+bidiagonal, so W_i = R_i^T - G_{i-1}^T W_{i-1} is formed in the same loop as G_{i-1},
+starting at the run of the lowest boundary mode (-N/2; the modes of a non-radial
+n start at -N, and below -N/2 every forward span is empty), and W_i^T y_i is added
+into the result at once.  Each gain and each span is dropped once the next run
+has used it, so the solve holds one gain, one span and one W besides the run's
+own blocks: (b·(nh - 1))^2 values for the gain, where a backward sweep would keep
+one for every run.  R holds only the rows of the modes |m| <= N/2, which F_n reads.
+
+The solution of boundary mode m0 decays as r^|m| and away from m0, and so do the
+rows of W away from their mode; every step sets the entries below a fixed floor
+(1e-150) to zero, which moves no entry of F_n and keeps BLAS out of subnormal
+arithmetic, also in the products of two kept entries in W_i^T y_i.  With the
+columns in descending mode order the nonzero columns of each span are then
+contiguous, and each span and each W is stored as that span and its offset only
+(on the interior256 potential at N = 256, on average 15 of the 257 columns of a
+span and 23 of the 257 of a W per run).  The Nyquist boundary column
+cos(N theta / 2) is solved as its -N/2 and +N/2 halves, each in its own place of
+that order, and summed in the normal derivatives.  A radial n gives runs of one
+mode, zero off-diagonal blocks and zero gains, so there y is the solution and W
+is R.
 
 F_n is read off the boundary modes |m| <= N/2 only (the modes beyond would
 alias onto the N nodes), with both Nyquist halves, weight 1 each, folded into
 one row, and is taken to the nodes by two FFTs.
 
-The resonance refusal reads the same solve.  Its gain max_j |u_j|_1 / |b_j|_1
-over the boundary columns b_j and their solutions u_j, summed over the runs the
-backward sweep reaches, is a lower bound of |A^{-1}|_1, and every Dirichlet
-eigenfunction has a nonzero normal derivative, so the boundary data excites it:
-near an eigenvalue the gain grows as 1 / the distance.  The solve is refused
-when its gain exceeds CONDITION_LIMIT times the gain for n = 0, before F_n is
-formed.
+The resonance refusal reads the same sweep.  Its gain max_j |y_j|_1 / |b_j|_1
+over the boundary columns b_j and their forward spans y_j, summed as the spans
+are formed, is the gain |L^{-1} B| of the forward elimination, and equals
+max_j |u_j|_1 / |b_j|_1, a lower bound of |A^{-1}|_1, for a radial n.  Every
+Dirichlet eigenfunction has a nonzero normal derivative, so the boundary data
+excites it: near an eigenvalue the gain grows as 1 / the distance.  The solve is
+refused when its gain exceeds CONDITION_LIMIT times the gain for n = 0, before
+F_n is formed.
 """
 
 from __future__ import annotations
@@ -69,7 +74,7 @@ __all__ = ["DiskDtnSolver", "InteriorResonanceError", "cheb", "radial_size"]
 CONDITION_LIMIT = 1e5
 
 #: sweep entries below this are set to 0: they move no entry of F_n = O(N), and subnormals stall BLAS
-_FLOOR = 1e-250
+_FLOOR = 1e-150
 
 
 class InteriorResonanceError(RuntimeError):
@@ -209,7 +214,7 @@ class DiskDtnSolver:
         # whose columns L_m[1:, 0] and normal-derivative rows depend on parity only.
         # The Nyquist column is the real cos(N theta / 2): weight 1/2 on -N/2 and on
         # +N/2 when both are in the mode range (a radial n has -N/2 only), solved as
-        # two columns and summed in ghat.
+        # two columns and summed in gb.
         parity = np.where(m_vals % 2 == 0, 1, -1)
         bidx = (np.fft.fftfreq(nb) * nb).astype(int) + m_int // 2   # boundary modes' positions in m_vals
         modes, cols, weights = bidx, np.arange(nb), np.ones(nb)
@@ -222,6 +227,14 @@ class DiskDtnSolver:
         # from its boundary mode, are a span
         order = np.argsort(-modes)
         modes, cols, weights = modes[order], cols[order], weights[order]
+        rhs = weights[:, None] * np.array([self._dr2[parity[p]][1:, 0] for p in modes])
+        dn_rows = np.array([self._d1[s][0, 1:] for s in parity])
+
+        def mode_columns(i, ps, vecs):
+            """One column per mode position ps[c] in run i: vecs[c] on that mode's rows, zero elsewhere."""
+            out = np.zeros((len(runs[i]), n_int, len(ps)), dtype=dtype)
+            out[ps - i * step, :, np.arange(len(ps))] = vecs
+            return out.reshape(len(runs[i]) * n_int, -1)
 
         def live(lo, x):
             """Flush x, whose columns start at lo, and keep only its nonzero columns: (lo', x')."""
@@ -238,59 +251,55 @@ class DiskDtnSolver:
                 out[:, b[0] - lo : b[0] - lo + b[1].shape[1]] -= product(b[1])
             return lo, out
 
-        # block elimination fused with the forward sweep: run i inverts D'_i = A[i, i] - A[i, i-1] G_{i-1}
-        # and forms G_i = D'_i^{-1} A[i, i+1] and its forward span D'_i^{-1} (B_i - A[i, i-1] X'_{i-1}),
-        # B_i the boundary columns js whose mode lies in run i (adjacent in the descending order).
-        # Past the last run with a boundary column, the first empty forward span ends the loop:
-        # every later forward span and every solution from there on is zero.  Below the first
-        # run with a boundary column the spans are empty and the solutions reach no row of F_n,
-        # so the backward sweep ends there, and only the gains from that run on are kept
-        first_b, last_b = modes.min() // step, modes.max() // step
-        gains, fwd, g, nxt = [], [], None, (0, np.zeros((0, 0), dtype=dtype))
+        # A = L U, one forward sweep: run i inverts D'_i = A[i, i] - A[i, i-1] G_{i-1} and forms
+        # its forward span y_i = D'_i^{-1} (B_i - A[i, i-1] y_{i-1}), B_i the boundary columns js
+        # whose mode lies in run i (adjacent in the descending order), and its gain
+        # G_i = D'_i^{-1} A[i, i+1], U's block above the diagonal.  The rows of F_n are
+        # R u = R U^{-1} y = W^T y, R the normal-derivative rows of the modes -N/2 .. N/2
+        # (positions lo_out ..), with U^T W = R^T: W_i = R_i^T - G_{i-1}^T W_{i-1} from the
+        # run of the lowest boundary mode on (every y below it is empty).  So each G and y is
+        # dropped once the next run has used it.  Past the last run with a boundary column,
+        # the first empty forward span ends the loop: every later forward span is zero
+        first_b, last_b, lo_out = modes.min() // step, modes.max() // step, m_int // 2 - nb // 2
+        ghat = np.zeros((nb + 1, modes.size), dtype=dtype)   # W^T y: rows -N/2 .. N/2, one column per solved column
+        y_norm = np.zeros(modes.size)                         # |y_j|_1 of each solved column
+        g, y = None, (0, np.zeros((0, 0), dtype=dtype))
+        w = y
         for i, run in enumerate(runs):
             js = np.flatnonzero(modes // step == i)
-            b = np.zeros((len(run), n_int, js.size), dtype=dtype)
-            for c, j in enumerate(js):
-                b[modes[j] - i * step, :, c] = weights[j] * self._dr2[parity[modes[j]]][1:, 0]
             diag = diag_block(i)
             if i:
                 diag -= apply_coupling(coupling_block(i, i - 1), g)
-            lo, x = joined((js[0] if js.size else 0, b.reshape(len(run) * n_int, js.size)), fwd[-1] if fwd else nxt,
-                           lambda y: apply_coupling(coupling_block(i, i - 1), y))
+            lo, x = joined((js[0] if js.size else 0, mode_columns(i, modes[js], rhs[js])), y,
+                           lambda v: apply_coupling(coupling_block(i, i - 1), v))
             inv = np.linalg.inv(diag)
-            fwd.append(live(lo, inv @ x))
-            if i >= last_b and not fwd[-1][1].shape[1]:
+            lo, x = y = live(lo, inv @ x)
+            if i >= last_b and not x.shape[1]:
                 break
+            y_norm[lo : lo + x.shape[1]] += np.abs(x).sum(axis=0)
+            if i >= first_b:
+                k0 = max(i * step, lo_out)
+                ps = np.arange(k0, min(i * step + len(run), lo_out + nb + 1))
+                wlo, wx = w = live(*joined((k0 - lo_out, mode_columns(i, ps, dn_rows[ps])), w, lambda v: g.T @ v))
+                ghat[wlo : wlo + wx.shape[1], lo : lo + x.shape[1]] += wx.T @ x
             if i + 1 < len(runs):
                 up = coupling_block(i, i + 1)
                 g = np.einsum("xap,abp->xbp", inv.reshape(len(inv), len(up), n_int), up).reshape(len(inv), -1)
-                if i >= first_b:
-                    gains.append(g)
+            del diag, inv   # before the next run makes its blocks: a raster's solve then peaks 20% lower
 
-        dn_rows = np.array([self._d1[s][0, 1:] for s in parity])
-        # normal derivatives, added into the boundary columns: the two Nyquist halves add into one
-        ghat = np.zeros((m_int, nb), dtype=complex)
-        sol_norm = np.zeros(modes.size)                   # |u_j|_1 of each solved column, on the runs swept
-        for i in range(len(fwd) - 1, first_b - 1, -1):   # the backward sweep drops each forward span it passes
-            lo, x = nxt = live(*joined(fwd.pop(), nxt, lambda y: gains[i - first_b] @ y))
-            rows = slice(i * step, i * step + len(runs[i]))
-            dn = np.einsum("ap,apc->ac", dn_rows[rows], x.reshape(len(runs[i]), n_int, -1))
-            np.add.at(ghat, (rows, cols[lo : lo + x.shape[1]]), dn)
-            sol_norm[lo : lo + x.shape[1]] += np.abs(x).sum(axis=0)
         # refuse before F_n is formed; a solve that overflows has an inf or nan gain and is refused
-        gain = np.max(sol_norm / (weights * [np.abs(self._dr2[parity[mi]][1:, 0]).sum() for mi in modes]))
+        gain = np.max(y_norm / np.abs(rhs).sum(axis=1))
         if not gain <= CONDITION_LIMIT * self._baseline_gain:
             raise InteriorResonanceError(
                 f"interior Dirichlet solve is near-resonant (boundary-solve gain {gain / self._baseline_gain:.2e} "
                 "times its n = 0 value); zero is close to an interior Dirichlet eigenvalue of -Lap - n. "
                 "Dilating the domain slightly (rescaling the potential) moves the eigenvalue away."
             )
-        ghat[modes, cols] += weights * [self._d1[parity[mi]][0, 0] for mi in modes]
+        ghat[modes - lo_out, np.arange(modes.size)] += weights * [self._d1[parity[p]][0, 0] for p in modes]
 
-        # boundary modes |m| <= N/2 only, row m in FFT order: the two Nyquist halves add into row N/2
-        keep = np.abs(m_vals) <= nb // 2
+        # row m in FFT order, column in node order: the two Nyquist halves add into row and column N/2
         gb = np.zeros((nb, nb), dtype=complex)
-        np.add.at(gb, m_vals[keep] % nb, ghat[keep])
+        np.add.at(gb, ((np.arange(nb + 1) - nb // 2)[:, None] % nb, cols), ghat)
         fn = np.fft.ifft(np.fft.fft(gb, axis=1), axis=0)
         if not is_complex:
             imag_scale = float(np.max(np.abs(fn.imag)))

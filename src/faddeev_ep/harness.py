@@ -71,6 +71,8 @@ _XI_EPSS = np.linspace(0.0, 0.05, 5)
 # the dict fields, and those of them whose keys are builder parameters
 _DICT_FIELDS = ("curve", "potential", "omega", "kgrid", "parity_eps", "transform_krange")
 _BUILT_FIELDS = ("curve", "potential", "omega")
+# the dict-field keys that take one of a fixed set of values
+_CHOICES = {("kgrid", "type"): ("logpolar", "list"), ("parity_eps", "scale"): ("prediction", "absolute")}
 
 
 @dataclass
@@ -100,7 +102,8 @@ class RunConfig:
         """Lay each dict field over its default, so a dict given in part means what the
         same flags mean on the command line; a key the field does not take is a
         ValueError.  The curve, potential and omega take their builder's parameters,
-        which the builders check; a list kgrid takes exactly its type and values."""
+        which the builders check; a list kgrid takes exactly its type and values, and the
+        kgrid type and the parity_eps scale take one of their _CHOICES."""
         for name in _DICT_FIELDS:
             given, default = getattr(self, name), self.__dataclass_fields__[name].default_factory()
             if not isinstance(given, dict):
@@ -113,6 +116,9 @@ class RunConfig:
             if foreign:
                 raise ValueError(f"{name} takes no key {sorted(foreign)}; its keys are {sorted(default)}")
             setattr(self, name, {**default, **given})
+        for (name, key), valid in _CHOICES.items():
+            if getattr(self, name)[key] not in valid:
+                raise ValueError(f"{name} {key} must be one of {valid}, got {getattr(self, name)[key]!r}")
 
     def validate_fields(self) -> None:
         """Check the fields; the curve and the potential are built by :func:`run`, once."""

@@ -523,7 +523,8 @@ def test_condition_estimate_is_deterministic_and_leaves_the_global_rng_alone():
 def test_no_run_is_eliminated_past_the_last_live_span(monkeypatch):
     """The forward sweep stops at the first empty span past the last boundary mode: F_n is
     the solve that eliminates all 2N runs of one mode (no entry flushed, _FLOOR = 0), with
-    fewer block inverses (305 of 320 here; at N <= 128 no span of this n falls below the floor)."""
+    fewer block inverses (280 of 320 here, 234 of 256 at N = 128; at N <= 64 no span of this
+    n falls below the floor)."""
     import faddeev_ep.disk_solver as disk_solver
 
     n_nodes, inv, calls = 160, np.linalg.inv, []
@@ -542,12 +543,39 @@ def test_no_run_is_eliminated_past_the_last_live_span(monkeypatch):
     assert np.max(np.abs(fn - full)) <= 1e-13 * np.max(np.abs(full))
 
 
+@pytest.mark.parametrize("make", [_tilted_bump, lambda: _cubic(0.0)], ids=["real_bandwidth_1", "complex_bandwidth_3"])
+def test_dtn_matrix_matches_a_one_run_solve(make, monkeypatch):
+    """F_n from the forward sweep and its adjoint W against the same collocation system
+    solved as one dense run.  A zero coupling at d = 2N makes the bandwidth 2N, so one run
+    spans all 2N modes (d = 2N - 1 would leave a second run of one mode): one block is
+    inverted, no block is eliminated and W is R.  Measured at N = 32: 2.6e-13 (the real
+    bandwidth-1 n, whose boundary-solve gain is 34 times that of n = 0, here solved as
+    1472 unknowns at once) and 9.6e-15 (the complex bandwidth-3 n)."""
+    n_nodes, inv, calls = 32, np.linalg.inv, []
+    solver = DiskDtnSolver(n_nodes)
+    fn = solver.dtn_matrix(make())
+    pot = make()
+    one_run = {**solver.angular_modes(pot), 2 * n_nodes: np.zeros(solver.nh)}
+    monkeypatch.setattr(solver, "angular_modes", lambda p: one_run)
+
+    def counted(a):
+        calls.append(a.shape)
+        return inv(a)
+
+    monkeypatch.setattr(np.linalg, "inv", counted)
+    dense = solver.dtn_matrix(pot)
+    assert calls == [(2 * n_nodes * (solver.nh - 1),) * 2]
+    assert fn.dtype == dense.dtype
+    assert np.max(np.abs(fn - dense)) <= 1e-12 * np.max(np.abs(dense))
+
+
 def test_interior_solve_memory_is_bounded_by_its_factors():
-    """The block elimination stores a gain of (b (nh - 1))^2 values for each of at most 2N / b
-    runs (b = 1 here) and no LU; the forward spans and everything else the solve holds must
-    fit in twice as much again (measured 7.8 MB against 12.0 at N = 128).  An LU kept per
-    run as well (13.0 MB), or a dense solution of the N boundary columns, 2N (nh - 1) N
-    values, alone 2.9 times the gains, does not."""
+    """The forward sweep holds one gain of (b (nh - 1))^2 values at a time (b = 1 here), one
+    forward span and one W, and no LU: the solve must fit in half of what the gains of all
+    2N / b runs would take (measured 1.3 MB against 2.0 at N = 128; the complex N x N
+    output and its two FFTs alone are 0.8 MB).  Keeping a gain per run for a backward sweep (7.9 MB), or a dense
+    solution of the N boundary columns, 2N (nh - 1) N values, alone 2.9 times the gains of
+    all runs, does not."""
     import tracemalloc
 
     solver = DiskDtnSolver(128)
@@ -558,26 +586,39 @@ def test_interior_solve_memory_is_bounded_by_its_factors():
         peak = tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()
-    assert peak < 3 * gains
+    assert peak < gains / 2
 
 
-def test_interior_solve_keeps_no_gain_below_the_lowest_boundary_mode():
-    """The runs below m = -N/2 have no boundary column and reach no row of F_n, so their gains
-    are held for one Schur update only and the backward sweep ends at -N/2.  On the scan
-    potential (bandwidth 1) at N = 128 the traced peak of the solve is 5.12 MiB; keeping
-    every gain down to m = -N, as the full backward sweep needs, peaks at 6.08 MiB."""
+def _traced_peak(solver, pot):
+    """tracemalloc peak of one dtn_matrix, with the potential sampled beforehand (the samples
+    are kept with the potential, not by the solve)."""
     import tracemalloc
 
-    pot = PerturbedFamily(standard_conductive(), omega_poly_cos()).at(0.05)
-    solver = DiskDtnSolver(128)
-    solver.angular_modes(pot)     # the samples are kept with the potential, not by the solve
+    solver.angular_modes(pot)
     tracemalloc.start()
     try:
         solver.dtn_matrix(pot)
-        peak = tracemalloc.get_traced_memory()[1]
+        return tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()
-    assert peak <= 5.6 * 2**20
+
+
+def test_interior_solve_keeps_no_gain_below_the_lowest_boundary_mode():
+    """The sweep keeps no gain at all, below the lowest boundary mode m = -N/2 or above it:
+    each is dropped once the next run's Schur update and W have read it.  On the scan
+    potential (bandwidth 1) at N = 128 the traced peak of the solve is 1.10 MiB; a backward
+    sweep that keeps the gains from m = -N/2 up peaks at 5.11 MiB, and one that keeps them
+    from m = -N at 6.08 MiB."""
+    pot = PerturbedFamily(standard_conductive(), omega_poly_cos()).at(0.05)
+    assert _traced_peak(DiskDtnSolver(128), pot) <= 2 * 2**20
+
+
+def test_interior256_solve_holds_one_gain_at_a_time():
+    """The interior256 workload's potential at N = 256: 404 runs are inverted, and with one
+    gain of 76 x 76 held at a time the traced peak of the solve is 4.18 MiB, where keeping
+    the 289 gains and 418 forward spans a backward sweep reads took 21.38 MiB."""
+    pot = PerturbedFamily(standard_conductive(), omega_poly_cos()).at(-0.05)
+    assert _traced_peak(DiskDtnSolver(256), pot) <= 8 * 2**20
 
 
 def test_disk_solver_radial_resolution_default():

@@ -257,6 +257,20 @@ def test_a_key_a_dict_field_does_not_take_is_a_config_error(tmp_path, capsys, do
         RunConfig(**doc)
 
 
+@pytest.mark.parametrize("doc", [{"kgrid": {"type": "spiral"}, "detectors": ["sigma_scan"]},
+                                 {"parity_eps": {"scale": "predicton"}, "lam": 0.05, "detectors": ["parity"]}],
+                         ids=["kgrid_type", "parity_scale"])
+def test_a_value_outside_a_key_s_choices_is_a_config_error(tmp_path, capsys, doc):
+    """A kgrid type other than logpolar or list, and a parity_eps scale other than prediction
+    or absolute, are config errors found before anything is written: a misspelled scale ran
+    as absolute, and an unknown kgrid type failed only the scan, after the run directory."""
+    code, rundir = _run_json(tmp_path, doc)
+    assert code == 1 and rundir is None
+    assert "config error:" in capsys.readouterr().err
+    with pytest.raises(ValueError, match="must be one of"):
+        RunConfig(**doc)
+
+
 def test_cli_validate_takes_only_the_curve_flags_and_n(capsys):
     with pytest.raises(SystemExit):
         cli_main(["validate", "--n", "32", "--potential", "absorbing"])
