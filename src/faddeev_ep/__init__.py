@@ -12,6 +12,15 @@ n^-(k) of I + S_k (F_n - F_0).
 
 __version__ = "0.1.7"
 
+# the one SHA-256 of every key and checksum, built into CPython: hashlib loads OpenSSL (3.5 MB of RSS)
+try:
+    from _sha2 import sha256  # Python 3.12+
+except ImportError:
+    try:
+        from _sha256 import sha256  # Python 3.11
+    except ImportError:
+        from hashlib import sha256
+
 from .geometry import (  # noqa: F401
     BoundaryCurve,
     NodeSet,

@@ -15,7 +15,6 @@ weight-symmetrized matrix W_b M W_{-a}.
 from __future__ import annotations
 
 import contextlib
-import hashlib
 import json
 import logging
 import os
@@ -28,6 +27,7 @@ from functools import lru_cache
 
 import numpy as np
 
+from . import sha256
 from .geometry import NodeSet
 from .green import EULER_GAMMA, KPoint, green_remainder
 
@@ -157,20 +157,27 @@ def assemble_log_layer(nodes: NodeSet) -> BoundaryOperator:
     return BoundaryOperator(_log_kernel_matrix(nodes), HMINUS, HPLUS, nodes)
 
 
+def _s0_matrix(kp: KPoint, nodes: NodeSet) -> np.ndarray:
+    """A fresh, writable matrix of S_k^0."""
+    return _log_kernel_matrix(nodes) - ((EULER_GAMMA + kp.log_abs) / (2 * np.pi)) * nodes.weights[None, :]
+
+
 def assemble_S0(k, nodes: NodeSet) -> BoundaryOperator:
     """Single layer S_k^0 with kernel G_k^0 = -(1/2pi) ln|z-z'| - gamma/2pi - ln|k|/2pi."""
-    kp = KPoint.from_k(k)
-    shift = -(EULER_GAMMA + kp.log_abs) / (2 * np.pi)
-    mat = _log_kernel_matrix(nodes) + shift * nodes.weights[None, :]
-    return BoundaryOperator(mat, HMINUS, HPLUS, nodes)
+    return BoundaryOperator(_s0_matrix(KPoint.from_k(k), nodes), HMINUS, HPLUS, nodes)
+
+
+_BLOCK_ENTRIES = 8192   # entries of w = k(z_i - z_j) per green_remainder call in assemble_S: 32 rows at N = 256
 
 
 def assemble_S(k, nodes: NodeSet) -> BoundaryOperator:
-    """Faddeev single layer S_k = S_k^0 + Nystrom(N(k(z-z'))), diag N(0) = 0."""
+    """Faddeev single layer S_k = S_k^0 + Nystrom(N(k(z-z'))), diag N(0) = 0, assembled in row
+    blocks of _BLOCK_ENTRIES entries added into a fresh S_k^0, so no N x N complex array is formed."""
     kp = KPoint.from_k(k)
-    w = kp.kz(nodes.z[:, None] - nodes.z[None, :])
-    smooth = green_remainder(w)
-    mat = assemble_S0(kp, nodes).matrix + (2 * np.pi / nodes.n_nodes) * smooth * nodes.speed[None, :]
+    mat, z, n = _s0_matrix(kp, nodes), nodes.z, nodes.n_nodes
+    rows = max(1, _BLOCK_ENTRIES // n)
+    for i in range(0, n, rows):
+        mat[i:i + rows] += (2 * np.pi / n) * green_remainder(kp.kz(z[i:i + rows, None] - z[None, :])) * nodes.speed
     return BoundaryOperator(mat, HMINUS, HPLUS, nodes)
 
 
@@ -411,7 +418,7 @@ def save_operator(path, matrix: np.ndarray, header: dict) -> None:
     doc.update({
         "dtype": str(matrix.dtype),
         "shape": list(matrix.shape),
-        "checksum": hashlib.sha256(payload).hexdigest(),
+        "checksum": sha256(payload).hexdigest(),
     })
     head = json.dumps(doc, sort_keys=True).encode()
     fd, tmp = tempfile.mkstemp(dir=os.path.dirname(os.path.abspath(path)), suffix=".tmp")
@@ -433,7 +440,7 @@ def load_operator(path) -> tuple[np.ndarray, dict]:
         (hlen,) = struct.unpack("<Q", fh.read(8))
         header = json.loads(fh.read(hlen).decode())
         payload = fh.read()
-    if hashlib.sha256(payload).hexdigest() != header["checksum"]:
+    if sha256(payload).hexdigest() != header["checksum"]:
         raise ValueError(f"checksum mismatch in {path}")
     mat = np.frombuffer(payload, dtype=np.dtype(header["dtype"])).reshape(header["shape"]).copy()
     return mat, header

@@ -63,10 +63,11 @@ F_n is formed.
 
 from __future__ import annotations
 
-import hashlib
 from functools import cached_property
 
 import numpy as np
+
+from . import sha256
 
 __all__ = ["DiskDtnSolver", "InteriorResonanceError", "cheb", "radial_size"]
 
@@ -158,7 +159,7 @@ class DiskDtnSolver:
             keep = np.flatnonzero(interior > 1e-13 * max(float(np.max(interior)), 1e-300))
             d_vals = (np.fft.fftfreq(m_int) * m_int).astype(int)
             modes = dict(zip(d_vals[keep].tolist(), nhat[:, keep].T.copy()))   # copies: nhat is not kept
-            got = potential.sampled.setdefault(self.n_boundary, (hashlib.sha256(nvals.tobytes()).hexdigest(), modes))
+            got = potential.sampled.setdefault(self.n_boundary, (sha256(nvals.tobytes()).hexdigest(), modes))
         return got
 
     def angular_modes(self, potential) -> dict[int, np.ndarray]:

@@ -19,7 +19,6 @@ disk (general curves are supported for the Laplace-only maps).
 
 from __future__ import annotations
 
-import hashlib
 import json
 import weakref
 from dataclasses import dataclass, field
@@ -27,7 +26,7 @@ from typing import Callable
 
 import numpy as np
 
-from . import __version__
+from . import __version__, sha256
 from .boundary_ops import (
     HMINUS,
     HPLUS,
@@ -351,7 +350,7 @@ def fn_key(nodes: NodeSet, potential: Potential) -> str:
     n = nodes.n_nodes
     digest = (potential.sampled.get(n) or DiskDtnSolver(n).sampled(potential))[0]
     doc = {"operator": "F_n", "samples": digest, "n": n, "nh": radial_size(n), "version": __version__}
-    return hashlib.sha256(json.dumps(doc, sort_keys=True).encode()).hexdigest()
+    return sha256(json.dumps(doc, sort_keys=True).encode()).hexdigest()
 
 
 def assemble_Fn(nodes: NodeSet, potential: Potential, store: OperatorCache | None = None) -> BoundaryOperator:

@@ -14,7 +14,6 @@ an identical config reproduces the CSV files byte for byte.
 from __future__ import annotations
 
 import csv
-import hashlib
 import json
 import logging
 import os
@@ -24,7 +23,7 @@ from dataclasses import asdict, dataclass, field
 
 import numpy as np
 
-from . import __version__
+from . import __version__, sha256
 from .boundary_ops import SINGULARITY_THRESHOLD, NearSingularError, OperatorCache
 from .disk_solver import CONDITION_LIMIT, InteriorResonanceError
 from .dtn_maps import (
@@ -155,7 +154,7 @@ class RunConfig:
 
     def config_hash(self) -> str:
         blob = json.dumps(asdict(self), sort_keys=True)
-        return hashlib.sha256(blob.encode()).hexdigest()[:16]
+        return sha256(blob.encode()).hexdigest()[:16]
 
 
 @dataclass
@@ -378,7 +377,7 @@ def run(config: RunConfig) -> RunManifest:
         if name == "manifest.json":
             continue
         with open(os.path.join(outdir, name), "rb") as fh:
-            files[name] = hashlib.sha256(fh.read()).hexdigest()
+            files[name] = sha256(fh.read()).hexdigest()
 
     manifest = RunManifest(
         config_hash=chash,

@@ -54,6 +54,18 @@ def cos_family(conductive):
     return PerturbedFamily(conductive, omega_poly_cos())
 
 
+def traced_peak(fn, *args):
+    """tracemalloc peak, in bytes, of one call fn(*args)."""
+    import tracemalloc
+
+    tracemalloc.start()
+    try:
+        fn(*args)
+        return tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+
+
 def dtn_mode_oracle(m, n_radial_fn, rtol=1e-11):
     """Radial-ODE oracle for the Dirichlet-to-Neumann eigenvalue of mode m.
 

@@ -1,9 +1,11 @@
+from pathlib import Path
+
 import numpy as np
 import pytest
 from hypothesis import assume, example, given, settings
 from hypothesis import strategies as st
 
-from conftest import single_layer_fourier_oracle
+from conftest import single_layer_fourier_oracle, traced_peak
 from faddeev_ep.boundary_ops import (
     HMINUS,
     HPLUS,
@@ -27,7 +29,7 @@ from faddeev_ep.boundary_ops import (
     weighted_matrix,
 )
 from faddeev_ep.geometry import curve_from_fourier, make_circle, make_kite, sample
-from faddeev_ep.green import KPoint
+from faddeev_ep.green import KPoint, green_remainder
 
 
 def modes(nodes, m):
@@ -85,6 +87,29 @@ def test_S_real_and_self_convergent(nodes128, nodes256):
     sv1 = np.linalg.svd(weighted_matrix(s1), compute_uv=False)[:20]
     sv2 = np.linalg.svd(weighted_matrix(s2), compute_uv=False)[:20]
     assert np.max(np.abs(sv1 - sv2)) < 1e-8
+
+
+@pytest.mark.parametrize("n_nodes", [256, 250])
+@pytest.mark.parametrize("r", [1e-6, 1e-2, 2.0, 4.0])
+def test_blocked_S_k_equals_the_one_shot_formula(n_nodes, r):
+    """assemble_S adds the remainder row block by row block (32 rows at N = 256, so N = 250
+    ends on a block of 26); the one-shot formula forms w = k(z_i - z_j) whole.  At |k| = 4
+    the Green series and E1 branches fall in one block."""
+    nodes = sample(make_circle(1.0), n_nodes)
+    kp = KPoint.from_polar_log(np.log(r), 0.7)
+    w = kp.kz(nodes.z[:, None] - nodes.z[None, :])
+    one_shot = assemble_S0(kp, nodes).matrix + (2 * np.pi / n_nodes) * green_remainder(w) * nodes.speed[None, :]
+    blocked = assemble_S(kp, nodes).matrix
+    assert np.max(np.abs(blocked - one_shot)) <= 1e-15 * np.max(np.abs(one_shot))
+
+
+def test_assemble_S_holds_no_n_by_n_complex_temporary(nodes256):
+    """S_k at N = 256 is 0.5 MiB; built in row blocks the traced peak of one assembly is
+    about 1.4 MiB, where the whole w = k(z_i - z_j) and green_remainder's N x N complex
+    temporaries took 6.6 MiB."""
+    kp = KPoint.from_k(1e-2)
+    assemble_S(kp, nodes256)   # the k-independent log layer is cached per NodeSet
+    assert traced_peak(assemble_S, kp, nodes256) <= 2 * 2**20
 
 
 def test_B_block_and_conditioning(nodes128):
@@ -282,6 +307,14 @@ def test_kite_log_layer_symmetry():
     nodes = sample(make_kite(), 128)
     b = assemble_log_layer(nodes)
     assert np.max(np.abs(b.matrix - adjoint_arclength(b.matrix, nodes))) < 1e-10
+
+
+def test_an_operator_file_written_at_0_1_7_loads():
+    """tests/data/operator_0.1.7.op was written by save_operator at version 0.1.7, whose
+    checksum came from hashlib.sha256; the package's built-in SHA-256 gives the same digest."""
+    mat, header = load_operator(Path(__file__).parent / "data" / "operator_0.1.7.op")
+    assert header["key"] == "written-at-0.1.7"
+    np.testing.assert_array_equal(mat, (np.arange(16).reshape(4, 4) / 7.0) * (1 - 0.5j))
 
 
 def test_operator_container_roundtrip(tmp_path, nodes128):

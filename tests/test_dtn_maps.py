@@ -4,7 +4,7 @@ import numpy as np
 import pytest
 from scipy.special import jv, jvp
 
-from conftest import dtn_mode_oracle
+from conftest import dtn_mode_oracle, traced_peak
 from faddeev_ep.boundary_ops import (
     HMINUS,
     HPLUS,
@@ -576,31 +576,16 @@ def test_interior_solve_memory_is_bounded_by_its_factors():
     output and its two FFTs alone are 0.8 MB).  Keeping a gain per run for a backward sweep (7.9 MB), or a dense
     solution of the N boundary columns, 2N (nh - 1) N values, alone 2.9 times the gains of
     all runs, does not."""
-    import tracemalloc
-
     solver = DiskDtnSolver(128)
     gains = (2 * 128) * (solver.nh - 1) ** 2 * np.dtype(float).itemsize
-    tracemalloc.start()
-    try:
-        solver.dtn_matrix(_tilted_bump())
-        peak = tracemalloc.get_traced_memory()[1]
-    finally:
-        tracemalloc.stop()
-    assert peak < gains / 2
+    assert traced_peak(lambda: solver.dtn_matrix(_tilted_bump())) < gains / 2
 
 
 def _traced_peak(solver, pot):
     """tracemalloc peak of one dtn_matrix, with the potential sampled beforehand (the samples
     are kept with the potential, not by the solve)."""
-    import tracemalloc
-
     solver.angular_modes(pot)
-    tracemalloc.start()
-    try:
-        solver.dtn_matrix(pot)
-        return tracemalloc.get_traced_memory()[1]
-    finally:
-        tracemalloc.stop()
+    return traced_peak(solver.dtn_matrix, pot)
 
 
 def test_interior_solve_keeps_no_gain_below_the_lowest_boundary_mode():

@@ -1,14 +1,15 @@
-import importlib
+import importlib.util
 import json
 import os
 import sys
 import time
+from pathlib import Path
 
 import numpy as np
 import pytest
 
 from faddeev_ep.cli import main as cli_main
-from faddeev_ep.dtn_maps import assemble_Fn, standard_conductive
+from faddeev_ep.dtn_maps import assemble_Fn, fn_key, standard_conductive
 from faddeev_ep.geometry import make_circle, sample
 from faddeev_ep.harness import OperatorCache, RunConfig, build_potential, kgrid_points, run
 
@@ -20,6 +21,27 @@ def test_config_roundtrip_lossless():
     back = RunConfig.from_dict(json.loads(json.dumps(doc)))
     assert back.to_dict() == doc
     assert back.config_hash() == cfg.config_hash()
+
+
+#: config_hash and fn_key of the perfbench workloads at seed 0, as hashlib computed them at 0.1.7
+WORKLOAD_DIGESTS = {
+    "locus": ("fcd6a0e2b98c2faa", "56141dddbf2f232a0d1e9bfe8611fdf97683726daf34366d2f1c61734b15378c"),
+    "scan": ("4589bf8e549137c9", "9cbe76c22b7b4f988101095de0b9f65125ccf3041c9e0f5447bcc890302ecb51"),
+    "interior256": ("d855de4cd9bcb076", "35c9b36b339a19858cbee73d830114d62c52dc7d3a3e1b2789a9cea2a8877aec"),
+}
+
+
+@pytest.mark.parametrize("name", sorted(WORKLOAD_DIGESTS))
+def test_workload_config_hash_and_fn_key_are_pinned(name):
+    """The run directories and the operator store's keys do not move with the SHA-256 in use."""
+    spec = importlib.util.spec_from_file_location(
+        "workloads", Path(__file__).resolve().parents[1] / "perfbench" / "workloads.py")
+    workloads = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(workloads)
+    cfg = RunConfig.from_dict(workloads.config(name, 0))
+    _, family = build_potential(cfg)
+    nodes = sample(make_circle(1.0), cfg.n_nodes)
+    assert (cfg.config_hash(), fn_key(nodes, family.at(cfg.lam))) == WORKLOAD_DIGESTS[name]
 
 
 def test_config_rejects_unknown_fields_and_detectors():
