@@ -65,7 +65,7 @@ L2 = "L2"
 
 _SPACE_ORDER = {HMINUS: -0.5, HPLUS: 0.5, L2: 0.0}
 
-#: relative sigma_min threshold below which S_k refuses inversion (E_D detector)
+#: threshold on 1/cond_1 of the weighted S_k below which S_k refuses inversion (E_D detector)
 SINGULARITY_THRESHOLD = 1e-6
 
 
@@ -182,22 +182,30 @@ def assemble_S(k, nodes: NodeSet) -> BoundaryOperator:
 
 
 def mean_projectors(nodes: NodeSet) -> tuple[np.ndarray, np.ndarray]:
-    """(P_const, P_perp): arc-length mean projector and its complement."""
+    """(P_const, P_perp) as dense matrices; the package applies P_perp by rank-one updates instead."""
     pc = np.outer(np.ones(nodes.n_nodes), nodes.weights) / nodes.length
     return pc, np.eye(nodes.n_nodes) - pc
 
 
+def _project_out(m: np.ndarray, v: np.ndarray, u: np.ndarray | None = None) -> np.ndarray:
+    """(I - u v^T) m (I - u v^T), u = 1 by default (then P_perp m P_perp for v = w/nu), by
+    two rank-one updates of a copy of m: no dense projector and no N^3 product."""
+    out = m - np.outer(m.sum(axis=1) if u is None else m @ u, v)
+    out -= v @ out if u is None else np.outer(u, v @ out)
+    return out
+
+
 def assemble_B(nodes: NodeSet) -> BoundaryOperator:
     """Log single layer restricted to mean-free densities (the perp-perp block)."""
-    _, pp = mean_projectors(nodes)
-    return BoundaryOperator(pp @ _log_kernel_matrix(nodes) @ pp, HMINUS, HPLUS, nodes)
+    return BoundaryOperator(_project_out(_log_kernel_matrix(nodes), nodes.weights / nodes.length), HMINUS, HPLUS, nodes)
 
 
 def invert_on_meanfree(bop: BoundaryOperator) -> np.ndarray:
-    """Matrix acting as B^{-1} on mean-free densities and as 0 on constants."""
-    pc, pp = mean_projectors(bop.nodes)
-    aug = pp @ bop.matrix @ pp + pc
-    return pp @ np.linalg.inv(aug)
+    """B^{-1} on mean-free densities and 0 on constants: P_perp (P_perp B P_perp + 1 c^T)^{-1}."""
+    c = bop.nodes.weights / bop.nodes.length
+    inv = np.linalg.inv(_project_out(bop.matrix, c) + c)   # + 1 c^T
+    inv -= c @ inv   # P_perp on the left
+    return inv
 
 
 @dataclass(frozen=True)
@@ -211,25 +219,17 @@ class BlockForm:
     nodes: NodeSet
 
     def reassemble(self) -> np.ndarray:
-        w_over_nu = self.nodes.weights / self.nodes.length
-        one = np.ones(self.nodes.n_nodes)
-        mat = self.cc * np.outer(one, w_over_nu)
-        mat = mat + np.outer(one, self.c_perp)
-        mat = mat + np.outer(self.perp_c, w_over_nu)
-        return mat + self.perp_perp
+        c = self.nodes.weights / self.nodes.length   # 1 (cc c^T + c_perp) + perp_c c^T + perp_perp
+        return (self.cc * c + self.c_perp) + np.outer(self.perp_c, c) + self.perp_perp
 
 
 def block_form(op: BoundaryOperator) -> BlockForm:
     """Project an operator onto the constants/mean-free block decomposition."""
-    pc, pp = mean_projectors(op.nodes)
-    w_over_nu = op.nodes.weights / op.nodes.length
-    one = np.ones(op.nodes.n_nodes)
+    c = op.nodes.weights / op.nodes.length
     m = op.matrix
-    cc = w_over_nu @ (m @ one)
-    c_perp = (w_over_nu @ m) @ pp
-    perp_c = pp @ (m @ one)
-    perp_perp = pp @ m @ pp
-    return BlockForm(cc, c_perp, perp_c, perp_perp, op.nodes)
+    row, col = c @ m, m.sum(axis=1)   # c^T M and M 1
+    cc = c @ col
+    return BlockForm(cc, row - row.sum() * c, col - cc, _project_out(m, c), op.nodes)
 
 
 # ---------------------------------------------------------------------------
@@ -288,34 +288,39 @@ def meanfree_form_gap(op: BoundaryOperator) -> float:
     coordinates and is imposed by projection; a negative return value
     means the form has a positive mean-free direction.
     """
-    n = op.nodes.n_nodes
     a = _SPACE_ORDER[op.domain_space]
     wmat = weighted_matrix(op)
     herm = 0.5 * (wmat + wmat.conj().T)
-    c = sobolev_matrix(n, -a) @ op.nodes.weights if a != 0.0 else op.nodes.weights.copy()
+    c = sobolev_matrix(op.nodes.n_nodes, -a) @ op.nodes.weights if a != 0.0 else op.nodes.weights.copy()
     c = c / np.linalg.norm(c)
-    proj = np.eye(n) - np.outer(c, c)
-    eigs = np.sort(np.linalg.eigvalsh(proj @ herm @ proj).real)
+    eigs = np.sort(np.linalg.eigvalsh(_project_out(herm, c, c)).real)
     # the projected-out direction contributes one ~0 eigenvalue at the top
     return -float(eigs[-2])
 
 
 def _refusal(kp: KPoint, smin: float, smax: float) -> NearSingularError:
     return NearSingularError(
-        f"S_k is near-singular at {kp}: sigma_min = {smin:.3e} < {SINGULARITY_THRESHOLD:.0e} * {smax:.3e}; "
-        "k is near the exterior-Dirichlet exceptional set E_D",
+        f"S_k is near-singular at {kp}: weighted 1/|S^-1|_1 = {smin:.3e} < {SINGULARITY_THRESHOLD:.0e} * |S|_1 "
+        f"= {SINGULARITY_THRESHOLD:.0e} * {smax:.3e}; k is near the exterior-Dirichlet exceptional set E_D",
         sigma_min=smin, norm=smax, k=kp, suspected="E_D",
     )
 
 
 def invert_S(k, s_op: BoundaryOperator) -> BoundaryOperator:
-    """Dense inverse of S_k; refuses when sigma_min flags proximity to E_D."""
+    """Dense inverse of S_k; refuses (E_D) when 1/(|S^|_1 |S^^{-1}|_1) < SINGULARITY_THRESHOLD, with
+    S^ = W_{1/2} S_k W_{1/2} and S^^{-1} = W_{-1/2} S_k^{-1} W_{-1/2} read from the inverse itself,
+    or when inv rejects S_k or the measure is not finite."""
     kp = KPoint.from_k(k)
-    sv = np.linalg.svd(weighted_matrix(s_op), compute_uv=False)
-    smin, smax = float(sv[-1]), float(sv[0])
-    if smin < SINGULARITY_THRESHOLD * smax:
-        raise _refusal(kp, smin, smax)
-    return BoundaryOperator(np.linalg.inv(s_op.matrix), s_op.range_space, s_op.domain_space, s_op.nodes)
+    norm = float(np.linalg.norm(weighted_matrix(s_op), 1))
+    try:
+        inv = np.linalg.inv(s_op.matrix)
+    except np.linalg.LinAlgError:
+        raise _refusal(kp, 0.0, norm) from None
+    w = _circulant(_mode_multipliers(s_op.nodes.n_nodes, -0.5))   # not sobolev_matrix's: its cache would keep it
+    inv_norm = float(np.linalg.norm(w @ inv @ w, 1))
+    if not norm * inv_norm <= 1.0 / SINGULARITY_THRESHOLD:   # nan, from a non-finite inverse, refuses too
+        raise _refusal(kp, 1.0 / inv_norm, norm)
+    return BoundaryOperator(inv, s_op.range_space, s_op.domain_space, s_op.nodes)
 
 
 def _rotation_matrix(n: int, alpha: float) -> np.ndarray:
@@ -364,9 +369,10 @@ class KWorkspace:
 
         On a centred circle S_{k e^{i a}} = R S_k R^T with R the band-limited
         shift by a (:func:`_rotation_matrix`), and S_k^{-1} rotates the same
-        way.  The Sobolev weights are diagonal in the DFT basis and R is
-        orthogonal, so the weighted refusal SVD is the same on the whole
-        ring: if this workspace refuses, the rotated one refuses at ``k``.
+        way.  The ring's refusal is decided at its base point, this workspace,
+        and raised at ``k``.  For a shift by whole nodes (R a permutation of
+        circulant weights) the weighted 1-norms are exactly invariant; off the
+        node grid the measure at ``k`` itself may differ by about 1e-3 relative.
         """
         if not self.rotates_to(k):
             raise ValueError(f"cannot rotate the workspace at {self.k} to {k}: needs the same |k| on a centred circle")

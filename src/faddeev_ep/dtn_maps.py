@@ -34,8 +34,8 @@ from .boundary_ops import (
     KWorkspace,
     OperatorCache,
     assemble_B,
+    block_form,
     invert_on_meanfree,
-    mean_projectors,
 )
 from .disk_solver import DiskDtnSolver, radial_size
 from .geometry import NodeSet
@@ -283,17 +283,13 @@ _LAPLACE_CACHE: "weakref.WeakKeyDictionary[NodeSet, dict]" = weakref.WeakKeyDict
 
 
 def _laplace_pieces(nodes: NodeSet) -> dict:
-    """k-independent Laplace-layer pieces, cached per NodeSet."""
+    """k-independent Laplace-layer pieces B^{-1} P_perp and F_0 = (K' + I/2) B^{-1} P_perp, cached per NodeSet."""
     pieces = _LAPLACE_CACHE.get(nodes)
     if pieces is None:
         binv = invert_on_meanfree(assemble_B(nodes))
         kprime = adjoint_double_layer(nodes)
-        eye = np.eye(nodes.n_nodes)
-        pieces = {
-            "binv": binv,
-            "f0": (kprime + 0.5 * eye) @ binv,
-            "fb": (kprime - 0.5 * eye) @ binv,
-        }
+        kprime.flat[:: nodes.n_nodes + 1] += 0.5   # K' + I/2
+        pieces = {"binv": binv, "f0": kprime @ binv}
         for m in pieces.values():
             m.flags.writeable = False
         _LAPLACE_CACHE[nodes] = pieces
@@ -310,16 +306,13 @@ def assemble_F0(nodes: NodeSet) -> BoundaryOperator:
 
 
 def assemble_Fout_bounded(nodes: NodeSet) -> BoundaryOperator:
-    """Exterior Laplace map built from bounded solutions."""
-    return BoundaryOperator(_laplace_pieces(nodes)["fb"], HPLUS, HMINUS, nodes)
+    """Exterior Laplace map built from bounded solutions: (K' - I/2) B^{-1} P_perp = F_0 - B^{-1} P_perp."""
+    return BoundaryOperator(_f0_matrix(nodes) - _laplace_pieces(nodes)["binv"], HPLUS, HMINUS, nodes)
 
 
 def assemble_Fout_zero(nodes: NodeSet) -> BoundaryOperator:
     """Continuous k -> 0 limit of F^out: 0 on constants, F_0 - B^{-1} on mean-free."""
-    pieces = _laplace_pieces(nodes)
-    _, pp = mean_projectors(nodes)
-    mat = pp @ (pieces["f0"] - pieces["binv"]) @ pp
-    return BoundaryOperator(mat, HPLUS, HMINUS, nodes)
+    return BoundaryOperator(block_form(assemble_Fout_bounded(nodes)).perp_perp, HPLUS, HMINUS, nodes)
 
 
 def assemble_Fout(k, nodes: NodeSet) -> BoundaryOperator:

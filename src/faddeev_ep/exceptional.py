@@ -72,13 +72,22 @@ PARITY_RESOLUTION = 1 / 256
 MU_RADII, MU_ANGLES = 200, 128
 
 
+def _legendre(n: int, x: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """(P_n(x), P_n'(x)) by the three-term recurrence (k + 1) P_{k+1} = (2k + 1) x P_k - k P_{k-1}."""
+    p0, p1 = np.ones_like(x), x
+    for k in range(1, n):
+        p0, p1 = p1, ((2 * k + 1) * x * p1 - k * p0) / (k + 1)
+    return p1, n * (x * p1 - p0) / (x * x - 1.0)
+
+
 @cache
 def _gauss_legendre(n: int) -> tuple[np.ndarray, np.ndarray]:
-    """n-point Gauss-Legendre nodes and weights on [-1, 1], once per process (Golub-Welsch:
-    the eigenvalues of the Jacobi matrix, and 2 v_0^2 of its unit eigenvectors v); read-only."""
+    """n-point Gauss-Legendre nodes (Jacobi eigenvalues, one Newton step on P_n) and weights
+    2 / ((1 - x^2) P_n'(x)^2) on [-1, 1], once per process; read-only."""
     k = np.arange(1, n)
-    x, v = np.linalg.eigh(np.diag(k / np.sqrt(4.0 * k * k - 1.0), 1), UPLO="U")
-    w = 2.0 * v[0] ** 2
+    x = np.linalg.eigvalsh(np.diag(k / np.sqrt(4.0 * k * k - 1.0), 1), UPLO="U")
+    x = x - np.divide(*_legendre(n, x))   # one Newton step on P_n
+    w = 2.0 / ((1.0 - x * x) * _legendre(n, x)[1] ** 2)
     x.flags.writeable = w.flags.writeable = False
     return x, w
 
@@ -167,7 +176,8 @@ def assemble_P(k, n: Potential, nodes: NodeSet) -> BoundaryOperator:
     fn = assemble_Fn(nodes, n)
     f0 = assemble_F0(nodes)
     s = KWorkspace.at(k, nodes).s
-    mat = np.eye(nodes.n_nodes) + s.matrix @ (fn.matrix - f0.matrix)
+    mat = s.matrix @ (fn.matrix - f0.matrix)
+    mat.flat[:: nodes.n_nodes + 1] += 1.0   # + I
     return BoundaryOperator(mat, L2, L2, nodes)
 
 

@@ -18,7 +18,6 @@ import json
 import logging
 import os
 import time
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import asdict, dataclass, field
 
 import numpy as np
@@ -295,6 +294,8 @@ def run(config: RunConfig) -> RunManifest:
                 points = kgrid_points(config.kgrid)
                 # chunked order-preserving parallel map; rows come out sorted
                 # by grid index regardless of completion order
+                from concurrent.futures import ThreadPoolExecutor   # here only: no other detector runs a pool
+
                 size = max(1, (len(points) + config.workers - 1) // max(1, config.workers))
                 parts = [points[i : i + size] for i in range(0, len(points), size)]
                 with ThreadPoolExecutor(max_workers=config.workers) as pool:

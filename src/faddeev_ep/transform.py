@@ -25,7 +25,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .boundary_ops import KWorkspace, NearSingularError
-from .dtn_maps import Potential, assemble_F0, assemble_Fn, assemble_Fout
+from .dtn_maps import Potential, assemble_F0, assemble_Fn
 from .exceptional import assemble_P
 from .geometry import NodeSet
 from .green import KPoint
@@ -83,6 +83,11 @@ def _weighted_norm(v: np.ndarray, nodes: NodeSet) -> float:
     return float(np.sqrt(np.sum(nodes.weights * np.abs(v) ** 2)))
 
 
+def _matvec(mat: np.ndarray, v: np.ndarray) -> np.ndarray:
+    """mat @ v, without casting a real mat to a complex N x N copy."""
+    return mat @ v if np.iscomplexobj(mat) else mat @ v.real + 1j * (mat @ v.imag)
+
+
 def _inverse(mat: np.ndarray, what: str, kp: KPoint) -> np.ndarray:
     """mat^{-1}, refused with suspected set E when inv fails, overflows or
     finds |mat|_1 |mat^{-1}|_1 above CONDITION_CAP: the one inverse is both
@@ -113,9 +118,10 @@ def trace_u(k, n: Potential, nodes: NodeSet) -> BoundaryTrace:
     sinv = ws.inverse  # raises with suspected="E_D" near the Dirichlet set
     rhs = np.exp(1j * kp.kz(nodes.z))
 
-    u_ls = _inverse(assemble_P(ws, n, nodes).matrix, "I + S_k(F_n - F_0)", kp) @ rhs
-    a_mat = assemble_Fn(nodes, n).matrix - assemble_Fout(ws, nodes).matrix
-    u_alt = _inverse(a_mat, "F_n - F^out(k)", kp) @ (sinv.matrix @ rhs)
+    u_ls = _matvec(_inverse(assemble_P(ws, n, nodes).matrix, "I + S_k(F_n - F_0)", kp), rhs)
+    a_mat = assemble_Fn(nodes, n).matrix - assemble_F0(nodes).matrix
+    a_mat += sinv.matrix   # F_n - F^out(k) = (F_n - F_0) + S_k^{-1}
+    u_alt = _matvec(_inverse(a_mat, "F_n - F^out(k)", kp), _matvec(sinv.matrix, rhs))
 
     denom = max(_weighted_norm(u_ls, nodes), 1e-300)
     residual = _weighted_norm(u_ls - u_alt, nodes) / denom
@@ -128,7 +134,7 @@ def scatter_t(k, n: Potential, nodes: NodeSet) -> TransformValue:
     tr = trace_u(kp, n, nodes)
     fn = assemble_Fn(nodes, n)
     f0 = assemble_F0(nodes)
-    dens = (fn.matrix - f0.matrix) @ tr.u_nodes
+    dens = _matvec(fn.matrix - f0.matrix, tr.u_nodes)
     weight = np.exp(1j * np.conj(kp.kz(nodes.z)))
     t = complex(np.sum(nodes.weights * weight * dens))
     return TransformValue(kp, t)

@@ -28,6 +28,7 @@ from faddeev_ep.boundary_ops import (
     sobolev_matrix,
     weighted_matrix,
 )
+from faddeev_ep.dtn_maps import assemble_F0
 from faddeev_ep.geometry import curve_from_fourier, make_circle, make_kite, sample
 from faddeev_ep.green import KPoint, green_remainder
 
@@ -173,6 +174,16 @@ def test_invert_S_refuses_near_singular(nodes128):
     assert exc.value.sigma_min < 1e-6 * exc.value.norm
 
 
+@pytest.mark.parametrize("fill", [0.0, np.nan])
+def test_invert_S_refuses_a_layer_it_cannot_invert(nodes128, fill):
+    """An S_k that inv rejects (singular), or whose refusal measure is not finite (nan
+    entries), is an E_D refusal, not a LinAlgError or an accepted inverse."""
+    s = BoundaryOperator(np.full((128, 128), fill), HMINUS, HPLUS, nodes128)
+    with pytest.raises(NearSingularError) as exc:
+        invert_S(KPoint.from_k(0.5), s)
+    assert exc.value.suspected == "E_D"
+
+
 def test_workspace_assembles_once_and_refuses_on_every_access(nodes128, monkeypatch):
     """A workspace holds one S_k; a refused k raises on every access of the inverse."""
     from faddeev_ep import boundary_ops
@@ -198,9 +209,9 @@ def test_workspace_assembles_once_and_refuses_on_every_access(nodes128, monkeypa
 @example(log_abs=float(np.log(4.437)), phi=0.0, step=61, frac=0.3)   # a refused ring
 def test_rotated_workspace_matches_direct_assembly(nodes128, log_abs, phi, step, frac):
     """S_{k e^{ia}} = R S_k R^T and S_{k e^{ia}}^{-1} = R S_k^{-1} R^T for a rotation a
-    off the node grid, and a refusal is carried around the ring with each point's own k.
-    A cos(N a / 2) Nyquist phase scales the Nyquist eigenvalue of the log layer by
-    cos^2(N a / 2) and misses the S bound by orders of magnitude."""
+    off the node grid, and a refusal, decided at the ring's base point, is carried around
+    the ring with each point's own k.  A cos(N a / 2) Nyquist phase scales the Nyquist
+    eigenvalue of the log layer by cos^2(N a / 2) and misses the S bound by orders of magnitude."""
     alpha = (step + frac) * 2 * np.pi / 128
     base = KWorkspace(KPoint.from_polar_log(log_abs, phi), nodes128)
     k = KPoint.from_polar_log(log_abs, phi + alpha)
@@ -212,16 +223,56 @@ def test_rotated_workspace_matches_direct_assembly(nodes128, log_abs, phi, step,
 
     sv = np.linalg.svd(weighted_matrix(direct.s), compute_uv=False)
     ratio = sv[-1] / sv[0]
-    assume(abs(ratio / 1e-6 - 1) > 1e-6)   # the refusal decision is not a rounding tie
-    if ratio < 1e-6:
+    # the refusal measure 1/(|S^|_1 |S^^{-1}|_1) of the weighted S_k at the base point
+    inv_base = BoundaryOperator(np.linalg.inv(base.s.matrix), HPLUS, HMINUS, nodes128)
+    norm, inv_norm = np.linalg.norm(weighted_matrix(base.s), 1), np.linalg.norm(weighted_matrix(inv_base), 1)
+    measure = 1.0 / (norm * inv_norm)
+    assume(abs(measure / 1e-6 - 1) > 1e-6)   # the refusal decision is not a rounding tie
+    if measure < 1e-6:
         for _ in range(2):   # refused on every access, at the rotated k
             with pytest.raises(NearSingularError) as exc:
                 rotated.inverse
             assert exc.value.k == k and exc.value.suspected == "E_D"
-            assert exc.value.sigma_min == pytest.approx(sv[-1], rel=1e-6)
+            assert exc.value.sigma_min == pytest.approx(1.0 / inv_norm, rel=1e-6)
+            assert exc.value.norm == pytest.approx(norm, rel=1e-12)
         return
-    inv = direct.inverse.matrix
+    inv = np.linalg.inv(direct.s.matrix)
     assert np.max(np.abs(rotated.inverse.matrix - inv)) <= 1e-12 / ratio * np.max(np.abs(inv))
+
+
+def test_one_norm_refusal_decides_as_the_weighted_svd(nodes128, nodes256):
+    """invert_S refuses (E_D) on 1/(|S^|_1 |S^^{-1}|_1) < 1e-6 of the weighted S_k, read from
+    the inverse it makes; the weighted SVD it replaces refused on sigma_min < 1e-6 sigma_max.
+    The two decide alike on the scan's 16 radii at N = 128 (|k| = 1e-3 .. 4, of which the
+    ring |k| = 4 is refused) and on the transform's 9 points at N = 256 (|k| = 1e-6 .. 1e-2).
+    The 1-norm measure lies below the SVD ratio, by a factor 1.8 - 3.4 at these points."""
+    points = ([(nodes128, r) for r in np.geomspace(1e-3, 4.0, 16)]
+              + [(nodes256, r * np.exp(0.9j)) for r in np.geomspace(1e-6, 1e-2, 9)])
+    refused = []
+    for nodes, k in points:
+        kp = KPoint.from_k(k)
+        s = assemble_S(kp, nodes)
+        weighted = weighted_matrix(s)
+        sv = np.linalg.svd(weighted, compute_uv=False)
+        measure = 1.0 / (np.linalg.norm(weighted, 1) * np.linalg.norm(np.linalg.inv(weighted), 1))
+        assert (measure < 1e-6) == (sv[-1] < 1e-6 * sv[0]), (k, measure, sv[-1] / sv[0])
+        assert 0.2 <= measure / (sv[-1] / sv[0]) <= 0.6
+        try:
+            invert_S(kp, s)
+            refused.append(False)
+        except NearSingularError as exc:
+            assert exc.sigma_min / exc.norm == pytest.approx(measure, rel=1e-3)
+            refused.append(True)
+    assert refused == [False] * 15 + [True] + [False] * 9
+
+
+def test_laplace_pieces_form_no_dense_projector():
+    """B^{-1} P_perp and F_0 at N = 256 (0.5 MiB each) apply P_perp = I - 1 c^T as rank-one
+    updates: the traced peak of building them is 2.57 MiB, set by the temporaries of K',
+    where the dense P_const, P_perp and their N^3 products took 3.00 MiB."""
+    nodes = sample(make_circle(1.0), 256)   # a NodeSet of its own: the pieces are cached per NodeSet
+    assemble_log_layer(nodes)   # the k-independent log layer, cached per NodeSet
+    assert traced_peak(assemble_F0, nodes) <= 2.75 * 2**20
 
 
 def test_rotation_needs_one_ring_on_a_centred_circle(nodes128):

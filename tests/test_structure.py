@@ -123,8 +123,8 @@ def test_package_import_loads_no_scipy():
 
 
 def test_package_import_loads_no_numpy_polynomial():
-    """mu's Gauss-Legendre rule comes from one eigh of the Jacobi matrix, so no run pays for
-    importing numpy.polynomial (about 5.6 ms and 0.8 MB of every process start)."""
+    """mu's Gauss-Legendre rule comes from the eigenvalues of the Jacobi matrix, so no run pays
+    for importing numpy.polynomial (about 5.6 ms and 0.8 MB of every process start)."""
     assert _loaded_by_package_import("numpy.polynomial") == "[]"
 
 
@@ -132,6 +132,11 @@ def test_package_import_loads_no_openssl():
     """Keys, checksums and manifest hashes come from CPython's built-in SHA-256: hashlib
     would load OpenSSL's _hashlib, 3.5 MB of every process's RSS, for at most 1.5 MiB hashed."""
     assert _loaded_by_package_import("_hashlib") == "[]"
+
+
+def test_package_import_loads_no_thread_pool():
+    """Only the scan runs a thread pool, so only the scan imports concurrent.futures."""
+    assert _loaded_by_package_import("concurrent.futures") == "[]"
 
 
 def test_the_package_sha256_gives_hashlib_s_digests():

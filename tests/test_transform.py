@@ -1,8 +1,10 @@
 import numpy as np
 import pytest
 
+from conftest import traced_peak
 from faddeev_ep import transform
-from faddeev_ep.boundary_ops import L2, BoundaryOperator, NearSingularError
+from faddeev_ep.boundary_ops import L2, BoundaryOperator, NearSingularError, sobolev_matrix
+from faddeev_ep.dtn_maps import assemble_Fn
 from faddeev_ep.exceptional import assemble_P
 from faddeev_ep.geometry import make_circle, sample
 from faddeev_ep.green import KPoint
@@ -112,9 +114,9 @@ def test_trace_refuses_an_exactly_singular_system(nodes128, conductive, monkeypa
     assert exc.value.suspected == "E" and exc.value.sigma_min == 0.0
 
 
-def test_trace_makes_one_svd_and_no_solve_per_point(nodes128, conductive, monkeypatch):
-    """The E_D refusal is the one SVD of a point; each route is one explicit inverse, which
-    is its refusal and its solve, beside the inverse of S_k."""
+def test_trace_makes_no_svd_and_no_solve_per_point(nodes128, conductive, monkeypatch):
+    """A point makes three explicit inverses and no SVD: that of S_k, which is also its E_D
+    refusal, and one per route, which is the route's refusal and its solve."""
     trace_u(KPoint.from_k(0.3), conductive, nodes128)   # F_n and the Laplace pieces are built once
     calls = {"svd": 0, "solve": 0, "inv": 0}
     for name in calls:
@@ -127,7 +129,18 @@ def test_trace_makes_one_svd_and_no_solve_per_point(nodes128, conductive, monkey
         monkeypatch.setattr(np.linalg, name, counted)
     for k in (0.2 + 0.1j, 1e-3j):
         trace_u(KPoint.from_k(k), conductive, nodes128)
-    assert calls == {"svd": 2, "solve": 0, "inv": 6}
+    assert calls == {"svd": 0, "solve": 0, "inv": 6}
+
+
+def test_first_trace_allocates_only_what_it_keeps(conductive):
+    """The first point of a transform at N = 256, with F_n built: its traced peak is 4.13 MiB,
+    set by the cached log layer's build, where the weighted SVD of S_k, the dense mean
+    projectors, a cached F_b^out and real inverses cast to complex for their matrix-vector
+    products raised it to 5.02 MiB."""
+    nodes = sample(make_circle(1.0), 256)   # a NodeSet of its own: nothing k-independent is cached yet
+    assemble_Fn(nodes, conductive)
+    sobolev_matrix(256, 0.5)   # cached per process; built here so the figure does not depend on test order
+    assert traced_peak(trace_u, KPoint.from_polar_log(np.log(1e-2), 0.9), conductive, nodes) <= 4.5 * 2**20
 
 
 def test_transform_self_convergence(nodes128, nodes256, conductive):
