@@ -45,6 +45,7 @@ __all__ = [
     "assemble_B",
     "mean_projectors",
     "block_form",
+    "checked_inverse",
     "invert_S",
     "KWorkspace",
     "invert_on_meanfree",
@@ -65,12 +66,12 @@ L2 = "L2"
 
 _SPACE_ORDER = {HMINUS: -0.5, HPLUS: 0.5, L2: 0.0}
 
-#: threshold on 1/cond_1 of the weighted S_k below which S_k refuses inversion (E_D detector)
+#: invert_S refuses S_k (E_D) where checked_inverse finds 1/cond_1 of the weighted S_k below this
 SINGULARITY_THRESHOLD = 1e-6
 
 
 class NearSingularError(RuntimeError):
-    """A boundary system is numerically singular (k near E_D or E)."""
+    """A boundary system is numerically singular (k near E_D or E); the message names ``k``."""
 
     def __init__(self, message, sigma_min=None, norm=None, k=None, suspected=None):
         super().__init__(message)
@@ -78,6 +79,13 @@ class NearSingularError(RuntimeError):
         self.norm = norm
         self.k = k
         self.suspected = suspected
+
+    def __str__(self):
+        return super().__str__() if self.k is None else f"at {self.k}: {super().__str__()}"
+
+    def at(self, k) -> "NearSingularError":
+        """A fresh copy of this refusal, raised at ``k``."""
+        return NearSingularError(self.args[0], self.sigma_min, self.norm, k, self.suspected)
 
 
 @dataclass(frozen=True)
@@ -136,17 +144,18 @@ def _log_kernel_matrix(nodes: NodeSet) -> np.ndarray:
     cached = _LOG_KERNEL_CACHE.get(nodes)
     if cached is not None:
         return cached
-    n = nodes.n_nodes
-    t, z, speed = nodes.t, nodes.z, nodes.speed
-    dz = z[:, None] - z[None, :]
-    sin2 = 4.0 * np.sin((t[:, None] - t[None, :]) / 2.0) ** 2
-    ratio = np.ones((n, n))
-    off = ~np.eye(n, dtype=bool)
-    ratio[off] = np.abs(dz[off]) ** 2 / sin2[off]
-    smooth = -np.log(ratio) / (4 * np.pi)
-    np.fill_diagonal(smooth, -np.log(speed) / (2 * np.pi))
-    R = log_quadrature_matrix(n)
-    mat = (-R / (4 * np.pi) + (2 * np.pi / n) * smooth) * speed[None, :]
+    n, t, x, y, speed = nodes.n_nodes, nodes.t, nodes.z.real, nodes.z.imag, nodes.speed
+    ratio = (x[:, None] - x) ** 2 + (y[:, None] - y) ** 2   # |z_i - z_j|^2 in reals, over 4 sin^2((t_i - t_j)/2) below
+    sin2 = 4.0 * np.sin((t[:, None] - t) / 2.0) ** 2
+    np.fill_diagonal(ratio, 1.0)   # the diagonal of the log is set below
+    np.fill_diagonal(sin2, 1.0)
+    ratio /= sin2
+    del sin2
+    np.log(ratio, out=ratio)
+    np.fill_diagonal(ratio, 2 * np.log(speed))   # the ratio's limit on the diagonal is |z'(t)|^2
+    mat = log_quadrature_matrix(n) / (-4 * np.pi)
+    mat -= ratio / (2 * n)   # (2pi/n) (-1/4pi) ln ratio
+    mat *= speed
     mat.flags.writeable = False
     _LOG_KERNEL_CACHE[nodes] = mat
     return mat
@@ -298,28 +307,28 @@ def meanfree_form_gap(op: BoundaryOperator) -> float:
     return -float(eigs[-2])
 
 
-def _refusal(kp: KPoint, smin: float, smax: float) -> NearSingularError:
-    return NearSingularError(
-        f"S_k is near-singular at {kp}: weighted 1/|S^-1|_1 = {smin:.3e} < {SINGULARITY_THRESHOLD:.0e} * |S|_1 "
-        f"= {SINGULARITY_THRESHOLD:.0e} * {smax:.3e}; k is near the exterior-Dirichlet exceptional set E_D",
-        sigma_min=smin, norm=smax, k=kp, suspected="E_D",
-    )
+def checked_inverse(mat, limit: float, what: str, k, suspected: str, weight=None, inverse_weight=None) -> np.ndarray:
+    """mat^{-1} from one inv, which is also the refusal (NearSingularError naming ``suspected``, with
+    sigma_min = 1/|M^^{-1}|_1 and norm = |M^|_1) where inv fails or |M^|_1 |M^^{-1}|_1 exceeds ``limit`` or
+    is not finite; M^ = W mat W and M^^{-1} = V mat^{-1} V for W, V = ``weight``, ``inverse_weight`` or I."""
+    norm = float(np.linalg.norm(mat if weight is None else weight @ mat @ weight, 1))
+    try:
+        inv = np.linalg.inv(mat)
+        inv_norm = float(np.linalg.norm(inv if inverse_weight is None else inverse_weight @ inv @ inverse_weight, 1))
+    except np.linalg.LinAlgError:
+        inv_norm = np.inf
+    if not norm * inv_norm <= limit:   # nan, from a non-finite inverse, refuses too
+        raise NearSingularError(f"{what} is near-singular: 1-norm condition {norm * inv_norm:.2e} > {limit:.0e}; "
+                                f"suspected set {suspected}", 1.0 / inv_norm, norm, k, suspected)
+    return inv
 
 
 def invert_S(k, s_op: BoundaryOperator) -> BoundaryOperator:
-    """Dense inverse of S_k; refuses (E_D) when 1/(|S^|_1 |S^^{-1}|_1) < SINGULARITY_THRESHOLD, with
-    S^ = W_{1/2} S_k W_{1/2} and S^^{-1} = W_{-1/2} S_k^{-1} W_{-1/2} read from the inverse itself,
-    or when inv rejects S_k or the measure is not finite."""
-    kp = KPoint.from_k(k)
-    norm = float(np.linalg.norm(weighted_matrix(s_op), 1))
-    try:
-        inv = np.linalg.inv(s_op.matrix)
-    except np.linalg.LinAlgError:
-        raise _refusal(kp, 0.0, norm) from None
-    w = _circulant(_mode_multipliers(s_op.nodes.n_nodes, -0.5))   # not sobolev_matrix's: its cache would keep it
-    inv_norm = float(np.linalg.norm(w @ inv @ w, 1))
-    if not norm * inv_norm <= 1.0 / SINGULARITY_THRESHOLD:   # nan, from a non-finite inverse, refuses too
-        raise _refusal(kp, 1.0 / inv_norm, norm)
+    """Dense inverse of S_k by :func:`checked_inverse`, refused (E_D) when 1/(|S^|_1 |S^^{-1}|_1) <
+    SINGULARITY_THRESHOLD, with S^ = W_{1/2} S_k W_{1/2} and S^^{-1} = W_{-1/2} S_k^{-1} W_{-1/2}."""
+    n = s_op.nodes.n_nodes   # W_{-1/2} is built here, not by sobolev_matrix, whose cache would keep it
+    inv = checked_inverse(s_op.matrix, 1.0 / SINGULARITY_THRESHOLD, "S_k", KPoint.from_k(k), "E_D",
+                          sobolev_matrix(n, 0.5), _circulant(_mode_multipliers(n, -0.5)))
     return BoundaryOperator(inv, s_op.range_space, s_op.domain_space, s_op.nodes)
 
 
@@ -339,7 +348,7 @@ def _rotation_matrix(n: int, alpha: float) -> np.ndarray:
 class KWorkspace:
     """S_k at one k on one NodeSet, assembled once, and S_k^{-1} on first use.
 
-    criterion, n_minus, assemble_P, assemble_Fout and trace_u take one in
+    criterion, n_minus, assemble_P, assemble_A, assemble_Fout and trace_u take one in
     place of k, so the quantities at k share one S_k.  Where invert_S
     refuses (k near E_D), every access of ``inverse`` raises its refusal.
     """
@@ -349,7 +358,7 @@ class KWorkspace:
         self.nodes = nodes
         self.s = assemble_S(self.k, nodes)
         self._inverse: BoundaryOperator | None = None
-        self._refused: tuple[float, float] | None = None   # (sigma_min, norm) of a refused inversion
+        self._refused: NearSingularError | None = None   # the refusal of the inversion, at self.k
         self._base: tuple[KWorkspace, np.ndarray] | None = None   # (base, R) of a rotated workspace
 
     @classmethod
@@ -385,20 +394,17 @@ class KWorkspace:
 
     @property
     def inverse(self) -> BoundaryOperator:
-        if self._inverse is None:
-            if self._refused is not None:
-                raise _refusal(self.k, *self._refused)
+        if self._inverse is None and self._refused is None:
             try:
                 if self._base is None:
                     self._inverse = invert_S(self.k, self.s)
                 else:
                     base, r = self._base
-                    inv = base.inverse
-                    self._inverse = BoundaryOperator(r @ inv.matrix @ r.T, inv.domain_space, inv.range_space,
-                                                     self.nodes)
+                    self._inverse = BoundaryOperator(r @ base.inverse.matrix @ r.T, HPLUS, HMINUS, self.nodes)
             except NearSingularError as exc:
-                self._refused = (exc.sigma_min, exc.norm)
-                raise _refusal(self.k, *self._refused) from None
+                self._refused = exc.at(self.k)   # kept without the traceback, which holds the frames' arrays
+        if self._refused is not None:
+            raise self._refused.at(self.k)
         return self._inverse
 
 

@@ -170,14 +170,17 @@ def raster_potential(path) -> Potential:
     """Gridded n(z) from a JSON raster: {x0, y0, dx, dy, re: [[..]], im: [[..]]}.
 
     Bilinear interpolation inside the raster, zero outside it and outside
-    the closed unit disk.
+    the closed unit disk.  A raster under 2 x 2, ``im`` shaped unlike ``re`` or a bad grid is a ValueError.
     """
     with open(path) as fh:
         doc = json.load(fh)
     re = np.asarray(doc["re"], dtype=float)
     im = np.asarray(doc.get("im", np.zeros_like(re)), dtype=float)
+    x0, y0, dx, dy = grid = [float(doc[k]) for k in ("x0", "y0", "dx", "dy")]
+    if re.ndim != 2 or min(re.shape) < 2 or im.shape != re.shape or min(dx, dy) <= 0 or not np.all(np.isfinite(grid)):
+        raise ValueError(f"raster {path} needs re and im of one shape of at least 2 x 2, finite x0, y0 and finite "
+                         f"dx, dy > 0; got re {re.shape}, im {im.shape}, x0 {x0}, y0 {y0}, dx {dx}, dy {dy}")
     vals = re + 1j * im
-    x0, y0, dx, dy = (float(doc[k]) for k in ("x0", "y0", "dx", "dy"))
     ny, nx = vals.shape
 
     def interp(z):
@@ -321,9 +324,7 @@ def assemble_Fout(k, nodes: NodeSet) -> BoundaryOperator:
     Near the exterior-Dirichlet singular set the inversion of S_k refuses
     with NearSingularError; the refusal itself is the E_D detector.
     """
-    ws = KWorkspace.at(k, nodes)
-    mat = _f0_matrix(nodes) - ws.inverse.matrix
-    return BoundaryOperator(mat, HPLUS, HMINUS, nodes)
+    return BoundaryOperator(_f0_matrix(nodes) - KWorkspace.at(k, nodes).inverse.matrix, HPLUS, HMINUS, nodes)
 
 
 def fn_supported(nodes: NodeSet) -> bool:

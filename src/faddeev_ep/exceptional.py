@@ -33,7 +33,7 @@ from .boundary_ops import (
     weighted_matrix,
 )
 from .disk_solver import DiskDtnSolver
-from .dtn_maps import PerturbedFamily, Potential, assemble_F0, assemble_Fn, assemble_Fout, assemble_Fout_zero
+from .dtn_maps import PerturbedFamily, Potential, assemble_F0, assemble_Fn, assemble_Fout_zero
 from .geometry import NodeSet
 from .green import KPoint, epsilon_from_log, log_abs_k_from_eps
 
@@ -54,6 +54,8 @@ __all__ = [
     "scan_to_csv",
     "trace_locus",
     "fit_xi",
+    "fn_minus_f0",
+    "assemble_A",
     "assemble_P",
     "n_minus",
     "parity_path",
@@ -131,12 +133,23 @@ class CriterionOperator:
     k: KPoint
 
 
+def fn_minus_f0(n: Potential, nodes: NodeSet) -> np.ndarray:
+    """A fresh, writable matrix of D = F_n - F_0."""
+    return assemble_Fn(nodes, n).matrix - assemble_F0(nodes).matrix
+
+
+def assemble_A(k, n: Potential, nodes: NodeSet) -> BoundaryOperator:
+    """A(k) = F_n - F^out(k) = (F_n - F_0) + S_k^{-1}, formed in place; S_k^{-1} refuses near E_D."""
+    a = fn_minus_f0(n, nodes)
+    a += KWorkspace.at(k, nodes).inverse.matrix
+    return BoundaryOperator(a, HPLUS, HMINUS, nodes)
+
+
 def _weighted_a(k, n: Potential, nodes: NodeSet) -> tuple[np.ndarray, np.ndarray]:
-    """Weight-symmetrized A(k) = F_n - F^out(k) and its Hermitian part;
-    k = None takes the continuous limit F^out(0)."""
-    fn = assemble_Fn(nodes, n)
-    fo = assemble_Fout_zero(nodes) if k is None else assemble_Fout(k, nodes)
-    aw = weighted_matrix(BoundaryOperator(fn.matrix - fo.matrix, HPLUS, HMINUS, nodes))
+    """Weight-symmetrized A(k) and its Hermitian part; k = None takes the limit F_n - F^out(0)."""
+    a = (BoundaryOperator(assemble_Fn(nodes, n).matrix - assemble_Fout_zero(nodes).matrix, HPLUS, HMINUS, nodes)
+         if k is None else assemble_A(k, n, nodes))
+    aw = weighted_matrix(a)
     return aw, 0.5 * (aw + aw.conj().T)
 
 
@@ -153,7 +166,7 @@ def criterion(k, n: Potential, nodes: NodeSet) -> CriterionOperator:
     eigenvalue of the Hermitian part of the weighted A nearest zero; near
     k = 0 the non-self-adjoint part is O(|k|)-small, which makes sign
     changes of this eigenvalue a well-posed root-finding target.  E_D
-    proximity propagates from the F^out assembly.
+    proximity propagates from the inversion of S_k.
     """
     ws = KWorkspace.at(k, nodes)
     aw, herm = _weighted_a(ws, n, nodes)
@@ -173,10 +186,7 @@ def assemble_P(k, n: Potential, nodes: NodeSet) -> BoundaryOperator:
     the eigenvalues, which the parity detector consumes, remain accurate
     and N-stable across the desk annulus (checked to |k| = 10).
     """
-    fn = assemble_Fn(nodes, n)
-    f0 = assemble_F0(nodes)
-    s = KWorkspace.at(k, nodes).s
-    mat = s.matrix @ (fn.matrix - f0.matrix)
+    mat = KWorkspace.at(k, nodes).s.matrix @ fn_minus_f0(n, nodes)
     mat.flat[:: nodes.n_nodes + 1] += 1.0   # + I
     return BoundaryOperator(mat, L2, L2, nodes)
 

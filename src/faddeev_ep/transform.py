@@ -12,10 +12,11 @@ quadrature of
 
     t(k) = int e^{i conj(k z)} [(F_n - F_0) u](z, k) dl_z.
 
-Each route inverts its matrix M once, explicitly: M^{-1} is both the solve
-and the refusal.  A route is refused, with E as the suspected set, when its
-1-norm condition number |M|_1 |M^{-1}|_1 exceeds CONDITION_CAP or the
-inverse fails; the E_D refusal stays with the inversion of S_k.
+Each route inverts its matrix M, P(k) = I + S_k (F_n - F_0) from assemble_P
+or A(k) = F_n - F^out(k) from assemble_A, once by checked_inverse: M^{-1} is
+both the solve and the refusal, with E suspected where the inverse fails or
+|M|_1 |M^{-1}|_1 exceeds CONDITION_CAP.  The E_D refusal stays with the
+inversion of S_k, which reads the same measure on the weighted S_k.
 """
 
 from __future__ import annotations
@@ -24,9 +25,9 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .boundary_ops import KWorkspace, NearSingularError
-from .dtn_maps import Potential, assemble_F0, assemble_Fn
-from .exceptional import assemble_P
+from .boundary_ops import KWorkspace, NearSingularError, checked_inverse
+from .dtn_maps import Potential
+from .exceptional import assemble_A, assemble_P, fn_minus_f0
 from .geometry import NodeSet
 from .green import KPoint
 
@@ -88,24 +89,6 @@ def _matvec(mat: np.ndarray, v: np.ndarray) -> np.ndarray:
     return mat @ v if np.iscomplexobj(mat) else mat @ v.real + 1j * (mat @ v.imag)
 
 
-def _inverse(mat: np.ndarray, what: str, kp: KPoint) -> np.ndarray:
-    """mat^{-1}, refused with suspected set E when inv fails, overflows or
-    finds |mat|_1 |mat^{-1}|_1 above CONDITION_CAP: the one inverse is both
-    the condition number and the solve."""
-    norm = float(np.linalg.norm(mat, 1))
-    try:
-        inv = np.linalg.inv(mat)
-        inv_norm = float(np.linalg.norm(inv, 1))
-    except np.linalg.LinAlgError:
-        inv_norm = np.inf
-    if not norm * inv_norm <= CONDITION_CAP:   # nan, from a non-finite inverse, refuses too
-        raise NearSingularError(
-            f"{what} is near-singular at {kp} (1-norm cond ~ {norm * inv_norm:.2e}); suspected set: E",
-            sigma_min=1.0 / inv_norm, norm=norm, k=kp, suspected="E",
-        )
-    return inv
-
-
 def trace_u(k, n: Potential, nodes: NodeSet) -> BoundaryTrace:
     """Solve both boundary formulations for the trace of u(., k).
 
@@ -118,10 +101,9 @@ def trace_u(k, n: Potential, nodes: NodeSet) -> BoundaryTrace:
     sinv = ws.inverse  # raises with suspected="E_D" near the Dirichlet set
     rhs = np.exp(1j * kp.kz(nodes.z))
 
-    u_ls = _matvec(_inverse(assemble_P(ws, n, nodes).matrix, "I + S_k(F_n - F_0)", kp), rhs)
-    a_mat = assemble_Fn(nodes, n).matrix - assemble_F0(nodes).matrix
-    a_mat += sinv.matrix   # F_n - F^out(k) = (F_n - F_0) + S_k^{-1}
-    u_alt = _matvec(_inverse(a_mat, "F_n - F^out(k)", kp), _matvec(sinv.matrix, rhs))
+    u_ls = _matvec(checked_inverse(assemble_P(ws, n, nodes).matrix, CONDITION_CAP, "P(k)", kp, "E"), rhs)
+    u_alt = _matvec(checked_inverse(assemble_A(ws, n, nodes).matrix, CONDITION_CAP, "A(k)", kp, "E"),
+                    _matvec(sinv.matrix, rhs))
 
     denom = max(_weighted_norm(u_ls, nodes), 1e-300)
     residual = _weighted_norm(u_ls - u_alt, nodes) / denom
@@ -131,10 +113,8 @@ def trace_u(k, n: Potential, nodes: NodeSet) -> BoundaryTrace:
 def scatter_t(k, n: Potential, nodes: NodeSet) -> TransformValue:
     """t(k) by node quadrature of e^{i conj(kz)} (F_n - F_0) u over the boundary."""
     kp = KPoint.from_k(k)
-    tr = trace_u(kp, n, nodes)
-    fn = assemble_Fn(nodes, n)
-    f0 = assemble_F0(nodes)
-    dens = _matvec(fn.matrix - f0.matrix, tr.u_nodes)
+    u = trace_u(kp, n, nodes).u_nodes   # before D: the trace's peak does not hold D too
+    dens = _matvec(fn_minus_f0(n, nodes), u)
     weight = np.exp(1j * np.conj(kp.kz(nodes.z)))
     t = complex(np.sum(nodes.weights * weight * dens))
     return TransformValue(kp, t)
@@ -158,7 +138,7 @@ def bound_check(n: Potential, k_sequence, nodes: NodeSet) -> BoundReport:
             values[i] = scatter_t(kp, n, nodes)
             prods[i] = values[i].bound_product
         except NearSingularError as exc:
-            failures.append(f"{kp}: {exc}")
+            failures.append(str(exc))   # names its k
     valid = not failures
     sup = float(np.nanmax(prods)) if np.any(np.isfinite(prods)) else np.nan
     logs = np.array([p.log_abs for p in pts])

@@ -18,6 +18,7 @@ from faddeev_ep.boundary_ops import (
     assemble_S0,
     assemble_log_layer,
     block_form,
+    checked_inverse,
     invert_S,
     load_operator,
     log_quadrature_matrix,
@@ -182,6 +183,54 @@ def test_invert_S_refuses_a_layer_it_cannot_invert(nodes128, fill):
     with pytest.raises(NearSingularError) as exc:
         invert_S(KPoint.from_k(0.5), s)
     assert exc.value.suspected == "E_D"
+
+
+def _diag(*values):
+    return np.diag(np.array(values, dtype=float))
+
+
+@pytest.mark.parametrize("mat, sigma", [
+    (_diag(0.0, 1.0, 1.0), 0.0),        # exactly singular: inv fails, sigma_min 0
+    (np.full((3, 3), np.nan), np.nan),   # not finite: the measure is nan
+    (_diag(1.0, 1.0, 1e-7), 1e-7),      # condition 1e7 over the limit 1e6
+])
+def test_checked_inverse_refuses_what_it_cannot_trust(mat, sigma):
+    with pytest.raises(NearSingularError) as exc:
+        checked_inverse(mat, 1e6, "M", KPoint.from_k(0.5), "E")
+    assert exc.value.suspected == "E" and exc.value.k == KPoint.from_k(0.5)
+    np.testing.assert_equal(exc.value.sigma_min, sigma)
+    assert str(exc.value).startswith(f"at {KPoint.from_k(0.5)}: M is near-singular")
+
+
+def test_checked_inverse_returns_inv_below_its_limit(nodes128):
+    """Below the limit the result is np.linalg.inv's; with weights W, V the measure is
+    |W M W|_1 |V M^{-1} V|_1, and the refusal reports 1/|V M^{-1} V|_1 and |W M W|_1."""
+    mat = _diag(1.0, 2.0, 1e-5) + 0.1
+    np.testing.assert_array_equal(checked_inverse(mat, 1e6, "M", KPoint.from_k(0.5), "E"), np.linalg.inv(mat))
+    s = assemble_S(KPoint.from_k(0.5), nodes128).matrix
+    w, v = sobolev_matrix(128, 0.5), sobolev_matrix(128, -0.5)
+    norm, inv_norm = np.linalg.norm(w @ s @ w, 1), np.linalg.norm(v @ np.linalg.inv(s) @ v, 1)
+    np.testing.assert_array_equal(checked_inverse(s, 1.01 * norm * inv_norm, "S_k", None, "E_D", w, v),
+                                  np.linalg.inv(s))
+    with pytest.raises(NearSingularError) as exc:
+        checked_inverse(s, 0.99 * norm * inv_norm, "S_k", None, "E_D", w, v)
+    assert exc.value.suspected == "E_D" and exc.value.k is None
+    assert exc.value.norm == norm and exc.value.sigma_min == pytest.approx(1.0 / inv_norm, rel=1e-12)
+
+
+def test_log_layer_builds_in_real_arithmetic():
+    """The log kernel's first build at N = 256 (0.5 MiB) forms |z_i - z_j|^2 in reals and sets
+    the diagonals before the log instead of masking them: its traced peak is 1.51 MiB, where
+    the complex z_i - z_j and the masked copies took 4.13 MiB.  It equals the masked complex
+    formula to rounding."""
+    nodes = sample(make_kite(), 256)   # a NodeSet of its own: the log layer is cached per NodeSet
+    assert traced_peak(assemble_log_layer, nodes) <= 2.0 * 2**20
+    t, z, n = nodes.t, nodes.z, 256
+    with np.errstate(divide="ignore", invalid="ignore"):
+        smooth = -np.log(np.abs(z[:, None] - z) ** 2 / (4 * np.sin((t[:, None] - t) / 2) ** 2)) / (4 * np.pi)
+    np.fill_diagonal(smooth, -np.log(nodes.speed) / (2 * np.pi))
+    ref = (-log_quadrature_matrix(n) / (4 * np.pi) + (2 * np.pi / n) * smooth) * nodes.speed
+    assert np.max(np.abs(assemble_log_layer(nodes).matrix - ref)) <= 1e-15 * np.max(np.abs(ref))
 
 
 def test_workspace_assembles_once_and_refuses_on_every_access(nodes128, monkeypatch):

@@ -10,9 +10,11 @@ from faddeev_ep.boundary_ops import KWorkspace, NearSingularError, assemble_S, i
 from faddeev_ep.dtn_maps import PerturbedFamily, standard_conductive
 from faddeev_ep.exceptional import (
     LocusResult,
+    assemble_A,
     assemble_P,
     criterion,
     fit_xi,
+    fn_minus_f0,
     mu,
     mu_for_family,
     n_minus,
@@ -130,6 +132,31 @@ def test_absorbing_imaginary_form(nodes128, absorbing):
         qf = np.imag(np.sum(nodes128.weights * (fa @ u) * np.conj(u)))
         norm2 = np.sum(nodes128.weights * np.abs(u) ** 2)
         assert qf <= -0.01 * norm2
+
+
+def test_A_builder_is_the_papers_A(nodes128, cos_family):
+    """assemble_A forms (F_n - F_0) + S_k^{-1} in place; it is A(k) = F_n - F^out(k) with
+    F^out(k) = F_0 - S_k^{-1}, at a regular k and at a point of a ring rotated from its base."""
+    pot = cos_family.at(0.05)
+    base = KWorkspace(KPoint.from_polar_log(np.log(0.3), 0.2), nodes128)
+    for ws in (KWorkspace(KPoint.from_k(0.4 - 0.1j), nodes128), base.rotated(KPoint.from_polar_log(np.log(0.3), 1.9))):
+        a = assemble_A(ws, pot, nodes128).matrix
+        ref = dtn_maps.assemble_Fn(nodes128, pot).matrix - dtn_maps.assemble_Fout(ws, nodes128).matrix
+        assert np.max(np.abs(a - ref)) <= 1e-13 * np.max(np.abs(a))
+
+
+def test_D_builder_returns_a_fresh_array(nodes128, conductive):
+    """F_n - F_0 comes back writable and unshared: writing into it leaves the cached,
+    read-only F_n and F_0 as they were."""
+    fn, f0 = dtn_maps.assemble_Fn(nodes128, conductive).matrix, dtn_maps.assemble_F0(nodes128).matrix
+    before = fn.copy(), f0.copy()
+    d = fn_minus_f0(conductive, nodes128)
+    assert d.flags.writeable and not np.shares_memory(d, fn) and not np.shares_memory(d, f0)
+    d += 1.0
+    np.testing.assert_array_equal(fn, before[0])
+    np.testing.assert_array_equal(f0, before[1])
+    assert not fn.flags.writeable
+    np.testing.assert_array_equal(fn_minus_f0(conductive, nodes128), fn - f0)
 
 
 def test_criterion_propagates_ed_refusal(nodes128, conductive):

@@ -108,6 +108,27 @@ def test_cli_run_rejects_a_bad_potential_or_profile(tmp_path, capsys, doc, messa
     assert not (tmp_path / "runs").exists()
 
 
+@pytest.mark.parametrize("raster, message", [
+    ({"re": [[1.0] * 3] * 3, "im": [[5.0]]}, "im (1, 1)"),   # would broadcast and add 5i everywhere
+    ({"re": [[1.0, 2.0, 3.0]]}, "re (1, 3)"),                # one row: n = 0 at every point inside
+    ({"re": [[1.0] * 2] * 2, "dx": 0.0}, "dx 0.0"),          # divides by zero: n = 0
+    ({"re": [[1.0] * 2] * 2, "dy": float("nan")}, "dy nan"),
+    ({"re": [[1.0] * 2] * 2, "x0": float("nan")}, "x0 nan"),   # every index is out of range: n = 0
+])
+def test_cli_run_refuses_a_malformed_raster(tmp_path, capsys, raster, message):
+    """A raster under 2 x 2, an im shaped unlike re, a step that is not positive and finite, or
+    an origin that is not finite is a config error (exit 1), found before the run directory is written."""
+    path = tmp_path / "n.json"
+    path.write_text(json.dumps({"x0": -1.0, "y0": -1.0, "dx": 1.0, "dy": 1.0, **raster}))
+    cfgpath = tmp_path / "cfg.json"
+    cfgpath.write_text(json.dumps({"potential": {"kind": "raster", "path": str(path)}, "detectors": [],
+                                   "outdir": str(tmp_path / "runs")}))
+    assert cli_main(["run", str(cfgpath)]) == 1
+    err = capsys.readouterr().err
+    assert "config error:" in err and message in err
+    assert not (tmp_path / "runs").exists()
+
+
 def test_a_raster_config_reads_its_json_once_per_run(tmp_path, monkeypatch):
     """Checking a config and running it build the potential once: the raster is read once."""
     raster = tmp_path / "n.json"

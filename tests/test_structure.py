@@ -149,3 +149,36 @@ def test_the_package_sha256_gives_hashlib_s_digests():
     for size in (0, 1, 63, 64, 65, 4096, 100_003):
         data = rng.randbytes(size)
         assert sha256(data).hexdigest() == hashlib.sha256(data).hexdigest()
+
+
+#: the functions that may call np.linalg.inv: the one refusing inverse, B^{-1} on mean-free
+#: densities (B is invertible there by construction), and the interior solver's blocks
+INVERSES = {("boundary_ops", "checked_inverse"), ("boundary_ops", "invert_on_meanfree"), ("disk_solver", "*")}
+
+
+def _inv_calls(path: Path) -> list[tuple[str, str, int]]:
+    """(module, enclosing function, line) of every np.linalg.inv in a module, or import of it."""
+    found = []
+
+    def visit(node, fn):
+        if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef)):
+            fn = node.name
+        if (isinstance(node, ast.Attribute) and node.attr == "inv"
+                and ast.unparse(node.value) in ("np.linalg", "numpy.linalg", "linalg")
+                or isinstance(node, ast.ImportFrom) and "linalg" in (node.module or "")
+                and any(alias.name == "inv" for alias in node.names)):
+            found.append((path.stem, fn, node.lineno))
+        for child in ast.iter_child_nodes(node):
+            visit(child, fn)
+
+    visit(ast.parse(path.read_text(), filename=str(path)), None)
+    return found
+
+
+def test_only_checked_inverse_inverts_a_system_it_may_refuse():
+    """Every inverse that can meet a near-singular system goes through checked_inverse, so
+    the refusal has one path; B^{-1} and the interior solver's block inverses are the others."""
+    calls = [c for path in sorted(PACKAGE.glob("*.py")) for c in _inv_calls(path)]
+    assert {c[:2] for c in calls} >= {("boundary_ops", "checked_inverse"), ("boundary_ops", "invert_on_meanfree")}
+    offenders = [c for c in calls if c[:2] not in INVERSES and (c[0], "*") not in INVERSES]
+    assert not offenders, offenders

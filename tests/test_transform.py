@@ -133,10 +133,11 @@ def test_trace_makes_no_svd_and_no_solve_per_point(nodes128, conductive, monkeyp
 
 
 def test_first_trace_allocates_only_what_it_keeps(conductive):
-    """The first point of a transform at N = 256, with F_n built: its traced peak is 4.13 MiB,
-    set by the cached log layer's build, where the weighted SVD of S_k, the dense mean
-    projectors, a cached F_b^out and real inverses cast to complex for their matrix-vector
-    products raised it to 5.02 MiB."""
+    """The first point of a transform at N = 256, with F_n built: its traced peak is 4.08 MiB,
+    set by the temporaries of K' in the Laplace pieces' build (4.13 MiB while the log layer's
+    complex, masked build set it), where the weighted SVD of S_k, the dense mean projectors,
+    a cached F_b^out and real inverses cast to complex for their matrix-vector products
+    raised it to 5.02 MiB."""
     nodes = sample(make_circle(1.0), 256)   # a NodeSet of its own: nothing k-independent is cached yet
     assemble_Fn(nodes, conductive)
     sobolev_matrix(256, 0.5)   # cached per process; built here so the figure does not depend on test order
