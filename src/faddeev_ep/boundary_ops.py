@@ -20,8 +20,6 @@ import logging
 import os
 import struct
 import tempfile
-import threading
-import weakref
 from dataclasses import dataclass
 from functools import lru_cache
 
@@ -133,15 +131,12 @@ def log_quadrature_matrix(n_nodes: int) -> np.ndarray:
     return _circulant(lam)
 
 
-_LOG_KERNEL_CACHE: "weakref.WeakKeyDictionary[NodeSet, np.ndarray]" = weakref.WeakKeyDictionary()
-
-
 def _log_kernel_matrix(nodes: NodeSet) -> np.ndarray:
     """Nystrom matrix of the single layer with kernel -(1/2pi) ln|z - z'|.
 
-    k-independent, cached per NodeSet (scans reassemble S_k at many k).
+    k-independent, kept in ``nodes.memo`` (scans reassemble S_k at many k).
     """
-    cached = _LOG_KERNEL_CACHE.get(nodes)
+    cached = nodes.memo.get("log_kernel")
     if cached is not None:
         return cached
     n, t, x, y, speed = nodes.n_nodes, nodes.t, nodes.z.real, nodes.z.imag, nodes.speed
@@ -157,8 +152,7 @@ def _log_kernel_matrix(nodes: NodeSet) -> np.ndarray:
     mat -= ratio / (2 * n)   # (2pi/n) (-1/4pi) ln ratio
     mat *= speed
     mat.flags.writeable = False
-    _LOG_KERNEL_CACHE[nodes] = mat
-    return mat
+    return nodes.memo.setdefault("log_kernel", mat)
 
 
 def assemble_log_layer(nodes: NodeSet) -> BoundaryOperator:
@@ -459,39 +453,24 @@ def load_operator(path) -> tuple[np.ndarray, dict]:
 
 
 class OperatorCache:
-    """Content-keyed store of operator matrices: a memory tier, then an
-    optional disk tier of :func:`save_operator` files in ``directory``.
+    """Content-keyed disk store of operator matrices: :func:`save_operator` files
+    in ``directory``, one per key.
 
     Keys are hex digests of everything a matrix depends on (``fn_key``), so
-    the thread-safe memory tier is shared by every store in the process.
-    Disk checksums are verified on read; a corrupted entry is rebuilt.
+    stores on one directory share their entries across processes.  Checksums
+    are verified on read; a corrupted entry is rebuilt.  Matrices are kept in
+    memory by their owners (``Potential.memo``), not here.
     """
 
-    _memory: dict[str, np.ndarray] = {}
-    _lock = threading.Lock()
-
-    def __init__(self, directory=None):
-        self.dir = None if directory is None else str(directory)
-        if self.dir is not None:
-            os.makedirs(self.dir, exist_ok=True)
-
-    def clear(self) -> None:
-        """Empty the memory tier; disk entries stay."""
-        with self._lock:
-            self._memory.clear()
+    def __init__(self, directory):
+        self.dir = str(directory)
+        os.makedirs(self.dir, exist_ok=True)
 
     def get_or_build(self, key: str, builder) -> np.ndarray:
-        """The read-only matrix under ``key``: from memory, from disk, or
-        built by ``builder()`` and stored in both tiers.  A memory hit is
-        written to this store's directory when its entry file is missing."""
-        path = None if self.dir is None else os.path.join(self.dir, key + ".op")
-        with self._lock:
-            mat = self._memory.get(key)
-        if mat is not None:
-            if path is not None and not os.path.exists(path):
-                save_operator(path, mat, {"key": key})
-            return mat
-        if path is not None and os.path.exists(path):
+        """The read-only matrix under ``key``: loaded from disk, or built by
+        ``builder()`` and saved."""
+        path, mat = os.path.join(self.dir, key + ".op"), None
+        if os.path.exists(path):
             try:
                 mat, _ = load_operator(path)
             except (ValueError, OSError, KeyError, struct.error) as exc:
@@ -500,8 +479,6 @@ class OperatorCache:
                     os.remove(path)
         if mat is None:
             mat = builder()
-            if path is not None:
-                save_operator(path, mat, {"key": key})
+            save_operator(path, mat, {"key": key})
         mat.flags.writeable = False
-        with self._lock:
-            return self._memory.setdefault(key, mat)
+        return mat

@@ -149,17 +149,20 @@ class DiskDtnSolver:
     def sampled(self, potential) -> tuple[str, dict[int, np.ndarray]]:
         """sha256 of :meth:`samples` and their FFT over theta, {d: n_hat_d(r)} above noise
         on the interior radii the coupling reads (masking on r = 1 is ragged).  Sampled
-        once per potential and N: both are kept in ``potential.sampled``, the samples not."""
-        got = potential.sampled.get(self.n_boundary)
+        once per potential and N: both are kept in ``potential.memo``, the samples not.
+        A non-finite sample is a ValueError."""
+        got = potential.memo.get(("sampled", self.n_boundary))
         if got is None:
             nvals = self.samples(potential)
+            if not np.all(np.isfinite(nvals)):
+                raise ValueError(f"potential has non-finite values on the N = {self.n_boundary} interior grid")
             m_int = nvals.shape[1]
             nhat = np.fft.fft(nvals, axis=1) / m_int
             interior = np.max(np.abs(nhat[1:]), axis=0)
             keep = np.flatnonzero(interior > 1e-13 * max(float(np.max(interior)), 1e-300))
             d_vals = (np.fft.fftfreq(m_int) * m_int).astype(int)
             modes = dict(zip(d_vals[keep].tolist(), nhat[:, keep].T.copy()))   # copies: nhat is not kept
-            got = potential.sampled.setdefault(self.n_boundary, (sha256(nvals.tobytes()).hexdigest(), modes))
+            got = potential.memo.setdefault(("sampled", self.n_boundary), (sha256(nvals.tobytes()).hexdigest(), modes))
         return got
 
     def angular_modes(self, potential) -> dict[int, np.ndarray]:

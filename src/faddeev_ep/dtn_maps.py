@@ -20,7 +20,6 @@ disk (general curves are supported for the Laplace-only maps).
 from __future__ import annotations
 
 import json
-import weakref
 from dataclasses import dataclass, field
 from typing import Callable
 
@@ -66,7 +65,7 @@ __all__ = [
 class Potential:
     """Complex-valued potential n(z) supported in the closed unit disk.
 
-    A potential is its values: cached operators are keyed on its samples on
+    A potential is its values: stored operators are keyed on its samples on
     the interior solver's grid (:func:`fn_key`), so two potentials with equal
     values share an entry.  It declares no symmetry either: whether n is real,
     and whether its samples have angular bandwidth 0
@@ -76,8 +75,9 @@ class Potential:
 
     eval_fn: Callable[[np.ndarray], np.ndarray]
     q_fn: Callable[[np.ndarray], np.ndarray] | None = None
-    # N -> (sha256 of the interior solver's samples of n, their angular modes): DiskDtnSolver.sampled
-    sampled: dict = field(default_factory=dict, init=False, repr=False, compare=False)
+    # ("sampled", N) -> (sha256 of the interior solver's samples of n, their angular
+    # modes), DiskDtnSolver.sampled; ("Fn", N) -> F_n, assemble_Fn
+    memo: dict = field(default_factory=dict, init=False, repr=False, compare=False)
 
     def eval(self, z) -> np.ndarray:
         """n(z) for complex z (vectorized); zero outside the closed disk."""
@@ -90,7 +90,10 @@ def zero_potential() -> Potential:
     return Potential(lambda z: np.zeros(np.shape(z)))
 
 
-def _check_conductive(n_fn, q_fn, tol=1e-4) -> None:
+_CONDUCTIVE_TOL = 1e-4   # relative finite-difference error _check_conductive accepts
+
+
+def _check_conductive(n_fn, q_fn) -> None:
     """Verify n = -q^{-1/2} Lap q^{1/2} by finite differences on 120 golden-angle points."""
     j = np.arange(120)
     r, th = 0.05 + 0.9 * (j + 0.5) / 120, 2 * np.pi * np.mod(j * (np.sqrt(5) - 1) / 2, 1)
@@ -105,8 +108,8 @@ def _check_conductive(n_fn, q_fn, tol=1e-4) -> None:
     n_stored = np.asarray(n_fn(x + 1j * y), dtype=complex).real
     scale = max(1.0, float(np.max(np.abs(n_stored))))
     err = float(np.max(np.abs(n_fd - n_stored))) / scale
-    if err > tol:
-        raise ValueError(f"conductive structure check failed: |n_fd - n| = {err:.3e} > {tol}")
+    if err > _CONDUCTIVE_TOL:
+        raise ValueError(f"conductive structure check failed: |n_fd - n| = {err:.3e} > {_CONDUCTIVE_TOL}")
 
 
 def conductive_radial(q, dq, d2q) -> Potential:
@@ -170,16 +173,18 @@ def raster_potential(path) -> Potential:
     """Gridded n(z) from a JSON raster: {x0, y0, dx, dy, re: [[..]], im: [[..]]}.
 
     Bilinear interpolation inside the raster, zero outside it and outside
-    the closed unit disk.  A raster under 2 x 2, ``im`` shaped unlike ``re`` or a bad grid is a ValueError.
+    the closed unit disk.  A raster under 2 x 2, ``im`` shaped unlike ``re``, a
+    non-finite value or a bad grid is a ValueError.
     """
     with open(path) as fh:
         doc = json.load(fh)
     re = np.asarray(doc["re"], dtype=float)
     im = np.asarray(doc.get("im", np.zeros_like(re)), dtype=float)
     x0, y0, dx, dy = grid = [float(doc[k]) for k in ("x0", "y0", "dx", "dy")]
-    if re.ndim != 2 or min(re.shape) < 2 or im.shape != re.shape or min(dx, dy) <= 0 or not np.all(np.isfinite(grid)):
-        raise ValueError(f"raster {path} needs re and im of one shape of at least 2 x 2, finite x0, y0 and finite "
-                         f"dx, dy > 0; got re {re.shape}, im {im.shape}, x0 {x0}, y0 {y0}, dx {dx}, dy {dy}")
+    if (re.ndim != 2 or min(re.shape) < 2 or im.shape != re.shape or min(dx, dy) <= 0
+            or not all(np.all(np.isfinite(a)) for a in (grid, re, im))):
+        raise ValueError(f"raster {path} needs finite re and im of one shape of at least 2 x 2, finite x0, y0 and "
+                         f"finite dx, dy > 0; got re {re.shape}, im {im.shape}, x0 {x0}, y0 {y0}, dx {dx}, dy {dy}")
     vals = re + 1j * im
     ny, nx = vals.shape
 
@@ -282,12 +287,9 @@ def adjoint_double_layer(nodes: NodeSet, k=None) -> np.ndarray:
     return kern * w[None, :]
 
 
-_LAPLACE_CACHE: "weakref.WeakKeyDictionary[NodeSet, dict]" = weakref.WeakKeyDictionary()
-
-
 def _laplace_pieces(nodes: NodeSet) -> dict:
-    """k-independent Laplace-layer pieces B^{-1} P_perp and F_0 = (K' + I/2) B^{-1} P_perp, cached per NodeSet."""
-    pieces = _LAPLACE_CACHE.get(nodes)
+    """k-independent Laplace-layer pieces B^{-1} P_perp and F_0 = (K' + I/2) B^{-1} P_perp, kept in ``nodes.memo``."""
+    pieces = nodes.memo.get("laplace")
     if pieces is None:
         binv = invert_on_meanfree(assemble_B(nodes))
         kprime = adjoint_double_layer(nodes)
@@ -295,7 +297,7 @@ def _laplace_pieces(nodes: NodeSet) -> dict:
         pieces = {"binv": binv, "f0": kprime @ binv}
         for m in pieces.values():
             m.flags.writeable = False
-        _LAPLACE_CACHE[nodes] = pieces
+        pieces = nodes.memo.setdefault("laplace", pieces)
     return pieces
 
 
@@ -342,7 +344,7 @@ def fn_key(nodes: NodeSet, potential: Potential) -> str:
     package version: two potentials with equal values share one entry.
     """
     n = nodes.n_nodes
-    digest = (potential.sampled.get(n) or DiskDtnSolver(n).sampled(potential))[0]
+    digest = (potential.memo.get(("sampled", n)) or DiskDtnSolver(n).sampled(potential))[0]
     doc = {"operator": "F_n", "samples": digest, "n": n, "nh": radial_size(n), "version": __version__}
     return sha256(json.dumps(doc, sort_keys=True).encode()).hexdigest()
 
@@ -350,8 +352,10 @@ def fn_key(nodes: NodeSet, potential: Potential) -> str:
 def assemble_Fn(nodes: NodeSet, potential: Potential, store: OperatorCache | None = None) -> BoundaryOperator:
     """Interior Schrodinger Dirichlet-to-Neumann map for -Lap - n on the disk.
 
-    F_n is k-independent and reused across whole k-scans; it is kept under
-    :func:`fn_key` in ``store`` (default: the in-memory tier only).
+    F_n is k-independent and reused across whole k-scans: it is kept in
+    ``potential.memo`` for the potential's lifetime.  Only the first call per
+    potential and N computes :func:`fn_key` and reads or writes the entry in
+    ``store``; without a store it solves.
     """
     if not fn_supported(nodes):
         c = nodes.curve
@@ -359,7 +363,11 @@ def assemble_Fn(nodes: NodeSet, potential: Potential, store: OperatorCache | Non
             "F_n assembly requires the unit disk in this version; "
             f"got curve {c.name} {c.params} (Laplace-only maps support general curves)"
         )
-    store = store or OperatorCache()
-    mat = store.get_or_build(fn_key(nodes, potential),
-                             lambda: DiskDtnSolver(nodes.n_nodes).dtn_matrix(potential))
+    mat = potential.memo.get(("Fn", nodes.n_nodes))
+    if mat is None:
+        def build():
+            return DiskDtnSolver(nodes.n_nodes).dtn_matrix(potential)
+
+        mat = build() if store is None else store.get_or_build(fn_key(nodes, potential), build)
+        mat = potential.memo.setdefault(("Fn", nodes.n_nodes), mat)
     return BoundaryOperator(mat, HPLUS, HMINUS, nodes)

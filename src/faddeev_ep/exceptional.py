@@ -199,8 +199,6 @@ class ParityRecord:
     eigs: np.ndarray
     n_minus: int
     near_exceptional: bool
-    pairing_ok: bool
-    pairing_error: float
     p: BoundaryOperator
 
 
@@ -222,13 +220,7 @@ def n_minus(k, n: Potential, nodes: NodeSet) -> ParityRecord:
     real_mask = np.abs(eigs.imag) < 1e-12 if is_complex else eigs.imag == 0.0
     count = int(np.sum(real_mask & (eigs.real < -TOL_NEG)))
     near = bool(np.min(np.abs(eigs)) < TOL_NEG)
-    # conjugation closure of the spectrum (real integral kernel)
-    pairing_error = 0.0
-    complex_eigs = eigs[~real_mask]
-    if complex_eigs.size:
-        d = np.abs(complex_eigs[:, None] - np.conj(complex_eigs)[None, :])
-        pairing_error = float(np.max(np.min(d, axis=1)))
-    return ParityRecord(ws.k, eigs, count, near, pairing_error <= 1e-8, pairing_error, p)
+    return ParityRecord(ws.k, eigs, count, near, p)
 
 
 # ---------------------------------------------------------------------------
@@ -285,8 +277,6 @@ def scan(points, n: Potential, nodes: NodeSet) -> list[ScanResult]:
             nminus = rec.n_minus
             if rec.near_exceptional:
                 flags.append("near_exceptional")
-            if not rec.pairing_ok:
-                flags.append("pairing_violation")
         except Exception as exc:
             flags.append(f"parity_failed:{type(exc).__name__}")
         out.append(ScanResult(ws.k, _safe_eps(ws.k, nodes.length), sigma_a, near, sigma_p, nminus, tuple(flags)))

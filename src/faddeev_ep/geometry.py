@@ -67,6 +67,7 @@ class NodeSet:
     weights : (N,) arc-length weights |z'(t_j)| * 2*pi/N.
     normals : (N,) complex outward unit normals.
     curvature : (N,) signed curvature.
+    memo : k-independent operators built on these nodes (log kernel, Laplace pieces).
     """
 
     curve: BoundaryCurve
@@ -78,6 +79,7 @@ class NodeSet:
     weights: np.ndarray
     normals: np.ndarray
     curvature: np.ndarray
+    memo: dict = field(default_factory=dict, init=False, repr=False, compare=False)
 
     @property
     def length(self) -> float:

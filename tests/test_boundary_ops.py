@@ -471,7 +471,8 @@ def test_operator_store_rebuilds_a_truncated_entry(tmp_path):
     built = store.get_or_build("ab12", lambda: np.eye(3))
     np.testing.assert_array_equal(built, np.eye(3))
     np.testing.assert_array_equal(load_operator(tmp_path / "ab12.op")[0], np.eye(3))
-    store.clear()
+    again = OperatorCache(tmp_path).get_or_build("ab12", lambda: pytest.fail("a valid entry is rebuilt"))
+    np.testing.assert_array_equal(again, np.eye(3))
 
 
 def test_compose_space_check(nodes128):

@@ -348,8 +348,8 @@ def _three():
     return Potential(lambda z: 3.0 * np.ones(np.shape(z)))
 
 
-def test_Fn_store_keys_on_sampled_values(tmp_path):
-    """Two potentials with different values get their own F_n from memory and from disk."""
+def test_Fn_store_keys_on_sampled_values(tmp_path, monkeypatch):
+    """Two potentials with different values get their own F_n, solved and from disk."""
     nodes = sample(make_circle(1.0), 64)
     zero, three = zero_potential(), _three()
     solved = {"zero": DiskDtnSolver(64).dtn_matrix(zero), "three": DiskDtnSolver(64).dtn_matrix(three)}
@@ -357,18 +357,17 @@ def test_Fn_store_keys_on_sampled_values(tmp_path):
     assert fn_key(nodes, zero) != fn_key(nodes, three)
 
     store = OperatorCache(tmp_path)
-    store.clear()
-    for name, pot in (("zero", zero), ("three", three)):   # memory tier, disk written
+    for name, pot in (("zero", zero), ("three", three)):   # solved, disk written
         np.testing.assert_array_equal(assemble_Fn(nodes, pot, store=store).matrix, solved[name])
     assert len(list(tmp_path.iterdir())) == 2
-    store.clear()
-    for name, pot in (("three", three), ("zero", zero)):   # read back from disk
+    monkeypatch.setattr(DiskDtnSolver, "dtn_matrix", lambda self, p: pytest.fail("a stored F_n is solved again"))
+    for name, pot in (("three", _three()), ("zero", zero_potential())):   # fresh objects: read back from disk
         np.testing.assert_array_equal(assemble_Fn(nodes, pot, store=store).matrix, solved[name])
 
 
 def test_equal_values_share_one_Fn_entry_and_one_solve(tmp_path, monkeypatch):
     """F_n depends on n alone: two Potential objects built apart with equal values
-    get one key, one solve and one disk entry."""
+    get one key, one solve and one disk entry, which the second reads back."""
     solves = []
     dtn_matrix = DiskDtnSolver.dtn_matrix
 
@@ -381,12 +380,10 @@ def test_equal_values_share_one_Fn_entry_and_one_solve(tmp_path, monkeypatch):
     first, second = _three(), Potential(lambda z: np.full(np.shape(z), 3.0))
     assert fn_key(nodes, first) == fn_key(nodes, second)
     store = OperatorCache(tmp_path)
-    store.clear()
     fn = assemble_Fn(nodes, first, store=store)
-    assert assemble_Fn(nodes, second, store=store).matrix is fn.matrix
+    assert np.array_equal(assemble_Fn(nodes, second, store=store).matrix, fn.matrix)
     assert solves == [first]
     assert len(list(tmp_path.iterdir())) == 1
-    store.clear()
 
 
 def test_Fn_store_misses_on_a_new_version(tmp_path, monkeypatch):
@@ -395,24 +392,22 @@ def test_Fn_store_misses_on_a_new_version(tmp_path, monkeypatch):
     nodes = sample(make_circle(1.0), 64)
     pot = _three()
     store = OperatorCache(tmp_path)
-    store.clear()
     assemble_Fn(nodes, pot, store=store)
     old_key = fn_key(nodes, pot)
     assert [p.name for p in tmp_path.iterdir()] == [old_key + ".op"]
 
     monkeypatch.setattr(dtn_maps, "__version__", "0.0.0+other")
-    store.clear()
     solves = []
     monkeypatch.setattr(DiskDtnSolver, "dtn_matrix", lambda self, p: solves.append(p) or np.eye(64))
-    assemble_Fn(nodes, pot, store=store)
-    assert solves == [pot]
-    assert fn_key(nodes, pot) != old_key and len(list(tmp_path.iterdir())) == 2
-    store.clear()
+    fresh = _three()
+    assemble_Fn(nodes, fresh, store=store)
+    assert solves == [fresh]
+    assert fn_key(nodes, fresh) != old_key and len(list(tmp_path.iterdir())) == 2
 
 
-def test_each_potential_is_sampled_once_per_N(monkeypatch):
+def test_each_potential_is_sampled_once_per_N(tmp_path, monkeypatch):
     """fn_key, the F_n build and the bandwidth detector read one sampling of n per
-    N, kept on the potential as its digest and angular modes."""
+    N, kept on the potential as its digest and angular modes beside its F_n."""
     counts = {}
     samples = DiskDtnSolver.samples
 
@@ -424,11 +419,51 @@ def test_each_potential_is_sampled_once_per_N(monkeypatch):
     pot = _tilted_bump()
     for n_nodes in (32, 64):
         nodes = sample(make_circle(1.0), n_nodes)
-        for _ in range(2):
-            assemble_Fn(nodes, pot)   # key, then a build into a new empty store
+        assemble_Fn(nodes, pot, store=OperatorCache(tmp_path))   # key, then the build
+        assert fn_key(nodes, pot) in {p.stem for p in tmp_path.iterdir()}
         assert sorted(DiskDtnSolver(n_nodes).angular_modes(pot)) == [-1, 0, 1]
     assert counts == {32: 1, 64: 1}
-    assert set(pot.sampled) == {32, 64}
+    assert set(pot.memo) == {(what, n) for what in ("sampled", "Fn") for n in (32, 64)}
+
+
+def test_memoized_operators_are_freed_with_their_owner():
+    """F_n is kept on its Potential and the log kernel on its NodeSet, and nowhere else:
+    neither outlives its owner."""
+    import gc
+    import weakref
+
+    from faddeev_ep.boundary_ops import assemble_log_layer
+
+    nodes, pot = sample(make_circle(1.0), 32), _three()
+    fn = weakref.ref(assemble_Fn(nodes, pot).matrix)
+    kernel = weakref.ref(assemble_log_layer(nodes).matrix)
+    assert fn() is assemble_Fn(nodes, pot).matrix and kernel() is assemble_log_layer(nodes).matrix
+    del nodes, pot
+    gc.collect()
+    assert fn() is None and kernel() is None
+
+
+def test_a_memo_hit_touches_neither_the_key_nor_the_disk(tmp_path, monkeypatch):
+    """A second assemble_Fn on the same Potential returns its memoized F_n: no key, no
+    store lookup and no load_operator, though a store and its entry are there."""
+    from faddeev_ep import boundary_ops, dtn_maps
+
+    nodes, pot, store = sample(make_circle(1.0), 32), _three(), OperatorCache(tmp_path)
+    fn = assemble_Fn(nodes, pot, store=store)
+    touched = []
+    for owner, name in ((dtn_maps, "fn_key"), (boundary_ops, "load_operator"), (OperatorCache, "get_or_build")):
+        monkeypatch.setattr(owner, name, lambda *a, name=name: touched.append(name))
+    assert assemble_Fn(nodes, pot, store=store).matrix is fn.matrix
+    assert touched == [] and len(list(tmp_path.iterdir())) == 1
+
+
+def test_a_potential_with_non_finite_samples_is_refused():
+    """A nan sample would make every angular mode look like noise and F_n that of n = 0."""
+    holed = Potential(lambda z: np.where(np.abs(z) < 0.3, np.nan, 1.0))
+    with pytest.raises(ValueError, match="non-finite"):
+        DiskDtnSolver(32).sampled(holed)
+    with pytest.raises(ValueError, match="non-finite"):
+        assemble_Fn(sample(make_circle(1.0), 32), holed)
 
 
 def test_Fn_boundary_nonzero_potential_keeps_its_modes():

@@ -511,12 +511,6 @@ def test_n_minus_warns_for_a_complex_P(nodes128, absorbing, radial_family):
         n_minus(kp, radial_family.at(0.05), nodes128)
 
 
-def test_n_minus_conjugate_pairing(nodes128, radial_family):
-    rec = n_minus(KPoint.from_eps(0.02, 0.5, NU), radial_family.at(0.05), nodes128)
-    assert rec.pairing_ok
-    assert rec.pairing_error <= 1e-8
-
-
 def test_parity_jump_across_locus(nodes128, radial_family, locus_005):
     lam = 0.05
     eps_star = locus_005.mean_eps

@@ -114,10 +114,12 @@ def test_cli_run_rejects_a_bad_potential_or_profile(tmp_path, capsys, doc, messa
     ({"re": [[1.0] * 2] * 2, "dx": 0.0}, "dx 0.0"),          # divides by zero: n = 0
     ({"re": [[1.0] * 2] * 2, "dy": float("nan")}, "dy nan"),
     ({"re": [[1.0] * 2] * 2, "x0": float("nan")}, "x0 nan"),   # every index is out of range: n = 0
+    ({"re": [[1.0, float("nan")], [1.0, 1.0]]}, "finite re and im"),   # every mode dropped: F_n of n = 0
 ])
 def test_cli_run_refuses_a_malformed_raster(tmp_path, capsys, raster, message):
-    """A raster under 2 x 2, an im shaped unlike re, a step that is not positive and finite, or
-    an origin that is not finite is a config error (exit 1), found before the run directory is written."""
+    """A raster under 2 x 2, an im shaped unlike re, a value or a step that is not finite (the step
+    positive), or an origin that is not finite is a config error (exit 1), found before the run
+    directory is written."""
     path = tmp_path / "n.json"
     path.write_text(json.dumps({"x0": -1.0, "y0": -1.0, "dx": 1.0, "dy": 1.0, **raster}))
     cfgpath = tmp_path / "cfg.json"
@@ -368,19 +370,22 @@ def test_cache_transparency(tmp_path):
 
 
 def test_cache_speedup_and_eviction(tmp_path):
-    """Second assembly through the cache is >= 10x faster; corruption rebuilds."""
+    """Reading the stored F_n for a fresh Potential of equal values (sampled beforehand) is
+    >= 10x faster than solving it; corruption rebuilds."""
     cache = OperatorCache(tmp_path / "cache")
     nodes = sample(make_circle(1.0), 128)
-    pot = standard_conductive(amplitude=1.5, power=4)  # not shared with other tests
 
-    cache.clear()
+    def pot():
+        return standard_conductive(amplitude=1.5, power=4)  # not shared with other tests
+
     t0 = time.perf_counter()
-    assemble_Fn(nodes, pot, store=cache)
+    assemble_Fn(nodes, pot(), store=cache)
     cold = time.perf_counter() - t0
 
-    cache.clear()
+    fresh = pot()
+    fn_key(nodes, fresh)   # its samples and their digest, kept on it
     t0 = time.perf_counter()
-    assemble_Fn(nodes, pot, store=cache)
+    assemble_Fn(nodes, fresh, store=cache)
     warm = time.perf_counter() - t0
     assert cold >= 10 * warm
 
@@ -390,11 +395,8 @@ def test_cache_speedup_and_eviction(tmp_path):
     blob = bytearray(files[0].read_bytes())
     blob[-3] ^= 0xFF
     files[0].write_bytes(bytes(blob))
-    cache.clear()
-    mat = assemble_Fn(nodes, pot, store=cache).matrix
-    cache.clear()
-    fresh = assemble_Fn(nodes, pot).matrix
-    np.testing.assert_array_equal(mat, fresh)
+    mat = assemble_Fn(nodes, pot(), store=cache).matrix
+    np.testing.assert_array_equal(mat, assemble_Fn(nodes, pot()).matrix)
 
 
 def test_full_run_locus_and_manifest(tmp_path):
@@ -619,8 +621,7 @@ def test_xi_fit_grid_is_served_by_the_disk_cache(tmp_path, monkeypatch):
 
     cfg = RunConfig(n_nodes=64, detectors=["xi_fit"], outdir=str(tmp_path / "runs"),
                     cache_dir=str(tmp_path / "cache"))
-    first = run(cfg)
-    OperatorCache().clear()
+    first = run(cfg)   # the second run builds its own Potential objects, with empty memos
     solves = []
     dtn_matrix = DiskDtnSolver.dtn_matrix
 
@@ -636,14 +637,13 @@ def test_xi_fit_grid_is_served_by_the_disk_cache(tmp_path, monkeypatch):
     assert summaries[0]["xi_fit"] == summaries[1]["xi_fit"]
 
 
-def test_memory_hit_is_written_to_an_empty_cache_directory(tmp_path):
-    """An F_n that an earlier memory-only store built is still written to the run's
-    cache directory: all five F_n of an N = 64 xi_fit run (the base potential at
-    lambda = 0 and the four nonzero lambdas of the grid) land on disk."""
+def test_an_Fn_solved_without_a_store_is_still_written_to_the_cache_directory(tmp_path):
+    """An F_n solved earlier without a store, on a Potential of equal values, does not keep
+    the run's cache directory empty: all five F_n of an N = 64 xi_fit run (the base potential
+    at lambda = 0 and the four nonzero lambdas of the grid) land on disk."""
     cfg = RunConfig(n_nodes=64, detectors=["xi_fit"], outdir=str(tmp_path / "runs"),
                     cache_dir=str(tmp_path / "cache"))
     base, _ = build_potential(cfg)
-    OperatorCache().clear()
     assemble_Fn(sample(make_circle(1.0), 64), base)
     assert not run(cfg).detector_errors
     assert len(list((tmp_path / "cache").glob("*.op"))) == 5

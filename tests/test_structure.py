@@ -55,6 +55,30 @@ def test_no_module_swaps_the_warning_filters():
     assert not offenders, offenders
 
 
+def _memory_layers(path: Path) -> list[str]:
+    """Imports of weakref or threading, and class-level dicts, in one module."""
+    found = []
+    for node in ast.walk(ast.parse(path.read_text(), filename=str(path))):
+        names = ([alias.name for alias in node.names] if isinstance(node, ast.Import)
+                 else [node.module or ""] if isinstance(node, ast.ImportFrom) and node.level == 0 else [])
+        found += [f"{path.name}:{node.lineno} imports {name}" for name in names
+                  if name.split(".")[0] in ("weakref", "threading")]
+        if isinstance(node, ast.ClassDef):
+            found += [f"{path.name}:{stmt.lineno} {node.name} keeps a class-level dict"
+                      for stmt in node.body if isinstance(stmt, (ast.Assign, ast.AnnAssign))
+                      and (isinstance(stmt.value, (ast.Dict, ast.DictComp))
+                           or isinstance(stmt.value, ast.Call) and getattr(stmt.value.func, "id", None) == "dict")]
+    return found
+
+
+def test_operators_are_kept_by_their_owners_not_by_a_shared_layer():
+    """The k-independent operators live in the memo of the NodeSet or Potential they are
+    built from, and the disk store keeps no memory: no module keeps a weak-keyed table
+    or a lock, and no class a dict shared by its instances."""
+    offenders = [line for path in sorted(PACKAGE.glob("*.py")) for line in _memory_layers(path)]
+    assert not offenders, offenders
+
+
 #: leading parameters that perfbench/tracing.py reads as ``args[0]`` or ``args[3]``
 POSITIONAL = {
     "boundary_ops.assemble_S": ["k", "nodes"],
