@@ -36,6 +36,7 @@ from .green import (  # noqa: F401
     EULER_GAMMA,
     KPoint,
     g0,
+    gauss_legendre,
     green_remainder,
 )
 from .boundary_ops import (  # noqa: F401

@@ -21,13 +21,13 @@ import os
 import struct
 import tempfile
 from dataclasses import dataclass
-from functools import lru_cache
+from functools import cached_property, lru_cache
 
 import numpy as np
 
 from . import sha256
 from .geometry import NodeSet
-from .green import EULER_GAMMA, KPoint, green_remainder
+from .green import EULER_GAMMA, KPoint, gauss_legendre
 
 __all__ = [
     "HMINUS",
@@ -160,27 +160,43 @@ def assemble_log_layer(nodes: NodeSet) -> BoundaryOperator:
     return BoundaryOperator(_log_kernel_matrix(nodes), HMINUS, HPLUS, nodes)
 
 
-def _s0_matrix(kp: KPoint, nodes: NodeSet) -> np.ndarray:
-    """A fresh, writable matrix of S_k^0."""
-    return _log_kernel_matrix(nodes) - ((EULER_GAMMA + kp.log_abs) / (2 * np.pi)) * nodes.weights[None, :]
-
-
 def assemble_S0(k, nodes: NodeSet) -> BoundaryOperator:
     """Single layer S_k^0 with kernel G_k^0 = -(1/2pi) ln|z-z'| - gamma/2pi - ln|k|/2pi."""
-    return BoundaryOperator(_s0_matrix(KPoint.from_k(k), nodes), HMINUS, HPLUS, nodes)
+    const = (EULER_GAMMA + KPoint.from_k(k).log_abs) / (2 * np.pi)
+    return BoundaryOperator(_log_kernel_matrix(nodes) - const * nodes.weights[None, :], HMINUS, HPLUS, nodes)
 
 
-_BLOCK_ENTRIES = 8192   # entries of w = k(z_i - z_j) per green_remainder call in assemble_S: 32 rows at N = 256
+#: (reach, m): assemble_S takes the m-point Gauss-Legendre rule for Ein from the first row whose
+#: reach covers |k| 2 max|z - mean z| >= |k| max|z_i - z_j|.  Against mpmath, N(w) is then within
+#: 1e-15 max(1, |Ein(-iw)|/2pi) for |w| <= 10, 3.2e-15 to 24 and 7.1e-14 to 64 (rounding of e^{iwt}).
+_EIN_ORDERS = ((3e-3, 2), (0.1, 4), (1.0, 6), (5.0, 10), (10.0, 14), (24.0, 24), (64.0, 32))
 
 
 def assemble_S(k, nodes: NodeSet) -> BoundaryOperator:
-    """Faddeev single layer S_k = S_k^0 + Nystrom(N(k(z-z'))), diag N(0) = 0, assembled in row
-    blocks of _BLOCK_ENTRIES entries added into a fresh S_k^0, so no N x N complex array is formed."""
+    """Faddeev single layer S_k = S_k^0 + Nystrom(N(k(z - z'))) in one real N x N GEMM.
+
+    Ein(s) = int_0^1 (1 - e^{-st})/t dt, so with the nodes t_q of a Gauss-Legendre rule on [0, 1]
+    and c_q = its weights / t_q, 2pi N(k(z_i - z_j)) = sum_q c_q (1 - Re(a_iq b_jq)) for
+    a = e^{ikzt} and b = e^{-ikzt}.  Then S_k = L + X Y^T with the log kernel L, X = [1, Re a, Im a]
+    and Y = [sum c - gamma - ln|k|, -c Re b, c Im b] times the column scale |z'(t_j)|/N, of rank
+    2m + 1.  z is centred at its mean, which leaves w = k(z_i - z_j) and shrinks |a| and |b|.
+    """
     kp = KPoint.from_k(k)
-    mat, z, n = _s0_matrix(kp, nodes), nodes.z, nodes.n_nodes
-    rows = max(1, _BLOCK_ENTRIES // n)
-    for i in range(0, n, rows):
-        mat[i:i + rows] += (2 * np.pi / n) * green_remainder(kp.kz(z[i:i + rows, None] - z[None, :])) * nodes.speed
+    z = nodes.z - np.mean(nodes.z)
+    reach = 2 * kp.abs * np.max(np.abs(z))
+    m = next((m for r, m in _EIN_ORDERS if reach <= r), None)
+    if m is None:
+        raise ValueError(f"S_k at |k| = {kp.abs:.4g} needs the Ein rule beyond its table's reach "
+                         f"|k| 2 max|z - mean z| = {_EIN_ORDERS[-1][0]:g}")
+    gx, gw = gauss_legendre(m)
+    t, c = 0.5 * (gx + 1.0), gw / (gx + 1.0)
+    ikzt = 1j * kp.kz(z)[:, None] * t
+    a, b = np.exp(ikzt), np.exp(-ikzt)
+    v = (nodes.speed / nodes.n_nodes)[:, None]
+    x = np.hstack([np.ones_like(v), a.real, a.imag])
+    y = np.hstack([(np.sum(c) - EULER_GAMMA - kp.log_abs) * v, -c * b.real * v, c * b.imag * v])
+    mat = x @ y.T
+    mat += _log_kernel_matrix(nodes)
     return BoundaryOperator(mat, HMINUS, HPLUS, nodes)
 
 
@@ -326,34 +342,20 @@ def invert_S(k, s_op: BoundaryOperator) -> BoundaryOperator:
     return BoundaryOperator(inv, s_op.range_space, s_op.domain_space, s_op.nodes)
 
 
-def _rotation_matrix(n: int, alpha: float) -> np.ndarray:
-    """Band-limited shift by alpha on n uniform nodes: (R f)(t_j) = f(t_j + alpha).
-
-    The phase e^{i m alpha} on DFT mode m and 1 on the Nyquist mode, so R
-    is real, circulant and orthogonal.  (cos(n alpha / 2) on the Nyquist
-    mode would interpolate the shift but is not unitary: it scales the
-    Nyquist eigenvalue of the circulant log layer by cos^2.)
-    """
-    phase = np.exp(1j * alpha * np.fft.fftfreq(n) * n)
-    phase[n // 2] = 1.0
-    return _circulant(phase)
-
-
 class KWorkspace:
-    """S_k at one k on one NodeSet, assembled once, and S_k^{-1} on first use.
+    """S_k at one k on one NodeSet and S_k^{-1}, each built once, on first use.
 
     criterion, n_minus, assemble_P, assemble_A, assemble_Fout and trace_u take one in
     place of k, so the quantities at k share one S_k.  Where invert_S
-    refuses (k near E_D), every access of ``inverse`` raises its refusal.
+    refuses (k near E_D), every access of ``inverse`` raises its refusal; where
+    assemble_S refuses (k beyond its table), every access of ``s`` raises.
     """
 
     def __init__(self, k, nodes: NodeSet):
         self.k = KPoint.from_k(k)
         self.nodes = nodes
-        self.s = assemble_S(self.k, nodes)
         self._inverse: BoundaryOperator | None = None
         self._refused: NearSingularError | None = None   # the refusal of the inversion, at self.k
-        self._base: tuple[KWorkspace, np.ndarray] | None = None   # (base, R) of a rotated workspace
 
     @classmethod
     def at(cls, k, nodes: NodeSet) -> "KWorkspace":
@@ -362,39 +364,15 @@ class KWorkspace:
             return k
         return cls(k.k if isinstance(k, cls) else k, nodes)
 
-    def rotates_to(self, k: KPoint) -> bool:
-        """Whether :meth:`rotated` serves ``k``: the nodes lie on a centred
-        circle and |k| equals this workspace's |k| to 1e-14 relative."""
-        return abs(k.log_abs - self.k.log_abs) <= 1e-14 and self.nodes.centred_circle
-
-    def rotated(self, k: KPoint) -> "KWorkspace":
-        """The workspace at ``k`` = |k| e^{i phi}, by rotating this one.
-
-        On a centred circle S_{k e^{i a}} = R S_k R^T with R the band-limited
-        shift by a (:func:`_rotation_matrix`), and S_k^{-1} rotates the same
-        way.  The ring's refusal is decided at its base point, this workspace,
-        and raised at ``k``.  For a shift by whole nodes (R a permutation of
-        circulant weights) the weighted 1-norms are exactly invariant; off the
-        node grid the measure at ``k`` itself may differ by about 1e-3 relative.
-        """
-        if not self.rotates_to(k):
-            raise ValueError(f"cannot rotate the workspace at {self.k} to {k}: needs the same |k| on a centred circle")
-        out = KWorkspace.__new__(KWorkspace)
-        r = _rotation_matrix(self.nodes.n_nodes, k.phi - self.k.phi)
-        out.k, out.nodes = k, self.nodes
-        out.s = BoundaryOperator(r @ self.s.matrix @ r.T, self.s.domain_space, self.s.range_space, self.nodes)
-        out._inverse, out._refused, out._base = None, None, (self, r)
-        return out
+    @cached_property
+    def s(self) -> BoundaryOperator:
+        return assemble_S(self.k, self.nodes)
 
     @property
     def inverse(self) -> BoundaryOperator:
         if self._inverse is None and self._refused is None:
             try:
-                if self._base is None:
-                    self._inverse = invert_S(self.k, self.s)
-                else:
-                    base, r = self._base
-                    self._inverse = BoundaryOperator(r @ base.inverse.matrix @ r.T, HPLUS, HMINUS, self.nodes)
+                self._inverse = invert_S(self.k, self.s)
             except NearSingularError as exc:
                 self._refused = exc.at(self.k)   # kept without the traceback, which holds the frames' arrays
         if self._refused is not None:

@@ -18,7 +18,6 @@ from __future__ import annotations
 import csv
 import warnings
 from dataclasses import dataclass
-from functools import cache
 
 import numpy as np
 
@@ -35,7 +34,7 @@ from .boundary_ops import (
 from .disk_solver import DiskDtnSolver
 from .dtn_maps import PerturbedFamily, Potential, assemble_F0, assemble_Fn, assemble_Fout_zero
 from .geometry import NodeSet
-from .green import KPoint, epsilon_from_log, log_abs_k_from_eps
+from .green import KPoint, epsilon_from_log, gauss_legendre, log_abs_k_from_eps
 
 __all__ = [
     "TOL_KER_REL",
@@ -74,26 +73,6 @@ PARITY_RESOLUTION = 1 / 256
 MU_RADII, MU_ANGLES = 200, 128
 
 
-def _legendre(n: int, x: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """(P_n(x), P_n'(x)) by the three-term recurrence (k + 1) P_{k+1} = (2k + 1) x P_k - k P_{k-1}."""
-    p0, p1 = np.ones_like(x), x
-    for k in range(1, n):
-        p0, p1 = p1, ((2 * k + 1) * x * p1 - k * p0) / (k + 1)
-    return p1, n * (x * p1 - p0) / (x * x - 1.0)
-
-
-@cache
-def _gauss_legendre(n: int) -> tuple[np.ndarray, np.ndarray]:
-    """n-point Gauss-Legendre nodes (Jacobi eigenvalues, one Newton step on P_n) and weights
-    2 / ((1 - x^2) P_n'(x)^2) on [-1, 1], once per process; read-only."""
-    k = np.arange(1, n)
-    x = np.linalg.eigvalsh(np.diag(k / np.sqrt(4.0 * k * k - 1.0), 1), UPLO="U")
-    x = x - np.divide(*_legendre(n, x))   # one Newton step on P_n
-    w = 2.0 / ((1.0 - x * x) * _legendre(n, x)[1] ** 2)
-    x.flags.writeable = w.flags.writeable = False
-    return x, w
-
-
 def mu(omega_fn, q_fn) -> float:
     """mu = integral over the unit disk of omega(z) q(|z|) dS, by quadrature.
 
@@ -101,7 +80,7 @@ def mu(omega_fn, q_fn) -> float:
     (warns on) mu <= 0, where the sign-definite perturbation theory has
     nothing to say.
     """
-    x, w = _gauss_legendre(MU_RADII)
+    x, w = gauss_legendre(MU_RADII)
     r = 0.5 * (x + 1.0)
     wr = 0.5 * w
     theta = 2 * np.pi * np.arange(MU_ANGLES) / MU_ANGLES
@@ -249,17 +228,10 @@ def _safe_eps(kp: KPoint, nu: float) -> float | None:
 def scan(points, n: Potential, nodes: NodeSet) -> list[ScanResult]:
     """Evaluate the kernel criterion and the parity count on a k-grid;
     individual failures are recorded and the scan continues.  Both detectors
-    read one S_k per point.  On a centred circle a point with the |k| of the
-    point before it takes that point's S_k by rotation (KWorkspace.rotated),
-    so a ring of points assembles and inverts one S_k."""
+    read the one S_k that each point assembles, inverts and refuses on its own."""
     out = []
-    base = None
     for kp in points:
-        kp = KPoint.from_k(kp)
-        if base is not None and base.rotates_to(kp):
-            ws = base.rotated(kp)
-        else:
-            ws = base = KWorkspace(kp, nodes)
+        ws = KWorkspace(kp, nodes)
         flags: list[str] = []
         sigma_a = near = sigma_p = nminus = None
         try:
@@ -269,7 +241,7 @@ def scan(points, n: Potential, nodes: NodeSet) -> list[ScanResult]:
                 flags.append("kernel")
         except NearSingularError:
             flags.append("ed_refused")
-        except Exception as exc:  # pragma: no cover - diagnostic path
+        except Exception as exc:
             flags.append(f"criterion_failed:{type(exc).__name__}")
         try:
             rec = n_minus(ws, n, nodes)

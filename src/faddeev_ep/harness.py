@@ -29,6 +29,7 @@ from .dtn_maps import (
     PerturbedFamily,
     Potential,
     absorbing_potential,
+    assemble_F0,
     assemble_Fn,
     fn_supported,
     omega_poly_cos,
@@ -245,6 +246,8 @@ def run(config: RunConfig) -> RunManifest:
     # Where F_n is unsupported the detectors meet and record the refusal; a
     # near-resonant F_n is recorded here for every detector that reads it
     # (xi_fit alone when only one of its lambdas is refused), without re-solving.
+    # F_0 builds the NodeSet's log kernel and Laplace pieces here, once, before
+    # the scan's threads would each find them missing.
     fn_pots = [pot]
     if "xi_fit" in config.detectors and family is not None:
         fn_pots += [family.at(lam) for lam in (0.0, *_XI_LAMBDAS)]
@@ -259,6 +262,7 @@ def run(config: RunConfig) -> RunManifest:
             refused = needs_fn if p is pot else ["xi_fit"]
             errors.update((d, f"{type(exc).__name__}: {exc}") for d in refused)
             log.warning("F_n refused for %s: %s", refused, exc)
+        assemble_F0(nodes)   # after the solves, so that it does not raise their peak memory
         timings["fn_assembly"] = round(time.perf_counter() - t0, 3)
     summary: dict = {
         "config": asdict(config),

@@ -54,6 +54,29 @@ def cos_family(conductive):
     return PerturbedFamily(conductive, omega_poly_cos())
 
 
+def perfbench_workloads():
+    """perfbench/workloads.py, loaded from its file (perfbench is not a package)."""
+    import importlib.util
+    from pathlib import Path
+
+    path = Path(__file__).resolve().parents[1] / "perfbench" / "workloads.py"
+    spec = importlib.util.spec_from_file_location("workloads", path)
+    workloads = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(workloads)
+    return workloads
+
+
+def rotation_matrix(n: int, alpha: float) -> np.ndarray:
+    """Band-limited shift by alpha on n uniform nodes, (R f)(t_j) = f(t_j + alpha): the phase
+    e^{i m alpha} on DFT mode m and 1 on the Nyquist mode, so R is real, circulant and orthogonal.
+    (cos(n alpha / 2) on the Nyquist mode would interpolate the shift but is not unitary: it scales
+    the Nyquist eigenvalue of the circulant log layer by cos^2.)"""
+    phase = np.exp(1j * alpha * np.fft.fftfreq(n) * n)
+    phase[n // 2] = 1.0
+    row = np.fft.ifft(phase).real
+    return row[(np.arange(n)[:, None] - np.arange(n)[None, :]) % n]
+
+
 def traced_peak(fn, *args):
     """tracemalloc peak, in bytes, of one call fn(*args)."""
     import tracemalloc

@@ -5,7 +5,7 @@ import pytest
 from hypothesis import assume, example, given, settings
 from hypothesis import strategies as st
 
-from conftest import single_layer_fourier_oracle, traced_peak
+from conftest import rotation_matrix, single_layer_fourier_oracle, traced_peak
 from faddeev_ep.boundary_ops import (
     HMINUS,
     HPLUS,
@@ -30,7 +30,8 @@ from faddeev_ep.boundary_ops import (
     weighted_matrix,
 )
 from faddeev_ep.dtn_maps import assemble_F0
-from faddeev_ep.geometry import curve_from_fourier, make_circle, make_kite, sample
+from faddeev_ep.exceptional import scan
+from faddeev_ep.geometry import curve_from_fourier, make_circle, make_ellipse, make_kite, sample
 from faddeev_ep.green import KPoint, green_remainder
 
 
@@ -91,27 +92,52 @@ def test_S_real_and_self_convergent(nodes128, nodes256):
     assert np.max(np.abs(sv1 - sv2)) < 1e-8
 
 
+#: per-entry bound of the separable S_k against the one-shot formula, relative to max(1, |N(w)|),
+#: for |k| up to 2, 4 and 10: the factors e^{+-ikzt} round at the scale e^{|k| |z - mean z| t}
+#: while N(w) may be far smaller, so the bound grows with |k|; measured on the three curves at
+#: N = 250 and 256 and five angles: 9.6e-15, 2.5e-12 (the kite) and 4.4e-11 (the ellipse)
+ENTRY_BOUNDS = ((2.0, 2e-14), (4.0, 5e-12), (10.0, 1e-10))
+
+
 @pytest.mark.parametrize("n_nodes", [256, 250])
-@pytest.mark.parametrize("r", [1e-6, 1e-2, 2.0, 4.0])
+@pytest.mark.parametrize("r", [1e-6, 1e-2, 0.2, 2.0, 4.0, 10.0])
 def test_blocked_S_k_equals_the_one_shot_formula(n_nodes, r):
-    """assemble_S adds the remainder row block by row block (32 rows at N = 256, so N = 250
-    ends on a block of 26); the one-shot formula forms w = k(z_i - z_j) whole.  At |k| = 4
-    the Green series and E1 branches fall in one block."""
-    nodes = sample(make_circle(1.0), n_nodes)
-    kp = KPoint.from_polar_log(np.log(r), 0.7)
-    w = kp.kz(nodes.z[:, None] - nodes.z[None, :])
-    one_shot = assemble_S0(kp, nodes).matrix + (2 * np.pi / n_nodes) * green_remainder(w) * nodes.speed[None, :]
-    blocked = assemble_S(kp, nodes).matrix
-    assert np.max(np.abs(blocked - one_shot)) <= 1e-15 * np.max(np.abs(one_shot))
+    """assemble_S is the block product L + [1, Re a, Im a] Y^T of a Gauss-Legendre rule for Ein;
+    the one-shot formula adds (2pi/N) green_remainder(w) |z'(t_j)| to S_k^0 with the whole
+    w = k(z_i - z_j).  On the circle, the 1.5 x 1 ellipse and the kite, at five angles of each
+    |k| = r (every order of the table is met), the two agree to 1e-14 max|S_k| (measured 7.4e-15,
+    the ellipse at |k| = 10) and entrywise to ENTRY_BOUNDS."""
+    for curve in (make_circle(1.0), make_ellipse(1.5, 1.0), make_kite()):
+        nodes = sample(curve, n_nodes)
+        scale = (2 * np.pi / n_nodes) * nodes.speed[None, :]
+        for kp in (KPoint.from_polar_log(np.log(r), phi) for phi in (0.0, 0.7, 1.9, 3.3, 5.1)):
+            remainder = green_remainder(kp.kz(nodes.z[:, None] - nodes.z[None, :]))
+            one_shot = assemble_S0(kp, nodes).matrix + scale * remainder
+            err = np.abs(assemble_S(kp, nodes).matrix - one_shot)
+            assert np.max(err) <= 1e-14 * np.max(np.abs(one_shot)), (curve.name, kp)
+            bound = next(b for top, b in ENTRY_BOUNDS if r <= top)
+            assert np.max(err / (scale * np.maximum(1.0, np.abs(remainder)))) <= bound, (curve.name, kp)
 
 
 def test_assemble_S_holds_no_n_by_n_complex_temporary(nodes256):
-    """S_k at N = 256 is 0.5 MiB; built in row blocks the traced peak of one assembly is
-    about 1.4 MiB, where the whole w = k(z_i - z_j) and green_remainder's N x N complex
-    temporaries took 6.6 MiB."""
+    """S_k at N = 256 is 0.5 MiB; its rank-(2m + 1) factors are N x (2m + 1) and real, so the
+    traced peak of one assembly is 0.59 MiB (0.79 MiB at |k| = 4, m = 14), where the whole
+    w = k(z_i - z_j) and green_remainder's N x N complex temporaries took 6.6 MiB."""
     kp = KPoint.from_k(1e-2)
     assemble_S(kp, nodes256)   # the k-independent log layer is cached per NodeSet
     assert traced_peak(assemble_S, kp, nodes256) <= 2 * 2**20
+
+
+def test_assemble_S_refuses_beyond_its_table(conductive):
+    """The Ein table ends at |k| 2 max|z - mean z| = 64: the unit circle assembles at |k| = 31.9 and refuses
+    above 32.  A scan records that refusal at its point and goes on to the next."""
+    nodes = sample(make_circle(1.0), 64)
+    assert np.all(np.isfinite(assemble_S(31.9 * np.exp(0.3j), nodes).matrix))
+    with pytest.raises(ValueError, match="beyond"):
+        assemble_S(32.5, nodes)
+    rows = scan([40.0, 0.3 + 0.2j], conductive, nodes)
+    assert rows[0].flags == ("criterion_failed:ValueError", "parity_failed:ValueError") and rows[0].n_minus is None
+    assert rows[1].flags == () and rows[1].n_minus == 0
 
 
 def test_B_block_and_conditioning(nodes128):
@@ -257,36 +283,33 @@ def test_workspace_assembles_once_and_refuses_on_every_access(nodes128, monkeypa
 @example(log_abs=float(np.log(0.3)), phi=0.4, step=2, frac=0.5)
 @example(log_abs=float(np.log(4.437)), phi=0.0, step=61, frac=0.3)   # a refused ring
 def test_rotated_workspace_matches_direct_assembly(nodes128, log_abs, phi, step, frac):
-    """S_{k e^{ia}} = R S_k R^T and S_{k e^{ia}}^{-1} = R S_k^{-1} R^T for a rotation a
-    off the node grid, and a refusal, decided at the ring's base point, is carried around
-    the ring with each point's own k.  A cos(N a / 2) Nyquist phase scales the Nyquist
-    eigenvalue of the log layer by cos^2(N a / 2) and misses the S bound by orders of magnitude."""
+    """Oracle on the centred circle: S_{k e^{ia}} = R S_k R^T and S_{k e^{ia}}^{-1} = R S_k^{-1} R^T
+    for a rotation a off the node grid, and each point of a ring decides its own refusal from its
+    own S_k.  A cos(N a / 2) Nyquist phase misses the S bound by orders of magnitude."""
     alpha = (step + frac) * 2 * np.pi / 128
     base = KWorkspace(KPoint.from_polar_log(log_abs, phi), nodes128)
     k = KPoint.from_polar_log(log_abs, phi + alpha)
-    assert base.rotates_to(k)
-    rotated, direct = base.rotated(k), KWorkspace(k, nodes128)
-    assert rotated.k == k and not np.iscomplexobj(rotated.s.matrix)
+    r, direct = rotation_matrix(128, alpha), KWorkspace(k, nodes128)
     scale = np.max(np.abs(direct.s.matrix))
-    assert np.max(np.abs(rotated.s.matrix - direct.s.matrix)) <= 1e-13 * scale
+    assert np.max(np.abs(r @ base.s.matrix @ r.T - direct.s.matrix)) <= 1e-13 * scale
 
     sv = np.linalg.svd(weighted_matrix(direct.s), compute_uv=False)
     ratio = sv[-1] / sv[0]
-    # the refusal measure 1/(|S^|_1 |S^^{-1}|_1) of the weighted S_k at the base point
-    inv_base = BoundaryOperator(np.linalg.inv(base.s.matrix), HPLUS, HMINUS, nodes128)
-    norm, inv_norm = np.linalg.norm(weighted_matrix(base.s), 1), np.linalg.norm(weighted_matrix(inv_base), 1)
+    # the refusal measure 1/(|S^|_1 |S^^{-1}|_1) of the weighted S_k at k itself
+    inv_direct = BoundaryOperator(np.linalg.inv(direct.s.matrix), HPLUS, HMINUS, nodes128)
+    norm, inv_norm = np.linalg.norm(weighted_matrix(direct.s), 1), np.linalg.norm(weighted_matrix(inv_direct), 1)
     measure = 1.0 / (norm * inv_norm)
     assume(abs(measure / 1e-6 - 1) > 1e-6)   # the refusal decision is not a rounding tie
     if measure < 1e-6:
-        for _ in range(2):   # refused on every access, at the rotated k
+        for _ in range(2):   # refused on every access, at k
             with pytest.raises(NearSingularError) as exc:
-                rotated.inverse
+                direct.inverse
             assert exc.value.k == k and exc.value.suspected == "E_D"
             assert exc.value.sigma_min == pytest.approx(1.0 / inv_norm, rel=1e-6)
             assert exc.value.norm == pytest.approx(norm, rel=1e-12)
         return
-    inv = np.linalg.inv(direct.s.matrix)
-    assert np.max(np.abs(rotated.inverse.matrix - inv)) <= 1e-12 / ratio * np.max(np.abs(inv))
+    inv = np.linalg.inv(base.s.matrix)
+    assert np.max(np.abs(r @ inv @ r.T - direct.inverse.matrix)) <= 1e-12 / ratio * np.max(np.abs(inv))
 
 
 def test_one_norm_refusal_decides_as_the_weighted_svd(nodes128, nodes256):
@@ -325,13 +348,19 @@ def test_laplace_pieces_form_no_dense_projector():
 
 
 def test_rotation_needs_one_ring_on_a_centred_circle(nodes128):
-    ws = KWorkspace(KPoint.from_polar_log(-1.0, 0.3), nodes128)
-    assert not ws.rotates_to(KPoint.from_polar_log(-1.0 + 1e-12, 0.3))
-    with pytest.raises(ValueError):
-        ws.rotated(KPoint.from_polar_log(-1.0 + 1e-12, 0.3))
-    kite = KWorkspace(KPoint.from_polar_log(-1.0, 0.3), sample(make_kite(), 64))
-    assert not kite.rotates_to(KPoint.from_polar_log(-1.0, 1.3))
-    shifted = sample(curve_from_fourier({0: 0.1, 1: 1.0}), 64)   # a circle, not centred
+    """The rotation oracle is no identity of the code: R S_k R^T misses S at another |k| of the
+    circle and at the same |k| on the kite.  S_k reads z_i - z_j only, so on a circle that is not
+    centred it rotates too (F_n does not: the potential lives on the centred disk)."""
+    r = rotation_matrix(64, 1.0)
+    for nodes, k_to in ((sample(make_circle(1.0), 64), KPoint.from_polar_log(-0.9, 1.3)),
+                        (sample(make_kite(), 64), KPoint.from_polar_log(-1.0, 1.3))):
+        s_to = assemble_S(k_to, nodes).matrix
+        rotated = r @ assemble_S(KPoint.from_polar_log(-1.0, 0.3), nodes).matrix @ r.T
+        assert np.max(np.abs(rotated - s_to)) >= 1e-4 * np.max(np.abs(s_to))
+    shifted = sample(curve_from_fourier({0: 0.1, 1: 1.0}), 64)
+    s_to = assemble_S(KPoint.from_polar_log(-1.0, 1.3), shifted).matrix
+    rotated = r @ assemble_S(KPoint.from_polar_log(-1.0, 0.3), shifted).matrix @ r.T
+    assert np.max(np.abs(rotated - s_to)) <= 1e-13 * np.max(np.abs(s_to))
     assert not shifted.centred_circle and nodes128.centred_circle
 
 

@@ -5,8 +5,9 @@ import pytest
 from hypothesis import assume, example, given, settings
 from hypothesis import strategies as st
 
+from conftest import perfbench_workloads
 from faddeev_ep import boundary_ops, dtn_maps, exceptional
-from faddeev_ep.boundary_ops import KWorkspace, NearSingularError, assemble_S, invert_S
+from faddeev_ep.boundary_ops import KWorkspace, NearSingularError, assemble_S, invert_S, weighted_matrix
 from faddeev_ep.dtn_maps import PerturbedFamily, standard_conductive
 from faddeev_ep.exceptional import (
     LocusResult,
@@ -24,7 +25,7 @@ from faddeev_ep.exceptional import (
     trace_locus,
 )
 from faddeev_ep.geometry import NodeSet, make_circle, sample
-from faddeev_ep.green import EULER_GAMMA, KPoint, log_abs_k_from_eps
+from faddeev_ep.green import EULER_GAMMA, KPoint, gauss_legendre, log_abs_k_from_eps
 
 NU = 2 * np.pi  # unit-disk boundary length
 
@@ -37,39 +38,51 @@ MU_RADIAL = np.pi * 15 / 28
 # mu
 
 def test_gauss_legendre_rule_matches_numpy_leggauss():
-    """mu's rule (Jacobi eigenvalues, one Newton step, w = 2/((1 - x^2) P_n'(x)^2)) against
-    numpy's leggauss: nodes to rounding, weights to 1e-10 relative (2.2e-11 at the end nodes,
-    leggauss's own error there), and polynomials up to degree 2n - 1 integrated to rounding.
-    Against the rule at 40 digits (mpmath: three Newton steps on P_n from each node) the end
-    weights, where the error is largest, agree to 5.1e-14 relative; without the Newton step
-    they sat 4.6e-12 off."""
+    """The one Gauss-Legendre rule (Newton steps on P_n, w = 2/((1 - x^2) P_n'(x)^2)), for mu's
+    MU_RADII and every order of assemble_S's Ein table, against numpy's leggauss: nodes to
+    rounding (measured 1.1e-16), weights to 1e-10 relative (2.2e-11 at n = 200, leggauss's own
+    error at the end nodes; 1.1e-13 at n = 24), and polynomials up to degree 2n - 1 integrated to
+    rounding (8.9e-16).  Against the rule at 40 digits (mpmath: three Newton steps on P_n from each
+    node) the weights agree to 5.8e-14 relative, the end weights of n = 200 included."""
     import mpmath
     from numpy.polynomial.legendre import leggauss
 
-    n = exceptional.MU_RADII
-    x, w = exceptional._gauss_legendre(n)
-    x0, w0 = leggauss(n)
-    assert np.max(np.abs(x - x0)) <= 1e-15
-    assert np.max(np.abs(w - w0) / w0) <= 1e-10
+    for n in (exceptional.MU_RADII, *(m for _, m in boundary_ops._EIN_ORDERS)):
+        x, w = gauss_legendre(n)
+        x0, w0 = leggauss(n)
+        assert np.max(np.abs(x - x0)) <= 1e-15
+        assert np.max(np.abs(w - w0) / w0) <= 1e-10
 
-    def legendre(t):
-        """(P_n(t), P_n'(t)) by the three-term recurrence in mpmath."""
-        p0, p1 = mpmath.mpf(1), t
-        for k in range(1, n):
-            p0, p1 = p1, ((2 * k + 1) * t * p1 - k * p0) / (k + 1)
-        return p1, n * (t * p1 - p0) / (t * t - 1)
+        def legendre(t):
+            """(P_n(t), P_n'(t)) by the three-term recurrence in mpmath."""
+            p0, p1 = mpmath.mpf(1), t
+            for k in range(1, n):
+                p0, p1 = p1, ((2 * k + 1) * t * p1 - k * p0) / (k + 1)
+            return p1, n * (t * p1 - p0) / (t * t - 1)
 
-    with mpmath.workdps(40):
-        for i in (0, 1, 2, 3, n // 2, n - 4, n - 3, n - 2, n - 1):
-            t = mpmath.mpf(float(x[i]))
-            for _ in range(3):
-                p, dp = legendre(t)
-                t -= p / dp
-            assert abs(w[i] / float(2 / ((1 - t * t) * legendre(t)[1] ** 2)) - 1) <= 1e-13
-    exact = [2.0 / (k + 1) if k % 2 == 0 else 0.0 for k in range(2 * n)]
-    assert max(abs(np.sum(w * x**k) - e) for k, e in enumerate(exact)) <= 1e-14
-    assert exceptional._gauss_legendre(exceptional.MU_RADII)[0] is x   # once per process
-    assert not x.flags.writeable and not w.flags.writeable
+        with mpmath.workdps(40):
+            for i in sorted({0, 1, 2, 3, n // 2, n - 4, n - 3, n - 2, n - 1} & set(range(n))):
+                t = mpmath.mpf(float(x[i]))
+                for _ in range(3):
+                    p, dp = legendre(t)
+                    t -= p / dp
+                assert abs(w[i] / float(2 / ((1 - t * t) * legendre(t)[1] ** 2)) - 1) <= 1e-13
+        exact = [2.0 / (k + 1) if k % 2 == 0 else 0.0 for k in range(2 * n)]
+        assert max(abs(np.sum(w * x**k) - e) for k, e in enumerate(exact)) <= 1e-14
+        assert gauss_legendre(n)[0] is x   # once per process
+        assert not x.flags.writeable and not w.flags.writeable
+
+
+def test_gauss_legendre_calls_no_lapack(monkeypatch):
+    """The nodes come from Newton steps alone, so assemble_S, which interior256 calls, maps no
+    eigensolver code: in a fresh process one 8 x 8 eigvalsh raised the peak RSS by 0.6-0.8 MB."""
+    def refuse(*args, **kwargs):
+        raise AssertionError("LAPACK called")
+
+    monkeypatch.setattr(np.linalg, "eigvalsh", refuse)
+    monkeypatch.setattr(np.linalg, "eigh", refuse)
+    x, w = gauss_legendre.__wrapped__(37)
+    assert np.all(np.diff(x) > 0) and abs(np.sum(w) - 2.0) <= 1e-14
 
 
 def test_mu_constant_profile():
@@ -136,13 +149,12 @@ def test_absorbing_imaginary_form(nodes128, absorbing):
 
 def test_A_builder_is_the_papers_A(nodes128, cos_family):
     """assemble_A forms (F_n - F_0) + S_k^{-1} in place; it is A(k) = F_n - F^out(k) with
-    F^out(k) = F_0 - S_k^{-1}, at a regular k and at a point of a ring rotated from its base."""
+    F^out(k) = F_0 - S_k^{-1}."""
     pot = cos_family.at(0.05)
-    base = KWorkspace(KPoint.from_polar_log(np.log(0.3), 0.2), nodes128)
-    for ws in (KWorkspace(KPoint.from_k(0.4 - 0.1j), nodes128), base.rotated(KPoint.from_polar_log(np.log(0.3), 1.9))):
-        a = assemble_A(ws, pot, nodes128).matrix
-        ref = dtn_maps.assemble_Fn(nodes128, pot).matrix - dtn_maps.assemble_Fout(ws, nodes128).matrix
-        assert np.max(np.abs(a - ref)) <= 1e-13 * np.max(np.abs(a))
+    ws = KWorkspace(KPoint.from_k(0.4 - 0.1j), nodes128)
+    a = assemble_A(ws, pot, nodes128).matrix
+    ref = dtn_maps.assemble_Fn(nodes128, pot).matrix - dtn_maps.assemble_Fout(ws, nodes128).matrix
+    assert np.max(np.abs(a - ref)) <= 1e-13 * np.max(np.abs(a))
 
 
 def test_D_builder_returns_a_fresh_array(nodes128, conductive):
@@ -360,27 +372,39 @@ def test_fan_out_is_detected_from_the_samples(nodes128, monkeypatch):
     _check_fan_out(PerturbedFamily(standard_conductive(), omega), nodes128, monkeypatch)
 
 
-def test_scan_assembles_one_S_per_ring(nodes128, cos_family, monkeypatch):
-    """A ring of scan points on the circle takes one S_k assembly and one inversion,
-    and gives what separate per-point workspaces give; the refused ring stays refused."""
+@pytest.mark.parametrize("seed", [0, 7])
+def test_each_scan_point_assembles_and_refuses_on_its_own(nodes128, cos_family, monkeypatch, seed):
+    """Each scan point assembles and inverts its own S_k, and its row is what criterion and
+    n_minus give at that point.  On the scan workload's two outer rings, at its angle offsets
+    for seeds 0 and 7, every |k| = 4 point refuses E_D from its own measure 1/cond_1 (below 1e-6),
+    and no |k| = 2.30 point does (measured 6.7e-6 at every angle)."""
     pot = cos_family.at(0.05)
-    pts = [KPoint.from_k(r * np.exp(1j * (0.1 + 2 * np.pi * j / 5))) for r in (0.3, 4.0) for j in range(5)]
+    offset = perfbench_workloads().rotation(seed)
+    radii = np.geomspace(1e-3, 4.0, 16)[-2:]
+    pts = [KPoint.from_k(r * np.exp(1j * (offset + 2 * np.pi * j / 8))) for r in (0.3, *radii) for j in range(8)]
     calls, inversions = [], []
     monkeypatch.setattr(boundary_ops, "assemble_S", lambda k, nodes: calls.append(k) or assemble_S(k, nodes))
     monkeypatch.setattr(boundary_ops, "invert_S", lambda k, s: inversions.append(k) or invert_S(k, s))
     rows = scan(pts, pot, nodes128)
-    assert calls == inversions == [pts[0], pts[5]]
+    assert calls == inversions == pts
     monkeypatch.undo()
     for kp, row in zip(pts, rows):
         assert row.k == kp
-        if abs(kp.k) > 1:
+        rec = n_minus(kp, pot, nodes128)
+        assert row.n_minus == rec.n_minus
+        if abs(kp.k) > 3:
+            with pytest.raises(NearSingularError) as exc:
+                criterion(kp, pot, nodes128)
+            assert exc.value.k == kp and exc.value.sigma_min / exc.value.norm < 1e-6
             assert row.sigma_min_A is None and "ed_refused" in row.flags
             continue
+        ws = KWorkspace(kp, nodes128)
+        s_hat, inv_hat = weighted_matrix(ws.s), weighted_matrix(ws.inverse)
+        assert 1.0 / (np.linalg.norm(s_hat, 1) * np.linalg.norm(inv_hat, 1)) >= 5e-6
         crit = criterion(kp, pot, nodes128)
-        rec = n_minus(kp, pot, nodes128)
         assert row.sigma_min_A == pytest.approx(crit.sigma_min, rel=1e-12)
         assert row.eig_near_zero == pytest.approx(crit.eig_near_zero, rel=1e-11)
-        assert row.n_minus == rec.n_minus and row.flags == ()
+        assert row.flags == ()
 
 
 def test_locus_rejects_bad_lambda(radial_family, nodes128):

@@ -4,6 +4,7 @@ import numpy as np
 import pytest
 from scipy.integrate import quad
 
+from conftest import rotation_matrix
 from faddeev_ep.boundary_ops import KWorkspace
 from faddeev_ep.geometry import (
     curve_from_fourier,
@@ -141,14 +142,16 @@ def test_named_tables_match_their_closed_forms(curve, closed_form, n):
 
 
 def test_rotated_table_is_a_centred_circle_and_rotates():
-    """{1: 1.25 e^{0.3i}} is a centred circle; a workspace rotated around it matches
-    direct assembly."""
+    """{1: 1.25 e^{0.3i}} is a centred circle, and S_k on it rotates: S_{k e^{ia}} = R S_k R^T and
+    S_{k e^{ia}}^{-1} = R S_k^{-1} R^T with R the band-limited shift by a, off the node grid."""
     nodes = sample(curve_from_fourier({1: 1.25 * np.exp(0.3j)}), 64)
     assert nodes.centred_circle
     base = KWorkspace(KPoint.from_polar_log(-1.0, 0.2), nodes)
-    k = KPoint.from_polar_log(-1.0, 1.1)
-    rotated, direct = base.rotated(k), KWorkspace(k, nodes)
-    assert np.max(np.abs(rotated.s.matrix - direct.s.matrix)) <= 1e-13 * np.max(np.abs(direct.s.matrix))
+    direct = KWorkspace(KPoint.from_polar_log(-1.0, 1.1), nodes)
+    r = rotation_matrix(64, 0.9)
+    assert np.max(np.abs(r @ base.s.matrix @ r.T - direct.s.matrix)) <= 1e-13 * np.max(np.abs(direct.s.matrix))
+    inv = direct.inverse.matrix
+    assert np.max(np.abs(r @ base.inverse.matrix @ r.T - inv)) <= 1e-12 * np.max(np.abs(inv))
 
 
 def test_centred_circle_reads_the_nonzero_coefficients():

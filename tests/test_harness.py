@@ -1,13 +1,14 @@
-import importlib.util
+import importlib
 import json
 import os
 import sys
 import time
-from pathlib import Path
 
 import numpy as np
 import pytest
 
+from conftest import perfbench_workloads
+from faddeev_ep import dtn_maps
 from faddeev_ep.cli import main as cli_main
 from faddeev_ep.dtn_maps import assemble_Fn, fn_key, standard_conductive
 from faddeev_ep.geometry import make_circle, sample
@@ -34,11 +35,7 @@ WORKLOAD_DIGESTS = {
 @pytest.mark.parametrize("name", sorted(WORKLOAD_DIGESTS))
 def test_workload_config_hash_and_fn_key_are_pinned(name):
     """The run directories and the operator store's keys do not move with the SHA-256 in use."""
-    spec = importlib.util.spec_from_file_location(
-        "workloads", Path(__file__).resolve().parents[1] / "perfbench" / "workloads.py")
-    workloads = importlib.util.module_from_spec(spec)
-    spec.loader.exec_module(workloads)
-    cfg = RunConfig.from_dict(workloads.config(name, 0))
+    cfg = RunConfig.from_dict(perfbench_workloads().config(name, 0))
     _, family = build_potential(cfg)
     nodes = sample(make_circle(1.0), cfg.n_nodes)
     assert (cfg.config_hash(), fn_key(nodes, family.at(cfg.lam))) == WORKLOAD_DIGESTS[name]
@@ -508,7 +505,8 @@ def test_validate_checks_Fout_bounded_on_exterior_harmonics(monkeypatch):
 
 
 def test_validate_checks_S_k_against_its_closed_form_jump(monkeypatch):
-    """A wrong Green remainder in S_k fails F_0 S_k = K_k' + I/2, whose K_k' is closed-form.
+    """A wrong Green remainder in S_k, here assemble_S's Gauss-Legendre weights for Ein scaled
+    by 1.01 (which scales N(w) by 1.01), fails F_0 S_k = K_k' + I/2, whose K_k' is closed-form.
     F^out(k) = F_0 - S_k^{-1} is built from the same S_k, so the identity
     (F_0 - F^out(k)) S_k = I, which that check replaced, passes the same mutation."""
     from faddeev_ep import boundary_ops
@@ -518,8 +516,8 @@ def test_validate_checks_S_k_against_its_closed_form_jump(monkeypatch):
 
     name = "F_0 S_k = K_k' + I/2 on cos mt, sin mt (m = 0..4)"
     assert {c.name: c for c in run_validation(sample(make_circle(1.0), 64))}[name].passed
-    remainder = boundary_ops.green_remainder
-    monkeypatch.setattr(boundary_ops, "green_remainder", lambda w: 1.01 * remainder(w))
+    rule = boundary_ops.gauss_legendre
+    monkeypatch.setattr(boundary_ops, "gauss_legendre", lambda m: (rule(m)[0], 1.01 * rule(m)[1]))
     nodes = sample(make_circle(1.0), 64)
     assert {c.name: c for c in run_validation(nodes)}[name].measured >= 1e-3
     f0 = assemble_F0(nodes).matrix
@@ -612,6 +610,20 @@ def test_one_assembly_per_scan_point_and_one_trace_per_transform_point(tmp_path,
     rows = (tmp_path / manifest.config_hash / "transform.csv").read_text().splitlines()[1:]
     log_abs = [float(r.split(",")[2]) for r in rows]
     assert log_abs == sorted(log_abs) and len(log_abs) == 3   # config order, inner to outer
+
+
+def test_a_two_worker_scan_builds_the_laplace_pieces_once(tmp_path, monkeypatch):
+    """run builds F_0, and with it the NodeSet's log kernel and Laplace pieces, before the scan's
+    two threads start, so no thread finds the memo empty: one B^{-1} in all.  Each call is slowed
+    by 0.1 s, so two threads that both found the memo empty would both be counted."""
+    calls = _count_calls(monkeypatch, "dtn_maps", "invert_on_meanfree")
+    counted = dtn_maps.invert_on_meanfree
+    monkeypatch.setattr(dtn_maps, "invert_on_meanfree", lambda bop: time.sleep(0.1) or counted(bop))
+    cfg = RunConfig(n_nodes=64, detectors=["sigma_scan"], outdir=str(tmp_path), workers=2,
+                    kgrid={"type": "list", "values": [[0.3, 0.2], [0.0, 0.7], [0.5, 0.0], [0.1, 0.1]]})
+    manifest = run(cfg)
+    assert not manifest.detector_errors
+    assert len(calls) == 1
 
 
 def test_xi_fit_grid_is_served_by_the_disk_cache(tmp_path, monkeypatch):
