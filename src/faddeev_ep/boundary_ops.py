@@ -44,6 +44,10 @@ __all__ = [
     "mean_projectors",
     "block_form",
     "checked_inverse",
+    "updated_inverse",
+    "LayerReference",
+    "layer_reference",
+    "LayerInverse",
     "invert_S",
     "KWorkspace",
     "invert_on_meanfree",
@@ -64,7 +68,7 @@ L2 = "L2"
 
 _SPACE_ORDER = {HMINUS: -0.5, HPLUS: 0.5, L2: 0.0}
 
-#: invert_S refuses S_k (E_D) where checked_inverse finds 1/cond_1 of the weighted S_k below this
+#: invert_S refuses S_k (E_D) where 1/cond_1 of the weighted S_k, read from its update, is below this
 SINGULARITY_THRESHOLD = 1e-6
 
 
@@ -172,16 +176,9 @@ def assemble_S0(k, nodes: NodeSet) -> BoundaryOperator:
 _EIN_ORDERS = ((3e-3, 2), (0.1, 4), (1.0, 6), (5.0, 10), (10.0, 14), (24.0, 24), (64.0, 32))
 
 
-def assemble_S(k, nodes: NodeSet) -> BoundaryOperator:
-    """Faddeev single layer S_k = S_k^0 + Nystrom(N(k(z - z'))) in one real N x N GEMM.
-
-    Ein(s) = int_0^1 (1 - e^{-st})/t dt, so with the nodes t_q of a Gauss-Legendre rule on [0, 1]
-    and c_q = its weights / t_q, 2pi N(k(z_i - z_j)) = sum_q c_q (1 - Re(a_iq b_jq)) for
-    a = e^{ikzt} and b = e^{-ikzt}.  Then S_k = L + X Y^T with the log kernel L, X = [1, Re a, Im a]
-    and Y = [sum c - gamma - ln|k|, -c Re b, c Im b] times the column scale |z'(t_j)|/N, of rank
-    2m + 1.  z is centred at its mean, which leaves w = k(z_i - z_j) and shrinks |a| and |b|.
-    """
-    kp = KPoint.from_k(k)
+def _ein_factors(kp: KPoint, nodes: NodeSet) -> tuple[np.ndarray, np.ndarray]:
+    """Real N x r factors X, Y with S_k = L + X Y^T, r = 2m + 1 (see :func:`assemble_S`); the
+    constant column of X, whose column of Y carries ln|k|, is the last."""
     z = nodes.z - np.mean(nodes.z)
     reach = 2 * kp.abs * np.max(np.abs(z))
     m = next((m for r, m in _EIN_ORDERS if reach <= r), None)
@@ -193,8 +190,21 @@ def assemble_S(k, nodes: NodeSet) -> BoundaryOperator:
     ikzt = 1j * kp.kz(z)[:, None] * t
     a, b = np.exp(ikzt), np.exp(-ikzt)
     v = (nodes.speed / nodes.n_nodes)[:, None]
-    x = np.hstack([np.ones_like(v), a.real, a.imag])
-    y = np.hstack([(np.sum(c) - EULER_GAMMA - kp.log_abs) * v, -c * b.real * v, c * b.imag * v])
+    x = np.hstack([a.real, a.imag, np.ones_like(v)])
+    y = np.hstack([-c * b.real * v, c * b.imag * v, (np.sum(c) - EULER_GAMMA - kp.log_abs) * v])
+    return x, y
+
+
+def assemble_S(k, nodes: NodeSet) -> BoundaryOperator:
+    """Faddeev single layer S_k = S_k^0 + Nystrom(N(k(z - z'))) in one real N x N GEMM.
+
+    Ein(s) = int_0^1 (1 - e^{-st})/t dt, so with the nodes t_q of a Gauss-Legendre rule on [0, 1]
+    and c_q = its weights / t_q, 2pi N(k(z_i - z_j)) = sum_q c_q (1 - Re(a_iq b_jq)) for
+    a = e^{ikzt} and b = e^{-ikzt}.  Then S_k = L + X Y^T with the log kernel L, X = [Re a, Im a, 1]
+    and Y = [-c Re b, c Im b, sum c - gamma - ln|k|] times the column scale |z'(t_j)|/N, of rank
+    2m + 1.  z is centred at its mean, which leaves w = k(z_i - z_j) and shrinks |a| and |b|.
+    """
+    x, y = _ein_factors(KPoint.from_k(k), nodes)
     mat = x @ y.T
     mat += _log_kernel_matrix(nodes)
     return BoundaryOperator(mat, HMINUS, HPLUS, nodes)
@@ -317,44 +327,174 @@ def meanfree_form_gap(op: BoundaryOperator) -> float:
     return -float(eigs[-2])
 
 
-def checked_inverse(mat, limit: float, what: str, k, suspected: str, weight=None, inverse_weight=None) -> np.ndarray:
-    """mat^{-1} from one inv, which is also the refusal (NearSingularError naming ``suspected``, with
-    sigma_min = 1/|M^^{-1}|_1 and norm = |M^|_1) where inv fails or |M^|_1 |M^^{-1}|_1 exceeds ``limit`` or
-    is not finite; M^ = W mat W and M^^{-1} = V mat^{-1} V for W, V = ``weight``, ``inverse_weight`` or I."""
-    norm = float(np.linalg.norm(mat if weight is None else weight @ mat @ weight, 1))
-    try:
-        inv = np.linalg.inv(mat)
-        inv_norm = float(np.linalg.norm(inv if inverse_weight is None else inverse_weight @ inv @ inverse_weight, 1))
-    except np.linalg.LinAlgError:
-        inv_norm = np.inf
+def _refuse_beyond(norm: float, inv_norm: float, limit: float, what: str, k, suspected: str) -> None:
+    """The refusal: NearSingularError naming ``suspected``, with sigma_min = 1/inv_norm and ``norm``,
+    where the 1-norm condition norm * inv_norm exceeds ``limit`` or is not finite."""
     if not norm * inv_norm <= limit:   # nan, from a non-finite inverse, refuses too
         raise NearSingularError(f"{what} is near-singular: 1-norm condition {norm * inv_norm:.2e} > {limit:.0e}; "
                                 f"suspected set {suspected}", 1.0 / inv_norm, norm, k, suspected)
+
+
+def checked_inverse(mat, limit: float, what: str, k, suspected: str) -> np.ndarray:
+    """mat^{-1} from one inv, which is also the refusal (NearSingularError naming ``suspected``, with
+    sigma_min = 1/|mat^{-1}|_1 and norm = |mat|_1) where inv fails or |mat|_1 |mat^{-1}|_1 exceeds ``limit``
+    or is not finite.
+
+    It is the one inverse of a system that may be refused: each k-independent reference (S_ref, and
+    the transform's P_ref and A_ref) once, and per k only the r x r capacitances of :func:`updated_inverse`."""
+    norm = float(np.linalg.norm(mat, 1))
+    try:
+        inv = np.linalg.inv(mat)
+        inv_norm = float(np.linalg.norm(inv, 1))
+    except np.linalg.LinAlgError:
+        inv_norm = np.inf
+    _refuse_beyond(norm, inv_norm, limit, what, k, suspected)
     return inv
 
 
-def invert_S(k, s_op: BoundaryOperator) -> BoundaryOperator:
-    """Dense inverse of S_k by :func:`checked_inverse`, refused (E_D) when 1/(|S^|_1 |S^^{-1}|_1) <
-    SINGULARITY_THRESHOLD, with S^ = W_{1/2} S_k W_{1/2} and S^^{-1} = W_{-1/2} S_k^{-1} W_{-1/2}."""
-    n = s_op.nodes.n_nodes   # W_{-1/2} is built here, not by sobolev_matrix, whose cache would keep it
-    inv = checked_inverse(s_op.matrix, 1.0 / SINGULARITY_THRESHOLD, "S_k", KPoint.from_k(k), "E_D",
-                          sobolev_matrix(n, 0.5), _circulant(_mode_multipliers(n, -0.5)))
-    return BoundaryOperator(inv, s_op.range_space, s_op.domain_space, s_op.nodes)
+def _sobolev_apply(m: np.ndarray, order: float, axis: int = 0) -> np.ndarray:
+    """W_order applied to a real m along ``axis`` (W m, or m W for axis 1) by FFT: W is circulant and
+    symmetric, so no N x N W is formed."""
+    n = m.shape[axis]
+    mult = _mode_multipliers(n, order)[: n // 2 + 1]
+    f = np.fft.rfft(m, axis=axis)
+    f *= mult[:, None] if axis == 0 else mult
+    return np.fft.irfft(f, n, axis=axis)
+
+
+def updated_inverse(ref_inv, u, vt, mat, limit: float, what: str, k, suspected: str,
+                    weighted=None) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """M^{-1} for M = M_ref + u vt (an N x r ``u``, an r x N ``vt``), as the rank-r update of ref_inv = M_ref^{-1}
+    (Woodbury): ref_inv - (ref_inv u) C^{-1} (vt ref_inv), with the r x r capacitance C = I + vt ref_inv u,
+    and one Newton step X + (I - X M) X.  ``mat`` is a function that forms M, for that step.
+    Returns (M^{-1}, ref_inv u, C^{-1} vt ref_inv); no N x N system is inverted or solved.
+
+    C^{-1} comes from :func:`checked_inverse`, refused where C is singular or not finite.  M^{-1} is refused
+    on the measure of checked_inverse read from the update, before the step: |M|_1 |M^{-1}|_1, or with
+    ``weighted`` = (|W' M W'|_1, W ref_inv W, order) for W = W_order (u and vt real) |W' M W'|_1 times
+    |W ref_inv W - (W ref_inv u) C^{-1} (vt ref_inv W)|_1.  The update's rounding grows with the
+    conditioning of M and of M_ref; after the step its residual |M^{-1} M - I|_1 is np.linalg.inv's."""
+    m = None
+    if weighted is None:
+        m = mat()
+        norm, weighted_ref_inv = float(np.linalg.norm(m, 1)), None
+    else:
+        norm, weighted_ref_inv, order = weighted
+    hu = ref_inv @ u
+    cap = vt @ hu
+    cap.flat[:: len(cap) + 1] += 1.0   # + I
+    cvh = checked_inverse(cap, np.finfo(float).max, f"the capacitance of {what}", k, suspected) @ (vt @ ref_inv)
+    inv = hu @ cvh
+    np.subtract(ref_inv, inv, out=inv)
+    inv_hat = inv if weighted_ref_inv is None else (
+        weighted_ref_inv - _sobolev_apply(hu, order) @ _sobolev_apply(cvh.T, order).T)
+    inv_norm = float(np.linalg.norm(inv_hat, 1))
+    del inv_hat
+    _refuse_beyond(norm, inv_norm, limit, what, k, suspected)
+    r = inv @ (mat() if m is None else m)
+    del m
+    r *= -1.0
+    r.flat[:: len(r) + 1] += 1.0   # I - X M
+    inv += r @ inv
+    return inv, hu, cvh
+
+
+@dataclass(frozen=True)
+class LayerReference:
+    """The k-independent S_ref = L + alpha 1 v^T (v = |z'(t_j)|/N, the column scale of S_k's factors)
+    of which every S_k is a rank-r update, and G = S_ref^{-1} (``inverse``).
+
+    alpha makes the Schur complement of S_ref's constants block 1, so S_ref is invertible wherever B is
+    on mean-free densities; on the unit circle alpha = 1 and the weighted S_ref has singular values 1/2
+    and 1.  No fixed k would do: S_k^0 = L + (-gamma - ln|k|) 1 v^T, so alpha = 1 is S_k^0 at
+    |k| = e^{-1-gamma}, which is singular on the circle of radius e.  ``weighted`` = W_{1/2} S_ref W_{1/2}
+    and ``weighted_inverse`` = W_{-1/2} G W_{-1/2} carry the E_D measure of every S_k.
+    """
+
+    alpha: float
+    inverse: np.ndarray
+    weighted: np.ndarray
+    weighted_inverse: np.ndarray
+
+
+def layer_reference(nodes: NodeSet) -> LayerReference:
+    """The NodeSet's :class:`LayerReference`, built once and kept in ``nodes.memo``.  S_ref is refused
+    (E_D) on the measure of S_k, or where its inverse is singular or not finite."""
+    ref = nodes.memo.get("layer_reference")
+    if ref is not None:
+        return ref
+    bf = block_form(assemble_log_layer(nodes))
+    c = nodes.weights / nodes.length
+    m = bf.perp_perp
+    m += c   # P_perp B P_perp + 1 c^T, as in invert_on_meanfree
+    schur = bf.cc - bf.c_perp @ np.linalg.solve(m, bf.perp_c)   # cc - b B^{-1} p
+    del bf, m
+    alpha = float((1.0 - schur) * nodes.n_nodes / np.sum(nodes.speed))   # 1 v^T adds alpha 1^T v to the cc block
+    s_ref = _log_kernel_matrix(nodes) + alpha * nodes.speed / nodes.n_nodes
+    weighted = _sobolev_apply(_sobolev_apply(s_ref, 0.5), 0.5, axis=1)   # W_{1/2} S_ref W_{1/2}
+    g = checked_inverse(s_ref, np.finfo(float).max, "S_ref", None, "E_D")
+    del s_ref
+    ref = LayerReference(alpha, g, weighted, _sobolev_apply(_sobolev_apply(g, -0.5), -0.5, axis=1))
+    _refuse_beyond(float(np.linalg.norm(ref.weighted, 1)), float(np.linalg.norm(ref.weighted_inverse, 1)),
+                   1.0 / SINGULARITY_THRESHOLD, "S_ref", None, "E_D")
+    for m in (g, ref.weighted, ref.weighted_inverse):
+        m.flags.writeable = False
+    return nodes.memo.setdefault("layer_reference", ref)
+
+
+@dataclass(frozen=True)
+class LayerInverse(BoundaryOperator):
+    """S_k^{-1} = G - gx cyg, the update of G = S_ref^{-1} for S_k = S_ref + x y^T (x, y real, N x r):
+    gx = G x and cyg = C^{-1} y^T G, with C = I + y^T G x (:func:`updated_inverse`)."""
+
+    x: np.ndarray
+    y: np.ndarray
+    gx: np.ndarray
+    cyg: np.ndarray
+
+
+def invert_S(k, nodes: NodeSet) -> LayerInverse:
+    """S_k^{-1} as the rank-r update of the NodeSet's G = S_ref^{-1} (:func:`layer_reference`), with
+    S_k = S_ref + X Y^T from the factors of :func:`assemble_S` (Y's constant column less alpha v).
+
+    Refused (E_D) when 1/(|S^|_1 |S^^{-1}|_1) < SINGULARITY_THRESHOLD, with S^ = W_{1/2} S_k W_{1/2}
+    and S^^{-1} = W_{-1/2} S_k^{-1} W_{-1/2}, both read from the references at O(N^2 r), or where the
+    r x r capacitance is singular or not finite.  r = 2m + 1 is 5 or 9 for |k| <= 1e-2; no N x N
+    system is inverted per k.  x, y, gx and cyg describe the update before its Newton step
+    (:func:`updated_inverse`), to rounding.
+    """
+    kp = KPoint.from_k(k)
+    ref = layer_reference(nodes)
+    x, y = _ein_factors(kp, nodes)
+    y[:, -1] -= ref.alpha * nodes.speed / nodes.n_nodes   # relative to S_ref
+    norm = float(np.linalg.norm(ref.weighted + _sobolev_apply(x, 0.5) @ _sobolev_apply(y, 0.5).T, 1))
+
+    def s_k():   # S_ref + x y^T
+        mat = x @ y.T
+        mat += _log_kernel_matrix(nodes)
+        mat += ref.alpha * nodes.speed / nodes.n_nodes
+        return mat
+
+    inv, gx, cyg = updated_inverse(ref.inverse, x, y.T, s_k, 1.0 / SINGULARITY_THRESHOLD, "S_k", kp, "E_D",
+                                   (norm, ref.weighted_inverse, -0.5))
+    return LayerInverse(inv, HPLUS, HMINUS, nodes, x, y, gx, cyg)
 
 
 class KWorkspace:
     """S_k at one k on one NodeSet and S_k^{-1}, each built once, on first use.
 
     criterion, n_minus, assemble_P, assemble_A, assemble_Fout and trace_u take one in
-    place of k, so the quantities at k share one S_k.  Where invert_S
-    refuses (k near E_D), every access of ``inverse`` raises its refusal; where
-    assemble_S refuses (k beyond its table), every access of ``s`` raises.
+    place of k, so the quantities at k share one S_k and one S_k^{-1}.  The inverse is
+    :func:`invert_S`'s update of the NodeSet's reference, which assembles no S_k, and it
+    carries its factors for the transform's two routes.  Where invert_S refuses (k near
+    E_D), every access of ``inverse`` raises its refusal; where the Ein rule refuses (k
+    beyond its table), every access of ``s`` or ``inverse`` raises.
     """
 
     def __init__(self, k, nodes: NodeSet):
         self.k = KPoint.from_k(k)
         self.nodes = nodes
-        self._inverse: BoundaryOperator | None = None
+        self._inverse: LayerInverse | None = None
         self._refused: NearSingularError | None = None   # the refusal of the inversion, at self.k
 
     @classmethod
@@ -369,10 +509,10 @@ class KWorkspace:
         return assemble_S(self.k, self.nodes)
 
     @property
-    def inverse(self) -> BoundaryOperator:
+    def inverse(self) -> LayerInverse:
         if self._inverse is None and self._refused is None:
             try:
-                self._inverse = invert_S(self.k, self.s)
+                self._inverse = invert_S(self.k, self.nodes)
             except NearSingularError as exc:
                 self._refused = exc.at(self.k)   # kept without the traceback, which holds the frames' arrays
         if self._refused is not None:

@@ -76,7 +76,8 @@ class Potential:
     eval_fn: Callable[[np.ndarray], np.ndarray]
     q_fn: Callable[[np.ndarray], np.ndarray] | None = None
     # ("sampled", N) -> (sha256 of the interior solver's samples of n, their angular
-    # modes), DiskDtnSolver.sampled; ("Fn", N) -> F_n, assemble_Fn
+    # modes), DiskDtnSolver.sampled; ("Fn", N) -> F_n, assemble_Fn; ("trace_refs", N) ->
+    # (P_ref^{-1}, A_ref^{-1}), the references of transform.trace_u
     memo: dict = field(default_factory=dict, init=False, repr=False, compare=False)
 
     def eval(self, z) -> np.ndarray:
@@ -265,26 +266,37 @@ class PerturbedFamily:
 # ---------------------------------------------------------------------------
 # DtN maps
 
+#: adjoint_double_layer forms K' this many rows at a time, so no N x N temporary is made
+_KPRIME_ROWS = 32
+
+
 def adjoint_double_layer(nodes: NodeSet, k=None) -> np.ndarray:
     """Nystrom matrix of K' (``k`` None) or of K_k': density -> normal derivative
     of its Laplace or Faddeev single layer.
 
     K' has kernel -(1/2pi) (z-z').nu_z / |z-z'|^2 with the curvature diagonal
-    limit -kappa/(4 pi).  K_k' adds the normal derivative of N(k(z-z')): since
-    d/dz Re E1(-ikz)/2pi = Re(-e^{ikz}/(2pi z)), that kernel is
+    limit -kappa/(4 pi), formed in real arithmetic a block of rows at a time, so
+    its only N x N array is the result.  K_k' adds the normal derivative of
+    N(k(z-z')): since d/dz Re E1(-ikz)/2pi = Re(-e^{ikz}/(2pi z)), that kernel is
     Re(-expm1(ik(z-z')) nu_z / (2pi (z-z'))), with diagonal Re(-ik nu_z)/(2pi).
     """
     z, nu, w = nodes.z, nodes.normals, nodes.weights
-    dz = z[:, None] - z[None, :]
+    kern = np.empty((nodes.n_nodes, nodes.n_nodes))
+    for i in range(0, nodes.n_nodes, _KPRIME_ROWS):
+        rows = slice(i, i + _KPRIME_ROWS)
+        dx, dy = z.real[rows, None] - z.real, z.imag[rows, None] - z.imag
+        with np.errstate(invalid="ignore", divide="ignore"):   # the diagonal is set below
+            kern[rows] = -(dx * nu.real[rows, None] + dy * nu.imag[rows, None]) / (2 * np.pi * (dx * dx + dy * dy))
     diag = -nodes.curvature / (4 * np.pi)
-    with np.errstate(invalid="ignore", divide="ignore"):
-        kern = -(dz.real * nu.real[:, None] + dz.imag * nu.imag[:, None]) / (2 * np.pi * np.abs(dz) ** 2)
-        if k is not None:
-            ik = 1j * KPoint.from_k(k).k
+    if k is not None:
+        ik = 1j * KPoint.from_k(k).k
+        dz = z[:, None] - z[None, :]
+        with np.errstate(invalid="ignore", divide="ignore"):
             kern += (-np.expm1(ik * dz) * nu[:, None] / (2 * np.pi * dz)).real
-            diag = diag + (-ik * nu).real / (2 * np.pi)
+        diag = diag + (-ik * nu).real / (2 * np.pi)
     np.fill_diagonal(kern, diag)
-    return kern * w[None, :]
+    kern *= w
+    return kern
 
 
 def _laplace_pieces(nodes: NodeSet) -> dict:

@@ -67,7 +67,8 @@ class NodeSet:
     weights : (N,) arc-length weights |z'(t_j)| * 2*pi/N.
     normals : (N,) complex outward unit normals.
     curvature : (N,) signed curvature.
-    memo : k-independent operators built on these nodes (log kernel, Laplace pieces).
+    memo : k-independent operators built on these nodes (log kernel, Laplace pieces,
+        the layer reference of every S_k^{-1}).
     """
 
     curve: BoundaryCurve

@@ -16,6 +16,7 @@ from __future__ import annotations
 import csv
 import json
 import logging
+import numbers
 import os
 import time
 from dataclasses import asdict, dataclass, field
@@ -128,6 +129,14 @@ class RunConfig:
             check_locus_lambda(self.lam)
         if self.n_nodes < 16 or self.n_nodes % 2:
             raise ValueError(f"n_nodes must be even and >= 16, got {self.n_nodes}")
+        counts = {"workers": self.workers, "locus_angles": self.locus_angles,
+                  "transform_krange n": self.transform_krange["n"]}
+        if self.kgrid["type"] == "logpolar":
+            counts.update({"kgrid nr": self.kgrid["nr"], "kgrid nphi": self.kgrid["nphi"]})
+        bad = {name: v for name, v in counts.items()
+               if isinstance(v, bool) or not isinstance(v, numbers.Integral) or v < 1}
+        if bad:
+            raise ValueError(f"counts must be positive ints, got {bad}")
         kind = self.potential["kind"]
         if kind != "conductive" and (self.lam != 0.0 or self.omega != RunConfig().omega):
             raise ValueError(f"lam = {self.lam} and omega {self.omega} perturb a conductive potential "

@@ -12,11 +12,16 @@ quadrature of
 
     t(k) = int e^{i conj(k z)} [(F_n - F_0) u](z, k) dl_z.
 
-Each route inverts its matrix M, P(k) = I + S_k (F_n - F_0) from assemble_P
-or A(k) = F_n - F^out(k) from assemble_A, once by checked_inverse: M^{-1} is
-both the solve and the refusal, with E suspected where the inverse fails or
-|M|_1 |M^{-1}|_1 exceeds CONDITION_CAP.  The E_D refusal stays with the
-inversion of S_k, which reads the same measure on the weighted S_k.
+Each route inverts its matrix M, P(k) = I + S_k (F_n - F_0) or A(k) = F_n - F^out(k)
+= (F_n - F_0) + S_k^{-1}, as a rank-r update of a k-independent reference.  S_k =
+S_ref + X Y^T (boundary_ops.invert_S), so P(k) = P_ref + X (Y^T D) with P_ref = I + S_ref D,
+and A(k) = A_ref - (G X)(C^{-1} Y^T G) with A_ref = D + G, G = S_ref^{-1} and D = F_n - F_0.
+P_ref^{-1} and A_ref^{-1} each come from their own checked_inverse, once per potential, and
+are kept in its memo, so the routes stay two different systems.  Per k only r x r
+capacitances are inverted (updated_inverse): M^{-1} is both the solve and the refusal, with E
+suspected where a capacitance is singular or not finite, or |M|_1 |M^{-1}|_1 exceeds
+CONDITION_CAP.  The E_D refusal stays with the inversion of S_k, which reads the same measure
+on the weighted S_k.
 """
 
 from __future__ import annotations
@@ -25,7 +30,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .boundary_ops import KWorkspace, NearSingularError, checked_inverse
+from .boundary_ops import (KWorkspace, NearSingularError, assemble_log_layer, checked_inverse, layer_reference,
+                           updated_inverse)
 from .dtn_maps import Potential
 from .exceptional import assemble_A, assemble_P, fn_minus_f0
 from .geometry import NodeSet
@@ -89,6 +95,27 @@ def _matvec(mat: np.ndarray, v: np.ndarray) -> np.ndarray:
     return mat @ v if np.iscomplexobj(mat) else mat @ v.real + 1j * (mat @ v.imag)
 
 
+def _route_references(n: Potential, nodes: NodeSet, kp: KPoint) -> tuple[np.ndarray, np.ndarray]:
+    """(P_ref^{-1}, A_ref^{-1}) for P_ref = I + S_ref D and A_ref = D + S_ref^{-1}, kept in ``n.memo``
+    beside F_n; a reference that checked_inverse refuses refuses the route at ``kp``."""
+    key = ("trace_refs", nodes.n_nodes)
+    refs = n.memo.get(key)
+    if refs is None:
+        d = fn_minus_f0(n, nodes)
+        ref = layer_reference(nodes)
+        p_ref = assemble_log_layer(nodes).matrix @ d   # (L + alpha 1 v^T) D + I
+        p_ref += ref.alpha * (nodes.speed / nodes.n_nodes) @ d
+        p_ref.flat[:: nodes.n_nodes + 1] += 1.0
+        p_inv = checked_inverse(p_ref, CONDITION_CAP, "P_ref", kp, "E")
+        del p_ref
+        d += ref.inverse
+        refs = (p_inv, checked_inverse(d, CONDITION_CAP, "A_ref", kp, "E"))
+        for m in refs:
+            m.flags.writeable = False
+        refs = n.memo.setdefault(key, refs)
+    return refs
+
+
 def trace_u(k, n: Potential, nodes: NodeSet) -> BoundaryTrace:
     """Solve both boundary formulations for the trace of u(., k).
 
@@ -100,10 +127,16 @@ def trace_u(k, n: Potential, nodes: NodeSet) -> BoundaryTrace:
     kp = ws.k
     sinv = ws.inverse  # raises with suspected="E_D" near the Dirichlet set
     rhs = np.exp(1j * kp.kz(nodes.z))
+    p_inv, a_inv = _route_references(n, nodes, kp)
 
-    u_ls = _matvec(checked_inverse(assemble_P(ws, n, nodes).matrix, CONDITION_CAP, "P(k)", kp, "E"), rhs)
-    u_alt = _matvec(checked_inverse(assemble_A(ws, n, nodes).matrix, CONDITION_CAP, "A(k)", kp, "E"),
-                    _matvec(sinv.matrix, rhs))
+    # P(k) = P_ref + X (Y^T D), formed by assemble_P for its 1-norm and the Newton step; it is given
+    # ws.k, not ws, so that the workspace does not keep this S_k
+    ytd = sinv.y.T @ fn_minus_f0(n, nodes)   # Y^T D
+    u_ls = _matvec(updated_inverse(p_inv, sinv.x, ytd, lambda: assemble_P(kp, n, nodes).matrix, CONDITION_CAP,
+                                   "P(k)", kp, "E")[0], rhs)
+    # A(k) = D + S_k^{-1} = A_ref - (G X)(C^{-1} Y^T G)
+    u_alt = _matvec(updated_inverse(a_inv, sinv.gx, -sinv.cyg, lambda: assemble_A(ws, n, nodes).matrix,
+                                    CONDITION_CAP, "A(k)", kp, "E")[0], _matvec(sinv.matrix, rhs))
 
     denom = max(_weighted_norm(u_ls, nodes), 1e-300)
     residual = _weighted_norm(u_ls - u_alt, nodes) / denom

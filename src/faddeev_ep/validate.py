@@ -27,6 +27,7 @@ from .boundary_ops import (
     KWorkspace,
     adjoint_arclength,
     assemble_B,
+    assemble_log_layer,
     assemble_S,
     assemble_S0,
     block_form,
@@ -125,10 +126,21 @@ def run_validation(nodes: NodeSet) -> list[CheckResult]:
     add("F_b^out maps Re, Im z^-m (m = 1..4) to their normal derivatives", worst_on_traces(fb, -1), 1e-6)
     binv = f0.matrix - fb   # B^{-1} P_perp
 
-    # inverse block structure of S_k at small k
+    # inverse block structure of S_k at small k.  With b and p the off-diagonal blocks of the log layer L
+    # (0 on circles) and s = c - b B^{-1} p the Schur complement of its constants block, the block inverse
+    # of S_k^0 is cc = eps/(1 + s eps) and perp = B^{-1} + cc (B^{-1} p)(b B^{-1}).  S_k - S_k^0 = O(|k|)
+    # has no constants block to first order, so cc agrees to rounding: measured at most 2.0e-13 relative
+    # to eps (the circle, R = 1.25, the 1.5 x 1 ellipse and the kite at N = 32..256), threshold 1e-10.
+    # The perp block keeps the O(|k|) term, at most 0.041 |k| (kite, |k| = 7.9e-7 at eps = 0.05, and
+    # 0.0094 |k| on the ellipse), threshold |k|.  Without S_k's constant column (cc -> 1/s_ref = 1) both
+    # fail off circles; on a circle b = p = 0 and only cc sees it
     eps = 0.05
-    bf = block_form(KWorkspace(KPoint.from_eps(eps, 0.0, nu), nodes).inverse)
-    add("cc of S_k^{-1} = eps/(1 + c eps) + O(eps^2)", abs(bf.cc - eps / (1 + c * eps)), 0.01 * eps)
-    perp = BoundaryOperator(bf.perp_perp - binv, HPLUS, HMINUS, nodes)
-    add("perp block of S_k^{-1} -> B^{-1}", operator_norm(perp), 0.1)
+    kp = KPoint.from_eps(eps, 0.0, nu)
+    bf = block_form(KWorkspace(kp, nodes).inverse)
+    lb = block_form(assemble_log_layer(nodes))
+    bp, bb = binv @ lb.perp_c, lb.c_perp @ binv
+    cc = eps / (1 + (c - lb.c_perp @ bp) * eps)
+    add("cc of S_k^{-1} = eps/(1 + s eps), relative to eps", abs(bf.cc - cc) / eps, 1e-10)
+    perp = BoundaryOperator(bf.perp_perp - binv - cc * np.outer(bp, bb), HPLUS, HMINUS, nodes)
+    add("perp block of S_k^{-1} = B^{-1} + cc (B^{-1} p)(b B^{-1})", operator_norm(perp), kp.abs)
     return checks

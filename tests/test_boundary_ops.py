@@ -171,7 +171,7 @@ def test_block_form_roundtrip(nodes128):
 def test_invert_S_contract(nodes128):
     kp = KPoint.from_k(0.5)
     s = assemble_S(kp, nodes128)
-    sinv = invert_S(kp, s)
+    sinv = invert_S(kp, nodes128)
     assert np.max(np.abs(s.matrix @ sinv.matrix - np.eye(128))) < 1e-10
     assert sinv.domain_space == HPLUS and sinv.range_space == HMINUS
 
@@ -180,7 +180,7 @@ def test_invert_S_contract(nodes128):
 def test_invert_S_block_asymptotics(nodes128, eps):
     """(S_k)^{-1} = diag(eps, B^{-1}) + O(eps) blockwise."""
     kp = KPoint.from_eps(eps, 0.4, nodes128.length)
-    sinv = invert_S(kp, assemble_S(kp, nodes128))
+    sinv = invert_S(kp, nodes128)
     bf = block_form(sinv)
     assert abs(bf.cc - eps) <= 0.01 * eps
     # perp block approaches B^{-1} on mean-free densities
@@ -196,19 +196,32 @@ def test_invert_S_refuses_near_singular(nodes128):
     # |k| ~ 4.4 it is below the refusal threshold at any angle
     kp = KPoint.from_k(4.437)
     with pytest.raises(NearSingularError) as exc:
-        invert_S(kp, assemble_S(kp, nodes128))
+        invert_S(kp, nodes128)
     assert exc.value.suspected == "E_D"
     assert exc.value.sigma_min < 1e-6 * exc.value.norm
 
 
 @pytest.mark.parametrize("fill", [0.0, np.nan])
-def test_invert_S_refuses_a_layer_it_cannot_invert(nodes128, fill):
-    """An S_k that inv rejects (singular), or whose refusal measure is not finite (nan
-    entries), is an E_D refusal, not a LinAlgError or an accepted inverse."""
-    s = BoundaryOperator(np.full((128, 128), fill), HMINUS, HPLUS, nodes128)
+def test_invert_S_refuses_a_layer_it_cannot_invert(nodes128, fill, monkeypatch):
+    """An S_k whose r x r capacitance inv rejects (exactly singular), or whose refusal measure is
+    not finite (nan entries), is an E_D refusal with sigma_min 0 or nan, not a LinAlgError or an
+    accepted inverse.  The update is given the reference I, u = e_0 and v^T = -e_0^T with ``fill``
+    elsewhere, so its capacitance 1 + v^T u is exactly 0, or nan."""
+    from faddeev_ep import boundary_ops
+
+    update = boundary_ops.updated_inverse
+
+    def degenerate(ref_inv, u, vt, *args):
+        n = len(ref_inv)
+        e, row = np.eye(n)[:, :1], np.full((1, n), fill)
+        row[0, 0] = -1.0
+        return update(np.eye(n), e, row, *args)
+
+    monkeypatch.setattr(boundary_ops, "updated_inverse", degenerate)
     with pytest.raises(NearSingularError) as exc:
-        invert_S(KPoint.from_k(0.5), s)
+        invert_S(KPoint.from_k(0.5), nodes128)
     assert exc.value.suspected == "E_D"
+    np.testing.assert_equal(exc.value.sigma_min, fill)
 
 
 def _diag(*values):
@@ -229,17 +242,15 @@ def test_checked_inverse_refuses_what_it_cannot_trust(mat, sigma):
 
 
 def test_checked_inverse_returns_inv_below_its_limit(nodes128):
-    """Below the limit the result is np.linalg.inv's; with weights W, V the measure is
-    |W M W|_1 |V M^{-1} V|_1, and the refusal reports 1/|V M^{-1} V|_1 and |W M W|_1."""
+    """Below the limit the result is np.linalg.inv's; the measure is |M|_1 |M^{-1}|_1, and the refusal
+    reports 1/|M^{-1}|_1 and |M|_1.  (The weighted measure of S_k is read by invert_S from its update.)"""
     mat = _diag(1.0, 2.0, 1e-5) + 0.1
     np.testing.assert_array_equal(checked_inverse(mat, 1e6, "M", KPoint.from_k(0.5), "E"), np.linalg.inv(mat))
     s = assemble_S(KPoint.from_k(0.5), nodes128).matrix
-    w, v = sobolev_matrix(128, 0.5), sobolev_matrix(128, -0.5)
-    norm, inv_norm = np.linalg.norm(w @ s @ w, 1), np.linalg.norm(v @ np.linalg.inv(s) @ v, 1)
-    np.testing.assert_array_equal(checked_inverse(s, 1.01 * norm * inv_norm, "S_k", None, "E_D", w, v),
-                                  np.linalg.inv(s))
+    norm, inv_norm = np.linalg.norm(s, 1), np.linalg.norm(np.linalg.inv(s), 1)
+    np.testing.assert_array_equal(checked_inverse(s, 1.01 * norm * inv_norm, "S_k", None, "E_D"), np.linalg.inv(s))
     with pytest.raises(NearSingularError) as exc:
-        checked_inverse(s, 0.99 * norm * inv_norm, "S_k", None, "E_D", w, v)
+        checked_inverse(s, 0.99 * norm * inv_norm, "S_k", None, "E_D")
     assert exc.value.suspected == "E_D" and exc.value.k is None
     assert exc.value.norm == norm and exc.value.sigma_min == pytest.approx(1.0 / inv_norm, rel=1e-12)
 
@@ -260,18 +271,21 @@ def test_log_layer_builds_in_real_arithmetic():
 
 
 def test_workspace_assembles_once_and_refuses_on_every_access(nodes128, monkeypatch):
-    """A workspace holds one S_k; a refused k raises on every access of the inverse."""
+    """A workspace holds one S_k and one S_k^{-1}, each built on first use; the inverse is an update
+    that assembles no S_k, and a refused k raises on every access of the inverse."""
     from faddeev_ep import boundary_ops
     from faddeev_ep.dtn_maps import assemble_Fout
 
-    calls = []
+    calls, inversions = [], []
     monkeypatch.setattr(boundary_ops, "assemble_S", lambda k, nodes: calls.append(k) or assemble_S(k, nodes))
+    monkeypatch.setattr(boundary_ops, "invert_S", lambda k, nodes: inversions.append(k) or invert_S(k, nodes))
     ws = KWorkspace.at(4.437, nodes128)
     for access in (lambda: ws.inverse, lambda: ws.inverse, lambda: assemble_Fout(ws, nodes128)):
         with pytest.raises(NearSingularError) as exc:
             access()
         assert exc.value.suspected == "E_D"
-    assert calls == [ws.k]
+    assert calls == [] and inversions == [ws.k]
+    assert ws.s is ws.s and calls == [ws.k]
     assert KWorkspace.at(ws, nodes128) is ws
     other = sample(make_circle(1.0), 64)
     assert KWorkspace.at(ws, other).nodes is other
@@ -330,7 +344,7 @@ def test_one_norm_refusal_decides_as_the_weighted_svd(nodes128, nodes256):
         assert (measure < 1e-6) == (sv[-1] < 1e-6 * sv[0]), (k, measure, sv[-1] / sv[0])
         assert 0.2 <= measure / (sv[-1] / sv[0]) <= 0.6
         try:
-            invert_S(kp, s)
+            invert_S(kp, nodes)
             refused.append(False)
         except NearSingularError as exc:
             assert exc.sigma_min / exc.norm == pytest.approx(measure, rel=1e-3)
@@ -340,11 +354,28 @@ def test_one_norm_refusal_decides_as_the_weighted_svd(nodes128, nodes256):
 
 def test_laplace_pieces_form_no_dense_projector():
     """B^{-1} P_perp and F_0 at N = 256 (0.5 MiB each) apply P_perp = I - 1 c^T as rank-one
-    updates: the traced peak of building them is 2.57 MiB, set by the temporaries of K',
-    where the dense P_const, P_perp and their N^3 products took 3.00 MiB."""
+    updates, and K' is formed in real arithmetic a block of rows at a time: the traced peak of
+    building them is 1.57 MiB.  The bound leaves 0.18 MiB, less than the 0.5 MiB of one more N x N
+    temporary.  The complex z_i - z_j of K' and its three real N x N temporaries set a peak of
+    2.57 MiB, and the dense P_const, P_perp and their N^3 products one of 3.00 MiB."""
     nodes = sample(make_circle(1.0), 256)   # a NodeSet of its own: the pieces are cached per NodeSet
     assemble_log_layer(nodes)   # the k-independent log layer, cached per NodeSet
-    assert traced_peak(assemble_F0, nodes) <= 2.75 * 2**20
+    assert traced_peak(assemble_F0, nodes) <= 1.75 * 2**20
+
+
+def test_kprime_builds_in_real_arithmetic_without_an_n_by_n_temporary():
+    """K' at N = 256 (0.5 MiB) on the kite has a traced peak of 0.88 MiB, under one more N x N array,
+    and equals the complex formula -(1/2pi) Re(nu_i / (z_i - z_j)) w_j, with the curvature diagonal."""
+    from faddeev_ep.dtn_maps import adjoint_double_layer
+
+    nodes = sample(make_kite(), 256)
+    assert traced_peak(adjoint_double_layer, nodes) <= 1.0 * 2**20
+    z, nu = nodes.z, nodes.normals
+    with np.errstate(divide="ignore", invalid="ignore"):
+        ref = -(nu[:, None] / (z[:, None] - z)).real / (2 * np.pi)
+    np.fill_diagonal(ref, -nodes.curvature / (4 * np.pi))
+    ref *= nodes.weights
+    assert np.max(np.abs(adjoint_double_layer(nodes) - ref)) <= 1e-14 * np.max(np.abs(ref))
 
 
 def test_rotation_needs_one_ring_on_a_centred_circle(nodes128):

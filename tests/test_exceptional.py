@@ -447,17 +447,14 @@ def test_xi_residual_quadratic_scaling(nodes128, radial_family, xi_fit_005):
 
 
 def test_fit_xi_assembles_S_once_per_nonzero_eps(radial_family, monkeypatch):
-    """S_k does not depend on lambda: a 3 x 3 grid needs two S_k, not six."""
-    calls = []
-
-    def counted(*args, **kwargs):
-        calls.append(args[0])
-        return assemble_S(*args, **kwargs)
-
+    """S_k does not depend on lambda: a 3 x 3 grid needs two S_k^{-1}, not six.  The inverse is an
+    update of the NodeSet's reference, so no S_k is assembled at all."""
+    calls, inversions = [], []
     assemble_S = boundary_ops.assemble_S
-    monkeypatch.setattr(boundary_ops, "assemble_S", counted)
+    monkeypatch.setattr(boundary_ops, "assemble_S", lambda k, nodes: calls.append(k) or assemble_S(k, nodes))
+    monkeypatch.setattr(boundary_ops, "invert_S", lambda k, nodes: inversions.append(k) or invert_S(k, nodes))
     fit_xi(radial_family, sample(make_circle(1.0), 64), [-0.02, 0.0, 0.02], [0.0, 0.01, 0.02])
-    assert len(calls) == 2
+    assert len(inversions) == 2 and calls == []
 
 
 def test_fit_xi_samples_are_the_criterion_eig_near_zero(radial_family):

@@ -11,7 +11,7 @@ from conftest import perfbench_workloads
 from faddeev_ep import dtn_maps
 from faddeev_ep.cli import main as cli_main
 from faddeev_ep.dtn_maps import assemble_Fn, fn_key, standard_conductive
-from faddeev_ep.geometry import make_circle, sample
+from faddeev_ep.geometry import make_circle, make_ellipse, sample
 from faddeev_ep.harness import OperatorCache, RunConfig, build_potential, kgrid_points, run
 
 
@@ -313,6 +313,28 @@ def test_a_value_outside_a_key_s_choices_is_a_config_error(tmp_path, capsys, doc
         RunConfig(**doc)
 
 
+@pytest.mark.parametrize("doc", [{"workers": 0, "detectors": ["sigma_scan"]},
+                                 {"workers": -2, "detectors": ["sigma_scan"]},
+                                 {"locus_angles": 0, "lam": 0.05, "detectors": ["locus"]},
+                                 {"locus_angles": 2.5, "lam": 0.05, "detectors": ["locus"]},
+                                 {"kgrid": {"nr": 0}, "detectors": ["sigma_scan"]},
+                                 {"kgrid": {"nphi": 1.5}, "detectors": ["sigma_scan"]},
+                                 {"transform_krange": {"n": -1}, "detectors": ["transform"]},
+                                 {"transform_krange": {"n": True}, "detectors": ["transform"]}],
+                         ids=["workers_0", "workers_neg", "angles_0", "angles_frac", "nr_0", "nphi_frac",
+                              "krange_n_neg", "krange_n_bool"])
+def test_a_count_that_is_not_a_positive_int_is_a_config_error(tmp_path, capsys, doc):
+    """workers, locus_angles, the kgrid's nr and nphi and the transform's n count things: zero, a
+    negative or a fractional count is a config error found before anything is written.  Before,
+    workers = 0 ran and recorded the scan's ValueError, locus_angles = 0 failed inside the detector,
+    and locus_angles = 2.5 traced 3 rays 2 pi / 2.5 apart."""
+    code, rundir = _run_json(tmp_path, doc)
+    assert code == 1 and rundir is None
+    assert "counts must be positive ints" in capsys.readouterr().err
+    with pytest.raises(ValueError, match="counts must be positive ints"):
+        RunConfig.from_dict(doc)
+
+
 def test_cli_validate_takes_only_the_curve_flags_and_n(capsys):
     with pytest.raises(SystemExit):
         cli_main(["validate", "--n", "32", "--potential", "absorbing"])
@@ -474,7 +496,6 @@ def test_validate_checks_F0_on_harmonic_traces(monkeypatch):
     that check replaced, passes the same mutation."""
     from faddeev_ep import dtn_maps
     from faddeev_ep.boundary_ops import assemble_B, mean_projectors
-    from faddeev_ep.geometry import make_ellipse
     from faddeev_ep.validate import run_validation
 
     name = "F_0 maps Re, Im z^m (m = 1..4) to their normal derivatives"
@@ -525,6 +546,27 @@ def test_validate_checks_S_k_against_its_closed_form_jump(monkeypatch):
         ws = boundary_ops.KWorkspace(KPoint.from_polar_log(np.log(r), (i % 4) * np.pi / 3), nodes)
         resid = (f0 - assemble_Fout(ws, nodes).matrix) @ ws.s.matrix - np.eye(64)
         assert np.linalg.norm(resid, 2) <= 1e-8
+
+
+@pytest.mark.parametrize("curve", [make_circle(1.0), make_ellipse(1.5, 1.0)], ids=["circle", "ellipse"])
+def test_validate_checks_the_inverse_of_S_k_through_its_blocks(monkeypatch, curve):
+    """The update of S_k^{-1} without its last column of X, the constant column that carries ln|k|,
+    inverts S_ref + (the other Ein terms) instead of S_k (its Newton step too): its constants block is then off eps by more
+    than eps itself (8.2 eps on the ellipse, 11 eps on the circle), and the cc check fails.  Its perp block then takes the coupling (B^{-1} p)(b B^{-1}) with weight 1 for
+    eps/(1 + s eps); that fails the perp check off circles, where b and p are not 0."""
+    from faddeev_ep import boundary_ops
+    from faddeev_ep.validate import run_validation
+
+    names = ("cc of S_k^{-1} = eps/(1 + s eps), relative to eps",
+             "perp block of S_k^{-1} = B^{-1} + cc (B^{-1} p)(b B^{-1})")
+    assert all({c.name: c for c in run_validation(sample(curve, 64))}[name].passed for name in names)
+    update = boundary_ops.updated_inverse
+    monkeypatch.setattr(boundary_ops, "updated_inverse", lambda ref_inv, u, vt, mat, *args: update(
+        ref_inv, u[:, :-1], vt[:-1], lambda: mat() - np.outer(u[:, -1], vt[-1]), *args))
+    nodes = sample(curve, 64)
+    checks = {c.name: c for c in run_validation(nodes)}
+    assert checks[names[0]].measured >= 1.0
+    assert checks[names[1]].passed == nodes.centred_circle
 
 
 def test_cli_scan_subcommand(tmp_path, capsys):
