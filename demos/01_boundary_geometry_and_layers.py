@@ -44,13 +44,13 @@ print(f"mean-free mode m=5 eigenvalue: "
 print("\n== the full Faddeev layer and its inverse ==")
 s = assemble_S(k, nodes)
 print(f"||S_k - S_k^0|| entries: {np.max(np.abs(s.matrix - s0.matrix)):.3e} at |k| = 0.3")
-sinv = invert_S(k, nodes)
+sinv = invert_S(k, s)
 print(f"inverse contract ||S S^-1 - I|| = {np.max(np.abs(s.matrix @ sinv.matrix - np.eye(128))):.2e}")
 
 print("\n== small-k asymptotics of the inverse ==")
 for eps in (0.1, 0.05, 0.025):
     kp = KPoint.from_eps(eps, 0.0, nodes.length)
-    ccinv = block_form(invert_S(kp, nodes)).cc
+    ccinv = block_form(invert_S(kp, assemble_S(kp, nodes))).cc
     print(f"eps = {eps:<6} constants block of S_k^-1 = {ccinv:.8f} (should be ~ eps)")
 
 print("\n== conditioning of the layer along real k ==")

@@ -21,7 +21,7 @@ import os
 import struct
 import tempfile
 from dataclasses import dataclass
-from functools import cached_property, lru_cache
+from functools import cached_property
 
 import numpy as np
 
@@ -39,6 +39,7 @@ __all__ = [
     "log_quadrature_matrix",
     "assemble_log_layer",
     "assemble_S0",
+    "SingleLayer",
     "assemble_S",
     "assemble_B",
     "mean_projectors",
@@ -47,11 +48,9 @@ __all__ = [
     "updated_inverse",
     "LayerReference",
     "layer_reference",
-    "LayerInverse",
     "invert_S",
     "KWorkspace",
     "invert_on_meanfree",
-    "sobolev_matrix",
     "weighted_matrix",
     "sigma_min",
     "operator_norm",
@@ -195,7 +194,21 @@ def _ein_factors(kp: KPoint, nodes: NodeSet) -> tuple[np.ndarray, np.ndarray]:
     return x, y
 
 
-def assemble_S(k, nodes: NodeSet) -> BoundaryOperator:
+@dataclass(frozen=True)
+class SingleLayer(BoundaryOperator):
+    """S_k = L + x y^T with the real N x r factors it was formed from (:func:`assemble_S`)."""
+
+    x: np.ndarray
+    y: np.ndarray
+
+    def reference_factors(self) -> tuple[np.ndarray, np.ndarray]:
+        """(X, Y') with S_k = S_ref + X Y'^T (:func:`layer_reference`): Y less alpha v in its constant column."""
+        y = self.y.copy()
+        y[:, -1] -= layer_reference(self.nodes).alpha * self.nodes.speed / self.nodes.n_nodes
+        return self.x, y
+
+
+def assemble_S(k, nodes: NodeSet) -> SingleLayer:
     """Faddeev single layer S_k = S_k^0 + Nystrom(N(k(z - z'))) in one real N x N GEMM.
 
     Ein(s) = int_0^1 (1 - e^{-st})/t dt, so with the nodes t_q of a Gauss-Legendre rule on [0, 1]
@@ -203,11 +216,13 @@ def assemble_S(k, nodes: NodeSet) -> BoundaryOperator:
     a = e^{ikzt} and b = e^{-ikzt}.  Then S_k = L + X Y^T with the log kernel L, X = [Re a, Im a, 1]
     and Y = [-c Re b, c Im b, sum c - gamma - ln|k|] times the column scale |z'(t_j)|/N, of rank
     2m + 1.  z is centred at its mean, which leaves w = k(z_i - z_j) and shrinks |a| and |b|.
+    S_k carries X and Y, which :func:`invert_S` and the transform's routes update from.
     """
     x, y = _ein_factors(KPoint.from_k(k), nodes)
     mat = x @ y.T
     mat += _log_kernel_matrix(nodes)
-    return BoundaryOperator(mat, HMINUS, HPLUS, nodes)
+    x.flags.writeable = y.flags.writeable = False
+    return SingleLayer(mat, HMINUS, HPLUS, nodes, x, y)
 
 
 def mean_projectors(nodes: NodeSet) -> tuple[np.ndarray, np.ndarray]:
@@ -269,26 +284,28 @@ def _mode_multipliers(n: int, order: float) -> np.ndarray:
     return np.maximum(1.0, m) ** order
 
 
-@lru_cache(maxsize=32)
-def sobolev_matrix(n: int, order: float) -> np.ndarray:
-    """Dense (real, symmetric, circulant) matrix of the order-s weight."""
-    if n % 2:
-        raise ValueError(f"Sobolev weights need an even node count, got {n}")
-    mat = _circulant(_mode_multipliers(n, order))
-    mat.flags.writeable = False
-    return mat
+def _sobolev_apply(m: np.ndarray, order: float, axis: int = 0) -> np.ndarray:
+    """The order-s weight W applied to m along ``axis`` (W m for axis 0, m W for the last axis) by FFT:
+    W is a real symmetric circulant, so no N x N W is formed, and a complex m takes it on its real
+    and imaginary parts."""
+    if np.iscomplexobj(m):
+        return _sobolev_apply(m.real, order, axis) + 1j * _sobolev_apply(m.imag, order, axis)
+    n = m.shape[axis]
+    mult = _mode_multipliers(n, order)[: n // 2 + 1]
+    f = np.fft.rfft(m, axis=axis)
+    f *= mult[:, None] if axis == 0 else mult
+    return np.fft.irfft(f, n, axis=axis)
 
 
 def weighted_matrix(op: BoundaryOperator) -> np.ndarray:
     """W_b M W_{-a} for M: H^a -> H^b, whose singular values are the operator's."""
-    n = op.nodes.n_nodes
     a = _SPACE_ORDER[op.domain_space]
     b = _SPACE_ORDER[op.range_space]
     m = op.matrix
     if b != 0.0:
-        m = sobolev_matrix(n, b) @ m
+        m = _sobolev_apply(m, b)
     if a != 0.0:
-        m = m @ sobolev_matrix(n, -a)
+        m = _sobolev_apply(m, -a, axis=1)
     return m
 
 
@@ -320,7 +337,7 @@ def meanfree_form_gap(op: BoundaryOperator) -> float:
     a = _SPACE_ORDER[op.domain_space]
     wmat = weighted_matrix(op)
     herm = 0.5 * (wmat + wmat.conj().T)
-    c = sobolev_matrix(op.nodes.n_nodes, -a) @ op.nodes.weights if a != 0.0 else op.nodes.weights.copy()
+    c = _sobolev_apply(op.nodes.weights, -a, axis=-1) if a != 0.0 else op.nodes.weights.copy()
     c = c / np.linalg.norm(c)
     eigs = np.sort(np.linalg.eigvalsh(_project_out(herm, c, c)).real)
     # the projected-out direction contributes one ~0 eigenvalue at the top
@@ -352,22 +369,11 @@ def checked_inverse(mat, limit: float, what: str, k, suspected: str) -> np.ndarr
     return inv
 
 
-def _sobolev_apply(m: np.ndarray, order: float, axis: int = 0) -> np.ndarray:
-    """W_order applied to a real m along ``axis`` (W m, or m W for axis 1) by FFT: W is circulant and
-    symmetric, so no N x N W is formed."""
-    n = m.shape[axis]
-    mult = _mode_multipliers(n, order)[: n // 2 + 1]
-    f = np.fft.rfft(m, axis=axis)
-    f *= mult[:, None] if axis == 0 else mult
-    return np.fft.irfft(f, n, axis=axis)
-
-
-def updated_inverse(ref_inv, u, vt, mat, limit: float, what: str, k, suspected: str,
-                    weighted=None) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+def updated_inverse(ref_inv, u, vt, mat, limit: float, what: str, k, suspected: str, weighted=None) -> np.ndarray:
     """M^{-1} for M = M_ref + u vt (an N x r ``u``, an r x N ``vt``), as the rank-r update of ref_inv = M_ref^{-1}
     (Woodbury): ref_inv - (ref_inv u) C^{-1} (vt ref_inv), with the r x r capacitance C = I + vt ref_inv u,
-    and one Newton step X + (I - X M) X.  ``mat`` is a function that forms M, for that step.
-    Returns (M^{-1}, ref_inv u, C^{-1} vt ref_inv); no N x N system is inverted or solved.
+    and one Newton step X + (I - X M) X.  ``mat`` is a function that returns M, for that step; no N x N
+    system is inverted or solved.
 
     C^{-1} comes from :func:`checked_inverse`, refused where C is singular or not finite.  M^{-1} is refused
     on the measure of checked_inverse read from the update, before the step: |M|_1 |M^{-1}|_1, or with
@@ -396,7 +402,7 @@ def updated_inverse(ref_inv, u, vt, mat, limit: float, what: str, k, suspected: 
     r *= -1.0
     r.flat[:: len(r) + 1] += 1.0   # I - X M
     inv += r @ inv
-    return inv, hu, cvh
+    return inv
 
 
 @dataclass(frozen=True)
@@ -442,59 +448,41 @@ def layer_reference(nodes: NodeSet) -> LayerReference:
     return nodes.memo.setdefault("layer_reference", ref)
 
 
-@dataclass(frozen=True)
-class LayerInverse(BoundaryOperator):
-    """S_k^{-1} = G - gx cyg, the update of G = S_ref^{-1} for S_k = S_ref + x y^T (x, y real, N x r):
-    gx = G x and cyg = C^{-1} y^T G, with C = I + y^T G x (:func:`updated_inverse`)."""
-
-    x: np.ndarray
-    y: np.ndarray
-    gx: np.ndarray
-    cyg: np.ndarray
-
-
-def invert_S(k, nodes: NodeSet) -> LayerInverse:
-    """S_k^{-1} as the rank-r update of the NodeSet's G = S_ref^{-1} (:func:`layer_reference`), with
-    S_k = S_ref + X Y^T from the factors of :func:`assemble_S` (Y's constant column less alpha v).
+def invert_S(k, s_op: SingleLayer) -> BoundaryOperator:
+    """S_k^{-1} as the rank-r update of the NodeSet's G = S_ref^{-1} (:func:`layer_reference`) for
+    S_k = S_ref + X Y'^T, read from the S_k that :func:`assemble_S` formed and its factors
+    (:meth:`SingleLayer.reference_factors`); that S_k is the matrix of the update's Newton step.
 
     Refused (E_D) when 1/(|S^|_1 |S^^{-1}|_1) < SINGULARITY_THRESHOLD, with S^ = W_{1/2} S_k W_{1/2}
     and S^^{-1} = W_{-1/2} S_k^{-1} W_{-1/2}, both read from the references at O(N^2 r), or where the
     r x r capacitance is singular or not finite.  r = 2m + 1 is 5 or 9 for |k| <= 1e-2; no N x N
-    system is inverted per k.  x, y, gx and cyg describe the update before its Newton step
-    (:func:`updated_inverse`), to rounding.
+    system is inverted per k.
     """
-    kp = KPoint.from_k(k)
-    ref = layer_reference(nodes)
-    x, y = _ein_factors(kp, nodes)
-    y[:, -1] -= ref.alpha * nodes.speed / nodes.n_nodes   # relative to S_ref
+    ref = layer_reference(s_op.nodes)
+    x, y = s_op.reference_factors()
     norm = float(np.linalg.norm(ref.weighted + _sobolev_apply(x, 0.5) @ _sobolev_apply(y, 0.5).T, 1))
-
-    def s_k():   # S_ref + x y^T
-        mat = x @ y.T
-        mat += _log_kernel_matrix(nodes)
-        mat += ref.alpha * nodes.speed / nodes.n_nodes
-        return mat
-
-    inv, gx, cyg = updated_inverse(ref.inverse, x, y.T, s_k, 1.0 / SINGULARITY_THRESHOLD, "S_k", kp, "E_D",
-                                   (norm, ref.weighted_inverse, -0.5))
-    return LayerInverse(inv, HPLUS, HMINUS, nodes, x, y, gx, cyg)
+    inv = updated_inverse(ref.inverse, x, y.T, lambda: s_op.matrix, 1.0 / SINGULARITY_THRESHOLD, "S_k",
+                          KPoint.from_k(k), "E_D", (norm, ref.weighted_inverse, -0.5))
+    return BoundaryOperator(inv, HPLUS, HMINUS, s_op.nodes)
 
 
 class KWorkspace:
-    """S_k at one k on one NodeSet and S_k^{-1}, each built once, on first use.
+    """S_k at one k on one NodeSet, with its factors, and S_k^{-1}, each built once, on first use.
 
-    criterion, n_minus, assemble_P, assemble_A, assemble_Fout and trace_u take one in
-    place of k, so the quantities at k share one S_k and one S_k^{-1}.  The inverse is
-    :func:`invert_S`'s update of the NodeSet's reference, which assembles no S_k, and it
-    carries its factors for the transform's two routes.  Where invert_S refuses (k near
-    E_D), every access of ``inverse`` raises its refusal; where the Ein rule refuses (k
-    beyond its table), every access of ``s`` or ``inverse`` raises.
+    criterion, n_minus, assemble_P, assemble_A, assemble_Fout and trace_u take one in place of k,
+    so the quantities at k share one S_k: ``s`` is the one place where a k-point's Ein factors X, Y
+    and S_k = L + X Y^T are built (:func:`assemble_S`), and ``inverse`` is :func:`invert_S`'s update
+    from that S_k.  The workspace keeps S_k until it is dropped; trace_u drops it (``del ws.s``)
+    once P(k) is formed, since route A reads S_k^{-1} and the factors alone, and a later ``s``
+    builds it again.  Where invert_S refuses (k near E_D), every access of ``inverse`` raises its
+    refusal; where the Ein rule refuses (k beyond its table), every access of ``s`` or ``inverse``
+    raises.
     """
 
     def __init__(self, k, nodes: NodeSet):
         self.k = KPoint.from_k(k)
         self.nodes = nodes
-        self._inverse: LayerInverse | None = None
+        self._inverse: BoundaryOperator | None = None
         self._refused: NearSingularError | None = None   # the refusal of the inversion, at self.k
 
     @classmethod
@@ -505,14 +493,14 @@ class KWorkspace:
         return cls(k.k if isinstance(k, cls) else k, nodes)
 
     @cached_property
-    def s(self) -> BoundaryOperator:
+    def s(self) -> SingleLayer:
         return assemble_S(self.k, self.nodes)
 
     @property
-    def inverse(self) -> LayerInverse:
+    def inverse(self) -> BoundaryOperator:
         if self._inverse is None and self._refused is None:
             try:
-                self._inverse = invert_S(self.k, self.nodes)
+                self._inverse = invert_S(self.k, self.s)
             except NearSingularError as exc:
                 self._refused = exc.at(self.k)   # kept without the traceback, which holds the frames' arrays
         if self._refused is not None:

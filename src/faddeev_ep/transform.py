@@ -13,15 +13,15 @@ quadrature of
     t(k) = int e^{i conj(k z)} [(F_n - F_0) u](z, k) dl_z.
 
 Each route inverts its matrix M, P(k) = I + S_k (F_n - F_0) or A(k) = F_n - F^out(k)
-= (F_n - F_0) + S_k^{-1}, as a rank-r update of a k-independent reference.  S_k =
-S_ref + X Y^T (boundary_ops.invert_S), so P(k) = P_ref + X (Y^T D) with P_ref = I + S_ref D,
-and A(k) = A_ref - (G X)(C^{-1} Y^T G) with A_ref = D + G, G = S_ref^{-1} and D = F_n - F_0.
-P_ref^{-1} and A_ref^{-1} each come from their own checked_inverse, once per potential, and
-are kept in its memo, so the routes stay two different systems.  Per k only r x r
-capacitances are inverted (updated_inverse): M^{-1} is both the solve and the refusal, with E
-suspected where a capacitance is singular or not finite, or |M|_1 |M^{-1}|_1 exceeds
-CONDITION_CAP.  The E_D refusal stays with the inversion of S_k, which reads the same measure
-on the weighted S_k.
+= (F_n - F_0) + S_k^{-1}, as a rank-r update of a k-independent reference.  A k-point's
+workspace forms S_k = S_ref + X Y'^T once (boundary_ops.KWorkspace), so P(k) = P_ref + X (Y'^T D)
+with P_ref = I + S_ref D, and A(k) = A_ref + (S_k^{-1} X)(-Y'^T G) with A_ref = D + G,
+G = S_ref^{-1} and D = F_n - F_0.  P_ref^{-1} and A_ref^{-1} each come from their own
+checked_inverse, once per potential, and are kept in its memo, so the routes stay two different
+systems.  Per k only r x r capacitances are inverted (updated_inverse): M^{-1} is both the solve
+and the refusal, with E suspected where a capacitance is singular or not finite, or
+|M|_1 |M^{-1}|_1 exceeds CONDITION_CAP.  The E_D refusal stays with the inversion of S_k, which
+reads the same measure on the weighted S_k.
 """
 
 from __future__ import annotations
@@ -121,22 +121,28 @@ def trace_u(k, n: Potential, nodes: NodeSet) -> BoundaryTrace:
 
     Near-singular systems raise NearSingularError naming the suspected
     set: E_D when S_k itself is singular, E when the scattering systems
-    lose invertibility.
+    lose invertibility.  Given a workspace, it reads that workspace's S_k
+    and S_k^{-1} and drops its S_k once P(k) is formed.
     """
     ws = KWorkspace.at(k, nodes)
     kp = ws.k
-    sinv = ws.inverse  # raises with suspected="E_D" near the Dirichlet set
+    p_inv, a_inv = _route_references(n, nodes, kp)   # before S_k, which would live through their first build
+    sinv = ws.inverse.matrix  # raises with suspected="E_D" near the Dirichlet set
+    x, y = ws.s.reference_factors()   # S_k = S_ref + X Y'^T
     rhs = np.exp(1j * kp.kz(nodes.z))
-    p_inv, a_inv = _route_references(n, nodes, kp)
 
-    # P(k) = P_ref + X (Y^T D), formed by assemble_P for its 1-norm and the Newton step; it is given
-    # ws.k, not ws, so that the workspace does not keep this S_k
-    ytd = sinv.y.T @ fn_minus_f0(n, nodes)   # Y^T D
-    u_ls = _matvec(updated_inverse(p_inv, sinv.x, ytd, lambda: assemble_P(kp, n, nodes).matrix, CONDITION_CAP,
-                                   "P(k)", kp, "E")[0], rhs)
-    # A(k) = D + S_k^{-1} = A_ref - (G X)(C^{-1} Y^T G)
-    u_alt = _matvec(updated_inverse(a_inv, sinv.gx, -sinv.cyg, lambda: assemble_A(ws, n, nodes).matrix,
-                                    CONDITION_CAP, "A(k)", kp, "E")[0], _matvec(sinv.matrix, rhs))
+    def p_k():   # P(k) from the workspace's S_k, which then goes: route A reads S_k^{-1}, X and Y'
+        p = assemble_P(ws, n, nodes).matrix
+        del ws.s
+        return p
+
+    # P(k) = P_ref + X (Y'^T D), formed once for its 1-norm and the Newton step
+    ytd = y.T @ fn_minus_f0(n, nodes)
+    u_ls = _matvec(updated_inverse(p_inv, x, ytd, p_k, CONDITION_CAP, "P(k)", kp, "E"), rhs)
+    # A(k) = D + S_k^{-1} = A_ref + (S_k^{-1} X)(-Y'^T G), since S_k^{-1} - G = -S_k^{-1} (S_k - S_ref) G
+    vt = -(y.T @ layer_reference(nodes).inverse)
+    u_alt = _matvec(updated_inverse(a_inv, sinv @ x, vt, lambda: assemble_A(ws, n, nodes).matrix, CONDITION_CAP,
+                                    "A(k)", kp, "E"), _matvec(sinv, rhs))
 
     denom = max(_weighted_norm(u_ls, nodes), 1e-300)
     residual = _weighted_norm(u_ls - u_alt, nodes) / denom

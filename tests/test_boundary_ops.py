@@ -26,7 +26,6 @@ from faddeev_ep.boundary_ops import (
     operator_norm,
     save_operator,
     sigma_min,
-    sobolev_matrix,
     weighted_matrix,
 )
 from faddeev_ep.dtn_maps import assemble_F0
@@ -171,7 +170,7 @@ def test_block_form_roundtrip(nodes128):
 def test_invert_S_contract(nodes128):
     kp = KPoint.from_k(0.5)
     s = assemble_S(kp, nodes128)
-    sinv = invert_S(kp, nodes128)
+    sinv = invert_S(kp, s)
     assert np.max(np.abs(s.matrix @ sinv.matrix - np.eye(128))) < 1e-10
     assert sinv.domain_space == HPLUS and sinv.range_space == HMINUS
 
@@ -180,7 +179,7 @@ def test_invert_S_contract(nodes128):
 def test_invert_S_block_asymptotics(nodes128, eps):
     """(S_k)^{-1} = diag(eps, B^{-1}) + O(eps) blockwise."""
     kp = KPoint.from_eps(eps, 0.4, nodes128.length)
-    sinv = invert_S(kp, nodes128)
+    sinv = invert_S(kp, assemble_S(kp, nodes128))
     bf = block_form(sinv)
     assert abs(bf.cc - eps) <= 0.01 * eps
     # perp block approaches B^{-1} on mean-free densities
@@ -196,7 +195,7 @@ def test_invert_S_refuses_near_singular(nodes128):
     # |k| ~ 4.4 it is below the refusal threshold at any angle
     kp = KPoint.from_k(4.437)
     with pytest.raises(NearSingularError) as exc:
-        invert_S(kp, nodes128)
+        invert_S(kp, assemble_S(kp, nodes128))
     assert exc.value.suspected == "E_D"
     assert exc.value.sigma_min < 1e-6 * exc.value.norm
 
@@ -219,7 +218,7 @@ def test_invert_S_refuses_a_layer_it_cannot_invert(nodes128, fill, monkeypatch):
 
     monkeypatch.setattr(boundary_ops, "updated_inverse", degenerate)
     with pytest.raises(NearSingularError) as exc:
-        invert_S(KPoint.from_k(0.5), nodes128)
+        invert_S(KPoint.from_k(0.5), assemble_S(KPoint.from_k(0.5), nodes128))
     assert exc.value.suspected == "E_D"
     np.testing.assert_equal(exc.value.sigma_min, fill)
 
@@ -271,20 +270,22 @@ def test_log_layer_builds_in_real_arithmetic():
 
 
 def test_workspace_assembles_once_and_refuses_on_every_access(nodes128, monkeypatch):
-    """A workspace holds one S_k and one S_k^{-1}, each built on first use; the inverse is an update
-    that assembles no S_k, and a refused k raises on every access of the inverse."""
+    """A workspace builds its Ein factors and S_k once, in assemble_S, and inverts that S_k once, on
+    first use; a refused k raises on every access of the inverse and builds nothing again."""
     from faddeev_ep import boundary_ops
     from faddeev_ep.dtn_maps import assemble_Fout
 
-    calls, inversions = [], []
+    calls, inversions, factors = [], [], []
+    ein_factors = boundary_ops._ein_factors
+    monkeypatch.setattr(boundary_ops, "_ein_factors", lambda kp, nodes: factors.append(kp) or ein_factors(kp, nodes))
     monkeypatch.setattr(boundary_ops, "assemble_S", lambda k, nodes: calls.append(k) or assemble_S(k, nodes))
-    monkeypatch.setattr(boundary_ops, "invert_S", lambda k, nodes: inversions.append(k) or invert_S(k, nodes))
+    monkeypatch.setattr(boundary_ops, "invert_S", lambda k, s: inversions.append(k) or invert_S(k, s))
     ws = KWorkspace.at(4.437, nodes128)
     for access in (lambda: ws.inverse, lambda: ws.inverse, lambda: assemble_Fout(ws, nodes128)):
         with pytest.raises(NearSingularError) as exc:
             access()
         assert exc.value.suspected == "E_D"
-    assert calls == [] and inversions == [ws.k]
+    assert calls == inversions == factors == [ws.k]
     assert ws.s is ws.s and calls == [ws.k]
     assert KWorkspace.at(ws, nodes128) is ws
     other = sample(make_circle(1.0), 64)
@@ -344,7 +345,7 @@ def test_one_norm_refusal_decides_as_the_weighted_svd(nodes128, nodes256):
         assert (measure < 1e-6) == (sv[-1] < 1e-6 * sv[0]), (k, measure, sv[-1] / sv[0])
         assert 0.2 <= measure / (sv[-1] / sv[0]) <= 0.6
         try:
-            invert_S(kp, nodes)
+            invert_S(kp, s)
             refused.append(False)
         except NearSingularError as exc:
             assert exc.sigma_min / exc.norm == pytest.approx(measure, rel=1e-3)
@@ -409,14 +410,16 @@ def test_potential_theory_identity(nodes128):
 
 
 def test_sobolev_weights(nodes128):
-    wp, wm = sobolev_matrix(128, 0.5), sobolev_matrix(128, -0.5)
-    const = np.ones(128)
-    np.testing.assert_allclose(wp @ const, const, atol=1e-13)
-    e4 = modes(nodes128, 4)
-    np.testing.assert_allclose(wp @ e4, 2.0 * e4, atol=1e-12)
+    """The weights, applied by FFT, on the columns of a real or complex matrix."""
+    from faddeev_ep.boundary_ops import _sobolev_apply
+
+    const = np.ones((128, 1))
+    np.testing.assert_allclose(_sobolev_apply(const, 0.5), const, atol=1e-13)
+    e4 = modes(nodes128, 4)[:, None]
+    np.testing.assert_allclose(_sobolev_apply(e4, 0.5), 2.0 * e4, atol=1e-12)
     rng = np.random.default_rng(2)
-    v = rng.standard_normal(128)
-    np.testing.assert_allclose(wm @ (wp @ v), v, atol=1e-12)
+    v = rng.standard_normal((128, 1))
+    np.testing.assert_allclose(_sobolev_apply(_sobolev_apply(v, 0.5), -0.5), v, atol=1e-12)
 
 
 def test_weighted_sigma_min_matches_operator_norms(nodes128):

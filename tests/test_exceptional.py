@@ -374,19 +374,21 @@ def test_fan_out_is_detected_from_the_samples(nodes128, monkeypatch):
 
 @pytest.mark.parametrize("seed", [0, 7])
 def test_each_scan_point_assembles_and_refuses_on_its_own(nodes128, cos_family, monkeypatch, seed):
-    """Each scan point assembles and inverts its own S_k, and its row is what criterion and
-    n_minus give at that point.  On the scan workload's two outer rings, at its angle offsets
-    for seeds 0 and 7, every |k| = 4 point refuses E_D from its own measure 1/cond_1 (below 1e-6),
-    and no |k| = 2.30 point does (measured 6.7e-6 at every angle)."""
+    """Each scan point builds its own Ein factors and S_k once and inverts that S_k, and its row is
+    what criterion and n_minus give at that point.  On the scan workload's two outer rings, at its
+    angle offsets for seeds 0 and 7, every |k| = 4 point refuses E_D from its own measure 1/cond_1
+    (below 1e-6), and no |k| = 2.30 point does (measured 6.7e-6 at every angle)."""
     pot = cos_family.at(0.05)
     offset = perfbench_workloads().rotation(seed)
     radii = np.geomspace(1e-3, 4.0, 16)[-2:]
     pts = [KPoint.from_k(r * np.exp(1j * (offset + 2 * np.pi * j / 8))) for r in (0.3, *radii) for j in range(8)]
-    calls, inversions = [], []
+    calls, inversions, factors = [], [], []
+    ein_factors = boundary_ops._ein_factors
+    monkeypatch.setattr(boundary_ops, "_ein_factors", lambda kp, nodes: factors.append(kp) or ein_factors(kp, nodes))
     monkeypatch.setattr(boundary_ops, "assemble_S", lambda k, nodes: calls.append(k) or assemble_S(k, nodes))
     monkeypatch.setattr(boundary_ops, "invert_S", lambda k, s: inversions.append(k) or invert_S(k, s))
     rows = scan(pts, pot, nodes128)
-    assert calls == inversions == pts
+    assert calls == inversions == factors == pts   # one Ein factor build per point, shared by S_k^{-1} and P(k)
     monkeypatch.undo()
     for kp, row in zip(pts, rows):
         assert row.k == kp
@@ -447,14 +449,14 @@ def test_xi_residual_quadratic_scaling(nodes128, radial_family, xi_fit_005):
 
 
 def test_fit_xi_assembles_S_once_per_nonzero_eps(radial_family, monkeypatch):
-    """S_k does not depend on lambda: a 3 x 3 grid needs two S_k^{-1}, not six.  The inverse is an
-    update of the NodeSet's reference, so no S_k is assembled at all."""
+    """S_k does not depend on lambda: a 3 x 3 grid needs two S_k and two S_k^{-1}, not six; each
+    inverse is the update of the one S_k its workspace assembled."""
     calls, inversions = [], []
     assemble_S = boundary_ops.assemble_S
     monkeypatch.setattr(boundary_ops, "assemble_S", lambda k, nodes: calls.append(k) or assemble_S(k, nodes))
-    monkeypatch.setattr(boundary_ops, "invert_S", lambda k, nodes: inversions.append(k) or invert_S(k, nodes))
+    monkeypatch.setattr(boundary_ops, "invert_S", lambda k, s: inversions.append(k) or invert_S(k, s))
     fit_xi(radial_family, sample(make_circle(1.0), 64), [-0.02, 0.0, 0.02], [0.0, 0.01, 0.02])
-    assert len(inversions) == 2 and calls == []
+    assert len(inversions) == 2 and calls == inversions
 
 
 def test_fit_xi_samples_are_the_criterion_eig_near_zero(radial_family):

@@ -637,6 +637,8 @@ def _count_calls(monkeypatch, module, name):
 
 
 def test_one_assembly_per_scan_point_and_one_trace_per_transform_point(tmp_path, monkeypatch):
+    """Every scan and transform point builds its Ein factors and S_k once, and inverts that S_k once."""
+    factor_calls = _count_calls(monkeypatch, "boundary_ops", "_ein_factors")
     s_calls = _count_calls(monkeypatch, "boundary_ops", "assemble_S")
     inv_calls = _count_calls(monkeypatch, "boundary_ops", "invert_S")
     p_calls = _count_calls(monkeypatch, "exceptional", "assemble_P")
@@ -647,6 +649,7 @@ def test_one_assembly_per_scan_point_and_one_trace_per_transform_point(tmp_path,
     manifest = run(cfg)
     assert not manifest.detector_errors
     assert len({(k.log_abs, k.phi) for k in s_calls}) == len(s_calls) == 3 + 3
+    assert factor_calls == s_calls
     assert len(inv_calls) == 3 + 3 and len(p_calls) == 3 + 3   # the transform builds P through assemble_P
     assert len({(k.log_abs, k.phi) for k in u_calls}) == len(u_calls) == 3
     rows = (tmp_path / manifest.config_hash / "transform.csv").read_text().splitlines()[1:]
