@@ -244,11 +244,16 @@ def assemble_B(nodes: NodeSet) -> BoundaryOperator:
     return BoundaryOperator(_project_out(_log_kernel_matrix(nodes), nodes.weights / nodes.length), HMINUS, HPLUS, nodes)
 
 
-def invert_on_meanfree(bop: BoundaryOperator) -> np.ndarray:
-    """B^{-1} on mean-free densities and 0 on constants: P_perp (P_perp B P_perp + 1 c^T)^{-1}."""
-    c = bop.nodes.weights / bop.nodes.length
-    inv = np.linalg.inv(_project_out(bop.matrix, c) + c)   # + 1 c^T
-    inv -= c @ inv   # P_perp on the left
+def invert_on_meanfree(nodes: NodeSet) -> np.ndarray:
+    """B^{-1} on mean-free densities and 0 on constants, P_perp (P_perp B P_perp + 1 c^T)^{-1}: the NodeSet's one
+    factorization of the log layer, kept in ``nodes.memo``, which F_0, F_b^out and :func:`layer_reference` read."""
+    inv = nodes.memo.get("meanfree_inverse")
+    if inv is None:
+        c = nodes.weights / nodes.length
+        inv = np.linalg.inv(assemble_B(nodes).matrix + c)   # + 1 c^T
+        inv -= c @ inv   # P_perp on the left
+        inv.flags.writeable = False
+        inv = nodes.memo.setdefault("meanfree_inverse", inv)
     return inv
 
 
@@ -357,8 +362,8 @@ def checked_inverse(mat, limit: float, what: str, k, suspected: str) -> np.ndarr
     sigma_min = 1/|mat^{-1}|_1 and norm = |mat|_1) where inv fails or |mat|_1 |mat^{-1}|_1 exceeds ``limit``
     or is not finite.
 
-    It is the one inverse of a system that may be refused: each k-independent reference (S_ref, and
-    the transform's P_ref and A_ref) once, and per k only the r x r capacitances of :func:`updated_inverse`."""
+    It is the one inverse of a system that may be refused: the transform's k-independent P_ref and A_ref
+    once, and per k only the r x r capacitances of :func:`updated_inverse` (S_ref's G is read from B^{-1})."""
     norm = float(np.linalg.norm(mat, 1))
     try:
         inv = np.linalg.inv(mat)
@@ -408,7 +413,7 @@ def updated_inverse(ref_inv, u, vt, mat, limit: float, what: str, k, suspected: 
 @dataclass(frozen=True)
 class LayerReference:
     """The k-independent S_ref = L + alpha 1 v^T (v = |z'(t_j)|/N, the column scale of S_k's factors)
-    of which every S_k is a rank-r update, and G = S_ref^{-1} (``inverse``).
+    of which every S_k is a rank-r update, and G = S_ref^{-1} (``inverse``), formed in blocks from B^{-1}.
 
     alpha makes the Schur complement of S_ref's constants block 1, so S_ref is invertible wherever B is
     on mean-free densities; on the unit circle alpha = 1 and the weighted S_ref has singular values 1/2
@@ -424,21 +429,20 @@ class LayerReference:
 
 
 def layer_reference(nodes: NodeSet) -> LayerReference:
-    """The NodeSet's :class:`LayerReference`, built once and kept in ``nodes.memo``.  S_ref is refused
-    (E_D) on the measure of S_k, or where its inverse is singular or not finite."""
+    """The NodeSet's :class:`LayerReference`, built once and kept in ``nodes.memo``, from L's blocks (cc, b;
+    p, B) and B^{-1} (:func:`invert_on_meanfree`): 1 v^T adds to cc alone, so alpha sets cc - b B^{-1} p to 1,
+    and then G = [[1, -b B^{-1}], [-B^{-1} p, B^{-1} + (B^{-1} p)(b B^{-1})]]; no N x N system is solved or
+    inverted.  S_ref is refused (E_D) on the measure of S_k, or where G is not finite."""
     ref = nodes.memo.get("layer_reference")
     if ref is not None:
         return ref
-    bf = block_form(assemble_log_layer(nodes))
-    c = nodes.weights / nodes.length
-    m = bf.perp_perp
-    m += c   # P_perp B P_perp + 1 c^T, as in invert_on_meanfree
-    schur = bf.cc - bf.c_perp @ np.linalg.solve(m, bf.perp_c)   # cc - b B^{-1} p
-    del bf, m
-    alpha = float((1.0 - schur) * nodes.n_nodes / np.sum(nodes.speed))   # 1 v^T adds alpha 1^T v to the cc block
+    bf, binv = block_form(assemble_log_layer(nodes)), invert_on_meanfree(nodes)
+    bp, bb = binv @ bf.perp_c, bf.c_perp @ binv   # B^{-1} p and b B^{-1}
+    alpha = float((1.0 - (bf.cc - bf.c_perp @ bp)) * nodes.n_nodes / np.sum(nodes.speed))   # alpha 1^T v joins cc
+    del bf
+    g = BlockForm(1.0, -bb, -bp, np.outer(bp, bb) + binv, nodes).reassemble()
     s_ref = _log_kernel_matrix(nodes) + alpha * nodes.speed / nodes.n_nodes
     weighted = _sobolev_apply(_sobolev_apply(s_ref, 0.5), 0.5, axis=1)   # W_{1/2} S_ref W_{1/2}
-    g = checked_inverse(s_ref, np.finfo(float).max, "S_ref", None, "E_D")
     del s_ref
     ref = LayerReference(alpha, g, weighted, _sobolev_apply(_sobolev_apply(g, -0.5), -0.5, axis=1))
     _refuse_beyond(float(np.linalg.norm(ref.weighted, 1)), float(np.linalg.norm(ref.weighted_inverse, 1)),
@@ -554,7 +558,7 @@ def load_operator(path) -> tuple[np.ndarray, dict]:
         payload = fh.read()
     if sha256(payload).hexdigest() != header["checksum"]:
         raise ValueError(f"checksum mismatch in {path}")
-    mat = np.frombuffer(payload, dtype=np.dtype(header["dtype"])).reshape(header["shape"]).copy()
+    mat = np.frombuffer(payload, dtype=np.dtype(header["dtype"])).reshape(tuple(header["shape"])).copy()
     return mat, header
 
 
@@ -562,10 +566,10 @@ class OperatorCache:
     """Content-keyed disk store of operator matrices: :func:`save_operator` files
     in ``directory``, one per key.
 
-    Keys are hex digests of everything a matrix depends on (``fn_key``), so
-    stores on one directory share their entries across processes.  Checksums
-    are verified on read; a corrupted entry is rebuilt.  Matrices are kept in
-    memory by their owners (``Potential.memo``), not here.
+    Keys are hex digests of everything a matrix depends on (``fn_key``), so stores on one directory
+    share their entries across processes.  Checksums are verified on read; a corrupted entry, or one
+    whose header is malformed or names another key, is rebuilt.  Matrices are kept in memory by their
+    owners (``Potential.memo``), not here.
     """
 
     def __init__(self, directory):
@@ -578,8 +582,11 @@ class OperatorCache:
         path, mat = os.path.join(self.dir, key + ".op"), None
         if os.path.exists(path):
             try:
-                mat, _ = load_operator(path)
-            except (ValueError, OSError, KeyError, struct.error) as exc:
+                mat, header = load_operator(path)
+                if header.get("key") != key:
+                    raise ValueError(f"its header names key {header.get('key')!r}")
+            except (ValueError, TypeError, OSError, KeyError, struct.error) as exc:
+                mat = None
                 log.warning("cache entry %s invalid (%s); rebuilding", path, exc)
                 with contextlib.suppress(OSError):
                     os.remove(path)

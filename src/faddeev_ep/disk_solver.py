@@ -58,12 +58,12 @@ max_j |u_j|_1 / |b_j|_1, a lower bound of |A^{-1}|_1, for a radial n.  Every
 Dirichlet eigenfunction has a nonzero normal derivative, so the boundary data
 excites it: near an eigenvalue the gain grows as 1 / the distance.  The solve is
 refused when its gain exceeds CONDITION_LIMIT times the gain for n = 0, before
-F_n is formed.
+F_n is formed.  That baseline needs no solve: the collocation is exact for the
+n = 0 solutions u_m = r^|m| (|m| <= N/2 <= 2 nh - 1), whose gain |u_m|_1 / |b_m|_1
+is largest at m = 0, where u = 1, so it is (nh - 1) / |b_0|_1, set once per solver.
 """
 
 from __future__ import annotations
-
-from functools import cached_property
 
 import numpy as np
 
@@ -139,6 +139,8 @@ class DiskDtnSolver:
             -1: d[: self.nh, : self.nh] - d[: self.nh, flip],
         }
         self._inv_r2 = 1.0 / self.r**2
+        # the n = 0 gain, at m = 0 where u = 1 on the nh - 1 interior radii (see the module docstring)
+        self._baseline_gain = (self.nh - 1) / float(np.abs(self._dr2[+1][1:, 0]).sum())
 
     def samples(self, potential) -> np.ndarray:
         """Every value of n the solve reads: n at the radii times 2N equispaced angles."""
@@ -311,17 +313,3 @@ class DiskDtnSolver:
                 raise ArithmeticError(f"DtN matrix lost realness for a real potential: Im = {imag_scale:.2e}")
             return np.ascontiguousarray(fn.real)
         return fn
-
-    @cached_property
-    def _baseline_gain(self) -> float:
-        """Gain max_m |u_m|_1 / |b_m|_1 of the n = 0 boundary solve, one single-mode
-        Laplacian per |m| <= N/2, per solver instance.
-
-        The gain depends on the collocation grid, so resonance is flagged
-        relative to this potential-free baseline.
-        """
-        gains = []
-        for m in range(self.n_boundary // 2 + 1):
-            lap = self._dr2[1 if m % 2 == 0 else -1] - m * m * np.diag(self._inv_r2)   # d_r^2 + d_r / r - m^2 / r^2
-            gains.append(np.abs(np.linalg.solve(-lap[1:, 1:], lap[1:, 0])).sum() / np.abs(lap[1:, 0]).sum())
-        return float(max(gains))

@@ -32,7 +32,6 @@ from .boundary_ops import (
     BoundaryOperator,
     KWorkspace,
     OperatorCache,
-    assemble_B,
     block_form,
     invert_on_meanfree,
 )
@@ -299,22 +298,17 @@ def adjoint_double_layer(nodes: NodeSet, k=None) -> np.ndarray:
     return kern
 
 
-def _laplace_pieces(nodes: NodeSet) -> dict:
-    """k-independent Laplace-layer pieces B^{-1} P_perp and F_0 = (K' + I/2) B^{-1} P_perp, kept in ``nodes.memo``."""
-    pieces = nodes.memo.get("laplace")
-    if pieces is None:
-        binv = invert_on_meanfree(assemble_B(nodes))
+def _f0_matrix(nodes: NodeSet) -> np.ndarray:
+    """k-independent F_0 = (K' + I/2) B^{-1} P_perp, kept in ``nodes.memo`` beside the B^{-1} it reads."""
+    f0 = nodes.memo.get("f0")
+    if f0 is None:
+        binv = invert_on_meanfree(nodes)   # before K', so that B and its inverse are not formed beside it
         kprime = adjoint_double_layer(nodes)
         kprime.flat[:: nodes.n_nodes + 1] += 0.5   # K' + I/2
-        pieces = {"binv": binv, "f0": kprime @ binv}
-        for m in pieces.values():
-            m.flags.writeable = False
-        pieces = nodes.memo.setdefault("laplace", pieces)
-    return pieces
-
-
-def _f0_matrix(nodes: NodeSet) -> np.ndarray:
-    return _laplace_pieces(nodes)["f0"]
+        f0 = kprime @ binv
+        f0.flags.writeable = False
+        f0 = nodes.memo.setdefault("f0", f0)
+    return f0
 
 
 def assemble_F0(nodes: NodeSet) -> BoundaryOperator:
@@ -324,7 +318,7 @@ def assemble_F0(nodes: NodeSet) -> BoundaryOperator:
 
 def assemble_Fout_bounded(nodes: NodeSet) -> BoundaryOperator:
     """Exterior Laplace map built from bounded solutions: (K' - I/2) B^{-1} P_perp = F_0 - B^{-1} P_perp."""
-    return BoundaryOperator(_f0_matrix(nodes) - _laplace_pieces(nodes)["binv"], HPLUS, HMINUS, nodes)
+    return BoundaryOperator(_f0_matrix(nodes) - invert_on_meanfree(nodes), HPLUS, HMINUS, nodes)
 
 
 def assemble_Fout_zero(nodes: NodeSet) -> BoundaryOperator:

@@ -67,8 +67,8 @@ class NodeSet:
     weights : (N,) arc-length weights |z'(t_j)| * 2*pi/N.
     normals : (N,) complex outward unit normals.
     curvature : (N,) signed curvature.
-    memo : k-independent operators built on these nodes (log kernel, Laplace pieces,
-        the layer reference of every S_k^{-1}).
+    memo : k-independent operators built on these nodes (log kernel, B^{-1} on mean-free
+        densities, F_0, the layer reference of every S_k^{-1}).
     """
 
     curve: BoundaryCurve
@@ -140,11 +140,15 @@ def curve_from_fourier(coeffs: dict[int, complex], name: str = "fourier") -> Bou
 def curve_from_fourier_json(path) -> BoundaryCurve:
     """Load a custom curve from a JSON file.
 
-    Expected schema: {"name": str, "coeffs": {"<m>": [re, im], ...}}.
+    Expected schema: {"name": str, "coeffs": {"<m>": [re, im], ...}}, each [re, im] finite.
     """
     with open(path) as fh:
         doc = json.load(fh)
-    coeffs = {int(m): complex(v[0], v[1]) for m, v in doc["coeffs"].items()}
+    coeffs = {}
+    for m, v in doc["coeffs"].items():
+        if not (isinstance(v, list) and len(v) == 2 and all(type(x) in (int, float) and np.isfinite(x) for x in v)):
+            raise ValueError(f"{path}: Fourier coefficient {m!r} is {v!r}, not a pair [re, im] of finite numbers")
+        coeffs[int(m)] = complex(*v)
     return curve_from_fourier(coeffs, name=doc.get("name", "fourier"))
 
 

@@ -1,3 +1,6 @@
+import json
+import logging
+import struct
 from pathlib import Path
 
 import numpy as np
@@ -20,6 +23,7 @@ from faddeev_ep.boundary_ops import (
     block_form,
     checked_inverse,
     invert_S,
+    layer_reference,
     load_operator,
     log_quadrature_matrix,
     mean_projectors,
@@ -240,6 +244,26 @@ def test_checked_inverse_refuses_what_it_cannot_trust(mat, sigma):
     assert str(exc.value).startswith(f"at {KPoint.from_k(0.5)}: M is near-singular")
 
 
+@pytest.mark.parametrize("curve", [make_circle(1.0), make_ellipse(1.5, 1.0), make_kite()], ids=["circle", "ellipse", "kite"])
+@pytest.mark.parametrize("n_nodes", [128, 256])
+def test_layer_reference_inverts_S_ref_in_blocks(curve, n_nodes):
+    """G = S_ref^{-1}, put together from B^{-1} by the block inverse that the Schur complement 1 allows,
+    agrees with np.linalg.inv(S_ref) to 1e-14 of max|G| (measured at most 3.5e-15), and its residual
+    |G S_ref - I|_1 is at most twice inv's (measured at most 1.4 times).  alpha equals the one
+    that solves (P_perp B P_perp + 1 c^T) x = p for B^{-1} p."""
+    nodes = sample(curve, n_nodes)
+    ref = layer_reference(nodes)
+    lb = block_form(assemble_log_layer(nodes))
+    c = nodes.weights / nodes.length
+    schur = lb.cc - lb.c_perp @ np.linalg.solve(lb.perp_perp + c, lb.perp_c)
+    alpha = (1.0 - schur) * n_nodes / np.sum(nodes.speed)
+    assert ref.alpha == pytest.approx(alpha, rel=1e-13)
+    s_ref = assemble_log_layer(nodes).matrix + alpha * nodes.speed / n_nodes
+    inv, eye = np.linalg.inv(s_ref), np.eye(n_nodes)
+    assert np.max(np.abs(ref.inverse - inv)) <= 1e-14 * np.max(np.abs(inv))
+    assert np.linalg.norm(ref.inverse @ s_ref - eye, 1) <= 2 * np.linalg.norm(inv @ s_ref - eye, 1)
+
+
 def test_checked_inverse_returns_inv_below_its_limit(nodes128):
     """Below the limit the result is np.linalg.inv's; the measure is |M|_1 |M^{-1}|_1, and the refusal
     reports 1/|M^{-1}|_1 and |M|_1.  (The weighted measure of S_k is read by invert_S from its update.)"""
@@ -355,9 +379,9 @@ def test_one_norm_refusal_decides_as_the_weighted_svd(nodes128, nodes256):
 
 def test_laplace_pieces_form_no_dense_projector():
     """B^{-1} P_perp and F_0 at N = 256 (0.5 MiB each) apply P_perp = I - 1 c^T as rank-one
-    updates, and K' is formed in real arithmetic a block of rows at a time: the traced peak of
-    building them is 1.57 MiB.  The bound leaves 0.18 MiB, less than the 0.5 MiB of one more N x N
-    temporary.  The complex z_i - z_j of K' and its three real N x N temporaries set a peak of
+    updates, B^{-1} is built before K', and K' is formed in real arithmetic a block of rows at a
+    time: the traced peak of building them is 1.50 MiB (1.57 MiB with K' built first).  The bound
+    leaves 0.25 MiB, less than the 0.5 MiB of one more N x N temporary.  The complex z_i - z_j of K' and its three real N x N temporaries set a peak of
     2.57 MiB, and the dense P_const, P_perp and their N^3 products one of 3.00 MiB."""
     nodes = sample(make_circle(1.0), 256)   # a NodeSet of its own: the pieces are cached per NodeSet
     assemble_log_layer(nodes)   # the k-independent log layer, cached per NodeSet
@@ -536,6 +560,29 @@ def test_operator_store_rebuilds_a_truncated_entry(tmp_path):
     np.testing.assert_array_equal(load_operator(tmp_path / "ab12.op")[0], np.eye(3))
     again = OperatorCache(tmp_path).get_or_build("ab12", lambda: pytest.fail("a valid entry is rebuilt"))
     np.testing.assert_array_equal(again, np.eye(3))
+
+
+@pytest.mark.parametrize("change", [{"dtype": "nope"}, {"shape": [3, "x"]}, {"shape": None}, {"key": "cd34"}],
+                         ids=["dtype", "shape_entry", "shape_null", "other_key"])
+def test_operator_store_rebuilds_an_entry_its_header_does_not_describe(tmp_path, caplog, change):
+    """An entry whose header has a dtype or shape that cannot be read, or names another key, is
+    invalid like a truncated one: a warning and a rebuild, not a TypeError out of the run, a flat
+    (9,) vector for a 3 x 3 entry, or another key's matrix."""
+    from faddeev_ep.boundary_ops import OperatorCache
+
+    path = tmp_path / "ab12.op"
+    save_operator(path, np.eye(3), {"key": "ab12"})
+    blob = path.read_bytes()
+    (hlen,) = struct.unpack("<Q", blob[4:12])
+    head = json.dumps({**json.loads(blob[12 : 12 + hlen]), **change}).encode()
+    path.write_bytes(b"FEPO" + struct.pack("<Q", len(head)) + head + blob[12 + hlen :])   # the payload's checksum holds
+    with caplog.at_level(logging.WARNING, logger="faddeev_ep"):
+        built = OperatorCache(tmp_path).get_or_build("ab12", lambda: 2 * np.eye(3))
+    np.testing.assert_array_equal(built, 2 * np.eye(3))
+    assert "invalid" in caplog.text
+    mat, header = load_operator(path)
+    np.testing.assert_array_equal(mat, 2 * np.eye(3))
+    assert header["key"] == "ab12"
 
 
 def test_compose_space_check(nodes128):

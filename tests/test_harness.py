@@ -481,6 +481,17 @@ def test_cli_validate_reads_a_fourier_curve(tmp_path, capsys):
     assert "config error:" in capsys.readouterr().err
 
 
+@pytest.mark.parametrize("coeffs", [{"1": [1.0]}, {"1": 1.0}, {"1": [1.0, "x"]}, {"1": [1.0, float("nan")]}],
+                         ids=["short", "scalar", "string", "nan"])
+def test_cli_refuses_a_malformed_fourier_coefficient(tmp_path, capsys, coeffs):
+    """A Fourier coefficient that is not a pair [re, im] of finite numbers is a config error naming it."""
+    curve = tmp_path / "c.json"
+    curve.write_text(json.dumps({"coeffs": {"0": [0.0, 0.0], **coeffs}}))
+    assert cli_main(["validate", "--curve", "fourier", "--curve-json", str(curve), "--n", "32"]) == 1
+    err = capsys.readouterr().err
+    assert err.startswith("config error:") and "coefficient '1'" in err
+
+
 @pytest.mark.parametrize("curve", [["--curve", "circle", "--radius", "1.25"],
                                    ["--curve", "ellipse", "--a", "1.5", "--b", "1.0"]])
 def test_cli_validate_passes_off_the_unit_circle(capsys, curve):
@@ -509,18 +520,18 @@ def test_validate_checks_F0_on_harmonic_traces(monkeypatch):
     assert np.linalg.norm((binv @ assemble_B(nodes).matrix - pp) @ pp, 2) <= 1e-8
 
 
-def test_validate_checks_Fout_bounded_on_exterior_harmonics(monkeypatch):
+def test_validate_checks_Fout_bounded_on_exterior_harmonics():
     """A B^{-1} off by 1% fails F_b^out on the traces of Re, Im z^-m (about 1e-2).  The check
     it replaced, F^out(0) 1 = 0, reads P_perp (F_0 - B^{-1}) P_perp 1, which vanishes by
-    construction and passes the same mutation."""
-    from faddeev_ep import dtn_maps
+    construction and passes the same mutation.  The mutation is made to the NodeSet's one B^{-1},
+    which F_0, F_b^out and S_ref^{-1} all read."""
+    from faddeev_ep.boundary_ops import invert_on_meanfree
     from faddeev_ep.validate import run_validation
 
     name = "F_b^out maps Re, Im z^-m (m = 1..4) to their normal derivatives"
     assert {c.name: c for c in run_validation(sample(make_circle(1.0), 64))}[name].passed
-    invert = dtn_maps.invert_on_meanfree
-    monkeypatch.setattr(dtn_maps, "invert_on_meanfree", lambda bop: 1.01 * invert(bop))
     nodes = sample(make_circle(1.0), 64)
+    nodes.memo["meanfree_inverse"] = 1.01 * invert_on_meanfree(nodes)
     assert {c.name: c for c in run_validation(nodes)}[name].measured >= 1e-3
     assert np.max(np.abs(dtn_maps.assemble_Fout_zero(nodes).matrix @ np.ones(64))) <= 1e-8
 
@@ -658,12 +669,15 @@ def test_one_assembly_per_scan_point_and_one_trace_per_transform_point(tmp_path,
 
 
 def test_a_two_worker_scan_builds_the_laplace_pieces_once(tmp_path, monkeypatch):
-    """run builds F_0, and with it the NodeSet's log kernel and Laplace pieces, before the scan's
-    two threads start, so no thread finds the memo empty: one B^{-1} in all.  Each call is slowed
-    by 0.1 s, so two threads that both found the memo empty would both be counted."""
-    calls = _count_calls(monkeypatch, "dtn_maps", "invert_on_meanfree")
-    counted = dtn_maps.invert_on_meanfree
-    monkeypatch.setattr(dtn_maps, "invert_on_meanfree", lambda bop: time.sleep(0.1) or counted(bop))
+    """run builds F_0, and with it the NodeSet's log kernel and B^{-1}, before the scan's two threads
+    start, so no thread finds the memo empty: one B^{-1} in all, which S_ref^{-1} reads too.  Each
+    B^{-1} forms B once (assemble_B), and each B is slowed by 0.1 s, so two threads that both found
+    the memo empty would both be counted."""
+    from faddeev_ep import boundary_ops
+
+    calls = _count_calls(monkeypatch, "boundary_ops", "assemble_B")
+    counted = boundary_ops.assemble_B
+    monkeypatch.setattr(boundary_ops, "assemble_B", lambda nodes: time.sleep(0.1) or counted(nodes))
     cfg = RunConfig(n_nodes=64, detectors=["sigma_scan"], outdir=str(tmp_path), workers=2,
                     kgrid={"type": "list", "values": [[0.3, 0.2], [0.0, 0.7], [0.5, 0.0], [0.1, 0.1]]})
     manifest = run(cfg)

@@ -147,8 +147,9 @@ def test_package_import_loads_no_scipy():
 
 
 def test_package_import_loads_no_numpy_polynomial():
-    """mu's Gauss-Legendre rule comes from the eigenvalues of the Jacobi matrix, so no run pays
-    for importing numpy.polynomial (about 5.6 ms and 0.8 MB of every process start)."""
+    """The Gauss-Legendre rules (mu's and Ein's) come from Newton steps on P_n in green.gauss_legendre,
+    not from the eigenvalues of a Jacobi matrix, so no run pays for importing numpy.polynomial (about
+    5.6 ms and 0.8 MB of every process start)."""
     assert _loaded_by_package_import("numpy.polynomial") == "[]"
 
 
@@ -180,17 +181,17 @@ def test_the_package_sha256_gives_hashlib_s_digests():
 INVERSES = {("boundary_ops", "checked_inverse"), ("boundary_ops", "invert_on_meanfree"), ("disk_solver", "*")}
 
 
-def _inv_calls(path: Path) -> list[tuple[str, str, int]]:
-    """(module, enclosing function, line) of every np.linalg.inv in a module, or import of it."""
+def _linalg_calls(path: Path, name: str = "inv") -> list[tuple[str, str, int]]:
+    """(module, enclosing function, line) of every np.linalg.``name`` in a module, or import of it."""
     found = []
 
     def visit(node, fn):
         if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef)):
             fn = node.name
-        if (isinstance(node, ast.Attribute) and node.attr == "inv"
+        if (isinstance(node, ast.Attribute) and node.attr == name
                 and ast.unparse(node.value) in ("np.linalg", "numpy.linalg", "linalg")
                 or isinstance(node, ast.ImportFrom) and "linalg" in (node.module or "")
-                and any(alias.name == "inv" for alias in node.names)):
+                and any(alias.name == name for alias in node.names)):
             found.append((path.stem, fn, node.lineno))
         for child in ast.iter_child_nodes(node):
             visit(child, fn)
@@ -201,8 +202,11 @@ def _inv_calls(path: Path) -> list[tuple[str, str, int]]:
 
 def test_only_checked_inverse_inverts_a_system_it_may_refuse():
     """Every inverse that can meet a near-singular system goes through checked_inverse, so
-    the refusal has one path; B^{-1} and the interior solver's block inverses are the others."""
-    calls = [c for path in sorted(PACKAGE.glob("*.py")) for c in _inv_calls(path)]
+    the refusal has one path; B^{-1} and the interior solver's block inverses are the others.  No
+    system is solved besides: S_ref's alpha and G read B^{-1}, and the n = 0 gain of the interior
+    refusal has a closed form."""
+    assert [c for path in sorted(PACKAGE.glob("*.py")) for c in _linalg_calls(path, "solve")] == []
+    calls = [c for path in sorted(PACKAGE.glob("*.py")) for c in _linalg_calls(path)]
     assert {c[:2] for c in calls} >= {("boundary_ops", "checked_inverse"), ("boundary_ops", "invert_on_meanfree")}
     offenders = [c for c in calls if c[:2] not in INVERSES and (c[0], "*") not in INVERSES]
     assert not offenders, offenders
