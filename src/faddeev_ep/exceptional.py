@@ -10,7 +10,9 @@
       mu = int omega q dS, nu = |bd O|; the locus xi = 0 is eps ~ (mu/nu) lambda.
 (iii) Parity counter: n^-(k) counts negative eigenvalues of
       P(k) = I + S_k (F_n - F_0) with multiplicity; endpoints of a path
-      with different parity bracket an exceptional point.
+      with different parity bracket an exceptional point.  The endpoints
+      are counted from the eigenvalues; the bisection between them reads
+      only the parity, which for a real P is the sign of det P.
 """
 
 from __future__ import annotations
@@ -188,7 +190,8 @@ def n_minus(k, n: Potential, nodes: NodeSet) -> ParityRecord:
     pairs contribute evenly and cannot flip the parity.  Any eigenvalue
     within TOL_NEG of zero marks the count as unreliable
     (``near_exceptional``).  Only meaningful for real potentials: a complex
-    P(k) warns.
+    P(k) warns.  :func:`parity_path` counts its two endpoints here and
+    bisects between them on the sign of det P (:func:`_det_parity`).
     """
     ws = KWorkspace.at(k, nodes)
     p = assemble_P(ws, n, nodes)
@@ -456,12 +459,27 @@ class ParityVerdict:
     flags: tuple[str, ...] = ()
 
 
+def _det_parity(k, n: Potential, nodes: NodeSet) -> int | None:
+    """The parity of n^-(k) from the sign of det P(k), one LU (slogdet), or None where det P is 0 or not
+    finite.  For a real P, det P is the product of |lambda|^2 over the complex pairs times the real
+    eigenvalues, so sign det P = (-1)^{n^-}; a complex P reads the real part of slogdet's sign."""
+    sign, logdet = np.linalg.slogdet(assemble_P(k, n, nodes).matrix)
+    if not np.isfinite(logdet):   # -inf where det P = 0
+        return None
+    return int(np.real(sign) < 0)
+
+
 def parity_path(k_a, k_b, n: Potential, nodes: NodeSet) -> ParityVerdict:
     """Bisect a path for the parity jump of n^-; returns a bracketing interval.
 
     The path interpolates linearly in (ln|k|, arg k), an analytic arc that
     cannot pass through k = 0, and is bisected down to PARITY_RESOLUTION of
-    its length.  Endpoint counts flagged as near-exceptional refuse the verdict.
+    its length.  The endpoints are counted by :func:`n_minus` (``record_a``,
+    ``record_b``), and a count flagged as near-exceptional refuses the
+    verdict.  Each midpoint reads only the parity, from the sign of det P
+    (:func:`_det_parity`); one whose det P is 0 or not finite is flagged
+    ``midpoint_near_exceptional`` and ends the bisection with the bracket
+    +-1/4 of the current width around it.
     """
     k_a = KPoint.from_k(k_a)
     k_b = KPoint.from_k(k_b)
@@ -481,12 +499,12 @@ def parity_path(k_a, k_b, n: Potential, nodes: NodeSet) -> ParityVerdict:
     flags: list[str] = []
     while hi - lo > PARITY_RESOLUTION:
         mid = 0.5 * (lo + hi)
-        rec_m = n_minus(path(mid), n, nodes)
-        if rec_m.near_exceptional:
+        par_mid = _det_parity(path(mid), n, nodes)
+        if par_mid is None:
             flags.append(f"midpoint_near_exceptional@s={mid:.6f}")
             lo, hi = mid - 0.25 * (hi - lo), mid + 0.25 * (hi - lo)
             break
-        if rec_m.n_minus % 2 == par_lo:
+        if par_mid == par_lo:
             lo = mid
         else:
             hi = mid

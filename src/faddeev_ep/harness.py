@@ -24,7 +24,7 @@ from dataclasses import asdict, dataclass, field
 import numpy as np
 
 from . import __version__, sha256
-from .boundary_ops import SINGULARITY_THRESHOLD, NearSingularError, OperatorCache
+from .boundary_ops import SINGULARITY_THRESHOLD, NearSingularError, OperatorCache, layer_reference
 from .disk_solver import CONDITION_LIMIT, InteriorResonanceError
 from .dtn_maps import (
     PerturbedFamily,
@@ -305,6 +305,10 @@ def run(config: RunConfig) -> RunManifest:
                     print(c.line())
             elif detector == "sigma_scan":
                 points = kgrid_points(config.kgrid)
+                try:   # G = S_ref^{-1} before the threads, which would each find it missing
+                    layer_reference(nodes)
+                except NearSingularError:
+                    pass   # every point meets the refusal and records it by itself
                 # chunked order-preserving parallel map; rows come out sorted
                 # by grid index regardless of completion order
                 from concurrent.futures import ThreadPoolExecutor   # here only: no other detector runs a pool
@@ -345,9 +349,9 @@ def run(config: RunConfig) -> RunManifest:
                 }
             elif detector == "parity":
                 pe = config.parity_eps
-                scale = 1.0
+                scale, applied = 1.0, "absolute"   # without a prediction (lam <= 0, no family) eps is absolute
                 if pe["scale"] == "prediction" and family is not None and config.lam > 0:
-                    scale = mu_for_family(family) * config.lam / nodes.length
+                    scale, applied = mu_for_family(family) * config.lam / nodes.length, "prediction"
                 k_a = KPoint.from_eps(pe["eps_a"] * scale, pe["phi"], nodes.length)
                 k_b = KPoint.from_eps(pe["eps_b"] * scale, pe["phi"], nodes.length)
                 verdict = parity_path(k_a, k_b, pot, nodes)
@@ -358,6 +362,7 @@ def run(config: RunConfig) -> RunManifest:
                     "n_minus_b": verdict.record_b.n_minus,
                     "bracket_eps": [p.eps(nodes.length) for p in verdict.bracket] if verdict.bracket else None,
                     "flags": list(verdict.flags),
+                    "scale": applied,
                 }
             elif detector == "transform":
                 tk = config.transform_krange

@@ -10,6 +10,7 @@ from faddeev_ep import boundary_ops, dtn_maps, exceptional
 from faddeev_ep.boundary_ops import KWorkspace, NearSingularError, assemble_S, invert_S, weighted_matrix
 from faddeev_ep.dtn_maps import PerturbedFamily, standard_conductive
 from faddeev_ep.exceptional import (
+    PARITY_RESOLUTION,
     LocusResult,
     assemble_A,
     assemble_P,
@@ -624,6 +625,70 @@ def test_parity_path_brackets_locus(nodes128, radial_family, locus_005):
     assert verdict.evidence
     lo, hi = verdict.bracket
     assert lo.eps(NU) - 1e-4 * eps_star <= eps_star <= hi.eps(NU) + 1e-4 * eps_star
+
+
+def test_sign_det_P_is_the_parity_of_n_minus_on_a_nonradial_grid(cos_family):
+    """The bisection's parity, sign det P = (-1)^{n^-}, on a real non-radial n over a log-polar
+    grid through its locus (ln|k| about -75 at lambda = 0.05), where both parities occur."""
+    pot = cos_family.at(0.05)
+    parities = set()
+    for log_abs in np.linspace(-150.0, 1.0, 12):
+        for phi in 2 * np.pi * np.arange(6) / 6:
+            rec = n_minus(KPoint.from_polar_log(log_abs, phi), pot, NODES64)
+            if rec.near_exceptional:
+                continue
+            sign, _ = np.linalg.slogdet(rec.p.matrix)
+            assert sign == (-1) ** rec.n_minus, (log_abs, phi, rec.n_minus)
+            parities.add(rec.n_minus % 2)
+    assert parities == {0, 1}
+
+
+def _count_bisection(k_a, k_b, n, nodes):
+    """The bracket of parity_path's bisection with every midpoint counted by n_minus."""
+    def path(s):
+        return KPoint.from_polar_log((1 - s) * k_a.log_abs + s * k_b.log_abs, (1 - s) * k_a.phi + s * k_b.phi)
+
+    lo, hi = 0.0, 1.0
+    par_lo = n_minus(path(0.0), n, nodes).n_minus % 2
+    while hi - lo > PARITY_RESOLUTION:
+        mid = 0.5 * (lo + hi)
+        rec = n_minus(path(mid), n, nodes)
+        assert not rec.near_exceptional
+        if rec.n_minus % 2 == par_lo:
+            lo = mid
+        else:
+            hi = mid
+    return path(lo), path(hi)
+
+
+def test_parity_path_counts_only_its_endpoints(nodes128, radial_family, locus_005, monkeypatch):
+    """parity_path runs eigvals at its two endpoints only, and its determinant-sign bisection
+    finds the bracket that counting n^- at every midpoint finds."""
+    eps_star = locus_005.mean_eps
+    k_in, k_out = KPoint.from_eps(0.5 * eps_star, 0.0, NU), KPoint.from_eps(2.0 * eps_star, 0.0, NU)
+    pot = radial_family.at(0.05)
+    expected = _count_bisection(k_in, k_out, pot, nodes128)
+    calls = []
+    eigvals = np.linalg.eigvals
+    monkeypatch.setattr(np.linalg, "eigvals", lambda a: calls.append(a.shape) or eigvals(a))
+    verdict = parity_path(k_in, k_out, pot, nodes128)
+    assert len(calls) == 2
+    assert verdict.evidence and not verdict.flags
+    assert verdict.bracket == expected
+
+
+@pytest.mark.parametrize("slogdet", [(0.0, -np.inf), (1.0, np.nan)], ids=["zero", "not_finite"])
+def test_parity_path_flags_a_midpoint_whose_det_P_is_zero_or_not_finite(nodes128, radial_family, locus_005,
+                                                                         monkeypatch, slogdet):
+    """A midpoint without a determinant sign is flagged and narrowed like a near-exceptional one:
+    the first midpoint, s = 1/2, ends the bisection with the bracket [1/4, 3/4]."""
+    eps_star = locus_005.mean_eps
+    k_in, k_out = KPoint.from_eps(0.5 * eps_star, 0.0, NU), KPoint.from_eps(2.0 * eps_star, 0.0, NU)
+    monkeypatch.setattr(np.linalg, "slogdet", lambda a: slogdet)
+    verdict = parity_path(k_in, k_out, radial_family.at(0.05), nodes128)
+    assert verdict.evidence
+    assert verdict.flags == ("midpoint_near_exceptional@s=0.500000",)
+    assert verdict.message == "parity jump bracketed in s = [0.250000, 0.750000]"
 
 
 def test_parity_path_null_verdicts(nodes128, zero_pot, conductive, radial_family, locus_005):

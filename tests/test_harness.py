@@ -275,6 +275,18 @@ def test_a_partial_parity_eps_in_json_scales_by_the_prediction(tmp_path):
     summary = json.loads((rundir / "summary.json").read_text())
     assert summary["parity"]["evidence"] is True
     assert summary["config"]["parity_eps"]["scale"] == "prediction"
+    assert summary["parity"]["scale"] == "prediction"
+
+
+def test_a_parity_run_without_a_prediction_records_the_absolute_scale(tmp_path):
+    """At lam <= 0 there is no locus prediction, so the prediction scale falls back to the
+    absolute eps, and the summary records the scale applied."""
+    code, rundir = _run_json(tmp_path, {"detectors": ["parity"], "lam": -0.05})
+    assert code == 0
+    summary = json.loads((rundir / "summary.json").read_text())
+    assert summary["config"]["parity_eps"]["scale"] == "prediction"
+    assert summary["parity"]["scale"] == "absolute"
+    assert summary["parity"]["bracket_eps"] is None
 
 
 def test_a_partial_logpolar_kgrid_in_json_is_completed(tmp_path):
@@ -678,6 +690,23 @@ def test_a_two_worker_scan_builds_the_laplace_pieces_once(tmp_path, monkeypatch)
     calls = _count_calls(monkeypatch, "boundary_ops", "assemble_B")
     counted = boundary_ops.assemble_B
     monkeypatch.setattr(boundary_ops, "assemble_B", lambda nodes: time.sleep(0.1) or counted(nodes))
+    cfg = RunConfig(n_nodes=64, detectors=["sigma_scan"], outdir=str(tmp_path), workers=2,
+                    kgrid={"type": "list", "values": [[0.3, 0.2], [0.0, 0.7], [0.5, 0.0], [0.1, 0.1]]})
+    manifest = run(cfg)
+    assert not manifest.detector_errors
+    assert len(calls) == 1
+
+
+def test_a_two_worker_scan_builds_the_layer_reference_once(tmp_path, monkeypatch):
+    """run builds the NodeSet's G = S_ref^{-1} before the scan's two threads start.  Its build is
+    the one caller of BlockForm.reassemble, slowed by 0.1 s, so two threads that both found the
+    memo without it would both be counted."""
+    from faddeev_ep import boundary_ops
+
+    calls = []
+    reassemble = boundary_ops.BlockForm.reassemble
+    monkeypatch.setattr(boundary_ops.BlockForm, "reassemble",
+                        lambda self: calls.append(self) or time.sleep(0.1) or reassemble(self))
     cfg = RunConfig(n_nodes=64, detectors=["sigma_scan"], outdir=str(tmp_path), workers=2,
                     kgrid={"type": "list", "values": [[0.3, 0.2], [0.0, 0.7], [0.5, 0.0], [0.1, 0.1]]})
     manifest = run(cfg)
