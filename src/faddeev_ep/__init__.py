@@ -35,9 +35,7 @@ from .geometry import (  # noqa: F401
 from .green import (  # noqa: F401
     EULER_GAMMA,
     KPoint,
-    g0,
     gauss_legendre,
-    green_remainder,
 )
 from .boundary_ops import (  # noqa: F401
     BlockForm,

@@ -106,12 +106,6 @@ class BoundaryOperator:
             raise ValueError(f"unknown space tag in ({self.domain_space}, {self.range_space})")
         self.matrix.flags.writeable = False
 
-    def compose(self, other: "BoundaryOperator") -> "BoundaryOperator":
-        """self after other; space tags must chain."""
-        if other.range_space != self.domain_space:
-            raise ValueError(f"space mismatch: cannot compose {self.domain_space} <- {other.range_space}")
-        return BoundaryOperator(self.matrix @ other.matrix, other.domain_space, self.range_space, self.nodes)
-
 
 def _circulant(symbol: np.ndarray) -> np.ndarray:
     """Real circulant matrix with eigenvalue symbol[m] on DFT mode m (in FFT order)."""

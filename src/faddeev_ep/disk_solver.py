@@ -148,11 +148,12 @@ class DiskDtnSolver:
         theta = 2 * np.pi * np.arange(m_int) / m_int
         return np.asarray(potential.eval(self.r[:, None] * np.exp(1j * theta[None, :])), dtype=complex)
 
-    def sampled(self, potential) -> tuple[str, dict[int, np.ndarray]]:
-        """sha256 of :meth:`samples` and their FFT over theta, {d: n_hat_d(r)} above noise
-        on the interior radii the coupling reads (masking on r = 1 is ragged).  Sampled
-        once per potential and N: both are kept in ``potential.memo``, the samples not.
-        A non-finite sample is a ValueError."""
+    def sampled(self, potential) -> tuple[str, dict[int, np.ndarray], bool]:
+        """sha256 of :meth:`samples`, their FFT over theta, {d: n_hat_d(r)} above noise
+        on the interior radii the coupling reads (masking on r = 1 is ragged), and whether
+        every sample is real (imaginary part exactly 0).  Sampled once per potential and N:
+        all three are kept in ``potential.memo``, the samples not.  A non-finite sample is
+        a ValueError."""
         got = potential.memo.get(("sampled", self.n_boundary))
         if got is None:
             nvals = self.samples(potential)
@@ -164,7 +165,8 @@ class DiskDtnSolver:
             keep = np.flatnonzero(interior > 1e-13 * max(float(np.max(interior)), 1e-300))
             d_vals = (np.fft.fftfreq(m_int) * m_int).astype(int)
             modes = dict(zip(d_vals[keep].tolist(), nhat[:, keep].T.copy()))   # copies: nhat is not kept
-            got = potential.memo.setdefault(("sampled", self.n_boundary), (sha256(nvals.tobytes()).hexdigest(), modes))
+            got = potential.memo.setdefault(("sampled", self.n_boundary),
+                                            (sha256(nvals.tobytes()).hexdigest(), modes, not np.any(nvals.imag)))
         return got
 
     def angular_modes(self, potential) -> dict[int, np.ndarray]:
@@ -307,7 +309,8 @@ class DiskDtnSolver:
         gb = np.zeros((nb, nb), dtype=complex)
         np.add.at(gb, ((np.arange(nb + 1) - nb // 2)[:, None] % nb, cols), ghat)
         fn = np.fft.ifft(np.fft.fft(gb, axis=1), axis=0)
-        if not is_complex:
+        # the real modes of a complex n (1 + i y: n_hat_{+-1} = +-r/2) are solved in real arithmetic too
+        if not is_complex and self.sampled(potential)[2]:
             imag_scale = float(np.max(np.abs(fn.imag)))
             if imag_scale > 1e-8 * max(1.0, float(np.max(np.abs(fn.real)))):
                 raise ArithmeticError(f"DtN matrix lost realness for a real potential: Im = {imag_scale:.2e}")

@@ -75,8 +75,8 @@ class Potential:
     eval_fn: Callable[[np.ndarray], np.ndarray]
     q_fn: Callable[[np.ndarray], np.ndarray] | None = None
     # ("sampled", N) -> (sha256 of the interior solver's samples of n, their angular
-    # modes), DiskDtnSolver.sampled; ("Fn", N) -> F_n, assemble_Fn; ("trace_refs", N) ->
-    # (P_ref^{-1}, A_ref^{-1}), the references of transform.trace_u
+    # modes, whether they are real), DiskDtnSolver.sampled; ("Fn", N) -> F_n, assemble_Fn;
+    # ("trace_refs", N) -> (P_ref^{-1}, A_ref^{-1}), the references of transform.trace_u
     memo: dict = field(default_factory=dict, init=False, repr=False, compare=False)
 
     def eval(self, z) -> np.ndarray:

@@ -14,15 +14,14 @@ with N entire, real-valued and N(0) = 0.  In closed form
 where E1 is the exponential integral and Ein its entire part
 (Ein(s) = gamma + ln s + E1(s)).  Re E1 is continuous across the E1 branch
 cut, and e^{-i zeta . z} G_k(z) decays in every direction of w, which is the
-radiation condition that singles this branch out.  G_k is evaluated only
-through the split: ``g0`` for the logarithmic part and, for N, either
-``green_remainder`` (the Ein series for |w| <= 4; beyond, E1 by its continued
-fraction, or near the negative real axis the Ein series again) or, in the
-single layer S_k (``boundary_ops.assemble_S``), a ``gauss_legendre`` rule for
+radiation condition that singles this branch out.  The package evaluates G_k
+in one place, the single layer S_k (``boundary_ops.assemble_S``): G_k^0 by the
+log layer and N(w) by a ``gauss_legendre`` rule for
 Ein(s) = int_0^1 (1 - e^{-st})/t dt, which is separable in the two points.
-Everything is validated against independent oracles in the test suite (weak
-Laplace identity, kz-scaling, realness, decay of the ratio
-|G_k e^{-i zeta.z}| sqrt(|k||z|)).
+The test suite holds S_k to the closed form through scipy's ``exp1`` and
+checks -Lap G_k = delta_0 weakly and the decay of the ratio
+|G_k e^{-i zeta.z}| sqrt(|k||z|).  This module keeps the spectral parameter
+(``KPoint``), the conversions between eps and |k|, and the quadrature rule.
 """
 
 from __future__ import annotations
@@ -38,19 +37,10 @@ __all__ = [
     "KPoint",
     "epsilon_from_log",
     "log_abs_k_from_eps",
-    "g0",
-    "green_remainder",
     "gauss_legendre",
 ]
 
 EULER_GAMMA = float(np.euler_gamma)
-
-# series/E1 crossover for the entire part Ein(-iw); the series avoids the
-# ln|w| cancellation near w = 0
-_SERIES_RADIUS = 4.0
-# the series stops once the next term's bound |s|^n/(n n!) is below this times max(1, max|s|)
-_SERIES_TOL = 1e-17
-_CF_ARG, _CF_DEPTH = 0.8 * np.pi, 200   # |s| > 4: E1 by continued fraction for |arg s| <= _CF_ARG
 
 
 def epsilon_from_log(log_abs_k: float, nu: float) -> float:
@@ -128,65 +118,6 @@ class KPoint:
 
     def __repr__(self):
         return f"KPoint(|k|=e^{self.log_abs:.6g}, arg={self.phi:.6g})"
-
-
-def g0(k, z) -> float:
-    """Logarithmic part G_k^0(z) = -(1/2pi) ln|z| - gamma/2pi - (1/2pi) ln|k|."""
-    kp = KPoint.from_k(k)
-    az = np.abs(np.asarray(z, dtype=complex))
-    if np.any(az == 0):
-        raise ValueError("G_k^0 is singular at z = 0")
-    val = -(np.log(az) + EULER_GAMMA + kp.log_abs) / (2 * np.pi)
-    return float(val) if np.isscalar(z) or np.ndim(z) == 0 else val
-
-
-def _ein(zeta: np.ndarray) -> np.ndarray:
-    """Entire part of the exponential integral, by its Taylor series.
-
-    Ein(s) = sum_{n>=1} (-1)^{n+1} s^n / (n n!), accurate to machine
-    precision for |s| <= _SERIES_RADIUS.  The number of terms is chosen per
-    call from max|s|: the sum stops before the first term whose bound
-    |s|^n / (n n!) is below _SERIES_TOL * max(1, max|s|), which is one term
-    at |s| ~ 1e-32 and about 30 at |s| = 4.
-    """
-    zeta = np.asarray(zeta, dtype=complex)
-    smax = float(np.max(np.abs(zeta), initial=0.0))
-    tol = _SERIES_TOL * max(1.0, smax)
-    total = zeta.copy()
-    term = zeta
-    n, bound = 1, smax * smax / 4    # bound of term 2
-    while bound >= tol:
-        term = term * (-zeta) * (n / (n + 1) ** 2)
-        total += term
-        n += 1
-        bound *= smax * n / (n + 1) ** 2
-    return total
-
-
-def green_remainder(w) -> np.ndarray:
-    """Smooth remainder N(w) = G_k(z) - G_k^0(z) as a function of w = kz.
-
-    Entire, real-valued, N(0) = 0.  Vectorized over w.
-    """
-    w = np.asarray(w, dtype=complex)
-    out = np.empty(w.shape, dtype=float)
-    zeta = -1j * w
-    small = np.abs(w) <= _SERIES_RADIUS
-    if np.any(small):
-        out[small] = _ein(zeta[small]).real / (2 * np.pi)
-    if not np.all(small):
-        # Ein = gamma + ln s + E1(s), whose Re is continuous across the E1 cut; E1(s) = e^{-s} / f, f =
-        # s + 1/(1 + 1/(s + 2/(1 + ...))) evaluated backward, is within 1e-14 up to |s| = 20 for |arg s|
-        # <= _CF_ARG, and nearer the negative real axis the series (a call of its own) is as accurate
-        big = zeta[~small]
-        cf = np.abs(np.angle(big)) <= _CF_ARG
-        s = f = big[cf]
-        for n in range(_CF_DEPTH, 0, -1):
-            f = s + n / (1 + n / f)
-        big[~cf] = _ein(big[~cf])
-        big[cf] = EULER_GAMMA + np.log(np.abs(s)) + np.exp(-s) / f
-        out[~small] = big.real / (2 * np.pi)
-    return out
 
 
 def _legendre(n: int, x: np.ndarray) -> tuple[np.ndarray, np.ndarray]:

@@ -100,10 +100,12 @@ class RunConfig:
 
     def __post_init__(self) -> None:
         """Lay each dict field over its default, so a dict given in part means what the
-        same flags mean on the command line; a key the field does not take is a
-        ValueError.  The curve, potential and omega take their builder's parameters,
-        which the builders check; a list kgrid takes exactly its type and values, and the
-        kgrid type and the parity_eps scale take one of their _CHOICES."""
+        same flags mean on the command line, and check every field: an invalid config is
+        a ValueError here, before :func:`run` writes anything.  A key a dict field does
+        not take is an error.  The curve, potential and omega take their builder's
+        parameters, which the builders check when :func:`run` builds them, once; a list
+        kgrid takes exactly its type and values, and the kgrid type and the parity_eps
+        scale take one of their _CHOICES."""
         for name in _DICT_FIELDS:
             given, default = getattr(self, name), self.__dataclass_fields__[name].default_factory()
             if not isinstance(given, dict):
@@ -119,9 +121,6 @@ class RunConfig:
         for (name, key), valid in _CHOICES.items():
             if getattr(self, name)[key] not in valid:
                 raise ValueError(f"{name} {key} must be one of {valid}, got {getattr(self, name)[key]!r}")
-
-    def validate_fields(self) -> None:
-        """Check the fields; the curve and the potential are built by :func:`run`, once."""
         unknown = [d for d in self.detectors if d not in _DETECTORS]
         if unknown:
             raise ValueError(f"unknown detectors {unknown}; valid: {_DETECTORS}")
@@ -137,8 +136,8 @@ class RunConfig:
                if isinstance(v, bool) or not isinstance(v, numbers.Integral) or v < 1}
         if bad:
             raise ValueError(f"counts must be positive ints, got {bad}")
-        kind = self.potential["kind"]
-        if kind != "conductive" and (self.lam != 0.0 or self.omega != RunConfig().omega):
+        kind, no_omega = self.potential["kind"], self.__dataclass_fields__["omega"].default_factory()
+        if kind != "conductive" and (self.lam != 0.0 or self.omega != no_omega):
             raise ValueError(f"lam = {self.lam} and omega {self.omega} perturb a conductive potential "
                              f"only; a {kind!r} potential needs lam = 0 and no omega")
 
@@ -152,9 +151,7 @@ class RunConfig:
         unknown = set(doc) - set(cls.__dataclass_fields__)
         if unknown:
             raise ValueError(f"unknown config fields: {sorted(unknown)}")
-        cfg = cls(**doc)
-        cfg.validate_fields()
-        return cfg
+        return cls(**doc)
 
     @classmethod
     def from_json(cls, path) -> "RunConfig":
@@ -231,10 +228,9 @@ def run(config: RunConfig) -> RunManifest:
     """Execute the requested detectors and write all artifacts.
 
     Partial detector failures are recorded in the manifest; only config
-    and setup errors raise, and the fields are checked and the curve and the
-    potential built before anything is written.
+    and setup errors raise.  The fields were checked when the config was
+    made; the curve and the potential are built before anything is written.
     """
-    config.validate_fields()
     base, family = build_potential(config)
     nodes = sample(build_curve(config), config.n_nodes)
     chash = config.config_hash()

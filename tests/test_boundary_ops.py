@@ -7,6 +7,7 @@ import numpy as np
 import pytest
 from hypothesis import assume, example, given, settings
 from hypothesis import strategies as st
+from scipy.special import exp1
 
 from conftest import rotation_matrix, single_layer_fourier_oracle, traced_peak
 from faddeev_ep.boundary_ops import (
@@ -35,7 +36,16 @@ from faddeev_ep.boundary_ops import (
 from faddeev_ep.dtn_maps import assemble_F0
 from faddeev_ep.exceptional import scan
 from faddeev_ep.geometry import curve_from_fourier, make_circle, make_ellipse, make_kite, sample
-from faddeev_ep.green import KPoint, green_remainder
+from faddeev_ep.green import EULER_GAMMA, KPoint
+
+
+def remainder_by_exp1(w):
+    """N(w) = (gamma + ln|s| + Re E1(s)) / 2pi, s = -iw, from scipy's exp1; N(0) = 0."""
+    s = -1j * np.asarray(w, dtype=complex)
+    out = np.zeros(s.shape)
+    nz = s != 0
+    out[nz] = (EULER_GAMMA + np.log(np.abs(s[nz])) + exp1(s[nz]).real) / (2 * np.pi)
+    return out
 
 
 def modes(nodes, m):
@@ -98,7 +108,7 @@ def test_S_real_and_self_convergent(nodes128, nodes256):
 #: per-entry bound of the separable S_k against the one-shot formula, relative to max(1, |N(w)|),
 #: for |k| up to 2, 4 and 10: the factors e^{+-ikzt} round at the scale e^{|k| |z - mean z| t}
 #: while N(w) may be far smaller, so the bound grows with |k|; measured on the three curves at
-#: N = 250 and 256 and five angles: 9.6e-15, 2.5e-12 (the kite) and 4.4e-11 (the ellipse)
+#: N = 250 and 256 and five angles, N(w) from exp1: 1.2e-14, 3.2e-12 and 4.2e-11 (all the kite)
 ENTRY_BOUNDS = ((2.0, 2e-14), (4.0, 5e-12), (10.0, 1e-10))
 
 
@@ -106,15 +116,15 @@ ENTRY_BOUNDS = ((2.0, 2e-14), (4.0, 5e-12), (10.0, 1e-10))
 @pytest.mark.parametrize("r", [1e-6, 1e-2, 0.2, 2.0, 4.0, 10.0])
 def test_blocked_S_k_equals_the_one_shot_formula(n_nodes, r):
     """assemble_S is the block product L + [1, Re a, Im a] Y^T of a Gauss-Legendre rule for Ein;
-    the one-shot formula adds (2pi/N) green_remainder(w) |z'(t_j)| to S_k^0 with the whole
-    w = k(z_i - z_j).  On the circle, the 1.5 x 1 ellipse and the kite, at five angles of each
-    |k| = r (every order of the table is met), the two agree to 1e-14 max|S_k| (measured 7.4e-15,
-    the ellipse at |k| = 10) and entrywise to ENTRY_BOUNDS."""
+    the one-shot formula adds (2pi/N) N(w) |z'(t_j)| to S_k^0 with the whole w = k(z_i - z_j)
+    and N(w) from scipy's exp1.  On the circle, the 1.5 x 1 ellipse and the kite, at five angles
+    of each |k| = r (every order of the table is met), the two agree to 1e-14 max|S_k| (measured
+    7.33e-15, the ellipse at |k| = 10) and entrywise to ENTRY_BOUNDS."""
     for curve in (make_circle(1.0), make_ellipse(1.5, 1.0), make_kite()):
         nodes = sample(curve, n_nodes)
         scale = (2 * np.pi / n_nodes) * nodes.speed[None, :]
         for kp in (KPoint.from_polar_log(np.log(r), phi) for phi in (0.0, 0.7, 1.9, 3.3, 5.1)):
-            remainder = green_remainder(kp.kz(nodes.z[:, None] - nodes.z[None, :]))
+            remainder = remainder_by_exp1(kp.kz(nodes.z[:, None] - nodes.z[None, :]))
             one_shot = assemble_S0(kp, nodes).matrix + scale * remainder
             err = np.abs(assemble_S(kp, nodes).matrix - one_shot)
             assert np.max(err) <= 1e-14 * np.max(np.abs(one_shot)), (curve.name, kp)
@@ -125,7 +135,7 @@ def test_blocked_S_k_equals_the_one_shot_formula(n_nodes, r):
 def test_assemble_S_holds_no_n_by_n_complex_temporary(nodes256):
     """S_k at N = 256 is 0.5 MiB; its rank-(2m + 1) factors are N x (2m + 1) and real, so the
     traced peak of one assembly is 0.59 MiB (0.79 MiB at |k| = 4, m = 14), where the whole
-    w = k(z_i - z_j) and green_remainder's N x N complex temporaries took 6.6 MiB."""
+    w = k(z_i - z_j) and the N x N complex temporaries of a pointwise N(w) took 6.6 MiB."""
     kp = KPoint.from_k(1e-2)
     assemble_S(kp, nodes256)   # the k-independent log layer is cached per NodeSet
     assert traced_peak(assemble_S, kp, nodes256) <= 2 * 2**20
@@ -583,9 +593,3 @@ def test_operator_store_rebuilds_an_entry_its_header_does_not_describe(tmp_path,
     mat, header = load_operator(path)
     np.testing.assert_array_equal(mat, 2 * np.eye(3))
     assert header["key"] == "ab12"
-
-
-def test_compose_space_check(nodes128):
-    s = assemble_S(KPoint.from_k(0.5), nodes128)
-    with pytest.raises(ValueError):
-        s.compose(s)  # H^{+1/2} output cannot feed the H^{-1/2} domain

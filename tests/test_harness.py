@@ -769,6 +769,22 @@ def test_unsupported_curve_is_recorded_not_raised(tmp_path):
     assert rows[1].endswith("criterion_failed:NotImplementedError;parity_failed:NotImplementedError")
 
 
+def test_a_raster_with_real_angular_modes_and_a_complex_n_scans(tmp_path):
+    """A 9 x 9 raster of 1 + 0.3i y on a grid symmetric in y has real angular modes; its complex
+    F_n used to be refused as having lost realness, failing every detector that reads F_n."""
+    y = np.linspace(-1.0, 1.0, 9)
+    raster = tmp_path / "tilted.json"
+    raster.write_text(json.dumps({"x0": -1.0, "y0": -1.0, "dx": 0.25, "dy": 0.25,
+                                  "re": [[1.0] * 9] * 9, "im": [[0.3 * v] * 9 for v in y]}))
+    cfg = RunConfig(n_nodes=32, potential={"kind": "raster", "path": str(raster)}, outdir=str(tmp_path / "runs"),
+                    detectors=["sigma_scan"], use_cache=False, kgrid={"type": "list", "values": [[0.3, 0.0]]})
+    with pytest.warns(UserWarning, match="real potentials"):   # n^- of a complex n, recorded anyway
+        manifest = run(cfg)
+    assert manifest.detector_errors == {}
+    rows = (tmp_path / "runs" / manifest.config_hash / "scan.csv").read_text().splitlines()
+    assert len(rows) == 2
+
+
 def test_resonant_potential_is_a_detector_error_not_a_traceback(tmp_path):
     """A raster of constant j01^2 makes the interior solve near-resonant: the up-front F_n
     refusal is recorded for each detector that reads F_n, validate still runs, and

@@ -110,12 +110,17 @@ TRACED_METHODS = {
 }
 
 
-def _tracer_methods() -> set[str]:
+def _tracer_constant(name: str):
+    """The literal perfbench/tracing.py assigns to ``name`` at module level."""
     tree = ast.parse((REPO / "perfbench" / "tracing.py").read_text())
     for node in tree.body:
-        if isinstance(node, ast.Assign) and any(getattr(t, "id", None) == "METHODS" for t in node.targets):
-            return {".".join(entry) for entry in ast.literal_eval(node.value)}
-    raise AssertionError("perfbench/tracing.py defines no METHODS")
+        if isinstance(node, ast.Assign) and any(getattr(t, "id", None) == name for t in node.targets):
+            return ast.literal_eval(node.value)
+    raise AssertionError(f"perfbench/tracing.py defines no {name}")
+
+
+def _tracer_methods() -> set[str]:
+    return {".".join(entry) for entry in _tracer_constant("METHODS")}
 
 
 def test_traced_methods_exist_with_their_leading_parameters():
@@ -128,6 +133,16 @@ def test_traced_methods_exist_with_their_leading_parameters():
         if params[: len(lead)] != lead:
             changed.append(f"{qualname}{tuple(params)} should start with {tuple(lead)}")
     assert not changed, changed
+
+
+def test_traced_layers_import_and_declare_their_public_names():
+    """perfbench/tracing.py imports each module of its ``LAYERS`` and wraps the functions its
+    ``__all__`` names; a layer that is deleted or loses ``__all__`` stops the benchmark or
+    silences that layer's metrics."""
+    layers = _tracer_constant("LAYERS")
+    assert "green" in layers
+    bare = [m for m in layers if not hasattr(importlib.import_module(f"faddeev_ep.{m}"), "__all__")]
+    assert not bare, bare
 
 
 def _loaded_by_package_import(package: str) -> str:
