@@ -84,10 +84,6 @@ class NearSingularError(RuntimeError):
     def __str__(self):
         return super().__str__() if self.k is None else f"at {self.k}: {super().__str__()}"
 
-    def at(self, k) -> "NearSingularError":
-        """A fresh copy of this refusal, raised at ``k``."""
-        return NearSingularError(self.args[0], self.sigma_min, self.norm, k, self.suspected)
-
 
 @dataclass(frozen=True)
 class BoundaryOperator:
@@ -356,7 +352,7 @@ def checked_inverse(mat, limit: float, what: str, k, suspected: str) -> np.ndarr
     sigma_min = 1/|mat^{-1}|_1 and norm = |mat|_1) where inv fails or |mat|_1 |mat^{-1}|_1 exceeds ``limit``
     or is not finite.
 
-    It is the one inverse of a system that may be refused: the transform's k-independent P_ref and A_ref
+    It is the one inverse of a system that may be refused: route_references' P_ref and A_ref
     once, and per k only the r x r capacitances of :func:`updated_inverse` (S_ref's G is read from B^{-1})."""
     norm = float(np.linalg.norm(mat, 1))
     try:
@@ -472,16 +468,14 @@ class KWorkspace:
     and S_k = L + X Y^T are built (:func:`assemble_S`), and ``inverse`` is :func:`invert_S`'s update
     from that S_k.  The workspace keeps S_k until it is dropped; trace_u drops it (``del ws.s``)
     once P(k) is formed, since route A reads S_k^{-1} and the factors alone, and a later ``s``
-    builds it again.  Where invert_S refuses (k near E_D), every access of ``inverse`` raises its
-    refusal; where the Ein rule refuses (k beyond its table), every access of ``s`` or ``inverse``
-    raises.
+    builds it again.  A refusal is kept nowhere: where invert_S refuses (k near E_D), each access
+    of ``inverse`` inverts again and raises; where the Ein rule refuses (k beyond its table), each
+    access of ``s`` or ``inverse`` raises.  No detector reads a refused inverse twice.
     """
 
     def __init__(self, k, nodes: NodeSet):
         self.k = KPoint.from_k(k)
         self.nodes = nodes
-        self._inverse: BoundaryOperator | None = None
-        self._refused: NearSingularError | None = None   # the refusal of the inversion, at self.k
 
     @classmethod
     def at(cls, k, nodes: NodeSet) -> "KWorkspace":
@@ -494,16 +488,9 @@ class KWorkspace:
     def s(self) -> SingleLayer:
         return assemble_S(self.k, self.nodes)
 
-    @property
+    @cached_property
     def inverse(self) -> BoundaryOperator:
-        if self._inverse is None and self._refused is None:
-            try:
-                self._inverse = invert_S(self.k, self.s)
-            except NearSingularError as exc:
-                self._refused = exc.at(self.k)   # kept without the traceback, which holds the frames' arrays
-        if self._refused is not None:
-            raise self._refused.at(self.k)
-        return self._inverse
+        return invert_S(self.k, self.s)
 
 
 # ---------------------------------------------------------------------------

@@ -13,6 +13,7 @@ Exit codes: 0 success, 1 config/setup error, 2 validation failure.
 from __future__ import annotations
 
 import argparse
+import dataclasses
 import json
 import logging
 import sys
@@ -110,7 +111,7 @@ def main(argv=None) -> int:
         if args.command == "run":
             cfg = RunConfig.from_json(args.config)
             if args.outdir:
-                cfg.outdir = args.outdir
+                cfg = dataclasses.replace(cfg, outdir=args.outdir)
         else:
             cfg = RunConfig.from_dict(_config_doc(args))
         if args.command == "validate":

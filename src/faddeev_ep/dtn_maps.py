@@ -74,9 +74,9 @@ class Potential:
 
     eval_fn: Callable[[np.ndarray], np.ndarray]
     q_fn: Callable[[np.ndarray], np.ndarray] | None = None
-    # ("sampled", N) -> (sha256 of the interior solver's samples of n, their angular
-    # modes, whether they are real), DiskDtnSolver.sampled; ("Fn", N) -> F_n, assemble_Fn;
-    # ("trace_refs", N) -> (P_ref^{-1}, A_ref^{-1}), the references of transform.trace_u
+    # each key has one owner, which alone reads and writes it: ("sampled", N) -> (sha256 of the
+    # interior solver's samples of n, their angular modes, whether they are real), DiskDtnSolver.sampled;
+    # ("Fn", N) -> F_n, assemble_Fn; ("route_refs", N) -> (P_ref^{-1}, A_ref^{-1}), exceptional.route_references
     memo: dict = field(default_factory=dict, init=False, repr=False, compare=False)
 
     def eval(self, z) -> np.ndarray:
@@ -350,7 +350,7 @@ def fn_key(nodes: NodeSet, potential: Potential) -> str:
     package version: two potentials with equal values share one entry.
     """
     n = nodes.n_nodes
-    digest = (potential.memo.get(("sampled", n)) or DiskDtnSolver(n).sampled(potential))[0]
+    digest = DiskDtnSolver(n).sampled(potential)[0]
     doc = {"operator": "F_n", "samples": digest, "n": n, "nh": radial_size(n), "version": __version__}
     return sha256(json.dumps(doc, sort_keys=True).encode()).hexdigest()
 

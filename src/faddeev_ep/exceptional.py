@@ -30,6 +30,9 @@ from .boundary_ops import (
     BoundaryOperator,
     KWorkspace,
     NearSingularError,
+    assemble_log_layer,
+    checked_inverse,
+    layer_reference,
     sigma_min,
     weighted_matrix,
 )
@@ -41,6 +44,7 @@ from .green import KPoint, epsilon_from_log, gauss_legendre, log_abs_k_from_eps
 __all__ = [
     "TOL_KER_REL",
     "TOL_NEG",
+    "CONDITION_CAP",
     "CriterionOperator",
     "ScanResult",
     "LocusResult",
@@ -58,6 +62,7 @@ __all__ = [
     "fn_minus_f0",
     "assemble_A",
     "assemble_P",
+    "route_references",
     "n_minus",
     "parity_path",
 ]
@@ -67,6 +72,9 @@ TOL_KER_REL = 1e-5
 
 #: eigenvalues of P(k) within +-TOL_NEG of zero flag the count as unreliable
 TOL_NEG = 1e-6
+
+#: cap on the 1-norm condition number of P(k), A(k) and their references; beyond it trace_u refuses
+CONDITION_CAP = 1e10
 
 #: parity_path bisects its path down to this fraction of its length
 PARITY_RESOLUTION = 1 / 256
@@ -170,6 +178,28 @@ def assemble_P(k, n: Potential, nodes: NodeSet) -> BoundaryOperator:
     mat = KWorkspace.at(k, nodes).s.matrix @ fn_minus_f0(n, nodes)
     mat.flat[:: nodes.n_nodes + 1] += 1.0   # + I
     return BoundaryOperator(mat, L2, L2, nodes)
+
+
+def route_references(n: Potential, nodes: NodeSet, k) -> tuple[np.ndarray, np.ndarray]:
+    """(P_ref^{-1}, A_ref^{-1}), the k-independent references of P(k) and A(k): P_ref = I + S_ref D and
+    A_ref = D + S_ref^{-1}, D = F_n - F_0, kept in ``n.memo`` beside F_n.  Each is its own checked_inverse
+    at CONDITION_CAP, refused (suspected E) at ``k``, the point that asked for it."""
+    key = ("route_refs", nodes.n_nodes)
+    refs = n.memo.get(key)
+    if refs is None:
+        d = fn_minus_f0(n, nodes)
+        ref = layer_reference(nodes)
+        p_ref = assemble_log_layer(nodes).matrix @ d   # (L + alpha 1 v^T) D + I
+        p_ref += ref.alpha * (nodes.speed / nodes.n_nodes) @ d
+        p_ref.flat[:: nodes.n_nodes + 1] += 1.0
+        p_inv = checked_inverse(p_ref, CONDITION_CAP, "P_ref", k, "E")
+        del p_ref
+        d += ref.inverse
+        refs = (p_inv, checked_inverse(d, CONDITION_CAP, "A_ref", k, "E"))
+        for m in refs:
+            m.flags.writeable = False
+        refs = n.memo.setdefault(key, refs)
+    return refs
 
 
 @dataclass(frozen=True)

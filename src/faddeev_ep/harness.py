@@ -75,12 +75,12 @@ _BUILT_FIELDS = ("curve", "potential", "omega")
 _CHOICES = {("kgrid", "type"): ("logpolar", "list"), ("parity_eps", "scale"): ("prediction", "absolute")}
 
 
-@dataclass
+@dataclass(frozen=True)
 class RunConfig:
     """Declarative description of one batch run; every field has a default.  The
     curve, potential and omega defaults name only the curve, the kind and the
     profile, so each builder parameter has its default in the builder's signature
-    alone."""
+    alone.  Frozen, so every field passes ``__post_init__``: ``dataclasses.replace`` checks again."""
 
     curve: dict = field(default_factory=lambda: {"name": "circle"})
     n_nodes: int = 128
@@ -117,7 +117,7 @@ class RunConfig:
             foreign = set() if name in _BUILT_FIELDS else set(given) - set(default)
             if foreign:
                 raise ValueError(f"{name} takes no key {sorted(foreign)}; its keys are {sorted(default)}")
-            setattr(self, name, {**default, **given})
+            object.__setattr__(self, name, {**default, **given})
         for (name, key), valid in _CHOICES.items():
             if getattr(self, name)[key] not in valid:
                 raise ValueError(f"{name} {key} must be one of {valid}, got {getattr(self, name)[key]!r}")
@@ -374,6 +374,7 @@ def run(config: RunConfig) -> RunManifest:
                             for p, tv in zip(pts, map(t_at.get, pts))])
                 summary["transform"] = {
                     "sup_bound_product": rep.sup,
+                    "max_route_residual": max(tv.residual for tv in rep.values),
                     "increments_non_increasing": rep.increments_non_increasing,
                     "valid": rep.valid,
                     "failures": list(rep.failures),

@@ -16,10 +16,10 @@ Each route inverts its matrix M, P(k) = I + S_k (F_n - F_0) or A(k) = F_n - F^ou
 = (F_n - F_0) + S_k^{-1}, as a rank-r update of a k-independent reference.  A k-point's
 workspace forms S_k = S_ref + X Y'^T once (boundary_ops.KWorkspace), so P(k) = P_ref + X (Y'^T D)
 with P_ref = I + S_ref D, and A(k) = A_ref + (S_k^{-1} X)(-Y'^T G) with A_ref = D + G,
-G = S_ref^{-1} and D = F_n - F_0.  P_ref^{-1} and A_ref^{-1} each come from their own
-checked_inverse, once per potential, and are kept in its memo, so the routes stay two different
-systems.  Per k only r x r capacitances are inverted (updated_inverse): M^{-1} is both the solve
-and the refusal, with E suspected where a capacitance is singular or not finite, or
+G = S_ref^{-1} and D = F_n - F_0.  P_ref^{-1} and A_ref^{-1} come from exceptional.route_references,
+beside P(k) and A(k), so the routes stay two different systems; this module builds no reference
+and keeps nothing.  Per k only r x r capacitances are inverted (updated_inverse): M^{-1} is both
+the solve and the refusal, with E suspected where a capacitance is singular or not finite, or
 |M|_1 |M^{-1}|_1 exceeds CONDITION_CAP.  The E_D refusal stays with the inversion of S_k, which
 reads the same measure on the weighted S_k.
 """
@@ -30,19 +30,14 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .boundary_ops import (KWorkspace, NearSingularError, assemble_log_layer, checked_inverse, layer_reference,
-                           updated_inverse)
+from .boundary_ops import KWorkspace, NearSingularError, layer_reference, updated_inverse
 from .dtn_maps import Potential
-from .exceptional import assemble_A, assemble_P, fn_minus_f0
+from .exceptional import CONDITION_CAP, assemble_A, assemble_P, fn_minus_f0, route_references
 from .geometry import NodeSet
 from .green import KPoint
 
 __all__ = ["CONDITION_CAP", "BoundaryTrace", "TransformValue", "BoundReport",
            "trace_u", "scatter_t", "bound_check"]
-
-#: cap on the 1-norm condition number of the two route matrices; beyond it the
-#: value is reported unavailable rather than extrapolated
-CONDITION_CAP = 1e10
 
 
 @dataclass(frozen=True)
@@ -59,6 +54,7 @@ class BoundaryTrace:
 class TransformValue:
     k: KPoint
     t: complex
+    residual: float            # the cross-route residual of the trace t reads
 
     @property
     def bound_product(self) -> float:
@@ -95,27 +91,6 @@ def _matvec(mat: np.ndarray, v: np.ndarray) -> np.ndarray:
     return mat @ v if np.iscomplexobj(mat) else mat @ v.real + 1j * (mat @ v.imag)
 
 
-def _route_references(n: Potential, nodes: NodeSet, kp: KPoint) -> tuple[np.ndarray, np.ndarray]:
-    """(P_ref^{-1}, A_ref^{-1}) for P_ref = I + S_ref D and A_ref = D + S_ref^{-1}, kept in ``n.memo``
-    beside F_n; a reference that checked_inverse refuses refuses the route at ``kp``."""
-    key = ("trace_refs", nodes.n_nodes)
-    refs = n.memo.get(key)
-    if refs is None:
-        d = fn_minus_f0(n, nodes)
-        ref = layer_reference(nodes)
-        p_ref = assemble_log_layer(nodes).matrix @ d   # (L + alpha 1 v^T) D + I
-        p_ref += ref.alpha * (nodes.speed / nodes.n_nodes) @ d
-        p_ref.flat[:: nodes.n_nodes + 1] += 1.0
-        p_inv = checked_inverse(p_ref, CONDITION_CAP, "P_ref", kp, "E")
-        del p_ref
-        d += ref.inverse
-        refs = (p_inv, checked_inverse(d, CONDITION_CAP, "A_ref", kp, "E"))
-        for m in refs:
-            m.flags.writeable = False
-        refs = n.memo.setdefault(key, refs)
-    return refs
-
-
 def trace_u(k, n: Potential, nodes: NodeSet) -> BoundaryTrace:
     """Solve both boundary formulations for the trace of u(., k).
 
@@ -126,7 +101,7 @@ def trace_u(k, n: Potential, nodes: NodeSet) -> BoundaryTrace:
     """
     ws = KWorkspace.at(k, nodes)
     kp = ws.k
-    p_inv, a_inv = _route_references(n, nodes, kp)   # before S_k, which would live through their first build
+    p_inv, a_inv = route_references(n, nodes, kp)   # before S_k, which would live through their first build
     sinv = ws.inverse.matrix  # raises with suspected="E_D" near the Dirichlet set
     x, y = ws.s.reference_factors()   # S_k = S_ref + X Y'^T
     rhs = np.exp(1j * kp.kz(nodes.z))
@@ -152,11 +127,11 @@ def trace_u(k, n: Potential, nodes: NodeSet) -> BoundaryTrace:
 def scatter_t(k, n: Potential, nodes: NodeSet) -> TransformValue:
     """t(k) by node quadrature of e^{i conj(kz)} (F_n - F_0) u over the boundary."""
     kp = KPoint.from_k(k)
-    u = trace_u(kp, n, nodes).u_nodes   # before D: the trace's peak does not hold D too
-    dens = _matvec(fn_minus_f0(n, nodes), u)
+    trace = trace_u(kp, n, nodes)   # before D: the trace's peak does not hold D too
+    dens = _matvec(fn_minus_f0(n, nodes), trace.u_nodes)
     weight = np.exp(1j * np.conj(kp.kz(nodes.z)))
     t = complex(np.sum(nodes.weights * weight * dens))
-    return TransformValue(kp, t)
+    return TransformValue(kp, t, trace.residual)
 
 
 def bound_check(n: Potential, k_sequence, nodes: NodeSet) -> BoundReport:

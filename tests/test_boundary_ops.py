@@ -305,7 +305,8 @@ def test_log_layer_builds_in_real_arithmetic():
 
 def test_workspace_assembles_once_and_refuses_on_every_access(nodes128, monkeypatch):
     """A workspace builds its Ein factors and S_k once, in assemble_S, and inverts that S_k once, on
-    first use; a refused k raises on every access of the inverse and builds nothing again."""
+    first use; a refused k attempts the inversion on each access of the inverse, raises each time and
+    keeps nothing, while S_k and its factors are still built once."""
     from faddeev_ep import boundary_ops
     from faddeev_ep.dtn_maps import assemble_Fout
 
@@ -318,9 +319,12 @@ def test_workspace_assembles_once_and_refuses_on_every_access(nodes128, monkeypa
     for access in (lambda: ws.inverse, lambda: ws.inverse, lambda: assemble_Fout(ws, nodes128)):
         with pytest.raises(NearSingularError) as exc:
             access()
-        assert exc.value.suspected == "E_D"
-    assert calls == inversions == factors == [ws.k]
+        assert exc.value.suspected == "E_D" and exc.value.k == ws.k
+    assert calls == factors == [ws.k] and inversions == [ws.k] * 3
+    assert "inverse" not in vars(ws)
     assert ws.s is ws.s and calls == [ws.k]
+    kept = KWorkspace(0.3, nodes128)
+    assert kept.inverse is kept.inverse and inversions[3:] == [kept.k]
     assert KWorkspace.at(ws, nodes128) is ws
     other = sample(make_circle(1.0), 64)
     assert KWorkspace.at(ws, other).nodes is other

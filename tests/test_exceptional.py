@@ -21,6 +21,7 @@ from faddeev_ep.exceptional import (
     mu_for_family,
     n_minus,
     parity_path,
+    route_references,
     scan,
     scan_to_csv,
     trace_locus,
@@ -711,3 +712,27 @@ def test_parity_path_refuses_near_exceptional_endpoint(nodes128, radial_family, 
     with pytest.raises(ValueError):
         parity_path(k_bad, KPoint.from_eps(2 * locus_005.mean_eps, 0.0, NU),
                     radial_family.at(0.05), nodes128)
+
+
+def test_route_reference_factors_det_P_through_an_r_by_r_determinant(cos_family):
+    """Oracle for the kernel condition (ROADMAP 13(a)): with S_k = S_ref + X Y'^T, P(k) = P_ref + X Y'^T D,
+    so det P(k) = det P_ref det C(k), C(k) = I_r + Y'^T (D P_ref^{-1}) X, from route_references' P_ref^{-1}.
+    On the scan workload's potential and 16 x 8 grid at N = 64, sign det P_ref sign det C = (-1)^{n^-} at
+    every point, and log|det P_ref| + log|det C| is slogdet of the counted P(k) to 1e-12 relative."""
+    nodes = sample(make_circle(1.0), 64)
+    pot = cos_family.at(0.05)
+    pts = [KPoint.from_polar_log(np.log(r), 2 * np.pi * j / 8) for r in np.geomspace(1e-3, 4.0, 16) for j in range(8)]
+    p_inv, _ = route_references(pot, nodes, pts[0])
+    sign_ref, log_inv = np.linalg.slogdet(p_inv)   # det P_ref = 1 / det P_ref^{-1}
+    dp = fn_minus_f0(pot, nodes) @ p_inv
+    assert not np.iscomplexobj(dp)
+    for kp in pts:
+        ws = KWorkspace(kp, nodes)
+        x, y = ws.s.reference_factors()
+        c = y.T @ dp @ x
+        c.flat[:: c.shape[0] + 1] += 1.0
+        sign_c, log_c = np.linalg.slogdet(c)
+        rec = n_minus(ws, pot, nodes)
+        sign_p, log_p = np.linalg.slogdet(rec.p.matrix)
+        assert sign_ref * sign_c == (-1) ** rec.n_minus == sign_p, kp
+        assert abs(log_c - log_inv - log_p) <= 1e-12 * max(1.0, abs(log_p)), kp

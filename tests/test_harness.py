@@ -1,3 +1,4 @@
+import dataclasses
 import importlib
 import json
 import os
@@ -12,7 +13,9 @@ from faddeev_ep import dtn_maps
 from faddeev_ep.cli import main as cli_main
 from faddeev_ep.dtn_maps import assemble_Fn, fn_key, standard_conductive
 from faddeev_ep.geometry import make_circle, make_ellipse, sample
+from faddeev_ep.green import KPoint
 from faddeev_ep.harness import OperatorCache, RunConfig, build_potential, kgrid_points, run
+from faddeev_ep.transform import trace_u
 
 
 def test_config_roundtrip_lossless():
@@ -347,6 +350,26 @@ def test_a_count_that_is_not_a_positive_int_is_a_config_error(tmp_path, capsys, 
         RunConfig.from_dict(doc)
 
 
+def test_a_config_is_frozen_and_a_changed_copy_is_checked_again(tmp_path):
+    """A field assigned after construction used to skip every check: workers = 0 then ran and wrote
+    its run directory.  A RunConfig is frozen, and dataclasses.replace checks the copy again."""
+    cfg = RunConfig(detectors=["sigma_scan"], n_nodes=32, outdir=str(tmp_path))
+    with pytest.raises(dataclasses.FrozenInstanceError):
+        cfg.workers = 0
+    with pytest.raises(ValueError, match="counts must be positive ints"):
+        dataclasses.replace(cfg, workers=0)
+    assert cfg.workers == 4 and not any(tmp_path.iterdir())
+
+
+def test_cli_run_outdir_places_the_run(tmp_path):
+    cfgpath = tmp_path / "cfg.json"
+    cfgpath.write_text(json.dumps({"detectors": [], "outdir": str(tmp_path / "given")}))
+    assert cli_main(["run", str(cfgpath), "--outdir", str(tmp_path / "moved")]) == 0
+    moved = RunConfig.from_dict({"detectors": [], "outdir": str(tmp_path / "moved")})
+    assert (tmp_path / "moved" / moved.config_hash() / "summary.json").exists()
+    assert not (tmp_path / "given").exists()
+
+
 def test_cli_validate_takes_only_the_curve_flags_and_n(capsys):
     with pytest.raises(SystemExit):
         cli_main(["validate", "--n", "32", "--potential", "absorbing"])
@@ -555,7 +578,6 @@ def test_validate_checks_S_k_against_its_closed_form_jump(monkeypatch):
     (F_0 - F^out(k)) S_k = I, which that check replaced, passes the same mutation."""
     from faddeev_ep import boundary_ops
     from faddeev_ep.dtn_maps import assemble_F0, assemble_Fout
-    from faddeev_ep.green import KPoint
     from faddeev_ep.validate import run_validation
 
     name = "F_0 S_k = K_k' + I/2 on cos mt, sin mt (m = 0..4)"
@@ -749,6 +771,24 @@ def test_an_Fn_solved_without_a_store_is_still_written_to_the_cache_directory(tm
     assert len(list((tmp_path / "cache").glob("*.op"))) == 5
 
 
+def test_a_transform_run_records_its_worst_route_residual(tmp_path):
+    """Every transform point solves both routes; the run keeps the worst cross-route residual (A10's
+    quantity, on the run's own points) in summary.json, and transform.csv keeps its columns."""
+    cfg = RunConfig(n_nodes=32, detectors=["transform"], outdir=str(tmp_path), use_cache=False,
+                    transform_krange={"n": 4})
+    manifest = run(cfg)
+    outdir = tmp_path / manifest.config_hash
+    recorded = json.loads((outdir / "summary.json").read_text())["transform"]["max_route_residual"]
+    pot, _ = build_potential(cfg)
+    nodes = sample(make_circle(1.0), 32)
+    tk = cfg.transform_krange
+    expected = max(trace_u(KPoint.from_polar_log(np.log(r), tk["phi"]), pot, nodes).residual
+                   for r in np.geomspace(tk["rmin"], tk["rmax"], tk["n"]))
+    assert recorded == expected and 0 < recorded < 1e-6
+    header = (outdir / "transform.csv").read_text().splitlines()[0]
+    assert header == "k_re,k_im,log_abs_k,t_re,t_im,bound_product"
+
+
 def test_refused_transform_point_is_a_detector_error(tmp_path):
     cfg = RunConfig(n_nodes=64, detectors=["transform"], outdir=str(tmp_path),
                     transform_krange={"rmin": 1e-2, "rmax": 4.0, "n": 3, "phi": 0.0})
@@ -804,3 +844,77 @@ def test_resonant_potential_is_a_detector_error_not_a_traceback(tmp_path):
     outdir = tmp_path / "runs" / manifest.config_hash
     assert (outdir / "summary.json").exists() and (outdir / "manifest.json").exists()
     assert not (outdir / "scan.csv").exists()
+
+
+#: every potential class the harness builds, as its config fields; a raster's grid is written per test
+CLASSES = {
+    "zero": {"potential": {"kind": "zero"}},
+    "conductive": {"lam": 0.05},
+    "conductive_poly_cos": {"lam": 0.05, "omega": {"profile": "poly_cos"}},
+    "absorbing": {"potential": {"kind": "absorbing"}},
+    "raster_real": {"potential": {"kind": "raster"}},
+    "raster_complex": {"potential": {"kind": "raster"}},
+}
+ALL_DETECTORS = ("validate", "sigma_scan", "locus", "xi_fit", "parity", "transform")
+#: the scan flags a row may carry besides its numbers; a *_failed flag is an error, not a refusal
+SCAN_FLAGS = {"kernel", "ed_refused", "near_exceptional"}
+
+
+def _class_config(tmp_path, name: str) -> dict:
+    """The N = 32 config of one class, with three scan points, two locus rays and four transform points."""
+    doc = {"n_nodes": 32, "use_cache": False, "workers": 1, "locus_angles": 2, "outdir": str(tmp_path / "runs"),
+           "kgrid": {"type": "list", "values": [[0.3, 0.0], [0.05, 0.05], [1.0, 0.5]]},
+           "transform_krange": {"n": 4}, **CLASSES[name]}
+    if name.startswith("raster"):
+        rng = np.random.default_rng(5)
+        raster = {"x0": -1.0, "y0": -1.0, "dx": 0.5, "dy": 0.5, "re": rng.uniform(0.5, 1.5, (5, 5)).tolist()}
+        if name == "raster_complex":
+            raster["im"] = rng.uniform(0.1, 0.5, (5, 5)).tolist()
+        (tmp_path / "raster.json").write_text(json.dumps(raster))
+        doc["potential"] = {"kind": "raster", "path": str(tmp_path / "raster.json")}
+    return doc
+
+
+def _reject(constant):
+    raise AssertionError(f"summary.json holds {constant}")
+
+
+@pytest.mark.parametrize("name", sorted(CLASSES))
+def test_every_potential_class_reaches_every_detector(tmp_path, recwarn, name):
+    """ROADMAP 17, first slice: each class asks for all six detectors.  Only a conductive potential
+    takes lam > 0, so any other class gets the locus's config error and runs the other five, where
+    xi_fit records that it needs a conductive base.  Every other cell answers with finite numbers,
+    and the one warning is n^-'s for a complex P(k)."""
+    doc = _class_config(tmp_path, name)
+    detectors = list(ALL_DETECTORS)
+    errors = {}
+    if "lam" not in doc:
+        with pytest.raises(ValueError, match="locus tracing expects 0 < lambda"):
+            RunConfig(detectors=detectors, **doc)
+        detectors.remove("locus")
+        errors = {"xi_fit": "ValueError: xi_fit detector needs a conductive base potential"}
+    manifest = run(RunConfig(detectors=detectors, **doc))
+    assert manifest.detector_errors == errors and manifest.validation_passed
+    outdir = tmp_path / "runs" / manifest.config_hash
+    summary = json.loads((outdir / "summary.json").read_text(), parse_constant=_reject)
+    assert {"validation" if d == "validate" else d for d in detectors} - set(errors) <= set(summary)
+    assert summary["transform"]["valid"] and summary["sigma_scan"]["points"] == 3
+    rows = (outdir / "scan.csv").read_text().splitlines()[1:]
+    for row in rows:
+        *numbers, flags = row.split(",")
+        assert all(np.isfinite(float(v)) for v in numbers) and set(filter(None, flags.split(";"))) <= SCAN_FLAGS
+    for table in ("transform.csv", "locus.csv"):
+        if (outdir / table).exists():
+            body = [v for row in (outdir / table).read_text().splitlines()[1:] for v in row.split(",")]
+            assert body and all(np.isfinite(float(v)) for v in body), table
+    assert {str(w.message) for w in recwarn} <= {
+        "n^- is defined for real potentials; counts for complex n are not meaningful"}
+
+
+@pytest.mark.parametrize("name", ["zero", "conductive", "conductive_poly_cos", pytest.param(
+    "raster_real", marks=pytest.mark.xfail(strict=True, reason="ROADMAP item 3: a real n whose samples are not "
+                                           "mirror-symmetric is solved in complex arithmetic"))])
+def test_a_real_class_gets_a_real_Fn(tmp_path, name):
+    """A real potential has a real F_n, so a real P(k) and a count n^- that does not warn."""
+    pot, _ = build_potential(RunConfig(**_class_config(tmp_path, name)))
+    assert np.isrealobj(assemble_Fn(sample(make_circle(1.0), 32), pot).matrix)

@@ -225,3 +225,26 @@ def test_only_checked_inverse_inverts_a_system_it_may_refuse():
     assert {c[:2] for c in calls} >= {("boundary_ops", "checked_inverse"), ("boundary_ops", "invert_on_meanfree")}
     offenders = [c for c in calls if c[:2] not in INVERSES and (c[0], "*") not in INVERSES]
     assert not offenders, offenders
+
+
+def _memo_uses(path: Path) -> list[str]:
+    """Lines of a module that read or write a ``.memo``."""
+    return [f"{path.name}:{node.lineno}" for node in ast.walk(ast.parse(path.read_text(), filename=str(path)))
+            if isinstance(node, ast.Attribute) and node.attr == "memo"]
+
+
+def _sampled_keys(path: Path) -> list[str]:
+    """Lines of a module that name the ("sampled", N) key of ``Potential.memo``."""
+    return [f"{path.name}:{node.lineno}" for node in ast.walk(ast.parse(path.read_text(), filename=str(path)))
+            if isinstance(node, ast.Tuple) and node.elts
+            and isinstance(node.elts[0], ast.Constant) and node.elts[0].value == "sampled"]
+
+
+def test_each_kept_operator_has_one_owner():
+    """The transform keeps nothing: its references are exceptional.route_references', so transform.py
+    reads and writes no memo.  The digest of a potential's samples has one reader and writer,
+    DiskDtnSolver.sampled: no other module names its ("sampled", N) key."""
+    assert _memo_uses(PACKAGE / "transform.py") == []
+    assert _memo_uses(PACKAGE / "exceptional.py") != []
+    named = [line for path in sorted(PACKAGE.glob("*.py")) for line in _sampled_keys(path)]
+    assert named and all(line.startswith("disk_solver.py:") for line in named), named
