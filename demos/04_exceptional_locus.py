@@ -4,8 +4,12 @@ For the radially perturbed conductive fixture n + lambda omega the
 exceptional set is a near-circle in the k-plane at eps ~ (mu/nu) lambda.
 This script traces it with the kernel criterion, cross-checks with the
 negative-eigenvalue parity counter, fits the eigenvalue expansion
-xi = a lambda + b eps, and writes the locus to CSV.
+xi = a lambda + b eps, and writes a scan around the locus to CSV through
+the batch harness.
 """
+
+import csv
+import pathlib
 
 import numpy as np
 
@@ -23,7 +27,7 @@ from faddeev_ep import (
     standard_conductive,
     trace_locus,
 )
-from faddeev_ep.exceptional import scan, scan_to_csv
+from faddeev_ep.harness import RunConfig, run
 
 nodes = sample(make_circle(1.0), 128)
 NU = nodes.length
@@ -62,11 +66,14 @@ xi = fit_xi(family, nodes, np.linspace(-0.05, 0.05, 5), np.linspace(0, 0.05, 5))
 print(f"xi ~ a lambda + b eps with a = {xi.a:.5f} (-mu/nu = {-muval / NU:.5f}), "
       f"b = {xi.b:.5f}; fit residual {xi.residual:.1e}")
 
-print("\n== serialize a scan around the locus ==")
-points = [KPoint.from_eps(e, p, NU)
+print("\n== serialize a scan around the locus (a sigma_scan run of the harness) ==")
+points = [KPoint.from_eps(e, p, NU).k
           for e in np.linspace(0.006, 0.03, 9)
           for p in np.linspace(0, 2 * np.pi, 4, endpoint=False)]
-results = scan(points, N_LAM, nodes)
-scan_to_csv(results, "locus_scan.csv")
-flagged = [r for r in results if r.flags]
-print(f"wrote locus_scan.csv ({len(results)} rows, {len(flagged)} flagged near-exceptional)")
+manifest = run(RunConfig(lam=LAM, detectors=["sigma_scan"], outdir="locus_scan", use_cache=False,
+                         kgrid={"type": "list", "values": [[k.real, k.imag] for k in points]}))
+path = pathlib.Path("locus_scan") / manifest.config_hash / "scan.csv"
+with open(path, newline="") as fh:
+    rows = list(csv.DictReader(fh))
+flagged = [row for row in rows if row["flags"]]
+print(f"wrote {path} ({len(rows)} rows, {len(flagged)} flagged near-exceptional)")

@@ -69,7 +69,7 @@ import numpy as np
 
 from . import sha256
 
-__all__ = ["DiskDtnSolver", "InteriorResonanceError", "cheb", "radial_size"]
+__all__ = ["DiskDtnSolver", "InteriorResonanceError", "cheb", "radial_size", "read_samples"]
 
 #: boundary-solve gain, relative to its n = 0 value, above which the interior Dirichlet solve is refused
 CONDITION_LIMIT = 1e5
@@ -108,6 +108,35 @@ def radial_size(n_boundary: int) -> int:
     return max(24, n_boundary // 4 + 13)
 
 
+def read_samples(potential, n_boundary: int) -> tuple[str, dict[int, np.ndarray], bool]:
+    """What the solve at N = ``n_boundary`` reads of a potential, read without building a solver.
+
+    The samples are n at the solver's :func:`radial_size` Chebyshev radii times 2N equispaced
+    angles.  Returns their sha256; their angular modes {d: n_hat_d(r)}, the FFT over theta kept
+    where it is above noise on the interior radii the coupling reads (masking on r = 1 is
+    ragged), which is the one bandwidth detector (keys within {0}: n is radial as the solve
+    sees it); and whether every sample is real (imaginary part exactly 0).  Sampled once per
+    potential and N: all three are kept in ``potential.memo``, the samples not.  A non-finite
+    sample is a ValueError.
+    """
+    got = potential.memo.get(("sampled", n_boundary))
+    if got is None:
+        nh, m_int = radial_size(n_boundary), 2 * n_boundary
+        r = np.cos(np.pi * np.arange(nh) / (2 * nh - 1))   # the solver's radii, cheb(2 nh - 1)[1][:nh]
+        theta = 2 * np.pi * np.arange(m_int) / m_int
+        nvals = np.asarray(potential.eval(r[:, None] * np.exp(1j * theta[None, :])), dtype=complex)
+        if not np.all(np.isfinite(nvals)):
+            raise ValueError(f"potential has non-finite values on the N = {n_boundary} interior grid")
+        nhat = np.fft.fft(nvals, axis=1) / m_int
+        interior = np.max(np.abs(nhat[1:]), axis=0)
+        keep = np.flatnonzero(interior > 1e-13 * max(float(np.max(interior)), 1e-300))
+        d_vals = (np.fft.fftfreq(m_int) * m_int).astype(int)
+        modes = dict(zip(d_vals[keep].tolist(), nhat[:, keep].T.copy()))   # copies: nhat is not kept
+        got = potential.memo.setdefault(("sampled", n_boundary),
+                                        (sha256(nvals.tobytes()).hexdigest(), modes, not np.any(nvals.imag)))
+    return got
+
+
 class DiskDtnSolver:
     """Factory for Dirichlet-to-Neumann matrices of -Lap - n on the unit disk.
 
@@ -142,37 +171,9 @@ class DiskDtnSolver:
         # the n = 0 gain, at m = 0 where u = 1 on the nh - 1 interior radii (see the module docstring)
         self._baseline_gain = (self.nh - 1) / float(np.abs(self._dr2[+1][1:, 0]).sum())
 
-    def samples(self, potential) -> np.ndarray:
-        """Every value of n the solve reads: n at the radii times 2N equispaced angles."""
-        m_int = 2 * self.n_boundary
-        theta = 2 * np.pi * np.arange(m_int) / m_int
-        return np.asarray(potential.eval(self.r[:, None] * np.exp(1j * theta[None, :])), dtype=complex)
-
-    def sampled(self, potential) -> tuple[str, dict[int, np.ndarray], bool]:
-        """sha256 of :meth:`samples`, their FFT over theta, {d: n_hat_d(r)} above noise
-        on the interior radii the coupling reads (masking on r = 1 is ragged), and whether
-        every sample is real (imaginary part exactly 0).  Sampled once per potential and N:
-        all three are kept in ``potential.memo``, the samples not.  A non-finite sample is
-        a ValueError."""
-        got = potential.memo.get(("sampled", self.n_boundary))
-        if got is None:
-            nvals = self.samples(potential)
-            if not np.all(np.isfinite(nvals)):
-                raise ValueError(f"potential has non-finite values on the N = {self.n_boundary} interior grid")
-            m_int = nvals.shape[1]
-            nhat = np.fft.fft(nvals, axis=1) / m_int
-            interior = np.max(np.abs(nhat[1:]), axis=0)
-            keep = np.flatnonzero(interior > 1e-13 * max(float(np.max(interior)), 1e-300))
-            d_vals = (np.fft.fftfreq(m_int) * m_int).astype(int)
-            modes = dict(zip(d_vals[keep].tolist(), nhat[:, keep].T.copy()))   # copies: nhat is not kept
-            got = potential.memo.setdefault(("sampled", self.n_boundary),
-                                            (sha256(nvals.tobytes()).hexdigest(), modes, not np.any(nvals.imag)))
-        return got
-
     def angular_modes(self, potential) -> dict[int, np.ndarray]:
-        """{d: n_hat_d(r)} of :meth:`sampled`, the one bandwidth detector: keys within {0}
-        mean the samples have angular bandwidth 0, i.e. n is radial as the solve sees it."""
-        return self.sampled(potential)[1]
+        """{d: n_hat_d(r)} of :func:`read_samples`, through which :meth:`dtn_matrix` reads them."""
+        return read_samples(potential, self.n_boundary)[1]
 
     def dtn_matrix(self, potential) -> np.ndarray:
         """Assemble the N x N Dirichlet-to-Neumann matrix in the node basis;
@@ -310,7 +311,7 @@ class DiskDtnSolver:
         np.add.at(gb, ((np.arange(nb + 1) - nb // 2)[:, None] % nb, cols), ghat)
         fn = np.fft.ifft(np.fft.fft(gb, axis=1), axis=0)
         # the real modes of a complex n (1 + i y: n_hat_{+-1} = +-r/2) are solved in real arithmetic too
-        if not is_complex and self.sampled(potential)[2]:
+        if not is_complex and read_samples(potential, nb)[2]:
             imag_scale = float(np.max(np.abs(fn.imag)))
             if imag_scale > 1e-8 * max(1.0, float(np.max(np.abs(fn.real)))):
                 raise ArithmeticError(f"DtN matrix lost realness for a real potential: Im = {imag_scale:.2e}")

@@ -35,7 +35,7 @@ from .boundary_ops import (
     block_form,
     invert_on_meanfree,
 )
-from .disk_solver import DiskDtnSolver, radial_size
+from .disk_solver import DiskDtnSolver, radial_size, read_samples
 from .geometry import NodeSet
 from .green import KPoint
 
@@ -67,15 +67,15 @@ class Potential:
     A potential is its values: stored operators are keyed on its samples on
     the interior solver's grid (:func:`fn_key`), so two potentials with equal
     values share an entry.  It declares no symmetry either: whether n is real,
-    and whether its samples have angular bandwidth 0
-    (:meth:`DiskDtnSolver.angular_modes`), is read from those samples.
+    and whether its samples have angular bandwidth 0, is read from those samples
+    (:func:`read_samples`).
     ``q_fn`` is the radial conductivity of a conductive n, which mu reads.
     """
 
     eval_fn: Callable[[np.ndarray], np.ndarray]
     q_fn: Callable[[np.ndarray], np.ndarray] | None = None
     # each key has one owner, which alone reads and writes it: ("sampled", N) -> (sha256 of the
-    # interior solver's samples of n, their angular modes, whether they are real), DiskDtnSolver.sampled;
+    # interior solver's samples of n, their angular modes, whether they are real), disk_solver.read_samples;
     # ("Fn", N) -> F_n, assemble_Fn; ("route_refs", N) -> (P_ref^{-1}, A_ref^{-1}), exceptional.route_references
     memo: dict = field(default_factory=dict, init=False, repr=False, compare=False)
 
@@ -211,18 +211,6 @@ def raster_potential(path) -> Potential:
 # ---------------------------------------------------------------------------
 # Perturbation profiles and families
 
-def omega_radial_poly(power: int = 3, amplitude: float = 1.0):
-    """Radial profile omega = amplitude (1 - r^2)^power."""
-    a, p = float(amplitude), int(power)
-
-    def fn(z):
-        r = np.abs(np.asarray(z, dtype=complex))
-        s = np.maximum(1 - r**2, 0.0)
-        return a * s**p
-
-    return fn
-
-
 def omega_poly_cos(power: int = 3, amplitude: float = 1.0, cos_coeff: float = 0.5):
     """omega = amplitude (1 - r^2)^power (1 + cos_coeff cos theta)."""
     a, p, c = float(amplitude), int(power), float(cos_coeff)
@@ -236,6 +224,12 @@ def omega_poly_cos(power: int = 3, amplitude: float = 1.0, cos_coeff: float = 0.
         return a * s**p * (1 + c * cos_th)
 
     return fn
+
+
+def omega_radial_poly(power: int = 3, amplitude: float = 1.0):
+    """Radial profile omega = amplitude (1 - r^2)^power: :func:`omega_poly_cos` with
+    cos_coeff = 0, whose factor 1 + 0 cos theta is exactly 1."""
+    return omega_poly_cos(power, amplitude, 0.0)
 
 
 @dataclass(frozen=True)
@@ -346,11 +340,12 @@ def fn_key(nodes: NodeSet, potential: Potential) -> str:
     """Content key of F_n, stable across processes.
 
     sha256 over the potential's values on the interior solver's collocation
-    grid (sampled once per Potential and N), N, the radial grid size and the
-    package version: two potentials with equal values share one entry.
+    grid (:func:`read_samples`, once per Potential and N; it builds no solver), N,
+    the radial grid size and the package version: two potentials with equal values
+    share one entry.
     """
     n = nodes.n_nodes
-    digest = DiskDtnSolver(n).sampled(potential)[0]
+    digest = read_samples(potential, n)[0]
     doc = {"operator": "F_n", "samples": digest, "n": n, "nh": radial_size(n), "version": __version__}
     return sha256(json.dumps(doc, sort_keys=True).encode()).hexdigest()
 

@@ -17,7 +17,6 @@
 
 from __future__ import annotations
 
-import csv
 import warnings
 from dataclasses import dataclass
 
@@ -36,7 +35,7 @@ from .boundary_ops import (
     sigma_min,
     weighted_matrix,
 )
-from .disk_solver import DiskDtnSolver
+from .disk_solver import read_samples
 from .dtn_maps import PerturbedFamily, Potential, assemble_F0, assemble_Fn, assemble_Fout_zero
 from .geometry import NodeSet
 from .green import KPoint, epsilon_from_log, gauss_legendre, log_abs_k_from_eps
@@ -56,7 +55,6 @@ __all__ = [
     "check_locus_lambda",
     "criterion",
     "scan",
-    "scan_to_csv",
     "trace_locus",
     "fit_xi",
     "fn_minus_f0",
@@ -240,7 +238,7 @@ def n_minus(k, n: Potential, nodes: NodeSet) -> ParityRecord:
 
 @dataclass(frozen=True)
 class ScanResult:
-    """Per-k record of the detector outputs (serializable for plotting)."""
+    """Per-k record of the detector outputs; :func:`faddeev_ep.harness.run` writes them to scan.csv."""
 
     k: KPoint
     eps: float | None
@@ -286,24 +284,6 @@ def scan(points, n: Potential, nodes: NodeSet) -> list[ScanResult]:
             flags.append(f"parity_failed:{type(exc).__name__}")
         out.append(ScanResult(ws.k, _safe_eps(ws.k, nodes.length), sigma_a, near, sigma_p, nminus, tuple(flags)))
     return out
-
-
-def scan_to_csv(results, path) -> None:
-    """CSV stream (k_re, k_im, eps, sigma_min_A, eig_near_zero, sigma_min_P, n_minus, flags)."""
-
-    def fmt(x):
-        return "" if x is None else repr(float(x))
-
-    with open(path, "w", newline="") as fh:
-        writer = csv.writer(fh)
-        writer.writerow(["k_re", "k_im", "eps", "sigma_min_A", "eig_near_zero", "sigma_min_P", "n_minus", "flags"])
-        for r in results:
-            k = r.k.k
-            writer.writerow([
-                repr(k.real), repr(k.imag), fmt(r.eps), fmt(r.sigma_min_A), fmt(r.eig_near_zero),
-                fmt(r.sigma_min_P), "" if r.n_minus is None else str(r.n_minus),
-                ";".join(r.flags),
-            ])
 
 
 # ---------------------------------------------------------------------------
@@ -390,8 +370,8 @@ def trace_locus(lam: float, family: PerturbedFamily, nodes: NodeSet, angles,
     widening's capped end eps = 0.6 aside): each widening step moves both ends,
     and :func:`_bracketed_root` starts from the evaluated bracket ends and returns
     eps* within xtol = xtol_rel * (mu/nu) lambda of the sign change.
-    For an n_lambda whose samples have angular bandwidth 0
-    (:meth:`DiskDtnSolver.angular_modes`) on a centred circle, F_n is
+    For an n_lambda whose samples have angular bandwidth 0 (read by
+    :func:`read_samples`, which builds no solver) on a centred circle, F_n is
     rotation invariant and S_k rotation covariant, so A(k) rotates with
     arg k and eps* does not depend on phi (the exceptional set is a union
     of circles): only the first angle is traced, and its eps* is fanned
@@ -423,7 +403,7 @@ def trace_locus(lam: float, family: PerturbedFamily, nodes: NodeSet, angles,
         return _bracketed_root(f, lo, flo, hi, fhi, xtol_rel * target), None
 
     angles = np.asarray(angles, dtype=float)
-    if nodes.centred_circle and set(DiskDtnSolver(nodes.n_nodes).angular_modes(pot)) <= {0}:
+    if nodes.centred_circle and set(read_samples(pot, nodes.n_nodes)[1]) <= {0}:
         traced = [ray(angles[0])] if angles.size else []
         per_angle = traced * angles.size
     else:

@@ -48,7 +48,6 @@ from .exceptional import (
     fit_xi,
     parity_path,
     scan,
-    scan_to_csv,
     trace_locus,
 )
 from .geometry import BoundaryCurve, curve_by_name, sample
@@ -216,12 +215,19 @@ def kgrid_points(spec: dict) -> list[KPoint]:
     raise ValueError(f"unknown kgrid type {spec['type']!r}")
 
 
+def _cell(x) -> str:
+    """One CSV cell: None is empty, a string itself, an int its str, any other number repr(float(x))."""
+    if x is None:
+        return ""
+    return str(x) if isinstance(x, (str, int)) else repr(float(x))
+
+
 def _write_csv(path, header, rows) -> None:
-    """A CSV file of float rows, each written as its repr."""
+    """A CSV file, every run file's one writer; each cell as :func:`_cell` writes it."""
     with open(path, "w", newline="") as fh:
         w = csv.writer(fh)
         w.writerow(header)
-        w.writerows([repr(float(x)) for x in row] for row in rows)
+        w.writerows([_cell(x) for x in row] for row in rows)
 
 
 def run(config: RunConfig) -> RunManifest:
@@ -314,7 +320,10 @@ def run(config: RunConfig) -> RunManifest:
                 with ThreadPoolExecutor(max_workers=config.workers) as pool:
                     chunks = list(pool.map(lambda pts: scan(pts, pot, nodes), parts))
                 results: list[ScanResult] = [r for chunk in chunks for r in chunk]
-                scan_to_csv(results, os.path.join(outdir, "scan.csv"))
+                _write_csv(os.path.join(outdir, "scan.csv"),
+                           ["k_re", "k_im", "eps", "sigma_min_A", "eig_near_zero", "sigma_min_P", "n_minus", "flags"],
+                           [(r.k.k.real, r.k.k.imag, r.eps, r.sigma_min_A, r.eig_near_zero, r.sigma_min_P,
+                             r.n_minus, ";".join(r.flags)) for r in results])
                 finite = [r.sigma_min_A for r in results if r.sigma_min_A is not None]
                 summary["sigma_scan"] = {
                     "points": len(results),

@@ -8,6 +8,7 @@ os.environ.setdefault("OMP_NUM_THREADS", "1")
 import numpy as np  # noqa: E402
 import pytest  # noqa: E402
 
+from faddeev_ep.disk_solver import DiskDtnSolver  # noqa: E402
 from faddeev_ep.geometry import make_circle, sample  # noqa: E402
 from faddeev_ep.dtn_maps import (  # noqa: E402
     PerturbedFamily,
@@ -52,6 +53,18 @@ def radial_family(conductive):
 @pytest.fixture(scope="session")
 def cos_family(conductive):
     return PerturbedFamily(conductive, omega_poly_cos())
+
+
+def solver_builds(monkeypatch) -> list:
+    """The N of every DiskDtnSolver constructed from here on, in order."""
+    builds, init = [], DiskDtnSolver.__init__
+
+    def counted(self, n_boundary):
+        builds.append(n_boundary)
+        init(self, n_boundary)
+
+    monkeypatch.setattr(DiskDtnSolver, "__init__", counted)
+    return builds
 
 
 def perfbench_workloads():

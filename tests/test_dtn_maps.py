@@ -4,7 +4,7 @@ import numpy as np
 import pytest
 from scipy.special import jv, jvp
 
-from conftest import dtn_mode_oracle, traced_peak
+from conftest import dtn_mode_oracle, solver_builds, traced_peak
 from faddeev_ep.boundary_ops import (
     HMINUS,
     HPLUS,
@@ -16,7 +16,7 @@ from faddeev_ep.boundary_ops import (
     operator_norm,
     weighted_matrix,
 )
-from faddeev_ep.disk_solver import DiskDtnSolver, InteriorResonanceError
+from faddeev_ep.disk_solver import DiskDtnSolver, InteriorResonanceError, read_samples
 from faddeev_ep.dtn_maps import (
     absorbing_potential,
     assemble_F0,
@@ -425,15 +425,17 @@ def test_Fn_store_misses_on_a_new_version(tmp_path, monkeypatch):
 
 def test_each_potential_is_sampled_once_per_N(tmp_path, monkeypatch):
     """fn_key, the F_n build and the bandwidth detector read one sampling of n per
-    N, kept on the potential as its digest and angular modes beside its F_n."""
+    N, kept on the potential as its digest and angular modes beside its F_n.  The
+    sampling is read_samples' one evaluation of n, on nh x 2N points."""
     counts = {}
-    samples = DiskDtnSolver.samples
+    evaluate = Potential.eval
 
-    def counted(self, potential):
-        counts[self.n_boundary] = counts.get(self.n_boundary, 0) + 1
-        return samples(self, potential)
+    def counted(self, z):
+        n_boundary = np.shape(z)[1] // 2
+        counts[n_boundary] = counts.get(n_boundary, 0) + 1
+        return evaluate(self, z)
 
-    monkeypatch.setattr(DiskDtnSolver, "samples", counted)
+    monkeypatch.setattr(Potential, "eval", counted)
     pot = _tilted_bump()
     for n_nodes in (32, 64):
         nodes = sample(make_circle(1.0), n_nodes)
@@ -442,6 +444,17 @@ def test_each_potential_is_sampled_once_per_N(tmp_path, monkeypatch):
         assert sorted(DiskDtnSolver(n_nodes).angular_modes(pot)) == [-1, 0, 1]
     assert counts == {32: 1, 64: 1}
     assert set(pot.memo) == {(what, n) for what in ("sampled", "Fn") for n in (32, 64)}
+
+
+def test_reading_samples_builds_no_solver(tmp_path, monkeypatch):
+    """fn_key reads the samples without a solver, so F_n through an empty store
+    builds one solver, the one that solves."""
+    nodes, pot = sample(make_circle(1.0), 32), _tilted_bump()
+    builds = solver_builds(monkeypatch)
+    fn_key(nodes, pot)
+    assert builds == []
+    assemble_Fn(nodes, pot, store=OperatorCache(tmp_path))
+    assert builds == [32]
 
 
 def test_memoized_operators_are_freed_with_their_owner():
@@ -479,7 +492,7 @@ def test_a_potential_with_non_finite_samples_is_refused():
     """A nan sample would make every angular mode look like noise and F_n that of n = 0."""
     holed = Potential(lambda z: np.where(np.abs(z) < 0.3, np.nan, 1.0))
     with pytest.raises(ValueError, match="non-finite"):
-        DiskDtnSolver(32).sampled(holed)
+        read_samples(holed, 32)
     with pytest.raises(ValueError, match="non-finite"):
         assemble_Fn(sample(make_circle(1.0), 32), holed)
 

@@ -5,10 +5,10 @@ import pytest
 from hypothesis import assume, example, given, settings
 from hypothesis import strategies as st
 
-from conftest import perfbench_workloads
+from conftest import perfbench_workloads, solver_builds
 from faddeev_ep import boundary_ops, dtn_maps, exceptional
 from faddeev_ep.boundary_ops import KWorkspace, NearSingularError, assemble_S, invert_S, weighted_matrix
-from faddeev_ep.dtn_maps import PerturbedFamily, standard_conductive
+from faddeev_ep.dtn_maps import PerturbedFamily, assemble_Fn, standard_conductive
 from faddeev_ep.exceptional import (
     PARITY_RESOLUTION,
     LocusResult,
@@ -23,7 +23,6 @@ from faddeev_ep.exceptional import (
     parity_path,
     route_references,
     scan,
-    scan_to_csv,
     trace_locus,
 )
 from faddeev_ep.geometry import NodeSet, make_circle, sample
@@ -181,17 +180,13 @@ def test_criterion_propagates_ed_refusal(nodes128, conductive):
 # ---------------------------------------------------------------------------
 # scans
 
-def test_scan_records_and_serializes(tmp_path, nodes128, conductive):
+def test_scan_records_and_serializes(nodes128, conductive):
+    """The scan's records; the harness writes them (test_sigma_scan_csv_is_the_scan_records_cell_by_cell)."""
     pts = [KPoint.from_k(0.1), KPoint.from_k(0.5j), KPoint.from_k(4.437)]
     results = scan(pts, conductive, nodes128)
     assert len(results) == 3
     assert results[0].sigma_min_A is not None and results[0].n_minus == 0
     assert "ed_refused" in results[2].flags
-    path = tmp_path / "scan.csv"
-    scan_to_csv(results, path)
-    lines = path.read_text().strip().splitlines()
-    assert lines[0].startswith("k_re,k_im,eps,sigma_min_A")
-    assert len(lines) == 4
 
 
 def test_scan_rows_equal_separate_detector_calls(nodes128, radial_family):
@@ -372,6 +367,15 @@ def test_fan_out_is_detected_from_the_samples(nodes128, monkeypatch):
         return np.maximum(1 - np.abs(np.asarray(z)) ** 2, 0.0) ** 2
 
     _check_fan_out(PerturbedFamily(standard_conductive(), omega), nodes128, monkeypatch)
+
+
+def test_the_radial_check_builds_no_solver(nodes128, radial_family, monkeypatch):
+    """trace_locus reads the bandwidth of n_lambda from its samples alone: with its F_n
+    kept on the potential, tracing the radial family constructs no DiskDtnSolver."""
+    assemble_Fn(nodes128, radial_family.at(0.05))
+    builds = solver_builds(monkeypatch)
+    loc = trace_locus(0.05, radial_family, nodes128, [0.0, 1.0])
+    assert loc.rays_traced == 1 and not loc.failures and builds == []
 
 
 @pytest.mark.parametrize("seed", [0, 7])

@@ -797,6 +797,33 @@ def test_refused_transform_point_is_a_detector_error(tmp_path):
     assert not (tmp_path / manifest.config_hash / "transform.csv").exists()
 
 
+def test_sigma_scan_csv_is_the_scan_records_cell_by_cell(tmp_path):
+    """scan.csv is written by the harness's one CSV writer: a header, one row per point in
+    grid order, None as an empty cell, n^- by str, the flags joined by ';' and every other
+    number as repr(float).  The |k| = 4.437 point is refused near E_D."""
+    import csv
+
+    from faddeev_ep.exceptional import scan
+
+    values = [[0.1, 0.0], [0.0, 0.5], [4.437, 0.0]]
+    manifest = run(RunConfig(detectors=["sigma_scan"], use_cache=False, outdir=str(tmp_path),
+                             kgrid={"type": "list", "values": values}))
+    assert manifest.detector_errors == {}
+    with open(tmp_path / manifest.config_hash / "scan.csv", newline="") as fh:
+        header, *rows = list(csv.reader(fh))
+    assert header == ["k_re", "k_im", "eps", "sigma_min_A", "eig_near_zero", "sigma_min_P", "n_minus", "flags"]
+    assert len(rows) == 3 and rows[2][3] == "" and "ed_refused" in rows[2][7].split(";")
+
+    def cells(r):
+        return [repr(r.k.k.real), repr(r.k.k.imag), *("" if x is None else repr(float(x)) for x in
+                (r.eps, r.sigma_min_A, r.eig_near_zero, r.sigma_min_P)),
+                "" if r.n_minus is None else str(r.n_minus), ";".join(r.flags)]
+
+    nodes = sample(make_circle(1.0), 128)
+    assert rows == [cells(r) for r in scan(kgrid_points({"type": "list", "values": values}),
+                                           standard_conductive(), nodes)]
+
+
 def test_unsupported_curve_is_recorded_not_raised(tmp_path):
     """F_n exists only on the unit disk: on a radius-2 circle the detectors record
     the refusal (per row for the scan) instead of run raising before them."""

@@ -243,8 +243,44 @@ def _sampled_keys(path: Path) -> list[str]:
 def test_each_kept_operator_has_one_owner():
     """The transform keeps nothing: its references are exceptional.route_references', so transform.py
     reads and writes no memo.  The digest of a potential's samples has one reader and writer,
-    DiskDtnSolver.sampled: no other module names its ("sampled", N) key."""
+    disk_solver.read_samples: no other module names its ("sampled", N) key."""
     assert _memo_uses(PACKAGE / "transform.py") == []
     assert _memo_uses(PACKAGE / "exceptional.py") != []
     named = [line for path in sorted(PACKAGE.glob("*.py")) for line in _sampled_keys(path)]
     assert named and all(line.startswith("disk_solver.py:") for line in named), named
+
+
+def _imports(path: Path, module: str) -> list[str]:
+    """Lines of a module that import ``module`` or a name from it."""
+    return [f"{path.name}:{node.lineno}" for node in ast.walk(ast.parse(path.read_text(), filename=str(path)))
+            if isinstance(node, ast.Import) and any(alias.name == module for alias in node.names)
+            or isinstance(node, ast.ImportFrom) and node.level == 0 and node.module == module]
+
+
+def test_only_the_harness_writes_csv():
+    """Every run file comes from the harness's one writer: no other module imports csv."""
+    named = [line for path in sorted(PACKAGE.glob("*.py")) for line in _imports(path, "csv")]
+    assert named and all(line.startswith("harness.py:") for line in named), named
+
+
+def _calls_of(path: Path, name: str) -> list[tuple[str, str]]:
+    """(module, enclosing function) of every call of the bare name ``name`` in a module."""
+    found = []
+
+    def visit(node, fn):
+        if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef)):
+            fn = node.name
+        if isinstance(node, ast.Call) and getattr(node.func, "id", None) == name:
+            found.append((path.stem, fn))
+        for child in ast.iter_child_nodes(node):
+            visit(child, fn)
+
+    visit(ast.parse(path.read_text(), filename=str(path)), None)
+    return found
+
+
+def test_only_the_Fn_solve_builds_a_solver():
+    """A potential's samples are read without a solver, so DiskDtnSolver is constructed only
+    where assemble_Fn solves."""
+    calls = [c for path in sorted(PACKAGE.glob("*.py")) for c in _calls_of(path, "DiskDtnSolver")]
+    assert calls == [("dtn_maps", "build")], calls
